@@ -7,7 +7,7 @@ positions share) with a block-scoped Q cache, cutting KV-cache bytes and
 projection FLOPs by exactly the closed-form rates the cost meter verifies.
 """
 
-from .caches import CacheStore, GrowableMatrix, LayerCache, ModalityIndex, QCache
+from .caches import CacheStore, GrowableHeads, LayerCache, ModalityIndex, QCache
 from .efficiency import (
     BenchResult,
     CostReport,
@@ -31,6 +31,7 @@ from .kernels import (
     CausalMask,
     Matrix,
     apply_rope,
+    head_matmul,
     masked_softmax_rows,
     matmul,
     rms_norm,

@@ -3,10 +3,16 @@
 Every kernel is deterministic and, crucially, row-independent: the result
 bits of output row i depend only on input row i (and the full right-hand
 operand), never on how many other rows were batched into the same call.
-`matmul` guarantees this by iterating rows explicitly and delegating each
-row to one fixed GEMV routine, so caching a projection and recomputing it
-later from the same inputs gives bit-identical values. The equivalence
-oracles rely on this and compare bitwise.
+Caching a projection and recomputing it later from the same inputs
+therefore gives bit-identical values; the equivalence oracles rely on this
+and compare bitwise.
+
+For products the rule is concrete. NumPy runs a stacked matmul of
+(m, 1, k) row vectors against a (k, n) matrix as m separate GEMV calls, one
+per row, all in C; the bits of each row are those of `a[i] @ b` alone. A
+plain 2-D `np.matmul` of (m, k) by (k, n) is one GEMM, whose blocking
+depends on m, and does not give these bits. `matmul` and `head_matmul` are
+both written as the stacked form.
 
 Transcendentals (cos/sin for the rotary tables) are memoized per position
 so the same position always yields the same bits regardless of batch shape;
@@ -28,14 +34,6 @@ Matrix = np.ndarray
 F32 = np.float32
 
 
-def as_matrix(x, name: str = "matrix") -> Matrix:
-    """Validate/coerce to a 2-D C-contiguous float32 array."""
-    arr = np.asarray(x, dtype=np.float32)
-    if arr.ndim != 2:
-        raise ValidationError(f"{name} must be 2-D, got shape {arr.shape}")
-    return np.ascontiguousarray(arr)
-
-
 @dataclass(frozen=True)
 class CausalMask:
     """Lower-triangular visibility: row i sees columns j <= i + row_offset.
@@ -47,47 +45,64 @@ class CausalMask:
     row_offset: int = 0
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Fixed-order product: out[i] = a[i] @ b, one GEMV per row.
+def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., i, :] = a[..., i, :] @ b, one GEMV per row (see module doc)."""
+    if a.shape[-1] != b.shape[-2]:
+        raise ValidationError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
 
-    The per-row delegation (not a single GEMM) is what makes the result
-    independent of the number of rows in `a`; do not "optimize" this into
-    np.matmul, it would break the bitwise cache-vs-recompute contracts.
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Fixed-order 2-D product: out[i] = a[i] @ b, one GEMV per row.
+
+    Do not "optimize" this into a 2-D np.matmul: that is a GEMM and would
+    break the bitwise cache-vs-recompute contracts.
     """
     if a.ndim != 2 or b.ndim != 2:
         raise ValidationError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValidationError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
-    for i in range(a.shape[0]):
-        out[i] = a[i] @ b
-    return out
+    return _row_gemv(a, b)
 
 
-def masked_softmax_rows(logits: Matrix, mask: CausalMask | None, scale: float) -> Matrix:
-    """Row softmax of scale*logits with causal masking.
+def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-head product of (H, m, k) by (H, k, n): out[h, i] = a[h, i] @ b[h].
 
-    Masked positions are exactly 0 in the output; rows are stabilized by
-    subtracting the row max over visible positions before exponentiation.
+    Each row is one GEMV, so every head's rows carry the bits `matmul`
+    gives for that head alone.
+    """
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]:
+        raise ValidationError(
+            f"head_matmul expects (H, m, k) x (H, k, n), got {a.shape} x {b.shape}"
+        )
+    return _row_gemv(a, b)
+
+
+def masked_softmax_rows(logits: np.ndarray, mask: CausalMask | None, scale: float) -> np.ndarray:
+    """Softmax of scale*logits along the last axis with causal masking.
+
+    `logits` is (rows, cols) or stacked (..., rows, cols), e.g. one
+    (H, rows, cols) block for all heads; every row gets the bits it would
+    get alone. Masked positions are exactly 0 in the output; rows are
+    stabilized by subtracting the row max over visible positions before
+    exponentiation.
     """
     if scale <= 0:
         raise ValidationError(f"softmax scale must be positive, got {scale}")
-    if logits.ndim != 2:
-        raise ValidationError("logits must be 2-D")
+    if logits.ndim < 2:
+        raise ValidationError(f"logits must be at least 2-D, got shape {logits.shape}")
     if mask is not None and mask.row_offset < 0:
         raise ValidationError("row_offset must be non-negative (every row needs a visible column)")
-    rows, cols = logits.shape
+    rows, cols = logits.shape[-2:]
     scaled = logits * F32(scale)
     if mask is not None:
         col = np.arange(cols)
         row = np.arange(rows)[:, None] + mask.row_offset
         visible = col[None, :] <= row
         scaled = np.where(visible, scaled, F32(-np.inf))
-    m = np.max(scaled, axis=1, keepdims=True)
+    m = np.max(scaled, axis=-1, keepdims=True)
     e = np.exp(scaled - m)
     if mask is not None:
         e = np.where(visible, e, F32(0.0))
-    denom = np.sum(e, axis=1, keepdims=True)
+    denom = np.sum(e, axis=-1, keepdims=True)
     return e / denom
 
 
@@ -134,28 +149,32 @@ def _rope_rows(theta_base: float, half: int, positions) -> tuple[np.ndarray, np.
     return cos, sin
 
 
-def apply_rope(qk: Matrix, positions, theta_base: float) -> Matrix:
+def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
     """Rotary rotation of adjacent column pairs by position-dependent angles.
 
-    Position 0 is the identity; every rotation preserves the row norm. The
-    output is a fresh contiguous array.
+    `qk` is (rows, d) or (rows, ..., d), e.g. (rows, H, d_head) for all
+    heads at once; positions index the first axis. Position 0 is the
+    identity; every rotation preserves the row norm. The output is a fresh
+    contiguous array.
     """
     if theta_base <= 0:
         raise ValidationError("theta_base must be positive")
-    if qk.ndim != 2 or qk.shape[1] % 2 != 0:
+    if qk.ndim < 2 or qk.shape[-1] % 2 != 0:
         raise ValidationError(f"apply_rope needs an even column count, got shape {qk.shape}")
     if len(positions) != qk.shape[0]:
         raise ValidationError(
             f"positions length {len(positions)} != row count {qk.shape[0]}"
         )
-    half = qk.shape[1] // 2
+    half = qk.shape[-1] // 2
     cos, sin = _rope_rows(theta_base, half, positions)
-    x1 = qk[:, 0::2]
-    x2 = qk[:, 1::2]
-    out = np.empty_like(qk)
-    out[:, 0::2] = x1 * cos - x2 * sin
-    out[:, 1::2] = x1 * sin + x2 * cos
-    return np.ascontiguousarray(out)
+    table_shape = (qk.shape[0],) + (1,) * (qk.ndim - 2) + (half,)
+    cos, sin = cos.reshape(table_shape), sin.reshape(table_shape)
+    x1 = qk[..., 0::2]
+    x2 = qk[..., 1::2]
+    out = np.empty(qk.shape, dtype=qk.dtype)
+    out[..., 0::2] = x1 * cos - x2 * sin
+    out[..., 1::2] = x1 * sin + x2 * cos
+    return out
 
 
 def silu(x: Matrix) -> Matrix:

@@ -28,7 +28,11 @@ from .kernels import (
 )
 from .model import TokenSequence
 from .planner import GLA, LazyPlan
-from .runtime import _split_heads, _validate_tokens, generate, prefill, prune_visual_tokens
+from .runtime import _validate_tokens, generate, prefill, prune_visual_tokens
+
+
+def _split_heads(m: np.ndarray, n_heads: int, d_head: int) -> list[np.ndarray]:
+    return [np.ascontiguousarray(m[:, h * d_head : (h + 1) * d_head]) for h in range(n_heads)]
 
 
 class PruneSpec:

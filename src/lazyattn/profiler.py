@@ -99,7 +99,9 @@ class AttentionCapture:
             head_matrices=[] if per_head else None,
         )
 
-    def record(self, layer: int, head_attn: list[np.ndarray]) -> None:
+    def record(self, layer: int, head_attn: np.ndarray) -> None:
+        """Record one layer's attention, (n_heads, rows, cols). The head mean
+        adds heads one at a time in float64, which fixes its bits."""
         mean = head_attn[0].astype(np.float64)
         for a in head_attn[1:]:
             mean = mean + a

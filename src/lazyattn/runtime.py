@@ -1,21 +1,26 @@
 """Prefill/decode runtimes: standard, GLA, and VLA.
 
-All three modes run the same layer loop; a layer's role under the active
-plan decides where its queries and keys come from:
+Prefill and decode run the same head-batched layer step, `_layer`, over a
+chunk of rows: prefill passes the s prompt rows, decode one new row. Each
+layer's K/V cache is one (n_heads, L, d_head) array, so rotary runs once
+per layer and attention for all heads is one scores product, one masked
+softmax over (n_heads, rows, L) and one weighted sum. A layer's role under
+the active plan decides where its queries and keys come from:
 
   standard/anchor  project Q and K themselves (keys cached post-rotation);
                    anchors additionally publish Q to the block's Q cache
+                   (all rows under GLA, the visual rows under VLA)
   lazy + GLA       skip the Q/K projections and rotation entirely; read the
                    anchor's Q from the Q cache and the anchor's K cache
-  lazy + VLA       project Q/K for TEXT positions only (at their original
-                   sequence positions); visual rows come from the anchor via
-                   the Q cache / the anchor's K cache
+  lazy + VLA       project Q/K for TEXT rows only (at their original
+                   sequence positions); visual rows take the anchor's Q from
+                   the Q cache, and K is the layer's text keys merged with
+                   the anchor's visual keys in position order
 
 Values, the output projection, and the MLP are always computed per layer.
-During decode the generated token is TEXT: under GLA lazy layers reuse the
-anchor's fresh query and key, under VLA every layer projects the new token
-itself and lazy layers assemble K from their own text keys plus the
-anchor's visual keys, preserving original position order.
+A decoded token is TEXT: under GLA lazy layers reuse the anchor's fresh
+query and key, under VLA every layer projects the new token itself and the
+VLA merge order gains one slot (see `LayerCache.merged_keys`).
 
 A FastV-style pruning hook drops the lowest-attention visual positions from
 every cache that lives past a chosen layer (a lazy block prunes with its
@@ -28,20 +33,13 @@ import math
 
 import numpy as np
 
-from .caches import (
-    ROLE_ANCHOR,
-    ROLE_LAZY,
-    ROLE_STANDARD,
-    CacheStore,
-    LayerRole,
-    ModalityIndex,
-    PruneRecord,
-)
+from .caches import ROLE_ANCHOR, ROLE_LAZY, CacheStore, ModalityIndex, PruneRecord
 from .errors import ValidationError
 from .kernels import (
     CausalMask,
     apply_rope,
     attention_scale,
+    head_matmul,
     masked_softmax_rows,
     matmul,
     rms_norm,
@@ -49,10 +47,6 @@ from .kernels import (
 )
 from .model import ModelWeights, TokenSequence
 from .planner import GLA, VLA, LazyPlan
-
-
-def _split_heads(m: np.ndarray, n_heads: int, d_head: int) -> list[np.ndarray]:
-    return [np.ascontiguousarray(m[:, h * d_head : (h + 1) * d_head]) for h in range(n_heads)]
 
 
 def _validate_tokens(tokens: TokenSequence, vocab_size: int) -> None:
@@ -68,6 +62,104 @@ def _record(meter, label: str, m: int, k: int, n: int) -> None:
         meter.record(label, m, k, n)
 
 
+class _Chunk:
+    """The rows one step runs: their positions, split into text and visual."""
+
+    def __init__(self, positions: list[int], visual_set: frozenset[int]):
+        self.positions = positions
+        visual = [i for i, p in enumerate(positions) if p in visual_set]
+        text = [i for i, p in enumerate(positions) if p not in visual_set]
+        self.visual_rows = np.asarray(visual, dtype=np.intp)
+        self.text_rows = np.asarray(text, dtype=np.intp)
+        self.text_positions = [positions[i] for i in text]
+
+
+def _project(weights: ModelWeights, xn: np.ndarray, w: np.ndarray, positions: list[int]):
+    """Rotated per-head projection of the rows of xn, as (n_heads, rows, d_head)."""
+    config = weights.config
+    m = matmul(xn, w).reshape(xn.shape[0], config.n_heads, config.d_head)
+    return apply_rope(m, positions, config.rope_theta).transpose(1, 0, 2)
+
+
+def _layer(weights, store: CacheStore, l: int, x: np.ndarray, chunk: _Chunk, capture, meter):
+    """One decoder layer over the chunk's rows; appends their K/V to the
+    layer's caches and returns the layer output."""
+    config = weights.config
+    n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
+    lw = weights.layers[l]
+    role = store.roles[l]
+    cache = store.layers[l]
+    rows = x.shape[0]
+    xn = rms_norm(x, lw.attn_gain, config.norm_eps)
+
+    v = matmul(xn, lw.wv)
+    _record(meter, "attn_v", rows, d, d)
+    cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2), chunk.positions)
+
+    if role.kind != ROLE_LAZY:
+        q = _project(weights, xn, lw.wq, chunk.positions)
+        _record(meter, "attn_q", rows, d, d)
+        k = _project(weights, xn, lw.wk, chunk.positions)
+        _record(meter, "attn_k", rows, d, d)
+        cache.append_keys(k, chunk.positions)
+        keys = cache.keys.data
+        if role.kind == ROLE_ANCHOR:
+            shared = q if store.mode == GLA else q[:, chunk.visual_rows]
+            if shared.shape[1]:
+                store.qcache.publish(role.block, shared)
+    elif store.mode == GLA:
+        q = store.qcache.read(role.block)
+        keys = store.anchor_cache(role).keys.data
+    else:  # VLA lazy layer
+        xt = xn[chunk.text_rows]
+        qt = _project(weights, xt, lw.wq, chunk.text_positions)
+        _record(meter, "attn_q", len(xt), d, d)
+        kt = _project(weights, xt, lw.wk, chunk.text_positions)
+        _record(meter, "attn_k", len(xt), d, d)
+        cache.append_keys(kt, chunk.text_positions)
+        q = qt
+        if chunk.visual_rows.size:
+            q = np.empty((n_heads, rows, d_head), dtype=np.float32)
+            q[:, chunk.text_rows] = qt
+            q[:, chunk.visual_rows] = store.qcache.read(role.block)
+        keys = cache.merged_keys(store.anchor_cache(role), store.visual_set)
+
+    n_keys = keys.shape[1]
+    scores = head_matmul(q, keys.transpose(0, 2, 1))
+    _record(meter, "attn_scores", n_heads * rows, d_head, n_keys)
+    # Row i sits at key index n_keys - rows + i; a single row sees every key.
+    mask = CausalMask(n_keys - rows) if rows > 1 else None
+    attn = masked_softmax_rows(scores, mask, attention_scale(d_head))
+    if capture is not None:
+        capture.record(l, attn)
+    o = head_matmul(attn, cache.values.data)
+    _record(meter, "attn_wv", n_heads * rows, n_keys, d_head)
+    x = x + matmul(o.transpose(1, 0, 2).reshape(rows, d), lw.wo)
+    _record(meter, "attn_out", rows, d, d)
+
+    hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
+    gate = matmul(hn, lw.w_gate)
+    _record(meter, "mlp_gate", rows, d, config.d_ff)
+    up = matmul(hn, lw.w_up)
+    _record(meter, "mlp_up", rows, d, config.d_ff)
+    down = matmul(silu(gate) * up, lw.w_down)
+    _record(meter, "mlp_down", rows, config.d_ff, d)
+    return x + down
+
+
+def _forward(weights: ModelWeights, store: CacheStore, token_ids, positions, capture, meter):
+    """Run the rows through every layer; returns their logits."""
+    config = weights.config
+    chunk = _Chunk(positions, store.visual_set)
+    x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
+    for l in range(config.n_layers):
+        x = _layer(weights, store, l, x, chunk, capture, meter)
+    xn = rms_norm(x, weights.final_gain, config.norm_eps)
+    logits = matmul(xn, weights.lm_head)
+    _record(meter, "lm_head", len(positions), config.d_model, config.vocab_size)
+    return logits
+
+
 def prefill(
     weights: ModelWeights,
     tokens: TokenSequence,
@@ -77,111 +169,13 @@ def prefill(
 ) -> tuple[np.ndarray, CacheStore]:
     """Run the prompt through the model, returning logits for every position
     and the populated cache store. `plan=None` is the standard runtime."""
-    config = weights.config
-    _validate_tokens(tokens, config.vocab_size)
-    store = CacheStore(config, plan, tokens)
-    mode = store.mode
-    n_heads, d_head = config.n_heads, config.d_head
+    _validate_tokens(tokens, weights.config.vocab_size)
+    store = CacheStore(weights.config, plan, tokens)
     s = len(tokens)
-    positions = list(range(s))
-    scale = attention_scale(d_head)
-    mask = CausalMask(0)
-    text_pos = list(store.modality.text_positions)
-    visual_pos = list(store.modality.visual_positions)
-    text_idx = np.asarray(text_pos, dtype=np.intp)
-    visual_idx = np.asarray(visual_pos, dtype=np.intp)
-
-    x = np.ascontiguousarray(
-        weights.embedding[np.asarray(tokens.token_ids, dtype=np.intp)]
-    )
-
-    for l, lw in enumerate(weights.layers):
-        role = store.roles[l]
-        cache = store.layers[l]
-        xn = rms_norm(x, lw.attn_gain, config.norm_eps)
-
-        v = matmul(xn, lw.wv)
-        _record(meter, "attn_v", s, config.d_model, config.d_model)
-        v_heads = _split_heads(v, n_heads, d_head)
-        cache.append_values(v_heads, positions)
-
-        if role.kind != ROLE_LAZY:
-            q = matmul(xn, lw.wq)
-            _record(meter, "attn_q", s, config.d_model, config.d_model)
-            k = matmul(xn, lw.wk)
-            _record(meter, "attn_k", s, config.d_model, config.d_model)
-            q_heads = [apply_rope(qh, positions, config.rope_theta) for qh in _split_heads(q, n_heads, d_head)]
-            k_heads = [apply_rope(kh, positions, config.rope_theta) for kh in _split_heads(k, n_heads, d_head)]
-            cache.append_keys(k_heads, positions)
-            if role.kind == ROLE_ANCHOR:
-                if mode == GLA:
-                    store.qcache.publish(role.block, q_heads, positions)
-                else:
-                    shared = [np.ascontiguousarray(qh[visual_idx]) for qh in q_heads]
-                    store.qcache.publish(role.block, shared, visual_pos)
-            attn_q = q_heads
-            attn_k = k_heads
-        elif mode == GLA:
-            anchor = store.anchor_cache(role)
-            attn_q = store.qcache.read(role.block)
-            attn_k = [anchor.keys[h].data for h in range(n_heads)]
-        else:  # VLA lazy layer
-            xt = np.ascontiguousarray(xn[text_idx])
-            qt = matmul(xt, lw.wq)
-            _record(meter, "attn_q", len(text_pos), config.d_model, config.d_model)
-            kt = matmul(xt, lw.wk)
-            _record(meter, "attn_k", len(text_pos), config.d_model, config.d_model)
-            qt_heads = [apply_rope(qh, text_pos, config.rope_theta) for qh in _split_heads(qt, n_heads, d_head)]
-            kt_heads = [apply_rope(kh, text_pos, config.rope_theta) for kh in _split_heads(kt, n_heads, d_head)]
-            cache.append_keys(kt_heads, text_pos)
-            anchor = store.anchor_cache(role)
-            shared_q = store.qcache.read(role.block)
-            attn_q, attn_k = [], []
-            for h in range(n_heads):
-                qf = np.empty((s, d_head), dtype=np.float32)
-                qf[text_idx] = qt_heads[h]
-                qf[visual_idx] = shared_q[h]
-                kf = np.empty((s, d_head), dtype=np.float32)
-                kf[text_idx] = kt_heads[h]
-                kf[visual_idx] = anchor.keys[h].data[visual_idx]
-                attn_q.append(qf)
-                attn_k.append(kf)
-
-        head_attn = [] if capture is not None else None
-        out_heads = []
-        for h in range(n_heads):
-            scores = matmul(attn_q[h], attn_k[h].T)
-            _record(meter, "attn_scores", s, d_head, s)
-            attn = masked_softmax_rows(scores, mask, scale)
-            out_heads.append(matmul(attn, v_heads[h]))
-            _record(meter, "attn_wv", s, s, d_head)
-            if head_attn is not None:
-                head_attn.append(attn)
-        if capture is not None:
-            capture.record(l, head_attn)
-
-        o = np.concatenate(out_heads, axis=1)
-        attn_out = matmul(o, lw.wo)
-        _record(meter, "attn_out", s, config.d_model, config.d_model)
-        x = x + attn_out
-
-        hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
-        gate = matmul(hn, lw.w_gate)
-        _record(meter, "mlp_gate", s, config.d_model, config.d_ff)
-        up = matmul(hn, lw.w_up)
-        _record(meter, "mlp_up", s, config.d_model, config.d_ff)
-        act = silu(gate) * up
-        down = matmul(act, lw.w_down)
-        _record(meter, "mlp_down", s, config.d_ff, config.d_model)
-        x = x + down
-
+    logits = _forward(weights, store, tokens.token_ids, list(range(s)), capture, meter)
     # Prefill-era shared queries are never reread by decode; release them so
     # the Q cache occupancy bound stays honest (peak remains recorded).
     store.qcache.release()
-
-    xn = rms_norm(x, weights.final_gain, config.norm_eps)
-    logits = matmul(xn, weights.lm_head)
-    _record(meter, "lm_head", s, config.d_model, config.vocab_size)
     store.seq_len = s
     return logits, store
 
@@ -189,103 +183,13 @@ def prefill(
 def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None) -> np.ndarray:
     """One greedy-decode step: appends the token's K/V per layer role and
     returns the next-token logits vector. Mutates the store in place."""
-    config = weights.config
     if store.seq_len == 0:
         raise ValidationError("decode requires caches populated by a prefill")
-    if not 0 <= next_token < config.vocab_size:
+    if not 0 <= next_token < weights.config.vocab_size:
         raise ValidationError(f"token id {next_token} outside vocabulary")
-    n_heads, d_head = config.n_heads, config.d_head
     pos = store.seq_len
-    scale = attention_scale(d_head)
-    mode = store.mode
-
-    x = np.ascontiguousarray(weights.embedding[np.asarray([next_token], dtype=np.intp)])
     store.modality.append_text(pos)
-
-    for l, lw in enumerate(weights.layers):
-        role = store.roles[l]
-        cache = store.layers[l]
-        xn = rms_norm(x, lw.attn_gain, config.norm_eps)
-
-        v = matmul(xn, lw.wv)
-        _record(meter, "attn_v", 1, config.d_model, config.d_model)
-        v_heads = _split_heads(v, n_heads, d_head)
-        cache.append_values(v_heads, [pos])
-
-        if role.kind != ROLE_LAZY:
-            q = matmul(xn, lw.wq)
-            _record(meter, "attn_q", 1, config.d_model, config.d_model)
-            k = matmul(xn, lw.wk)
-            _record(meter, "attn_k", 1, config.d_model, config.d_model)
-            q_heads = [apply_rope(qh, [pos], config.rope_theta) for qh in _split_heads(q, n_heads, d_head)]
-            k_heads = [apply_rope(kh, [pos], config.rope_theta) for kh in _split_heads(k, n_heads, d_head)]
-            cache.append_keys(k_heads, [pos])
-            if role.kind == ROLE_ANCHOR and mode == GLA:
-                store.qcache.publish(role.block, q_heads, [pos])
-            attn_q = q_heads
-            attn_k = [cache.keys[h].data for h in range(n_heads)]
-        elif mode == GLA:
-            anchor = store.anchor_cache(role)
-            attn_q = store.qcache.read(role.block)
-            attn_k = [anchor.keys[h].data for h in range(n_heads)]
-        else:  # VLA lazy: own projections for the text token, merged K
-            q = matmul(xn, lw.wq)
-            _record(meter, "attn_q", 1, config.d_model, config.d_model)
-            k = matmul(xn, lw.wk)
-            _record(meter, "attn_k", 1, config.d_model, config.d_model)
-            q_heads = [apply_rope(qh, [pos], config.rope_theta) for qh in _split_heads(q, n_heads, d_head)]
-            k_new = [apply_rope(kh, [pos], config.rope_theta) for kh in _split_heads(k, n_heads, d_head)]
-            cache.append_keys(k_new, [pos])
-            anchor = store.anchor_cache(role)
-            # Visual coverage follows the anchor's cache (a block prunes as a
-            # unit with its anchor), not the global modality index.
-            vis_rows = np.array(
-                [i for i, p in enumerate(anchor.key_positions) if p in store.visual_set],
-                dtype=np.intp,
-            )
-            vis_positions = [anchor.key_positions[i] for i in vis_rows]
-            merged_pos = np.concatenate(
-                [
-                    np.asarray(cache.key_positions, dtype=np.int64),
-                    np.asarray(vis_positions, dtype=np.int64),
-                ]
-            )
-            order = np.argsort(merged_pos, kind="stable")
-            attn_q = q_heads
-            attn_k = []
-            for h in range(n_heads):
-                stacked = np.concatenate(
-                    [cache.keys[h].data, anchor.keys[h].data[vis_rows]], axis=0
-                )
-                attn_k.append(np.ascontiguousarray(stacked[order]))
-
-        out_heads = []
-        for h in range(n_heads):
-            L = attn_k[h].shape[0]
-            scores = matmul(attn_q[h], attn_k[h].T)
-            _record(meter, "attn_scores", 1, d_head, L)
-            attn = masked_softmax_rows(scores, None, scale)
-            out_heads.append(matmul(attn, cache.values[h].data))
-            _record(meter, "attn_wv", 1, L, d_head)
-
-        o = np.concatenate(out_heads, axis=1)
-        attn_out = matmul(o, lw.wo)
-        _record(meter, "attn_out", 1, config.d_model, config.d_model)
-        x = x + attn_out
-
-        hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
-        gate = matmul(hn, lw.w_gate)
-        _record(meter, "mlp_gate", 1, config.d_model, config.d_ff)
-        up = matmul(hn, lw.w_up)
-        _record(meter, "mlp_up", 1, config.d_model, config.d_ff)
-        act = silu(gate) * up
-        down = matmul(act, lw.w_down)
-        _record(meter, "mlp_down", 1, config.d_ff, config.d_model)
-        x = x + down
-
-    xn = rms_norm(x, weights.final_gain, config.norm_eps)
-    logits = matmul(xn, weights.lm_head)
-    _record(meter, "lm_head", 1, config.d_model, config.vocab_size)
+    logits = _forward(weights, store, [next_token], [pos], None, meter)
     store.seq_len = pos + 1
     return logits[0]
 

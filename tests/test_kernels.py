@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from lazyattn import CausalMask, ValidationError, masked_softmax_rows, matmul, rms_norm
+from lazyattn import (
+    CausalMask,
+    GrowableHeads,
+    ValidationError,
+    head_matmul,
+    masked_softmax_rows,
+    matmul,
+    rms_norm,
+)
 from lazyattn.kernels import apply_rope
 
 
@@ -36,6 +44,58 @@ def test_matmul_deterministic_and_row_independent():
     # row i of a batched product is bitwise the product of row i alone
     for i in (0, 4, 8):
         assert np.array_equal(first[i], matmul(a[i : i + 1].copy(), b)[0])
+
+    # ... and bitwise the lone GEMV a[i] @ b, at any batch size. K^T comes
+    # from a growable-buffer prefix (spare capacity behind it), as in attention.
+    def per_row(a, b):
+        return np.stack([a[i] @ b for i in range(a.shape[0])])
+
+    buf = GrowableHeads(2, 64)
+    buf.append(f32(rng.standard_normal((2, 200, 64))))
+    buf.append(f32(rng.standard_normal((2, 100, 64))))
+    keys = buf.data
+    assert keys.shape == (2, 300, 64) and not keys.flags.c_contiguous
+    cases = [
+        (f32(rng.standard_normal((1, 256))), f32(rng.standard_normal((256, 512)))),
+        (f32(rng.standard_normal((512, 256))), f32(rng.standard_normal((256, 512)))),
+        (f32(rng.standard_normal((37, 64))), keys[1].T),
+    ]
+    for a, b in cases:
+        assert np.array_equal(matmul(a, b), per_row(a, b))
+    for rows in (1, 37):
+        q = f32(rng.standard_normal((2, rows, 64)))
+        out = head_matmul(q, keys.transpose(0, 2, 1))
+        attn = f32(rng.random((2, rows, 300)))
+        weighted = head_matmul(attn, keys)
+        for h in range(2):
+            assert np.array_equal(out[h], per_row(q[h], keys[h].T))
+            assert np.array_equal(weighted[h], per_row(attn[h], keys[h]))
+    a = f32(rng.standard_normal((2, 512, 256)))
+    b = f32(rng.standard_normal((2, 256, 512)))
+    out = head_matmul(a, b)
+    for h in range(2):
+        assert np.array_equal(out[h], per_row(a[h], b[h]))
+
+
+def test_head_matmul_rejects_bad_shapes():
+    with pytest.raises(ValidationError):
+        head_matmul(f32(np.ones((2, 3))), f32(np.ones((3, 2))))
+    with pytest.raises(ValidationError):
+        head_matmul(f32(np.ones((2, 1, 3))), f32(np.ones((3, 3, 2))))
+    with pytest.raises(ValidationError):
+        head_matmul(f32(np.ones((2, 1, 3))), f32(np.ones((2, 4, 2))))
+
+
+def test_stacked_softmax_and_rope_match_per_head_bitwise():
+    rng = np.random.default_rng(6)
+    scores = f32(rng.standard_normal((3, 9, 9)) * 4)
+    stacked = masked_softmax_rows(scores, CausalMask(0), 0.125)
+    qk = f32(rng.standard_normal((9, 3, 16)))
+    pos = [0, 2, 3, 5, 8, 13, 21, 34, 55]
+    rotated = apply_rope(qk, pos, 10000.0)
+    for h in range(3):
+        assert np.array_equal(stacked[h], masked_softmax_rows(scores[h], CausalMask(0), 0.125))
+        assert np.array_equal(rotated[:, h], apply_rope(qk[:, h].copy(), pos, 10000.0))
 
 
 def test_softmax_symmetric_row():

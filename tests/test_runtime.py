@@ -274,3 +274,69 @@ def test_prune_straddling_block_prunes_with_anchor(model, prompt):
     spec = PruneSpec.from_record(store.prune_record)
     ids, _ = generate(model, prompt, 5, plan, store=store, last_logits=logits[-1])
     assert ids == oracle_full_generate(model, prompt, 5, plan, prune=spec)
+
+
+# ---------------------------------------------------------------------------
+# VLA with interleaved modality: visual runs mid-sequence and alternating
+# ---------------------------------------------------------------------------
+
+INTERLEAVED = [
+    TokenSequence(
+        [4, 8, 15, 16, 23, 42, 7, 1, 9, 33, 2, 61, 5, 18, 27, 70],
+        [0, 0, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 0, 1, 1, 0],
+    ),
+    TokenSequence([11, 3, 47, 5, 29, 8, 60, 14, 2, 39, 6, 21], [i % 2 for i in range(12)]),
+]
+
+
+@pytest.mark.parametrize("tokens", INTERLEAVED)
+def test_vla_interleaved_modality_matches_oracle(model, tokens):
+    from lazyattn import PruneSpec
+
+    plan = two_block_plan(VLA)
+    logits, _ = prefill(model, tokens, plan)
+    assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
+    ids, _ = generate(model, tokens, 16, plan)
+    assert ids == oracle_full_generate(model, tokens, 16, plan)
+    # layer 0 prunes both blocks (and resets their merge order); layer 2
+    # prunes only the block anchored at 4
+    for layer in (0, 2):
+        capture = AttentionCapture()
+        logits, store = prefill(model, tokens, plan, capture=capture)
+        prune_visual_tokens(store, capture.snapshot, layer, 0.5)
+        spec = PruneSpec.from_record(store.prune_record)
+        ids, _ = generate(model, tokens, 16, plan, store=store, last_logits=logits[-1])
+        assert ids == oracle_full_generate(model, tokens, 16, plan, prune=spec)
+
+
+def test_vla_clone_mid_decode_copies_merge_state(model):
+    tokens = INTERLEAVED[0]
+    plan = two_block_plan(VLA)
+    logits, store = prefill(model, tokens, plan)
+    generate(model, tokens, 4, plan, store=store, last_logits=logits[-1])
+    twin = store.clone()
+    feed = [5, 17, 3, 40, 9]
+    ours = [decode_vla(model, store, t) for t in feed]
+    theirs = [decode_vla(model, twin, t) for t in feed]
+    for a, b in zip(ours, theirs):
+        assert np.array_equal(a, b)
+    assert twin.kv_bytes() == store.kv_bytes()
+
+
+def test_runtime_matmul_sees_only_2d_operands(model, prompt, monkeypatch):
+    # Span tracers wrap runtime.matmul and read `m, k = a.shape`; head-batched
+    # products must go through their own kernel.
+    from lazyattn import runtime
+
+    real = runtime.matmul
+    shapes = []
+
+    def spy(a, b):
+        shapes.append((a.ndim, b.ndim))
+        return real(a, b)
+
+    monkeypatch.setattr(runtime, "matmul", spy)
+    for plan in (None, two_block_plan(GLA), two_block_plan(VLA)):
+        logits, store = prefill(model, prompt, plan)
+        decode(model, store, int(np.argmax(logits[-1])))
+    assert shapes and all(s == (2, 2) for s in shapes)
