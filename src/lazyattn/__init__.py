@@ -65,24 +65,16 @@ from .profiler import (
     AttentionCapture,
     AttentionSnapshot,
     SimilarityProfile,
-    adjacent_profile,
     js_divergence,
     kl_divergence,
     load_profile,
     profile_model,
     save_profile,
-    similarity_view,
 )
 from .runtime import (
     decode,
-    decode_gla,
-    decode_standard,
-    decode_vla,
     generate,
     prefill,
-    prefill_gla,
-    prefill_standard,
-    prefill_vla,
     prune_visual_tokens,
 )
 

@@ -1,8 +1,10 @@
 """Command-line pipeline: genmodel -> profile -> plan -> run / verify / bench.
 
 Every command validates its inputs before any side effect and writes output
-files atomically (temp file + rename), so failures never leave partial
-artifacts. All randomness flows from explicit --seed flags.
+files through `model.atomic_write` (a unique temp file, then a rename), so
+failures never leave partial artifacts. All randomness flows from explicit
+--seed flags. The library takes the mode from the plan; `run`, `verify` and
+`bench` only check that a --plan file holds the --mode they were given.
 
 Exit codes: 0 success, 1 validation/usage error, 2 oracle mismatch, 3 I/O or
 checkpoint error.
@@ -19,6 +21,7 @@ from . import efficiency, oracle, planner, profiler, rng, runtime, viz
 from .errors import CheckpointError, OracleMismatchError, ValidationError
 from .model import (
     ModelConfig,
+    atomic_write,
     init_synthetic_model,
     load_checkpoint,
     read_sequences_jsonl,
@@ -40,13 +43,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_VALIDATION)
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--full-matrix", action="store_true",
                     help="average divergence over all rows, not just the last")
     pr.add_argument("--svg", action="store_true", help="also write a similarity heatmap")
-    pr.add_argument("--threads", type=int, default=1)
 
     pl = sub.add_parser("plan", help="build a lazy plan from a profile or at random")
     pl.add_argument("--mode", choices=[GLA, VLA], required=True)
@@ -152,19 +147,15 @@ def cmd_profile(args) -> int:
     corpus = read_sequences_jsonl(args.inputs)
     if not corpus:
         raise ValidationError(f"input file {args.inputs} holds no sequences")
-    profile = profiler.profile_model(
-        weights, corpus, full_matrix=args.full_matrix, threads=args.threads
-    )
+    profile = profiler.profile_model(weights, corpus, full_matrix=args.full_matrix)
     os.makedirs(args.out, exist_ok=True)
     profiler.save_profile(profile, os.path.join(args.out, "profile.json"))
-    _atomic_write_text(
-        os.path.join(args.out, "adjacent.csv"), profiler.adjacent_profile_csv(profile)
-    )
+    atomic_write(os.path.join(args.out, "adjacent.csv"), profiler.adjacent_profile_csv(profile))
     if args.svg:
         svg = viz.render_heatmap_svg(
             profile.similarity_view(), title="ln2 - S", vmin=0.0, vmax=profiler.LN2
         )
-        _atomic_write_text(os.path.join(args.out, "similarity.svg"), svg)
+        atomic_write(os.path.join(args.out, "similarity.svg"), svg)
     print(f"profiled {profile.n_samples} samples over {profile.n_layers} layers -> {args.out}")
     return EXIT_OK
 
@@ -208,25 +199,9 @@ def cmd_run(args) -> int:
     ids, _ = runtime.generate(
         weights, tokens, args.steps, plan, store=store, last_logits=logits[-1]
     )
-
-    full_q = [c for c in meter.calls if c[0] == "attn_q" and c[1] == len(tokens)]
-    projector = 2 * full_q[0][1] * full_q[0][2] * full_q[0][3] if full_q else 0
-    report = efficiency.CostReport(
-        mode=store.mode,
-        seq_len=store.seq_len,
-        n_text=store.modality.n_text,
-        n_visual=store.modality.n_visual,
-        n_layers=weights.config.n_layers,
-        n_lazy=plan.n_lazy if plan is not None else 0,
-        params=efficiency.count_used_params(weights, plan),
-        prefill_flops=meter.total_flops,
-        kv_bytes=store.kv_bytes(),
-        qcache_peak_bytes=store.qcache.peak_bytes,
-        beta=projector / meter.total_flops if meter.total_flops else 0.0,
-        flops_by_op=meter.flops_by_label(),
-    )
+    report = efficiency.cost_report(weights, tokens, plan, meter, store)
     os.makedirs(args.out, exist_ok=True)
-    _atomic_write_text(os.path.join(args.out, "cost_report.json"), report.to_json())
+    atomic_write(os.path.join(args.out, "cost_report.json"), report.to_json())
     print("generated:", " ".join(str(t) for t in ids))
     print(f"cost report -> {os.path.join(args.out, 'cost_report.json')}")
     return EXIT_OK
@@ -268,7 +243,7 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         visual_fraction=args.visual_frac,
     )
-    _atomic_write_text(args.out, result.to_csv())
+    atomic_write(args.out, result.to_csv())
     print(
         f"{result.mode}: median {result.median:.2f} tok/s "
         f"(p10 {result.p10:.2f}, p90 {result.p90:.2f}) -> {args.out}"

@@ -85,14 +85,6 @@ class CostReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
-    def to_csv(self) -> str:
-        keys = [
-            "mode", "seq_len", "n_text", "n_visual", "n_layers", "n_lazy",
-            "params", "prefill_flops", "kv_bytes", "qcache_peak_bytes", "beta",
-        ]
-        d = self.to_dict()
-        return ",".join(keys) + "\n" + ",".join(str(d[k]) for k in keys) + "\n"
-
 
 def count_used_params(weights: ModelWeights, plan: LazyPlan | None) -> int:
     """Weight elements the mode actually touches: GLA lazy layers never load
@@ -126,14 +118,25 @@ def meter_run(
     logits, store = prefill(weights, tokens, plan, meter=meter)
     if decode_steps:
         generate(weights, tokens, decode_steps, plan, store=store, last_logits=logits[-1])
+    return cost_report(weights, tokens, plan, meter, store), store
 
+
+def cost_report(
+    weights: ModelWeights,
+    tokens: TokenSequence,
+    plan: LazyPlan | None,
+    meter: FlopMeter,
+    store: CacheStore,
+) -> CostReport:
+    """The report of a run: FLOPs from the meter that saw its prefill, bytes
+    and modality counts from the store as it is now."""
     # beta: one full-width attention projector over total prefill FLOPs.
     full_q = [c for c in meter.calls if c[0] == "attn_q" and c[1] == len(tokens)]
     projector_flops = 2 * full_q[0][1] * full_q[0][2] * full_q[0][3] if full_q else 0
     total = meter.total_flops
     beta = projector_flops / total if total else 0.0
 
-    report = CostReport(
+    return CostReport(
         mode=store.mode,
         seq_len=store.seq_len,
         n_text=store.modality.n_text,
@@ -147,7 +150,6 @@ def meter_run(
         beta=beta,
         flops_by_op=meter.flops_by_label(),
     )
-    return report, store
 
 
 def kv_savings(report_std: CostReport, report_lazy: CostReport) -> float:

@@ -13,8 +13,10 @@ record per sequence: {"tokens": [...], "modality": [0|1, ...]} with 1 = VISUAL.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import secrets
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,6 +87,8 @@ class ModelConfig:
             )
         except KeyError as exc:
             raise ManifestError(f"manifest config missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ManifestError(f"malformed manifest config: {exc}") from exc
 
 
 @dataclass
@@ -155,6 +159,33 @@ def _tensor_specs(c: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return specs
 
 
+def _assemble(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
+    """Validated weights from a table keyed by the manifest tensor names."""
+    layers = [
+        LayerWeights(
+            attn_gain=tensors[f"layer{l}.attn_gain"],
+            wq=tensors[f"layer{l}.wq"],
+            wk=tensors[f"layer{l}.wk"],
+            wv=tensors[f"layer{l}.wv"],
+            wo=tensors[f"layer{l}.wo"],
+            mlp_gain=tensors[f"layer{l}.mlp_gain"],
+            w_gate=tensors[f"layer{l}.w_gate"],
+            w_up=tensors[f"layer{l}.w_up"],
+            w_down=tensors[f"layer{l}.w_down"],
+        )
+        for l in range(config.n_layers)
+    ]
+    weights = ModelWeights(
+        config=config,
+        embedding=tensors["embedding"],
+        layers=layers,
+        final_gain=tensors["final_gain"],
+        lm_head=tensors["lm_head"],
+    )
+    weights.validate()
+    return weights
+
+
 # Norm gains start at one; every other tensor is drawn from one global
 # splitmix64 stream, consumed in manifest order with uniform values in
 # [-1/sqrt(d_model), +1/sqrt(d_model)]. Identical (config, seed) therefore
@@ -181,29 +212,7 @@ def init_synthetic_model(config: ModelConfig, seed: int) -> ModelWeights:
         else:
             tensors[name] = np.ones(shape, dtype=np.float32)
 
-    layers = [
-        LayerWeights(
-            attn_gain=tensors[f"layer{l}.attn_gain"],
-            wq=tensors[f"layer{l}.wq"],
-            wk=tensors[f"layer{l}.wk"],
-            wv=tensors[f"layer{l}.wv"],
-            wo=tensors[f"layer{l}.wo"],
-            mlp_gain=tensors[f"layer{l}.mlp_gain"],
-            w_gate=tensors[f"layer{l}.w_gate"],
-            w_up=tensors[f"layer{l}.w_up"],
-            w_down=tensors[f"layer{l}.w_down"],
-        )
-        for l in range(config.n_layers)
-    ]
-    weights = ModelWeights(
-        config=config,
-        embedding=tensors["embedding"],
-        layers=layers,
-        final_gain=tensors["final_gain"],
-        lm_head=tensors["lm_head"],
-    )
-    weights.validate()
-    return weights
+    return _assemble(config, tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +241,8 @@ def save_checkpoint(weights: ModelWeights, path: str) -> None:
         "tensors": table,
         "total_bytes": offset,
     }
-    _atomic_write_bytes(
-        os.path.join(path, MANIFEST_NAME),
-        (json.dumps(manifest, indent=2) + "\n").encode("utf-8"),
-    )
-    _atomic_write_bytes(os.path.join(path, BLOB_NAME), b"".join(blobs))
+    atomic_write(os.path.join(path, MANIFEST_NAME), json.dumps(manifest, indent=2) + "\n")
+    atomic_write(os.path.join(path, BLOB_NAME), b"".join(blobs))
 
 
 def load_checkpoint(path: str) -> ModelWeights:
@@ -245,8 +251,10 @@ def load_checkpoint(path: str) -> ModelWeights:
     try:
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ManifestError(f"unparseable manifest {manifest_path}: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"manifest {manifest_path} is not a JSON object")
 
     if manifest.get("dtype") != _DTYPE_TAG:
         raise ManifestError(f"unsupported dtype {manifest.get('dtype')!r}")
@@ -258,16 +266,19 @@ def load_checkpoint(path: str) -> ModelWeights:
 
     specs = _tensor_specs(config)
     table = manifest.get("tensors")
-    if not isinstance(table, list) or len(table) != len(specs):
+    if not isinstance(table, list):
+        raise ManifestError(f"manifest tensor table is {table!r}, not a list")
+    if len(table) != len(specs):
         raise DimensionMismatchError(
-            f"manifest lists {0 if table is None else len(table)} tensors, "
-            f"config implies {len(specs)}"
+            f"manifest lists {len(table)} tensors, config implies {len(specs)}"
         )
     offset = 0
     for entry, (name, shape) in zip(table, specs):
+        if not isinstance(entry, dict):
+            raise ManifestError(f"tensor entry for {name!r} is not a JSON object: {entry!r}")
         if entry.get("name") != name:
             raise ManifestError(f"unexpected tensor {entry.get('name')!r}, wanted {name!r}")
-        if tuple(entry.get("shape", ())) != shape:
+        if entry.get("shape") != list(shape):
             raise DimensionMismatchError(
                 f"tensor {name}: manifest shape {entry.get('shape')} does not match "
                 f"config-derived shape {list(shape)}"
@@ -297,39 +308,33 @@ def load_checkpoint(path: str) -> ModelWeights:
         tensors[name] = np.ascontiguousarray(arr.reshape(shape))
         pos += n
 
-    layers = [
-        LayerWeights(
-            attn_gain=tensors[f"layer{l}.attn_gain"],
-            wq=tensors[f"layer{l}.wq"],
-            wk=tensors[f"layer{l}.wk"],
-            wv=tensors[f"layer{l}.wv"],
-            wo=tensors[f"layer{l}.wo"],
-            mlp_gain=tensors[f"layer{l}.mlp_gain"],
-            w_gate=tensors[f"layer{l}.w_gate"],
-            w_up=tensors[f"layer{l}.w_up"],
-            w_down=tensors[f"layer{l}.w_down"],
-        )
-        for l in range(config.n_layers)
-    ]
-    weights = ModelWeights(
-        config=config,
-        embedding=tensors["embedding"],
-        layers=layers,
-        final_gain=tensors["final_gain"],
-        lm_head=tensors["lm_head"],
-    )
     try:
-        weights.validate()
+        return _assemble(config, tensors)
     except ValidationError as exc:
         raise DimensionMismatchError(str(exc)) from exc
-    return weights
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+def atomic_write(path: str, data: bytes | str) -> None:
+    """Replace `path` by `data` (a str is written as UTF-8): readers see the
+    old file or the new one, never a partial write.
+
+    The temp file is new, uniquely named and in the same directory, so
+    concurrent writers never share one and the rename stays on one file
+    system. A plain open() creates it, so the file gets the same mode as any
+    other new file. It is deleted if the write or the rename fails.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -365,30 +370,26 @@ class TokenSequence:
     def n_visual(self) -> int:
         return sum(1 for m in self.modality if m == VISUAL)
 
-    @staticmethod
-    def all_text(token_ids: list[int]) -> "TokenSequence":
-        return TokenSequence(list(token_ids), [TEXT] * len(token_ids))
-
 
 def read_sequences_jsonl(path: str) -> list[TokenSequence]:
     """Parse the JSON Lines token input format (missing modality = all TEXT)."""
     out: list[TokenSequence] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
                 raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
-            if "tokens" not in rec:
+            if not isinstance(rec, dict) or "tokens" not in rec:
                 raise ValidationError(f"{path}:{lineno}: missing 'tokens' field")
-            tokens = [int(t) for t in rec["tokens"]]
-            modality = [int(m) for m in rec.get("modality", [TEXT] * len(tokens))]
             try:
+                tokens = [int(t) for t in rec["tokens"]]
+                modality = [int(m) for m in rec.get("modality", [TEXT] * len(tokens))]
                 out.append(TokenSequence(tokens, modality))
-            except ValidationError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return out
 
@@ -398,7 +399,7 @@ def write_sequences_jsonl(path: str, sequences: list[TokenSequence]) -> None:
         json.dumps({"tokens": seq.token_ids, "modality": seq.modality})
         for seq in sequences
     ]
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def synthetic_prompt(

@@ -11,10 +11,10 @@ sanity-check baseline.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .errors import PlanError, ValidationError
+from .model import atomic_write
 from .rng import Splitmix
 
 GLA = "gla"
@@ -116,7 +116,7 @@ class LazyPlan:
                 epsilon=float(d["epsilon"]) if "epsilon" in d else None,
                 seed=int(d["seed"]) if "seed" in d else None,
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"malformed plan: {exc}") from exc
         plan.validate()
         return plan
@@ -226,17 +226,13 @@ def plan_random(
 
 def save_plan(plan: LazyPlan, path: str) -> None:
     plan.validate()
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(plan.to_dict(), fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(plan.to_dict(), indent=2) + "\n")
 
 
 def load_plan(path: str) -> LazyPlan:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise PlanError(f"unparseable plan {path}: {exc}") from exc
     return LazyPlan.from_dict(d)

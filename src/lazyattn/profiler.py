@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
+from .model import atomic_write
 
 LN2 = math.log(2.0)
 
@@ -150,29 +149,23 @@ class SimilarityProfile:
                 n_samples=int(d["n_samples"]),
                 S=np.asarray(d["S"], dtype=np.float64),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed profile: {exc}") from exc
         profile.validate()
         return profile
 
 
-def adjacent_profile(profile: SimilarityProfile) -> np.ndarray:
-    return profile.adjacent()
-
-
-def similarity_view(profile: SimilarityProfile) -> np.ndarray:
-    return profile.similarity_view()
-
-
-def profile_model(weights, corpus, full_matrix: bool = False, threads: int = 1) -> SimilarityProfile:
+def profile_model(weights, corpus, full_matrix: bool = False) -> SimilarityProfile:
     """Mean pairwise JS divergence of per-layer attention over the corpus.
 
-    Each sample is prefilled once with a capture hook; with full_matrix the
+    Each sample is prefilled once with a capture hook, validated and added
+    to the sums before the next one runs, in corpus order, so the result is
+    deterministic for a given (weights, corpus). With full_matrix the
     divergence is averaged over every query row instead of only the last.
-    Samples are accumulated in corpus order, so the result is deterministic
-    for a given (weights, corpus).
     """
-    from .runtime import prefill_standard
+    # Looked up at call time, so a wrapper installed on runtime.prefill sees
+    # the profiling prefills too.
+    from .runtime import prefill
 
     if not corpus:
         raise ValidationError("corpus must be non-empty")
@@ -181,20 +174,11 @@ def profile_model(weights, corpus, full_matrix: bool = False, threads: int = 1) 
             raise ValidationError(f"corpus sample {i} has length {len(seq)}, need >= 2")
 
     n_layers = weights.config.n_layers
-
-    def snapshot_for(seq):
-        capture = AttentionCapture(full_matrix=full_matrix)
-        prefill_standard(weights, seq, capture=capture)
-        return capture.snapshot
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            snapshots = list(pool.map(snapshot_for, corpus))
-    else:
-        snapshots = [snapshot_for(seq) for seq in corpus]
-
     S = np.zeros((n_layers, n_layers), dtype=np.float64)
-    for snap in snapshots:
+    for seq in corpus:
+        capture = AttentionCapture(full_matrix=full_matrix)
+        prefill(weights, seq, capture=capture)
+        snap = capture.snapshot
         snap.validate()
         for a in range(n_layers):
             for b in range(a + 1, n_layers):
@@ -209,27 +193,23 @@ def profile_model(weights, corpus, full_matrix: bool = False, threads: int = 1) 
                 else:
                     js = js_divergence(snap.last_rows[a], snap.last_rows[b])
                 S[a, b] += js
-    S /= len(snapshots)
+    S /= len(corpus)
     S = S + S.T
-    profile = SimilarityProfile(n_layers=n_layers, n_samples=len(snapshots), S=S)
+    profile = SimilarityProfile(n_layers=n_layers, n_samples=len(corpus), S=S)
     profile.validate()
     return profile
 
 
 def save_profile(profile: SimilarityProfile, path: str) -> None:
     profile.validate()
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(profile.to_dict(), fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write(path, json.dumps(profile.to_dict(), indent=2) + "\n")
 
 
 def load_profile(path: str) -> SimilarityProfile:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             d = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"unparseable profile {path}: {exc}") from exc
     return SimilarityProfile.from_dict(d)
 

@@ -1,4 +1,9 @@
-"""Prefill/decode runtimes: standard, GLA, and VLA.
+"""Prefill and decode for all three modes: standard, GLA, and VLA.
+
+`prefill(weights, tokens, plan)` picks the mode from the plan (None is the
+standard runtime) and builds the cache store; `decode(weights, store, token)`
+takes the mode from that store. No entry point is per mode, so a plan and a
+store cannot disagree about it.
 
 Prefill and decode run the same head-batched layer step, `_layer`, over a
 chunk of rows: prefill passes the s prompt rows, decode one new row. Each
@@ -46,7 +51,7 @@ from .kernels import (
     silu,
 )
 from .model import ModelWeights, TokenSequence
-from .planner import GLA, VLA, LazyPlan
+from .planner import GLA, LazyPlan
 
 
 def _validate_tokens(tokens: TokenSequence, vocab_size: int) -> None:
@@ -192,45 +197,6 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
     logits = _forward(weights, store, [next_token], [pos], None, meter)
     store.seq_len = pos + 1
     return logits[0]
-
-
-# ---------------------------------------------------------------------------
-# Mode-checked public surface
-# ---------------------------------------------------------------------------
-
-
-def prefill_standard(weights, tokens, capture=None, meter=None):
-    return prefill(weights, tokens, None, capture=capture, meter=meter)
-
-
-def decode_standard(weights, store, next_token, meter=None):
-    if store.mode != "standard":
-        raise ValidationError(f"store was built for mode {store.mode!r}, not standard")
-    return decode(weights, store, next_token, meter=meter)
-
-
-def prefill_gla(weights, tokens, plan, capture=None, meter=None):
-    if plan.mode != GLA:
-        raise ValidationError(f"prefill_gla needs a GLA plan, got mode {plan.mode!r}")
-    return prefill(weights, tokens, plan, capture=capture, meter=meter)
-
-
-def decode_gla(weights, store, next_token, meter=None):
-    if store.mode != GLA:
-        raise ValidationError(f"store was built for mode {store.mode!r}, not {GLA!r}")
-    return decode(weights, store, next_token, meter=meter)
-
-
-def prefill_vla(weights, tokens, plan, capture=None, meter=None):
-    if plan.mode != VLA:
-        raise ValidationError(f"prefill_vla needs a VLA plan, got mode {plan.mode!r}")
-    return prefill(weights, tokens, plan, capture=capture, meter=meter)
-
-
-def decode_vla(weights, store, next_token, meter=None):
-    if store.mode != VLA:
-        raise ValidationError(f"store was built for mode {store.mode!r}, not {VLA!r}")
-    return decode(weights, store, next_token, meter=meter)
 
 
 def generate(

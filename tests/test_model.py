@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -12,15 +13,16 @@ from lazyattn import (
     TokenSequence,
     TruncatedWeightsError,
     ValidationError,
-    decode_standard,
+    decode,
     init_synthetic_model,
     load_checkpoint,
-    prefill_standard,
+    prefill,
     read_sequences_jsonl,
     save_checkpoint,
     write_sequences_jsonl,
 )
 from lazyattn.kernels import matmul, rms_norm, silu
+from lazyattn.model import atomic_write
 from lazyattn.rng import splitmix64
 
 from conftest import make_model
@@ -90,6 +92,46 @@ def test_checkpoint_truncated_blob(tmp_path):
         load_checkpoint(path)
 
 
+def test_atomic_write_keeps_old_file_and_never_shares_a_temp(tmp_path, monkeypatch):
+    target = tmp_path / "out.bin"
+    atomic_write(str(target), b"old")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        atomic_write(str(target), b"new")
+    monkeypatch.undo()
+    assert target.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["out.bin"]
+
+    temps = []
+    real_replace = os.replace
+
+    def recording_replace(src, dst):
+        temps.append(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    atomic_write(str(target), "first")
+    atomic_write(str(target), "second")
+    monkeypatch.undo()
+    assert len(set(temps)) == 2
+    assert all(os.path.dirname(t) == str(tmp_path) for t in temps)
+    assert target.read_text(encoding="utf-8") == "second"
+
+    # A temp file made by tempfile.mkstemp would be 0600 whatever the umask.
+    old_umask = os.umask(0o022)
+    try:
+        atomic_write(str(target), b"x")
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(os.stat(target).st_mode) == stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+
+
 def test_checkpoint_dimension_mismatch(tmp_path):
     w = make_model(n_layers=2, seed=4)
     path = str(tmp_path / "ckpt")
@@ -143,9 +185,9 @@ def test_jsonl_bad_line_reports_position(tmp_path):
 def test_prefill_rejects_out_of_vocab(small_model):
     bad = TokenSequence([small_model.config.vocab_size], [0])
     with pytest.raises(ValidationError):
-        prefill_standard(small_model, bad)
+        prefill(small_model, bad)
     with pytest.raises(ValidationError):
-        prefill_standard(small_model, TokenSequence([], []))
+        prefill(small_model, TokenSequence([], []))
 
 
 def test_single_token_forward_matches_hand_computation():
@@ -154,7 +196,7 @@ def test_single_token_forward_matches_hand_computation():
     w = make_model(n_layers=1, seed=6)
     c = w.config
     tokens = TokenSequence([7], [0])
-    logits, _ = prefill_standard(w, tokens)
+    logits, _ = prefill(w, tokens)
 
     lw = w.layers[0]
     x = w.embedding[np.asarray([7])]
@@ -170,7 +212,7 @@ def test_single_token_forward_matches_hand_computation():
 def test_attention_rows_are_distributions(small_model):
     capture = AttentionCapture(per_head=True)
     tokens = TokenSequence([3, 1, 4, 1, 5, 9], [1, 1, 0, 0, 0, 0])
-    prefill_standard(small_model, tokens, capture=capture)
+    prefill(small_model, tokens, capture=capture)
     for head_mats in capture.snapshot.head_matrices:
         for a in head_mats:
             assert np.allclose(a.sum(axis=1), 1.0, atol=1e-6)
@@ -182,39 +224,39 @@ def test_attention_rows_are_distributions(small_model):
 def test_causality_suffix_change_is_bitwise(small_model):
     a = TokenSequence([3, 1, 4, 1, 5, 9, 2, 6], [1, 1, 0, 0, 0, 0, 0, 0])
     b = TokenSequence([3, 1, 4, 1, 77, 88, 90, 12], [1, 1, 0, 0, 0, 0, 0, 0])
-    la, _ = prefill_standard(small_model, a)
-    lb, _ = prefill_standard(small_model, b)
+    la, _ = prefill(small_model, a)
+    lb, _ = prefill(small_model, b)
     assert np.array_equal(la[:4], lb[:4])
 
 
 def test_causality_prefix_oracle(small_model):
     full = TokenSequence([3, 1, 4, 1, 5, 9, 2, 6], [1, 1, 0, 0, 0, 0, 0, 0])
-    lf, _ = prefill_standard(small_model, full)
+    lf, _ = prefill(small_model, full)
     for t in (1, 3, 5):
         prefix = TokenSequence(full.token_ids[:t], full.modality[:t])
-        lp, _ = prefill_standard(small_model, prefix)
+        lp, _ = prefill(small_model, prefix)
         assert np.max(np.abs(lf[t - 1] - lp[-1])) <= 1e-5
 
 
 def test_prefill_decode_consistency(small_model):
     base = TokenSequence([3, 1, 4, 1, 5], [1, 1, 0, 0, 0])
     ext = TokenSequence(base.token_ids + [9], base.modality + [0])
-    lf, _ = prefill_standard(small_model, ext)
-    _, store = prefill_standard(small_model, base)
-    dl = decode_standard(small_model, store, 9)
+    lf, _ = prefill(small_model, ext)
+    _, store = prefill(small_model, base)
+    dl = decode(small_model, store, 9)
     assert np.max(np.abs(lf[-1] - dl)) <= 1e-5
 
 
 def test_decode_bookkeeping_and_determinism(small_model):
     tokens = TokenSequence([3, 1, 4], [1, 0, 0])
-    _, store = prefill_standard(small_model, tokens)
+    _, store = prefill(small_model, tokens)
     assert all(c.stored_len == 3 for c in store.layers)
     clone = store.clone()
-    l1 = decode_standard(small_model, store, 5)
-    l2 = decode_standard(small_model, clone, 5)
+    l1 = decode(small_model, store, 5)
+    l2 = decode(small_model, clone, 5)
     assert np.array_equal(l1, l2)
     assert all(c.stored_len == 4 for c in store.layers)
-    decode_standard(small_model, store, 6)
+    decode(small_model, store, 6)
     assert all(c.stored_len == 5 for c in store.layers)
 
 
@@ -223,12 +265,12 @@ def test_decode_requires_prefill(small_model):
 
     empty = CacheStore(small_model.config, None, TokenSequence([1], [0]))
     with pytest.raises(ValidationError):
-        decode_standard(small_model, empty, 3)
+        decode(small_model, empty, 3)
 
 
 def test_standard_layer_kv_byte_accounting(small_model):
     tokens = TokenSequence([3, 1, 4, 1, 5], [1, 1, 0, 0, 0])
-    _, store = prefill_standard(small_model, tokens)
+    _, store = prefill(small_model, tokens)
     d = small_model.config.d_model
     for key_bytes, value_bytes in store.layer_kv_bytes():
         assert key_bytes + value_bytes == 2 * 5 * d * 4

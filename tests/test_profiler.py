@@ -1,4 +1,5 @@
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -7,15 +8,14 @@ from lazyattn import (
     SimilarityProfile,
     TokenSequence,
     ValidationError,
-    adjacent_profile,
     js_divergence,
     kl_divergence,
     load_profile,
     profile_model,
     save_profile,
-    similarity_view,
 )
 from lazyattn.profiler import LN2, adjacent_profile_csv
+from lazyattn.viz import render_heatmap_svg
 
 from conftest import make_model
 
@@ -144,15 +144,15 @@ def test_adjacent_and_similarity_view():
     S[1, 2] = S[2, 1] = 0.4
     S[0, 2] = S[2, 0] = 0.6
     profile = SimilarityProfile(n_layers=3, n_samples=1, S=S)
-    adj = adjacent_profile(profile)
+    adj = profile.adjacent()
     assert np.allclose(adj, [0.2, 0.4])
     assert np.all(adj >= 0) and np.all(adj <= LN2 + 1e-9)
-    view = similarity_view(profile)
+    view = profile.similarity_view()
     assert np.allclose(np.diag(view), LN2)
     assert np.allclose(view + S, LN2)
     # a 2-layer profile yields a single adjacent entry
     two = SimilarityProfile(n_layers=2, n_samples=1, S=np.array([[0.0, 0.3], [0.3, 0.0]]))
-    assert adjacent_profile(two).shape == (1,)
+    assert two.adjacent().shape == (1,)
 
 
 def test_profile_json_roundtrip(tmp_path):
@@ -167,3 +167,11 @@ def test_profile_json_roundtrip(tmp_path):
     csv = adjacent_profile_csv(profile)
     assert csv.splitlines()[0] == "layer_pair,js_divergence"
     assert len(csv.strip().splitlines()) == 3  # header + 2 adjacent pairs
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_heatmap_svg_parses_with_one_cell_per_entry(n):
+    matrix = np.arange(n * n, dtype=np.float64).reshape(n, n)
+    root = ET.fromstring(render_heatmap_svg(matrix, title="ln2 - S"))
+    rects = root.iter("{http://www.w3.org/2000/svg}rect")
+    assert sum(1 for r in rects if r.get("class") == "cell") == n * n

@@ -10,17 +10,11 @@ from lazyattn import (
     TokenSequence,
     ValidationError,
     decode,
-    decode_gla,
-    decode_standard,
-    decode_vla,
     empty_plan,
     generate,
     oracle_full_generate,
     oracle_prefill,
     prefill,
-    prefill_gla,
-    prefill_standard,
-    prefill_vla,
     prune_visual_tokens,
 )
 
@@ -47,26 +41,26 @@ def prompt():
 
 
 def test_empty_plan_is_bitwise_standard(model, prompt):
-    l_std, _ = prefill_standard(model, prompt)
-    l_gla, _ = prefill_gla(model, prompt, empty_plan(GLA, 6))
-    l_vla, _ = prefill_vla(model, prompt, empty_plan(VLA, 6))
+    l_std, _ = prefill(model, prompt)
+    l_gla, _ = prefill(model, prompt, empty_plan(GLA, 6))
+    l_vla, _ = prefill(model, prompt, empty_plan(VLA, 6))
     assert np.array_equal(l_std, l_gla)
     assert np.array_equal(l_std, l_vla)
 
 
 def test_empty_plan_decode_is_bitwise_standard(model, prompt):
-    _, s_std = prefill_standard(model, prompt)
-    _, s_gla = prefill_gla(model, prompt, empty_plan(GLA, 6))
-    _, s_vla = prefill_vla(model, prompt, empty_plan(VLA, 6))
-    d_std = decode_standard(model, s_std, 4)
-    assert np.array_equal(d_std, decode_gla(model, s_gla, 4))
-    assert np.array_equal(d_std, decode_vla(model, s_vla, 4))
+    _, s_std = prefill(model, prompt)
+    _, s_gla = prefill(model, prompt, empty_plan(GLA, 6))
+    _, s_vla = prefill(model, prompt, empty_plan(VLA, 6))
+    d_std = decode(model, s_std, 4)
+    assert np.array_equal(d_std, decode(model, s_gla, 4))
+    assert np.array_equal(d_std, decode(model, s_vla, 4))
 
 
 def test_gla_lazy_attention_equals_anchor_bitwise(model, prompt):
     plan = two_block_plan(GLA)
     capture = AttentionCapture(per_head=True)
-    prefill_gla(model, prompt, plan, capture=capture)
+    prefill(model, prompt, plan, capture=capture)
     mats = capture.snapshot.head_matrices
     for block in plan.blocks:
         for lazy in block.lazy_layers:
@@ -83,26 +77,26 @@ def test_prefill_matches_recompute_oracle_bitwise(model, prompt):
 def test_gla_decode_consistency(model, prompt):
     plan = two_block_plan(GLA)
     ext = TokenSequence(prompt.token_ids + [17], prompt.modality + [0])
-    lf, _ = prefill_gla(model, ext, plan)
-    _, store = prefill_gla(model, prompt, plan)
-    dl = decode_gla(model, store, 17)
+    lf, _ = prefill(model, ext, plan)
+    _, store = prefill(model, prompt, plan)
+    dl = decode(model, store, 17)
     assert np.max(np.abs(lf[-1] - dl)) <= 1e-5
 
 
 def test_vla_decode_consistency(model, prompt):
     plan = two_block_plan(VLA)
     ext = TokenSequence(prompt.token_ids + [17], prompt.modality + [0])
-    lf, _ = prefill_vla(model, ext, plan)
-    _, store = prefill_vla(model, prompt, plan)
-    dl = decode_vla(model, store, 17)
+    lf, _ = prefill(model, ext, plan)
+    _, store = prefill(model, prompt, plan)
+    dl = decode(model, store, 17)
     assert np.max(np.abs(lf[-1] - dl)) <= 1e-5
 
 
 def test_gla_lazy_layers_store_no_keys(model, prompt):
     plan = two_block_plan(GLA)
-    _, store = prefill_gla(model, prompt, plan)
+    _, store = prefill(model, prompt, plan)
     for _ in range(4):
-        decode_gla(model, store, 3)
+        decode(model, store, 3)
     for block in plan.blocks:
         for lazy in block.lazy_layers:
             assert store.layers[lazy].key_bytes == 0
@@ -111,12 +105,12 @@ def test_gla_lazy_layers_store_no_keys(model, prompt):
 
 def test_vla_lazy_layers_store_text_keys_only(model, prompt):
     plan = two_block_plan(VLA)
-    _, store = prefill_vla(model, prompt, plan)
+    _, store = prefill(model, prompt, plan)
     d = model.config.d_model
     for block in plan.blocks:
         for lazy in block.lazy_layers:
             assert store.layers[lazy].key_bytes == prompt.n_text * d * 4
-    decode_vla(model, store, 3)
+    decode(model, store, 3)
     for block in plan.blocks:
         for lazy in block.lazy_layers:
             assert store.layers[lazy].key_bytes == (prompt.n_text + 1) * d * 4
@@ -124,7 +118,7 @@ def test_vla_lazy_layers_store_text_keys_only(model, prompt):
 
 def test_qcache_lifecycle_and_bound(model, prompt):
     plan = two_block_plan(GLA)
-    _, store = prefill_gla(model, prompt, plan)
+    _, store = prefill(model, prompt, plan)
     d = model.config.d_model
     s = len(prompt)
     # released after prefill, but the peak saw the full anchor Q
@@ -134,50 +128,35 @@ def test_qcache_lifecycle_and_bound(model, prompt):
     std_kv = 2 * s * d * 4 * model.config.n_layers
     assert store.qcache.peak_bytes <= std_kv / (2 * model.config.n_layers)
     # during decode only the single current row is resident
-    decode_gla(model, store, 3)
+    decode(model, store, 3)
     assert store.qcache.peak_bytes == s * d * 4
 
 
 def test_vla_qcache_holds_visual_rows_only(model, prompt):
     plan = two_block_plan(VLA)
-    _, store = prefill_vla(model, prompt, plan)
+    _, store = prefill(model, prompt, plan)
     d = model.config.d_model
     assert store.qcache.peak_bytes == prompt.n_visual * d * 4
 
 
-def test_mode_mismatch_rejected(model, prompt):
-    _, s_std = prefill_standard(model, prompt)
-    with pytest.raises(ValidationError):
-        decode_gla(model, s_std, 1)
-    with pytest.raises(ValidationError):
-        decode_vla(model, s_std, 1)
-    _, s_gla = prefill_gla(model, prompt, two_block_plan(GLA))
-    with pytest.raises(ValidationError):
-        decode_standard(model, s_gla, 1)
-    with pytest.raises(ValidationError):
-        prefill_gla(model, prompt, two_block_plan(VLA))
-    with pytest.raises(ValidationError):
-        prefill_vla(model, prompt, two_block_plan(GLA))
-
-
 def test_plan_layer_count_mismatch_rejected(model, prompt):
     with pytest.raises(ValidationError):
-        prefill_gla(model, prompt, two_block_plan(GLA, n_layers=8))
+        prefill(model, prompt, two_block_plan(GLA, n_layers=8))
 
 
 def test_vla_zero_visual_equals_standard_bitwise(model):
     text_only = TokenSequence([3, 9, 2, 7, 5], [0] * 5)
     plan = two_block_plan(VLA)
-    lv, sv = prefill_vla(model, text_only, plan)
-    ls, ss = prefill_standard(model, text_only)
+    lv, sv = prefill(model, text_only, plan)
+    ls, ss = prefill(model, text_only)
     assert np.array_equal(lv, ls)
-    assert np.array_equal(decode_vla(model, sv, 8), decode_standard(model, ss, 8))
+    assert np.array_equal(decode(model, sv, 8), decode(model, ss, 8))
 
 
 def test_vla_zero_text_equals_gla_bitwise(model):
     visual_only = TokenSequence([3, 9, 2, 7, 5], [1] * 5)
-    lv, _ = prefill_vla(model, visual_only, two_block_plan(VLA))
-    lg, _ = prefill_gla(model, visual_only, two_block_plan(GLA))
+    lv, _ = prefill(model, visual_only, two_block_plan(VLA))
+    lg, _ = prefill(model, visual_only, two_block_plan(GLA))
     assert np.array_equal(lv, lg)
 
 
@@ -198,22 +177,22 @@ def test_generate_matches_oracle_over_random_plans(model):
 
 def test_prune_keep_one_is_exact_noop(model, prompt):
     capture = AttentionCapture()
-    logits, store = prefill_standard(model, prompt, capture=capture)
+    logits, store = prefill(model, prompt, capture=capture)
     before = store.kv_bytes()
     idx = prune_visual_tokens(store, capture.snapshot, 2, 1.0)
     assert store.kv_bytes() == before
     assert store.prune_record is None
     assert idx.n_visual == prompt.n_visual
     # decode is bitwise what it would have been without the call
-    _, untouched = prefill_standard(model, prompt)
+    _, untouched = prefill(model, prompt)
     assert np.array_equal(
-        decode_standard(model, store, 5), decode_standard(model, untouched, 5)
+        decode(model, store, 5), decode(model, untouched, 5)
     )
 
 
 def test_prune_selects_top_attention_positions(model, prompt):
     capture = AttentionCapture()
-    _, store = prefill_standard(model, prompt, capture=capture)
+    _, store = prefill(model, prompt, capture=capture)
     idx = prune_visual_tokens(store, capture.snapshot, 2, 0.5)
     scores = capture.snapshot.last_rows[2]
     visual = [0, 1, 2]
@@ -224,7 +203,7 @@ def test_prune_selects_top_attention_positions(model, prompt):
 
 def test_prune_bookkeeping_through_decode(model, prompt):
     capture = AttentionCapture()
-    logits, store = prefill_standard(model, prompt, capture=capture)
+    logits, store = prefill(model, prompt, capture=capture)
     prune_visual_tokens(store, capture.snapshot, 2, 0.5)
     steps = 3
     generate(model, prompt, steps, None, store=store, last_logits=logits[-1])
@@ -238,7 +217,7 @@ def test_prune_bookkeeping_through_decode(model, prompt):
 
 def test_prune_validation(model, prompt):
     capture = AttentionCapture()
-    _, store = prefill_standard(model, prompt, capture=capture)
+    _, store = prefill(model, prompt, capture=capture)
     with pytest.raises(ValidationError):
         prune_visual_tokens(store, capture.snapshot, 2, 0.0)
     with pytest.raises(ValidationError):
@@ -264,7 +243,7 @@ def test_prune_straddling_block_prunes_with_anchor(model, prompt):
     # leave the whole block (K source and V) unpruned, layer 5 pruned.
     plan = LazyPlan(mode=GLA, n_layers=6, blocks=[LazyBlock(2, (3, 4))], epsilon=0.5)
     capture = AttentionCapture()
-    logits, store = prefill_gla(model, prompt, plan, capture=capture)
+    logits, store = prefill(model, prompt, plan, capture=capture)
     prune_visual_tokens(store, capture.snapshot, 3, 0.5)
     assert store.layers[2].stored_len == len(prompt)
     assert store.layers[3].stored_len == len(prompt)  # V only, unpruned with anchor
@@ -316,8 +295,8 @@ def test_vla_clone_mid_decode_copies_merge_state(model):
     generate(model, tokens, 4, plan, store=store, last_logits=logits[-1])
     twin = store.clone()
     feed = [5, 17, 3, 40, 9]
-    ours = [decode_vla(model, store, t) for t in feed]
-    theirs = [decode_vla(model, twin, t) for t in feed]
+    ours = [decode(model, store, t) for t in feed]
+    theirs = [decode(model, twin, t) for t in feed]
     for a, b in zip(ours, theirs):
         assert np.array_equal(a, b)
     assert twin.kv_bytes() == store.kv_bytes()
