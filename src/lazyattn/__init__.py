@@ -7,7 +7,7 @@ positions share) with a block-scoped Q cache, cutting KV-cache bytes and
 projection FLOPs by exactly the closed-form rates the cost meter verifies.
 """
 
-from .caches import CacheStore, GrowableHeads, LayerCache, ModalityIndex, QCache
+from .caches import CacheStore, GrowableHeads, LayerCache, QCache
 from .efficiency import (
     BenchResult,
     CostReport,

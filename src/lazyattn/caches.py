@@ -7,6 +7,11 @@ and read visual K from their anchor. Every layer owns its full V cache.
 Each cache is one (n_heads, L, d_head) array (`GrowableHeads`), so a layer
 step appends, reads and prunes all heads at once.
 
+Positions live in the store alone: the prompt's modality, the sequence
+length and at most one prune record (a store is pruned at most once). A
+layer's rows are all positions, or all but the removed ones, ascending; a
+lazy layer prunes with its anchor, so its row i is its anchor's row i.
+
 The Q cache is block-scoped: it holds at most one block's anchor queries at
 any moment (the full sequence during prefill, a single row during GLA
 decode) and is released once prefill ends. Byte accounting everywhere is
@@ -15,10 +20,12 @@ logical: stored elements times 4, independent of buffer capacity.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .errors import ValidationError
-from .model import TEXT, VISUAL, ModelConfig, TokenSequence
+from .model import VISUAL, ModelConfig, TokenSequence
 from .planner import GLA, LazyPlan
 
 ROLE_STANDARD = "standard"
@@ -91,11 +98,6 @@ class GrowableHeads:
         self._buf = self._buf[:, keep]
         self._len = len(keep)
 
-    def clone(self) -> "GrowableHeads":
-        out = GrowableHeads(self._buf.shape[0], self._buf.shape[2], capacity=self._len)
-        out.append(self.data)
-        return out
-
 
 def _block(idx: np.ndarray) -> np.ndarray | slice:
     """`idx` as a slice when it is one ascending run, so numpy copies a block
@@ -106,69 +108,54 @@ def _block(idx: np.ndarray) -> np.ndarray | slice:
     return idx
 
 
+class RowSplit:
+    """Which rows of a layout are visual and which are text; each index is
+    a slice when it is one ascending run (as for a leading visual span)."""
+
+    __slots__ = ("visual", "text", "n_visual", "n_text")
+
+    def __init__(self, is_visual: np.ndarray):
+        self.visual = _block(np.flatnonzero(is_visual))
+        self.text = _block(np.flatnonzero(~is_visual))
+        self.n_visual = int(np.count_nonzero(is_visual))
+        self.n_text = len(is_visual) - self.n_visual
+
+
 class LayerCache:
     """One layer's K/V store: one (n_heads, L, d_head) array each for keys
-    and values, with per-row position labels.
+    and values, plus the visual/text split of its prompt rows (the store's,
+    replaced by the shared pruned split when the layer prunes). A VLA lazy
+    layer's keys are its text rows only."""
 
-    Keys and values may cover different position sets (VLA lazy layers keep
-    text-only keys but full values); positions are always stored ascending.
-
-    A VLA lazy layer attends over its own text keys merged with its
-    anchor's visual keys in position order. `merged_keys` builds that order
-    once, as index arrays: the anchor's visual rows, the merged slots they
-    fill, and the merged slots of the layer's own rows. Own rows appended
-    later are decoded text tokens, the latest positions, so they follow the
-    indexed part as one block. The index is reset when the layer prunes. An
-    index that is one ascending run is kept as a slice (a leading visual
-    span costs a few block copies; interleaved modality costs one gather).
-    The anchor's visual keys are copied per call, never stored twice.
-    """
-
-    def __init__(self, n_heads: int, d_head: int, own_keys: bool):
+    def __init__(self, n_heads: int, d_head: int, own_keys: bool, split: RowSplit):
         self.keys = GrowableHeads(n_heads, d_head) if own_keys else None
         self.values = GrowableHeads(n_heads, d_head)
-        self.key_positions: list[int] = []
-        self.value_positions: list[int] = []
-        # (anchor rows, their merged slots, own slots, own rows indexed)
-        self._merge: tuple | None = None
+        self.split = split
 
     @property
     def stored_len(self) -> int:
-        return len(self.value_positions)
+        return len(self.values)
 
-    def append_keys(self, k: np.ndarray, positions: list[int]) -> None:
+    def append_keys(self, k: np.ndarray) -> None:
         if self.keys is None:
             raise ValidationError("layer owns no key cache")
         self.keys.append(k)
-        self.key_positions.extend(positions)
 
-    def append_values(self, v: np.ndarray, positions: list[int]) -> None:
+    def append_values(self, v: np.ndarray) -> None:
         self.values.append(v)
-        self.value_positions.extend(positions)
 
-    def merged_keys(self, anchor: "LayerCache", visual_set: frozenset[int]) -> np.ndarray:
-        """Own keys merged with the anchor's visual keys, (n_heads, L, d_head)
-        in ascending position order."""
-        if self._merge is None:
-            rows = [i for i, p in enumerate(anchor.key_positions) if p in visual_set]
-            positions = [anchor.key_positions[i] for i in rows] + self.key_positions
-            slots = np.empty(len(positions), dtype=np.intp)
-            slots[np.argsort(positions)] = np.arange(len(positions))
-            self._merge = (
-                _block(np.array(rows, dtype=np.intp)),
-                _block(slots[: len(rows)]),
-                _block(slots[len(rows) :]),
-                len(self.key_positions),
-            )
-        anchor_rows, anchor_slots, own_slots, n_indexed = self._merge
+    def merged_keys(self, anchor: "LayerCache") -> np.ndarray:
+        """Own text keys merged with the anchor's visual keys, (n_heads, L,
+        d_head) in position order. The split places the prompt rows (row i
+        of the anchor is row i here); decoded rows follow as one block."""
+        split = self.split
         own = self.keys.data
-        visual = anchor.keys.data[:, anchor_rows]
         n_heads, n_own, d_head = own.shape
-        head = visual.shape[1] + n_indexed  # merged slots the index covers
-        out = np.empty((n_heads, head + n_own - n_indexed, d_head), dtype=np.float32)
-        out[:, anchor_slots] = visual
-        out[:, own_slots] = own[:, :n_indexed]
-        out[:, head:] = own[:, n_indexed:]
+        head = split.n_visual + split.n_text  # rows the split covers
+        out = np.empty((n_heads, head + n_own - split.n_text, d_head), dtype=np.float32)
+        out[:, split.visual] = anchor.keys.data[:, split.visual]
+        out[:, split.text] = own[:, : split.n_text]
+        out[:, head:] = own[:, split.n_text :]
         return out
 
     @property
@@ -183,29 +170,13 @@ class LayerCache:
     def nbytes(self) -> int:
         return self.key_bytes + self.value_bytes
 
-    def prune_positions(self, removed: set[int]) -> None:
-        self._merge = None
-        if self.keys is not None and any(p in removed for p in self.key_positions):
-            keep = np.array(
-                [i for i, p in enumerate(self.key_positions) if p not in removed], dtype=np.intp
-            )
+    def prune(self, keep: np.ndarray, split: RowSplit) -> None:
+        """Keep the given rows (ascending). A prune removes a visual row, so
+        text-only keys are shorter than the values and keep all theirs."""
+        if self.keys is not None and len(self.keys) == len(self.values):
             self.keys.keep_rows(keep)
-            self.key_positions = [p for p in self.key_positions if p not in removed]
-        if any(p in removed for p in self.value_positions):
-            keep = np.array(
-                [i for i, p in enumerate(self.value_positions) if p not in removed], dtype=np.intp
-            )
-            self.values.keep_rows(keep)
-            self.value_positions = [p for p in self.value_positions if p not in removed]
-
-    def clone(self) -> "LayerCache":
-        out = object.__new__(LayerCache)
-        out.keys = None if self.keys is None else self.keys.clone()
-        out.values = self.values.clone()
-        out.key_positions = list(self.key_positions)
-        out.value_positions = list(self.value_positions)
-        out._merge = self._merge  # replaced on reset, never edited in place
-        return out
+        self.values.keep_rows(keep)
+        self.split = split
 
 
 class QCache:
@@ -242,44 +213,6 @@ class QCache:
     def nbytes(self) -> int:
         return 0 if self.q_heads is None else self.q_heads.size * 4
 
-    def clone(self) -> "QCache":
-        out = QCache()
-        out.block = self.block
-        out.q_heads = None if self.q_heads is None else self.q_heads.copy()
-        out.peak_bytes = self.peak_bytes
-        return out
-
-
-class ModalityIndex:
-    """Partition of sequence positions into text and visual, kept sorted."""
-
-    def __init__(self, text_positions: list[int], visual_positions: list[int]):
-        self.text_positions = sorted(text_positions)
-        self.visual_positions = sorted(visual_positions)
-
-    @staticmethod
-    def from_sequence(tokens: TokenSequence) -> "ModalityIndex":
-        text = [i for i, m in enumerate(tokens.modality) if m == TEXT]
-        visual = [i for i, m in enumerate(tokens.modality) if m == VISUAL]
-        return ModalityIndex(text, visual)
-
-    def append_text(self, position: int) -> None:
-        self.text_positions.append(position)
-
-    def drop_visual(self, removed: set[int]) -> None:
-        self.visual_positions = [p for p in self.visual_positions if p not in removed]
-
-    @property
-    def n_text(self) -> int:
-        return len(self.text_positions)
-
-    @property
-    def n_visual(self) -> int:
-        return len(self.visual_positions)
-
-    def clone(self) -> "ModalityIndex":
-        return ModalityIndex(list(self.text_positions), list(self.visual_positions))
-
 
 class PruneRecord:
     """What a visual-token pruning pass removed; consumed by the oracle."""
@@ -293,27 +226,31 @@ class PruneRecord:
 
 
 class CacheStore:
-    """All request state for one in-flight sequence."""
+    """All request state for one in-flight sequence. `modality` is True at
+    the prompt's VISUAL positions; decoded tokens are TEXT."""
 
     def __init__(self, config: ModelConfig, plan: LazyPlan | None, tokens: TokenSequence):
         self.config = config
-        self.plan = plan
         self.mode = plan.mode if plan is not None else "standard"
         self.roles = roles_from_plan(plan, config.n_layers)
-        self.layers: list[LayerCache] = []
-        for role in self.roles:
-            if role.kind == ROLE_LAZY and plan is not None and plan.mode == GLA:
-                own_keys = False
-            else:
-                own_keys = True
-            self.layers.append(LayerCache(config.n_heads, config.d_head, own_keys=own_keys))
+        self.modality = np.asarray(tokens.modality) == VISUAL
+        self.split = RowSplit(self.modality)
+        own_keys = [not (r.kind == ROLE_LAZY and self.mode == GLA) for r in self.roles]
+        self.layers = [LayerCache(config.n_heads, config.d_head, k, self.split) for k in own_keys]
         self.qcache = QCache()
-        self.modality = ModalityIndex.from_sequence(tokens)
-        # Prompt-time visual membership; decode appends are always TEXT and
-        # pruning never adds positions, so this is immutable.
-        self.visual_set = frozenset(self.modality.visual_positions)
         self.seq_len = 0
         self.prune_record: PruneRecord | None = None
+
+    @property
+    def n_visual(self) -> int:
+        """Visual positions the pruned layers keep (all of them unpruned)."""
+        removed = 0 if self.prune_record is None else len(self.prune_record.removed)
+        return self.split.n_visual - removed
+
+    @property
+    def n_text(self) -> int:
+        """Text positions after prefill: the prompt's plus every decoded one."""
+        return self.seq_len - self.split.n_visual
 
     def kv_bytes(self) -> int:
         return sum(layer.nbytes for layer in self.layers)
@@ -325,15 +262,4 @@ class CacheStore:
         return self.layers[role.anchor_layer]
 
     def clone(self) -> "CacheStore":
-        out = object.__new__(CacheStore)
-        out.config = self.config
-        out.plan = self.plan
-        out.mode = self.mode
-        out.roles = self.roles
-        out.layers = [layer.clone() for layer in self.layers]
-        out.qcache = self.qcache.clone()
-        out.modality = self.modality.clone()
-        out.visual_set = self.visual_set
-        out.seq_len = self.seq_len
-        out.prune_record = self.prune_record
-        return out
+        return copy.deepcopy(self)

@@ -33,11 +33,9 @@ class FlopMeter:
 
     def __init__(self):
         self.macs: dict[str, int] = {}
-        self.calls: list[tuple[str, int, int, int]] = []
 
     def record(self, label: str, m: int, k: int, n: int) -> None:
         self.macs[label] = self.macs.get(label, 0) + m * k * n
-        self.calls.append((label, m, k, n))
 
     @property
     def total_macs(self) -> int:
@@ -131,16 +129,17 @@ def cost_report(
     """The report of a run: FLOPs from the meter that saw its prefill, bytes
     and modality counts from the store as it is now."""
     # beta: one full-width attention projector over total prefill FLOPs.
-    full_q = [c for c in meter.calls if c[0] == "attn_q" and c[1] == len(tokens)]
-    projector_flops = 2 * full_q[0][1] * full_q[0][2] * full_q[0][3] if full_q else 0
+    # Layer 0 is standard or an anchor, so it always runs that projector.
+    d = weights.config.d_model
+    projector_flops = 2 * len(tokens) * d * d
     total = meter.total_flops
     beta = projector_flops / total if total else 0.0
 
     return CostReport(
         mode=store.mode,
         seq_len=store.seq_len,
-        n_text=store.modality.n_text,
-        n_visual=store.modality.n_visual,
+        n_text=store.n_text,
+        n_visual=store.n_visual,
         n_layers=weights.config.n_layers,
         n_lazy=plan.n_lazy if plan is not None else 0,
         params=count_used_params(weights, plan),

@@ -159,6 +159,11 @@ def _tensor_specs(c: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     return specs
 
 
+def _tensor_count(c: ModelConfig) -> int:
+    """len(_tensor_specs(c)), without building a list the manifest sizes."""
+    return 9 * c.n_layers + 3
+
+
 def _assemble(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
     """Validated weights from a table keyed by the manifest tensor names."""
     layers = [
@@ -264,14 +269,14 @@ def load_checkpoint(path: str) -> ModelWeights:
     except ValidationError as exc:
         raise ManifestError(f"invalid config in manifest: {exc}") from exc
 
-    specs = _tensor_specs(config)
     table = manifest.get("tensors")
     if not isinstance(table, list):
         raise ManifestError(f"manifest tensor table is {table!r}, not a list")
-    if len(table) != len(specs):
+    if len(table) != _tensor_count(config):
         raise DimensionMismatchError(
-            f"manifest lists {len(table)} tensors, config implies {len(specs)}"
+            f"manifest lists {len(table)} tensors, config implies {_tensor_count(config)}"
         )
+    specs = _tensor_specs(config)
     offset = 0
     for entry, (name, shape) in zip(table, specs):
         if not isinstance(entry, dict):
@@ -312,6 +317,14 @@ def load_checkpoint(path: str) -> ModelWeights:
         return _assemble(config, tensors)
     except ValidationError as exc:
         raise DimensionMismatchError(str(exc)) from exc
+
+
+def strict_int(value) -> int:
+    """A JSON integer as read; a float, bool or string raises TypeError,
+    which each reader maps onto its own error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
 
 
 def atomic_write(path: str, data: bytes | str) -> None:
@@ -386,8 +399,8 @@ def read_sequences_jsonl(path: str) -> list[TokenSequence]:
             if not isinstance(rec, dict) or "tokens" not in rec:
                 raise ValidationError(f"{path}:{lineno}: missing 'tokens' field")
             try:
-                tokens = [int(t) for t in rec["tokens"]]
-                modality = [int(m) for m in rec.get("modality", [TEXT] * len(tokens))]
+                tokens = [strict_int(t) for t in rec["tokens"]]
+                modality = [strict_int(m) for m in rec.get("modality", [TEXT] * len(tokens))]
                 out.append(TokenSequence(tokens, modality))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc

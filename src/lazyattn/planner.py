@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import PlanError, ValidationError
-from .model import atomic_write
+from .model import atomic_write, strict_int
 from .rng import Splitmix
 
 GLA = "gla"
@@ -105,16 +105,16 @@ class LazyPlan:
     def from_dict(d: dict) -> "LazyPlan":
         try:
             blocks = [
-                LazyBlock(anchor=int(b["anchor"]), lazy_layers=tuple(int(x) for x in b["lazy"]))
+                LazyBlock(strict_int(b["anchor"]), tuple(strict_int(x) for x in b["lazy"]))
                 for b in d["blocks"]
             ]
             plan = LazyPlan(
                 mode=d["mode"],
-                n_layers=int(d["n_layers"]),
+                n_layers=strict_int(d["n_layers"]),
                 blocks=blocks,
                 source=d.get("source", SOURCE_THRESHOLD),
                 epsilon=float(d["epsilon"]) if "epsilon" in d else None,
-                seed=int(d["seed"]) if "seed" in d else None,
+                seed=strict_int(d["seed"]) if "seed" in d else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"malformed plan: {exc}") from exc

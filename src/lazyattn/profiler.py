@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import atomic_write
+from .model import atomic_write, strict_int
 
 LN2 = math.log(2.0)
 
@@ -145,8 +145,8 @@ class SimilarityProfile:
     def from_dict(d: dict) -> "SimilarityProfile":
         try:
             profile = SimilarityProfile(
-                n_layers=int(d["n_layers"]),
-                n_samples=int(d["n_samples"]),
+                n_layers=strict_int(d["n_layers"]),
+                n_samples=strict_int(d["n_samples"]),
                 S=np.asarray(d["S"], dtype=np.float64),
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -6,7 +6,9 @@ takes the mode from that store. No entry point is per mode, so a plan and a
 store cannot disagree about it.
 
 Prefill and decode run the same head-batched layer step, `_layer`, over a
-chunk of rows: prefill passes the s prompt rows, decode one new row. Each
+chunk of rows and their visual/text split: prefill passes the s prompt rows
+with the store's prompt split, decode one new row that is always TEXT.
+Positions live in the store (see `caches`); no layer keeps its own. Each
 layer's K/V cache is one (n_heads, L, d_head) array, so rotary runs once
 per layer and attention for all heads is one scores product, one masked
 softmax over (n_heads, rows, L) and one weighted sum. A layer's role under
@@ -24,12 +26,13 @@ the active plan decides where its queries and keys come from:
 
 Values, the output projection, and the MLP are always computed per layer.
 A decoded token is TEXT: under GLA lazy layers reuse the anchor's fresh
-query and key, under VLA every layer projects the new token itself and the
-VLA merge order gains one slot (see `LayerCache.merged_keys`).
+query and key, under VLA every layer projects the new token itself and its
+key follows the merged prompt keys (see `LayerCache.merged_keys`).
 
 A FastV-style pruning hook drops the lowest-attention visual positions from
-every cache that lives past a chosen layer (a lazy block prunes with its
-anchor, so shared K and per-layer V stay aligned).
+every cache that lives past a chosen layer. A lazy block prunes with its
+anchor, so row i of a lazy layer is row i of its anchor; a store is pruned
+at most once.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import math
 
 import numpy as np
 
-from .caches import ROLE_ANCHOR, ROLE_LAZY, CacheStore, ModalityIndex, PruneRecord
+from .caches import ROLE_ANCHOR, ROLE_LAZY, CacheStore, PruneRecord, RowSplit
 from .errors import ValidationError
 from .kernels import (
     CausalMask,
@@ -67,67 +70,63 @@ def _record(meter, label: str, m: int, k: int, n: int) -> None:
         meter.record(label, m, k, n)
 
 
-class _Chunk:
-    """The rows one step runs: their positions, split into text and visual."""
-
-    def __init__(self, positions: list[int], visual_set: frozenset[int]):
-        self.positions = positions
-        visual = [i for i, p in enumerate(positions) if p in visual_set]
-        text = [i for i, p in enumerate(positions) if p not in visual_set]
-        self.visual_rows = np.asarray(visual, dtype=np.intp)
-        self.text_rows = np.asarray(text, dtype=np.intp)
-        self.text_positions = [positions[i] for i in text]
+# A decoded token is one TEXT row.
+_DECODE_ROWS = RowSplit(np.zeros(1, dtype=bool))
 
 
-def _project(weights: ModelWeights, xn: np.ndarray, w: np.ndarray, positions: list[int]):
+def _project(weights: ModelWeights, xn: np.ndarray, w: np.ndarray, positions: np.ndarray):
     """Rotated per-head projection of the rows of xn, as (n_heads, rows, d_head)."""
     config = weights.config
     m = matmul(xn, w).reshape(xn.shape[0], config.n_heads, config.d_head)
-    return apply_rope(m, positions, config.rope_theta).transpose(1, 0, 2)
+    # Rotary's per-position table lookup iterates Python ints fastest.
+    return apply_rope(m, positions.tolist(), config.rope_theta).transpose(1, 0, 2)
 
 
-def _layer(weights, store: CacheStore, l: int, x: np.ndarray, chunk: _Chunk, capture, meter):
-    """One decoder layer over the chunk's rows; appends their K/V to the
-    layer's caches and returns the layer output."""
+def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, capture, meter):
+    """One decoder layer over the rows after the store's `seq_len`, whose
+    visual/text split is `split`; appends their K/V to the layer's caches
+    and returns the layer output."""
     config = weights.config
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
     lw = weights.layers[l]
     role = store.roles[l]
     cache = store.layers[l]
     rows = x.shape[0]
+    positions = np.arange(store.seq_len, store.seq_len + rows)
     xn = rms_norm(x, lw.attn_gain, config.norm_eps)
 
     v = matmul(xn, lw.wv)
     _record(meter, "attn_v", rows, d, d)
-    cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2), chunk.positions)
+    cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2))
 
     if role.kind != ROLE_LAZY:
-        q = _project(weights, xn, lw.wq, chunk.positions)
+        q = _project(weights, xn, lw.wq, positions)
         _record(meter, "attn_q", rows, d, d)
-        k = _project(weights, xn, lw.wk, chunk.positions)
+        k = _project(weights, xn, lw.wk, positions)
         _record(meter, "attn_k", rows, d, d)
-        cache.append_keys(k, chunk.positions)
+        cache.append_keys(k)
         keys = cache.keys.data
         if role.kind == ROLE_ANCHOR:
-            shared = q if store.mode == GLA else q[:, chunk.visual_rows]
+            shared = q if store.mode == GLA else q[:, split.visual]
             if shared.shape[1]:
                 store.qcache.publish(role.block, shared)
     elif store.mode == GLA:
         q = store.qcache.read(role.block)
         keys = store.anchor_cache(role).keys.data
     else:  # VLA lazy layer
-        xt = xn[chunk.text_rows]
-        qt = _project(weights, xt, lw.wq, chunk.text_positions)
+        text = split.text
+        xt = xn[text]
+        qt = _project(weights, xt, lw.wq, positions[text])
         _record(meter, "attn_q", len(xt), d, d)
-        kt = _project(weights, xt, lw.wk, chunk.text_positions)
+        kt = _project(weights, xt, lw.wk, positions[text])
         _record(meter, "attn_k", len(xt), d, d)
-        cache.append_keys(kt, chunk.text_positions)
+        cache.append_keys(kt)
         q = qt
-        if chunk.visual_rows.size:
+        if split.n_visual:
             q = np.empty((n_heads, rows, d_head), dtype=np.float32)
-            q[:, chunk.text_rows] = qt
-            q[:, chunk.visual_rows] = store.qcache.read(role.block)
-        keys = cache.merged_keys(store.anchor_cache(role), store.visual_set)
+            q[:, text] = qt
+            q[:, split.visual] = store.qcache.read(role.block)
+        keys = cache.merged_keys(store.anchor_cache(role))
 
     n_keys = keys.shape[1]
     scores = head_matmul(q, keys.transpose(0, 2, 1))
@@ -152,16 +151,15 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, chunk: _Chunk, cap
     return x + down
 
 
-def _forward(weights: ModelWeights, store: CacheStore, token_ids, positions, capture, meter):
+def _forward(weights: ModelWeights, store: CacheStore, token_ids, split: RowSplit, capture, meter):
     """Run the rows through every layer; returns their logits."""
     config = weights.config
-    chunk = _Chunk(positions, store.visual_set)
     x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
     for l in range(config.n_layers):
-        x = _layer(weights, store, l, x, chunk, capture, meter)
+        x = _layer(weights, store, l, x, split, capture, meter)
     xn = rms_norm(x, weights.final_gain, config.norm_eps)
     logits = matmul(xn, weights.lm_head)
-    _record(meter, "lm_head", len(positions), config.d_model, config.vocab_size)
+    _record(meter, "lm_head", len(token_ids), config.d_model, config.vocab_size)
     return logits
 
 
@@ -176,12 +174,11 @@ def prefill(
     and the populated cache store. `plan=None` is the standard runtime."""
     _validate_tokens(tokens, weights.config.vocab_size)
     store = CacheStore(weights.config, plan, tokens)
-    s = len(tokens)
-    logits = _forward(weights, store, tokens.token_ids, list(range(s)), capture, meter)
+    logits = _forward(weights, store, tokens.token_ids, store.split, capture, meter)
     # Prefill-era shared queries are never reread by decode; release them so
     # the Q cache occupancy bound stays honest (peak remains recorded).
     store.qcache.release()
-    store.seq_len = s
+    store.seq_len = len(tokens)
     return logits, store
 
 
@@ -192,10 +189,8 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     if not 0 <= next_token < weights.config.vocab_size:
         raise ValidationError(f"token id {next_token} outside vocabulary")
-    pos = store.seq_len
-    store.modality.append_text(pos)
-    logits = _forward(weights, store, [next_token], [pos], None, meter)
-    store.seq_len = pos + 1
+    logits = _forward(weights, store, [next_token], _DECODE_ROWS, None, meter)
+    store.seq_len += 1
     return logits[0]
 
 
@@ -230,14 +225,17 @@ def generate(
     return ids, store
 
 
-def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: float) -> ModalityIndex:
-    """Drop the lowest-attention visual positions from caches past `layer`.
+def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: float) -> list[int]:
+    """Drop the lowest-attention visual positions from caches past `layer`;
+    returns the kept visual positions, ascending.
 
     Ranking uses the head-averaged last-row attention captured at `layer`
     during prefill (ties keep the earlier position). Standard layers and
     anchors prune when their own index exceeds `layer`; a lazy layer prunes
     exactly when its anchor does, which keeps its K source and its V cache
-    covering the same positions. keep_ratio=1 leaves the store untouched.
+    covering the same positions. keep_ratio=1 leaves the store untouched and
+    records nothing. A store is pruned at most once: the prune record, and
+    the oracle that replays it, describe one pass.
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ValidationError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
@@ -245,18 +243,21 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
         raise ValidationError(f"layer {layer} out of range")
     if store.seq_len == 0:
         raise ValidationError("prune requires a prefilled store")
-    visual = list(store.modality.visual_positions)
+    if store.prune_record is not None:
+        raise ValidationError("store is already pruned")
+    visual = np.flatnonzero(store.modality).tolist()
     keep_count = math.ceil(keep_ratio * len(visual))
     if keep_count >= len(visual):
-        return store.modality
+        return visual
     scores = snapshot.last_rows[layer]
     ranked = sorted(visual, key=lambda p: (-float(scores[p]), p))
-    removed = set(ranked[keep_count:])
+    removed = sorted(ranked[keep_count:])
 
+    keep = np.delete(np.arange(store.seq_len), removed)
+    split = RowSplit(np.delete(store.modality, removed))
     for l, role in enumerate(store.roles):
         ref = l if role.anchor_layer is None else role.anchor_layer
         if ref > layer:
-            store.layers[l].prune_positions(removed)
-    store.modality.drop_visual(removed)
-    store.prune_record = PruneRecord(layer, tuple(sorted(removed)), store.seq_len)
-    return store.modality
+            store.layers[l].prune(keep, split)
+    store.prune_record = PruneRecord(layer, tuple(removed), store.seq_len)
+    return sorted(ranked[:keep_count])

@@ -7,6 +7,8 @@ canonical data output; the SVG is a convenience view.
 
 from __future__ import annotations
 
+from xml.sax.saxutils import escape
+
 import numpy as np
 
 _CELL = 22
@@ -43,7 +45,7 @@ def render_heatmap_svg(matrix: np.ndarray, title: str = "", vmin: float | None =
     if title:
         parts.append(
             f'  <text x="{width / 2}" y="{_MARGIN / 2}" text-anchor="middle" '
-            f'font-size="12">{title}</text>'
+            f'font-size="12">{escape(title)}</text>'
         )
     for i in range(n_rows):
         for j in range(n_cols):

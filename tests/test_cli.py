@@ -134,6 +134,10 @@ def _set_tensor(i, value):
     return lambda d: d["tensors"].__setitem__(i, value)
 
 
+def _set_anchor(value):
+    return lambda d: d["blocks"][0].__setitem__("anchor", value)
+
+
 def _set_cell(value):
     return lambda d: d["S"][0].__setitem__(1, value)
 
@@ -155,11 +159,19 @@ HOSTILE = [
     pytest.param("jsonl", _line({"tokens": 5}), ValidationError, id="jsonl-tokens-int"),
     pytest.param("jsonl", _line(5), ValidationError, id="jsonl-record-int"),
     pytest.param("jsonl", UNDECODABLE, ValidationError, id="jsonl-undecodable"),
+    pytest.param("jsonl", _line({"tokens": [2.7, 1]}), ValidationError, id="jsonl-token-float"),
+    pytest.param("jsonl", _line({"tokens": [True, 1]}), ValidationError, id="jsonl-token-bool"),
+    pytest.param("jsonl", _line({"tokens": [1, 2], "modality": [0, False]}), ValidationError,
+                 id="jsonl-modality-bool"),
     pytest.param("plan", _set("n_layers", "x"), PlanError, id="plan-n_layers-str"),
     pytest.param("plan", UNDECODABLE, PlanError, id="plan-undecodable"),
+    pytest.param("plan", _set("n_layers", 4.9), PlanError, id="plan-n_layers-float"),
+    pytest.param("plan", _set_anchor(False), PlanError, id="plan-anchor-bool"),
     pytest.param("profile", _set("S", "zz"), ValidationError, id="profile-S-str"),
     pytest.param("profile", _set_cell("a"), ValidationError, id="profile-cell-str"),
     pytest.param("profile", UNDECODABLE, ValidationError, id="profile-undecodable"),
+    pytest.param("profile", _set("n_layers", 4.0), ValidationError, id="profile-n_layers-float"),
+    pytest.param("profile", _set("n_samples", True), ValidationError, id="profile-n_samples-bool"),
 ]
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,28 @@ def test_checkpoint_dimension_mismatch(tmp_path):
         json.dump(manifest, fh)
     with pytest.raises(DimensionMismatchError):
         load_checkpoint(path)
+
+
+def test_checkpoint_huge_layer_count_fails_before_allocating(tmp_path):
+    # The tensor count is compared before any per-layer list is built, so a
+    # tiny manifest cannot make the loader allocate in proportion to n_layers.
+    w = make_model(n_layers=1, seed=4)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(w, path)
+    manifest_path = os.path.join(path, "model.json")
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    manifest["config"]["n_layers"] = 200_000
+    with open(manifest_path, "w") as fh:
+        json.dump(manifest, fh)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionMismatchError):
+            load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_checkpoint_malformed_manifest(tmp_path):

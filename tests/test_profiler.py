@@ -175,3 +175,5 @@ def test_heatmap_svg_parses_with_one_cell_per_entry(n):
     root = ET.fromstring(render_heatmap_svg(matrix, title="ln2 - S"))
     rects = root.iter("{http://www.w3.org/2000/svg}rect")
     assert sum(1 for r in rects if r.get("class") == "cell") == n * n
+    root = ET.fromstring(render_heatmap_svg(matrix, title="a & b <c>"))
+    assert root.find("{http://www.w3.org/2000/svg}text").text == "a & b <c>"

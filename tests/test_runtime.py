@@ -35,6 +35,20 @@ def model():
     return make_model(n_layers=6, seed=21)
 
 
+FEED = [5, 17, 3, 40, 9, 61]
+
+
+def assert_decode_matches_oracle(model, tokens, plan, store, spec, feed=FEED):
+    """Decode a fixed token list; every step's logits match the prune-aware
+    oracle's last row within verify_case's consistency tolerance."""
+    ids, modality = list(tokens.token_ids), list(tokens.modality)
+    for t in feed:
+        ids.append(t)
+        modality.append(0)
+        ref = oracle_prefill(model, TokenSequence(ids, modality), plan, prune=spec)[-1]
+        assert np.max(np.abs(decode(model, store, t) - ref)) <= 1e-5
+
+
 @pytest.fixture(scope="module")
 def prompt():
     return TokenSequence([3, 9, 2, 7, 5, 11, 13, 1], [1, 1, 1, 0, 0, 0, 0, 0])
@@ -182,7 +196,7 @@ def test_prune_keep_one_is_exact_noop(model, prompt):
     idx = prune_visual_tokens(store, capture.snapshot, 2, 1.0)
     assert store.kv_bytes() == before
     assert store.prune_record is None
-    assert idx.n_visual == prompt.n_visual
+    assert len(idx) == prompt.n_visual
     # decode is bitwise what it would have been without the call
     _, untouched = prefill(model, prompt)
     assert np.array_equal(
@@ -197,7 +211,7 @@ def test_prune_selects_top_attention_positions(model, prompt):
     scores = capture.snapshot.last_rows[2]
     visual = [0, 1, 2]
     expected = sorted(sorted(visual, key=lambda p: (-scores[p], p))[:2])
-    assert idx.visual_positions == expected
+    assert idx == expected
     assert len(store.prune_record.removed) == 1
 
 
@@ -234,8 +248,10 @@ def test_pruned_store_matches_prune_aware_oracle(model, prompt):
         logits, store = prefill(model, prompt, plan, capture=capture)
         prune_visual_tokens(store, capture.snapshot, 2, 0.5)
         spec = PruneSpec.from_record(store.prune_record)
+        twin = store.clone()
         ids, _ = generate(model, prompt, 6, plan, store=store, last_logits=logits[-1])
         assert ids == oracle_full_generate(model, prompt, 6, plan, prune=spec)
+        assert_decode_matches_oracle(model, prompt, plan, twin, spec)
 
 
 def test_prune_straddling_block_prunes_with_anchor(model, prompt):
@@ -251,8 +267,33 @@ def test_prune_straddling_block_prunes_with_anchor(model, prompt):
     from lazyattn import PruneSpec
 
     spec = PruneSpec.from_record(store.prune_record)
+    twin = store.clone()
     ids, _ = generate(model, prompt, 5, plan, store=store, last_logits=logits[-1])
     assert ids == oracle_full_generate(model, prompt, 5, plan, prune=spec)
+    assert_decode_matches_oracle(model, prompt, plan, twin, spec)
+
+
+def test_second_prune_is_rejected(model, prompt):
+    # The prune record, and the oracle replaying it, describe one pass.
+    capture = AttentionCapture()
+    _, store = prefill(model, prompt, two_block_plan(VLA), capture=capture)
+    prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+    before = store.kv_bytes()
+    with pytest.raises(ValidationError, match="already pruned"):
+        prune_visual_tokens(store, capture.snapshot, 3, 0.5)
+    assert store.kv_bytes() == before
+
+
+def test_keep_one_does_not_count_as_a_prune(model, prompt):
+    from lazyattn import PruneSpec
+
+    plan = two_block_plan(GLA)
+    capture = AttentionCapture()
+    _, store = prefill(model, prompt, plan, capture=capture)
+    assert prune_visual_tokens(store, capture.snapshot, 1, 1.0) == [0, 1, 2]
+    assert len(prune_visual_tokens(store, capture.snapshot, 1, 0.5)) == 2
+    spec = PruneSpec.from_record(store.prune_record)
+    assert_decode_matches_oracle(model, prompt, plan, store, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +327,26 @@ def test_vla_interleaved_modality_matches_oracle(model, tokens):
         spec = PruneSpec.from_record(store.prune_record)
         ids, _ = generate(model, tokens, 16, plan, store=store, last_logits=logits[-1])
         assert ids == oracle_full_generate(model, tokens, 16, plan, prune=spec)
+
+
+LEADING = TokenSequence([30, 2, 14, 8, 51, 6, 19, 44, 3, 27, 12, 9], [1] * 6 + [0] * 6)
+
+
+@pytest.mark.parametrize("tokens", [LEADING, *INTERLEAVED], ids=["leading", "runs", "alternating"])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_prune_after_decode_steps_matches_oracle(model, tokens, mode):
+    # Pruned layers then hold rows decoded before the prune and after it.
+    from lazyattn import PruneSpec
+
+    plan = None if mode is None else two_block_plan(mode)
+    capture = AttentionCapture()
+    _, store = prefill(model, tokens, plan, capture=capture)
+    assert_decode_matches_oracle(model, tokens, plan, store, None, feed=FEED[:3])
+    prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+    assert store.prune_record.prompt_len == len(tokens) + 3
+    spec = PruneSpec.from_record(store.prune_record)
+    fed = TokenSequence(tokens.token_ids + FEED[:3], tokens.modality + [0] * 3)
+    assert_decode_matches_oracle(model, fed, plan, store, spec, feed=FEED[3:] + FEED)
 
 
 def test_vla_clone_mid_decode_copies_merge_state(model):
