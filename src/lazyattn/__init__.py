@@ -7,7 +7,7 @@ positions share) with a block-scoped Q cache, cutting KV-cache bytes and
 projection FLOPs by exactly the closed-form rates the cost meter verifies.
 """
 
-from .caches import CacheStore, GrowableHeads, LayerCache, QCache
+from .caches import CacheStore, GrowableHeads, LayerCache, PruneRecord, QCache
 from .efficiency import (
     BenchResult,
     CostReport,
@@ -49,7 +49,7 @@ from .model import (
     synthetic_prompt,
     write_sequences_jsonl,
 )
-from .oracle import PruneSpec, oracle_full_generate, oracle_prefill, verify_case
+from .oracle import oracle_full_generate, oracle_prefill, verify_case
 from .planner import (
     GLA,
     VLA,

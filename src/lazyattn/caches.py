@@ -215,7 +215,9 @@ class QCache:
 
 
 class PruneRecord:
-    """What a visual-token pruning pass removed; consumed by the oracle."""
+    """What the one visual-token pruning pass removed. The oracle replays it:
+    at layers whose block reference exceeds `layer`, query rows at positions
+    >= prompt_len attend only to columns not in `removed`."""
 
     __slots__ = ("layer", "removed", "prompt_len")
 

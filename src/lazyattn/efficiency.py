@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,20 +65,7 @@ class CostReport:
     flops_by_op: dict[str, int] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "seq_len": self.seq_len,
-            "n_text": self.n_text,
-            "n_visual": self.n_visual,
-            "n_layers": self.n_layers,
-            "n_lazy": self.n_lazy,
-            "params": self.params,
-            "prefill_flops": self.prefill_flops,
-            "kv_bytes": self.kv_bytes,
-            "qcache_peak_bytes": self.qcache_peak_bytes,
-            "beta": self.beta,
-            "flops_by_op": self.flops_by_op,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"

@@ -76,12 +76,12 @@ class ModelConfig:
     def from_dict(d: dict) -> "ModelConfig":
         try:
             return ModelConfig(
-                n_layers=int(d["n_layers"]),
-                n_heads=int(d["n_heads"]),
-                d_model=int(d["d_model"]),
-                d_head=int(d["d_head"]),
-                d_ff=int(d["d_ff"]),
-                vocab_size=int(d["vocab_size"]),
+                n_layers=strict_int(d["n_layers"]),
+                n_heads=strict_int(d["n_heads"]),
+                d_model=strict_int(d["d_model"]),
+                d_head=strict_int(d["d_head"]),
+                d_ff=strict_int(d["d_ff"]),
+                vocab_size=strict_int(d["vocab_size"]),
                 rope_theta=float(d["rope_theta"]),
                 norm_eps=float(d["norm_eps"]),
             )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caches import ROLE_LAZY, roles_from_plan
+from .caches import ROLE_LAZY, PruneRecord, roles_from_plan
 from .errors import OracleMismatchError, ValidationError
 from .kernels import (
     CausalMask,
@@ -33,25 +33,6 @@ from .runtime import _validate_tokens, generate, prefill, prune_visual_tokens
 
 def _split_heads(m: np.ndarray, n_heads: int, d_head: int) -> list[np.ndarray]:
     return [np.ascontiguousarray(m[:, h * d_head : (h + 1) * d_head]) for h in range(n_heads)]
-
-
-class PruneSpec:
-    """Replicates a production pruning pass: at layers whose block reference
-    exceeds `layer`, query rows at positions >= prompt_len attend only to
-    non-removed columns."""
-
-    __slots__ = ("layer", "removed", "prompt_len")
-
-    def __init__(self, layer: int, removed: tuple[int, ...], prompt_len: int):
-        self.layer = layer
-        self.removed = tuple(removed)
-        self.prompt_len = prompt_len
-
-    @staticmethod
-    def from_record(record) -> "PruneSpec | None":
-        if record is None:
-            return None
-        return PruneSpec(record.layer, record.removed, record.prompt_len)
 
 
 def _layer_qk(weights, layer: int, x_layer: np.ndarray, positions: list[int]):
@@ -76,7 +57,7 @@ def oracle_prefill(
     weights,
     tokens: TokenSequence,
     plan: LazyPlan | None = None,
-    prune: PruneSpec | None = None,
+    prune: PruneRecord | None = None,
 ) -> np.ndarray:
     """Full-sequence logits computed without any cache structures."""
     config = weights.config
@@ -147,7 +128,7 @@ def oracle_prefill(
     return matmul(xn, weights.lm_head)
 
 
-def _pruned_at_layer(roles, layer: int, prune: PruneSpec | None) -> bool:
+def _pruned_at_layer(roles, layer: int, prune: PruneRecord | None) -> bool:
     if prune is None:
         return False
     role = roles[layer]
@@ -155,7 +136,7 @@ def _pruned_at_layer(roles, layer: int, prune: PruneSpec | None) -> bool:
     return ref > prune.layer
 
 
-def _restricted_attention(q_h, k_h, v_h, scale, prune: PruneSpec):
+def _restricted_attention(q_h, k_h, v_h, scale, prune: PruneRecord):
     """Attention where rows >= prompt_len skip removed columns entirely.
 
     Prompt rows ran before the prune and keep plain causal attention; each
@@ -193,7 +174,7 @@ def oracle_full_generate(
     tokens: TokenSequence,
     steps: int,
     plan: LazyPlan | None = None,
-    prune: PruneSpec | None = None,
+    prune: PruneRecord | None = None,
 ) -> list[int]:
     """Greedy ids via repeated full-sequence recomputation (no caches)."""
     if steps < 1:
@@ -253,10 +234,9 @@ def verify_case(
             f"prod {logits.flat[bad]!r} vs oracle {ref.flat[bad]!r})",
             case={"tokens": tokens.token_ids, "modality": tokens.modality},
         )
-    spec = PruneSpec.from_record(store.prune_record)
 
     ids, _ = generate(weights, tokens, steps, plan, store=store, last_logits=logits[-1])
-    ref_ids = oracle_full_generate(weights, tokens, steps, plan, prune=spec)
+    ref_ids = oracle_full_generate(weights, tokens, steps, plan, prune=store.prune_record)
     if ids != ref_ids:
         step = next(i for i, (a, b) in enumerate(zip(ids, ref_ids)) if a != b)
         raise OracleMismatchError(
@@ -269,7 +249,7 @@ def verify_case(
     _, store2 = prefill_and_prune()
     step_logits = decode(weights, store2, ids[0])
     ext = TokenSequence(tokens.token_ids + [ids[0]], tokens.modality + [0])
-    ref_step = oracle_prefill(weights, ext, plan, prune=spec)[-1]
+    ref_step = oracle_prefill(weights, ext, plan, prune=store.prune_record)[-1]
     err = float(np.max(np.abs(step_logits - ref_step)))
     if err > consistency_tol:
         raise OracleMismatchError(

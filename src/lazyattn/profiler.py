@@ -24,15 +24,22 @@ _SUM_TOL = 1e-6
 
 
 def _check_distribution(p: np.ndarray, name: str) -> np.ndarray:
+    """`p` as float64, each row along the last axis a distribution."""
     p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D")
     if np.any(p < 0):
         raise ValidationError(f"{name} has negative entries")
-    total = float(np.sum(p))
-    if abs(total - 1.0) > _SUM_TOL:
-        raise ValidationError(f"{name} sums to {total}, not 1 within {_SUM_TOL}")
+    totals = np.sum(p, axis=-1)
+    off = totals[~(np.abs(totals - 1.0) <= _SUM_TOL)]  # a NaN total is off too
+    if off.size:
+        raise ValidationError(f"{name} sums to {off[0]}, not 1 within {_SUM_TOL}")
     return p
+
+
+def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
+    p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
+    if p.ndim != 1 or p.shape != q.shape:
+        raise ValidationError(f"need two 1-D distributions of one length, got {p.shape}, {q.shape}")
+    return _check_distribution(p, "p"), _check_distribution(q, "q")
 
 
 def kl_divergence(p, q) -> float:
@@ -40,32 +47,31 @@ def kl_divergence(p, q) -> float:
 
     Returns +inf when some p_i > 0 has q_i = 0.
     """
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
-    if p.shape != q.shape:
-        raise ValidationError(f"length mismatch: {p.shape[0]} vs {q.shape[0]}")
-    support = p > 0
-    if np.any(q[support] == 0):
+    p, q = _check_pair(p, q)
+    if np.any(q[p > 0] == 0):
         return math.inf
-    ps = p[support]
-    return float(np.sum(ps * np.log(ps / q[support])))
+    return float(_kl_against(p, q))
 
 
 def js_divergence(p, q) -> float:
     """0.5*[KL(p||m) + KL(q||m)] with m = (p+q)/2; symmetric, in [0, ln 2]."""
-    p = _check_distribution(p, "p")
-    q = _check_distribution(q, "q")
-    if p.shape != q.shape:
-        raise ValidationError(f"length mismatch: {p.shape[0]} vs {q.shape[0]}")
+    return float(_js_rows(*_check_pair(p, q)))
+
+
+def _js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """JS divergence of each row pair along the last axis, unvalidated."""
     m = (p + q) / 2.0
     # m_i = 0 implies p_i = q_i = 0, so both KL terms are finite.
     return 0.5 * (_kl_against(p, m) + _kl_against(q, m))
 
 
-def _kl_against(p: np.ndarray, m: np.ndarray) -> float:
-    support = p > 0
-    ps = p[support]
-    return float(np.sum(ps * np.log(ps / m[support])))
+def _kl_against(p: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Row-wise KL(p||m) where m > 0 wherever p > 0. Entries with p = 0 take
+    ratio 1, so they add exactly 0 and no log(0) is evaluated."""
+    ratio = np.divide(p, m, out=np.ones_like(p), where=p > 0)
+    np.log(ratio, out=ratio)
+    ratio *= p
+    return np.sum(ratio, axis=-1)
 
 
 @dataclass
@@ -77,13 +83,15 @@ class AttentionSnapshot:
     head_matrices: list[list[np.ndarray]] | None = None
 
     def validate(self) -> None:
-        if not self.last_rows:
+        """Check every row the profile reads, the full matrices' if captured."""
+        rows = self.last_rows if self.matrices is None else self.matrices
+        if not rows:
             raise ValidationError("snapshot is empty")
-        length = self.last_rows[0].shape[0]
-        for l, row in enumerate(self.last_rows):
-            if row.shape[0] != length:
-                raise ValidationError(f"layer {l} row length {row.shape[0]} != {length}")
-            _check_distribution(row, f"layer {l} attention row")
+        shape = rows[0].shape
+        for l, r in enumerate(rows):
+            if r.shape != shape:
+                raise ValidationError(f"layer {l} attention has shape {r.shape} != {shape}")
+            _check_distribution(r, f"layer {l} attention")
 
 
 class AttentionCapture:
@@ -100,11 +108,8 @@ class AttentionCapture:
 
     def record(self, layer: int, head_attn: np.ndarray) -> None:
         """Record one layer's attention, (n_heads, rows, cols). The head mean
-        adds heads one at a time in float64, which fixes its bits."""
-        mean = head_attn[0].astype(np.float64)
-        for a in head_attn[1:]:
-            mean = mean + a
-        mean = mean / len(head_attn)
+        adds heads in order in float64 (an outer-axis sum), which fixes its bits."""
+        mean = head_attn.sum(axis=0, dtype=np.float64) / len(head_attn)
         self.snapshot.last_rows.append(mean[-1])
         if self.full_matrix:
             self.snapshot.matrices.append(mean)
@@ -180,19 +185,12 @@ def profile_model(weights, corpus, full_matrix: bool = False) -> SimilarityProfi
         prefill(weights, seq, capture=capture)
         snap = capture.snapshot
         snap.validate()
+        # Causally masked entries are exactly 0 in both rows, so they add
+        # nothing; the last-row profile is the one-row case.
+        rows = snap.matrices if full_matrix else snap.last_rows
         for a in range(n_layers):
             for b in range(a + 1, n_layers):
-                if full_matrix:
-                    rows_a = snap.matrices[a]
-                    rows_b = snap.matrices[b]
-                    js = 0.0
-                    for r in range(rows_a.shape[0]):
-                        n_vis = r + 1  # causal row r is supported on positions <= r
-                        js += js_divergence(rows_a[r, :n_vis], rows_b[r, :n_vis])
-                    js /= rows_a.shape[0]
-                else:
-                    js = js_divergence(snap.last_rows[a], snap.last_rows[b])
-                S[a, b] += js
+                S[a, b] += float(np.mean(_js_rows(rows[a], rows[b])))
     S /= len(corpus)
     S = S + S.T
     profile = SimilarityProfile(n_layers=n_layers, n_samples=len(corpus), S=S)

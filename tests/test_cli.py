@@ -155,6 +155,9 @@ HOSTILE = [
     pytest.param("manifest", _set_tensor(1, {"name": "layer0.attn_gain", "shape": 5}),
                  DimensionMismatchError, id="manifest-shape-int"),
     pytest.param("manifest", UNDECODABLE, ManifestError, id="manifest-undecodable"),
+    pytest.param("manifest", _set_config("n_layers", 4.0), ManifestError, id="manifest-n_layers-float"),
+    pytest.param("manifest", _set_config("vocab_size", 64.7), ManifestError, id="manifest-vocab-float"),
+    pytest.param("manifest", _set_config("d_ff", True), ManifestError, id="manifest-d_ff-bool"),
     pytest.param("jsonl", _line({"tokens": ["a"]}), ValidationError, id="jsonl-token-str"),
     pytest.param("jsonl", _line({"tokens": 5}), ValidationError, id="jsonl-tokens-int"),
     pytest.param("jsonl", _line(5), ValidationError, id="jsonl-record-int"),

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from lazyattn import (
+    AttentionCapture,
     SimilarityProfile,
     TokenSequence,
     ValidationError,
     js_divergence,
     kl_divergence,
     load_profile,
+    prefill,
     profile_model,
     save_profile,
 )
@@ -59,6 +61,10 @@ def test_kl_rejects_bad_inputs():
         kl_divergence([0.9, 0.3], [0.5, 0.5])
     with pytest.raises(ValidationError):
         kl_divergence([1.5, -0.5], [0.5, 0.5])
+    with pytest.raises(ValidationError):
+        kl_divergence([math.nan, 1.0], [0.5, 0.5])
+    with pytest.raises(ValidationError):
+        kl_divergence(1.0, 1.0)
 
 
 def test_js_unit_values():
@@ -136,6 +142,74 @@ def test_full_matrix_profile_runs():
     full = profile_model(w, corpus, full_matrix=True)
     assert full.S.shape == last_only.S.shape
     assert 0.0 <= full.S[0, 1] <= LN2 + 1e-9
+
+
+def per_row_reference_profile(weights, corpus, full_matrix):
+    """One js_divergence call per causal row (the row's visible prefix),
+    averaged over the rows, then over the corpus."""
+    n = weights.config.n_layers
+    S = np.zeros((n, n))
+    for seq in corpus:
+        capture = AttentionCapture(full_matrix=True)
+        prefill(weights, seq, capture=capture)
+        mats = capture.snapshot.matrices
+        s = len(seq)
+        rows = range(s) if full_matrix else [s - 1]
+        for a in range(n):
+            for b in range(a + 1, n):
+                js = [js_divergence(mats[a][r, : r + 1], mats[b][r, : r + 1]) for r in rows]
+                S[a, b] += sum(js) / len(js)
+    S /= len(corpus)
+    return S + S.T
+
+
+def seeded_corpus(seed, layout, lengths=(2, 9, 33, 70)):
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for n in lengths:
+        ids = rng.integers(0, 96, size=n).tolist()
+        if layout == "leading":
+            modality = [1] * (n // 2) + [0] * (n - n // 2)
+        else:
+            modality = [i % 2 for i in range(n)]
+        corpus.append(TokenSequence(ids, modality))
+    return corpus
+
+
+@pytest.mark.parametrize("full_matrix", [False, True])
+@pytest.mark.parametrize("layout", ["leading", "alternating"])
+def test_profile_matches_per_row_reference(full_matrix, layout):
+    w = make_model(n_layers=4, seed=11)
+    corpus = seeded_corpus(12, layout)
+    got = profile_model(w, corpus, full_matrix=full_matrix).S
+    ref = per_row_reference_profile(w, corpus, full_matrix)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_snapshot_validate_checks_every_full_matrix_row():
+    w = make_model(n_layers=2, seed=13)
+    capture = AttentionCapture(full_matrix=True)
+    prefill(w, TokenSequence([1, 2, 3, 4, 5], [1, 1, 0, 0, 0]), capture=capture)
+    snap = capture.snapshot
+    snap.validate()
+    snap.matrices[1][2] *= 1.5  # a middle row; the last rows stay intact
+    with pytest.raises(ValidationError, match="layer 1"):
+        snap.validate()
+
+
+@pytest.mark.parametrize("shape", [(4, 128, 128), (4, 1, 513), (2, 7, 7), (8, 300, 300)])
+def test_head_mean_equals_sequential_float64_sum(shape):
+    rng = np.random.default_rng(shape[2])
+    head_attn = rng.random(shape, dtype=np.float32)
+    head_attn /= head_attn.sum(axis=-1, keepdims=True)
+    expected = head_attn[0].astype(np.float64)
+    for a in head_attn[1:]:
+        expected = expected + a
+    expected = expected / shape[0]
+    capture = AttentionCapture(full_matrix=True)
+    capture.record(0, head_attn)
+    assert np.array_equal(capture.snapshot.matrices[0], expected)
+    assert np.array_equal(capture.snapshot.last_rows[0], expected[-1])
 
 
 def test_adjacent_and_similarity_view():

@@ -241,13 +241,12 @@ def test_prune_validation(model, prompt):
 
 
 def test_pruned_store_matches_prune_aware_oracle(model, prompt):
-    from lazyattn import PruneSpec
 
     for plan in (None, two_block_plan(GLA), two_block_plan(VLA)):
         capture = AttentionCapture()
         logits, store = prefill(model, prompt, plan, capture=capture)
         prune_visual_tokens(store, capture.snapshot, 2, 0.5)
-        spec = PruneSpec.from_record(store.prune_record)
+        spec = store.prune_record
         twin = store.clone()
         ids, _ = generate(model, prompt, 6, plan, store=store, last_logits=logits[-1])
         assert ids == oracle_full_generate(model, prompt, 6, plan, prune=spec)
@@ -264,9 +263,8 @@ def test_prune_straddling_block_prunes_with_anchor(model, prompt):
     assert store.layers[2].stored_len == len(prompt)
     assert store.layers[3].stored_len == len(prompt)  # V only, unpruned with anchor
     assert store.layers[5].stored_len < len(prompt)
-    from lazyattn import PruneSpec
 
-    spec = PruneSpec.from_record(store.prune_record)
+    spec = store.prune_record
     twin = store.clone()
     ids, _ = generate(model, prompt, 5, plan, store=store, last_logits=logits[-1])
     assert ids == oracle_full_generate(model, prompt, 5, plan, prune=spec)
@@ -285,14 +283,13 @@ def test_second_prune_is_rejected(model, prompt):
 
 
 def test_keep_one_does_not_count_as_a_prune(model, prompt):
-    from lazyattn import PruneSpec
 
     plan = two_block_plan(GLA)
     capture = AttentionCapture()
     _, store = prefill(model, prompt, plan, capture=capture)
     assert prune_visual_tokens(store, capture.snapshot, 1, 1.0) == [0, 1, 2]
     assert len(prune_visual_tokens(store, capture.snapshot, 1, 0.5)) == 2
-    spec = PruneSpec.from_record(store.prune_record)
+    spec = store.prune_record
     assert_decode_matches_oracle(model, prompt, plan, store, spec)
 
 
@@ -311,7 +308,6 @@ INTERLEAVED = [
 
 @pytest.mark.parametrize("tokens", INTERLEAVED)
 def test_vla_interleaved_modality_matches_oracle(model, tokens):
-    from lazyattn import PruneSpec
 
     plan = two_block_plan(VLA)
     logits, _ = prefill(model, tokens, plan)
@@ -324,7 +320,7 @@ def test_vla_interleaved_modality_matches_oracle(model, tokens):
         capture = AttentionCapture()
         logits, store = prefill(model, tokens, plan, capture=capture)
         prune_visual_tokens(store, capture.snapshot, layer, 0.5)
-        spec = PruneSpec.from_record(store.prune_record)
+        spec = store.prune_record
         ids, _ = generate(model, tokens, 16, plan, store=store, last_logits=logits[-1])
         assert ids == oracle_full_generate(model, tokens, 16, plan, prune=spec)
 
@@ -336,7 +332,6 @@ LEADING = TokenSequence([30, 2, 14, 8, 51, 6, 19, 44, 3, 27, 12, 9], [1] * 6 + [
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
 def test_prune_after_decode_steps_matches_oracle(model, tokens, mode):
     # Pruned layers then hold rows decoded before the prune and after it.
-    from lazyattn import PruneSpec
 
     plan = None if mode is None else two_block_plan(mode)
     capture = AttentionCapture()
@@ -344,7 +339,7 @@ def test_prune_after_decode_steps_matches_oracle(model, tokens, mode):
     assert_decode_matches_oracle(model, tokens, plan, store, None, feed=FEED[:3])
     prune_visual_tokens(store, capture.snapshot, 1, 0.5)
     assert store.prune_record.prompt_len == len(tokens) + 3
-    spec = PruneSpec.from_record(store.prune_record)
+    spec = store.prune_record
     fed = TokenSequence(tokens.token_ids + FEED[:3], tokens.modality + [0] * 3)
     assert_decode_matches_oracle(model, fed, plan, store, spec, feed=FEED[3:] + FEED)
 
