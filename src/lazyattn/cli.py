@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import efficiency, oracle, planner, profiler, rng, runtime, viz
 from .errors import CheckpointError, OracleMismatchError, ValidationError
@@ -107,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repeats", type=int, default=5)
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--visual-frac", type=float, default=0.5)
-    b.add_argument("--out", required=True, help="CSV path")
+    b.add_argument("--out", required=True, help="JSON path")
 
     return p
 
@@ -196,9 +197,7 @@ def cmd_run(args) -> int:
     logits, store = runtime.prefill(weights, tokens, plan, capture=capture, meter=meter)
     if args.prune_layer is not None:
         runtime.prune_visual_tokens(store, capture.snapshot, args.prune_layer, args.prune_keep)
-    ids, _ = runtime.generate(
-        weights, tokens, args.steps, plan, store=store, last_logits=logits[-1]
-    )
+    ids = runtime.generate(weights, store, logits[-1], args.steps)
     report = efficiency.cost_report(weights, tokens, plan, meter, store)
     os.makedirs(args.out, exist_ok=True)
     atomic_write(os.path.join(args.out, "cost_report.json"), report.to_json())
@@ -243,7 +242,7 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         visual_fraction=args.visual_frac,
     )
-    atomic_write(args.out, result.to_csv())
+    atomic_write(args.out, json.dumps(asdict(result), indent=2) + "\n")
     print(
         f"{result.mode}: median {result.median:.2f} tok/s "
         f"(p10 {result.p10:.2f}, p90 {result.p90:.2f}) -> {args.out}"

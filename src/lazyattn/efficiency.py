@@ -8,6 +8,9 @@ skips the query and key projections of every lazy layer, so its prefill
 FLOPs drop by 2n*beta of the standard total, where beta is one attention
 projector's share. KV and Q-cache bytes are read off the cache structures
 after the run (4 bytes per stored element), never predicted from formulas.
+
+`bench_decode` times greedy decode; `lazyattn bench` writes its
+`BenchResult` as JSON: every repeat's tokens/s, then median, p10 and p90.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .caches import CacheStore
 from .errors import ValidationError
 from .model import ModelConfig, ModelWeights, TokenSequence, synthetic_prompt
 from .planner import GLA, LazyPlan
-from .runtime import decode, generate, prefill
+from .runtime import generate, prefill
 
 STANDARD = "standard"
 
@@ -74,17 +77,12 @@ class CostReport:
 def count_used_params(weights: ModelWeights, plan: LazyPlan | None) -> int:
     """Weight elements the mode actually touches: GLA lazy layers never load
     their own W_Q/W_K, every other tensor is used in all modes."""
-    lazy_gla = set()
-    if plan is not None and plan.mode == GLA:
-        for b in plan.blocks:
-            lazy_gla.update(b.lazy_layers)
-    total = 0
-    for name, arr in weights.named_tensors():
-        if name.endswith((".wq", ".wk")):
-            layer = int(name.split(".")[0][len("layer"):])
-            if layer in lazy_gla:
-                continue
-        total += arr.size
+    total = sum(arr.size for _, arr in weights.named_tensors())
+    if plan is None or plan.mode != GLA:
+        return total
+    for b in plan.blocks:
+        for l in b.lazy_layers:
+            total -= weights.layers[l].wq.size + weights.layers[l].wk.size
     return total
 
 
@@ -101,8 +99,7 @@ def meter_run(
     """
     meter = FlopMeter()
     logits, store = prefill(weights, tokens, plan, meter=meter)
-    if decode_steps:
-        generate(weights, tokens, decode_steps, plan, store=store, last_logits=logits[-1])
+    generate(weights, store, logits[-1], decode_steps)
     return cost_report(weights, tokens, plan, meter, store), store
 
 
@@ -174,16 +171,6 @@ class BenchResult:
     p10: float
     p90: float
 
-    def to_csv(self) -> str:
-        lines = ["mode,context,steps,repeat,tokens_per_sec,median,p10,p90"]
-        for i, tps in enumerate(self.tokens_per_sec):
-            lines.append(f"{self.mode},{self.context_len},{self.steps},{i},{tps:.3f},,,")
-        lines.append(
-            f"{self.mode},{self.context_len},{self.steps},summary,,"
-            f"{self.median:.3f},{self.p10:.3f},{self.p90:.3f}"
-        )
-        return "\n".join(lines) + "\n"
-
 
 def bench_decode(
     weights: ModelWeights,
@@ -196,8 +183,9 @@ def bench_decode(
 ) -> BenchResult:
     """Wall-clock decode throughput on a fixed synthetic prompt.
 
-    The prompt is prefilled once; each repeat clones the caches and times
-    `steps` greedy decode iterations. One untimed warm-up repeat runs first.
+    The prompt is prefilled once; each repeat clones the store, untimed,
+    and times `generate` over `steps` greedy steps. One untimed warm-up
+    repeat runs first.
     """
     if context_len < 1:
         raise ValidationError("context_len must be >= 1")
@@ -207,15 +195,11 @@ def bench_decode(
         raise ValidationError("repeats must be >= 1")
     tokens = synthetic_prompt(weights.config.vocab_size, context_len, seed, visual_fraction)
     logits, base = prefill(weights, tokens, plan)
-    first = int(np.argmax(logits[-1]))
 
     def run_once() -> float:
         store = base.clone()
-        t = first
         t0 = time.perf_counter()
-        for _ in range(steps):
-            step_logits = decode(weights, store, t)
-            t = int(np.argmax(step_logits))
+        generate(weights, store, logits[-1], steps)
         return time.perf_counter() - t0
 
     run_once()  # warm-up, excluded

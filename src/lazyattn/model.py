@@ -57,8 +57,9 @@ class ModelConfig:
             )
         if self.d_head % 2 != 0:
             raise ValidationError("d_head must be even (rotary pairs)")
-        if self.rope_theta <= 0 or self.norm_eps <= 0:
-            raise ValidationError("rope_theta and norm_eps must be positive")
+        # NaN fails every comparison, so this rejects it along with infinity.
+        if not (0 < self.rope_theta < np.inf and 0 < self.norm_eps < np.inf):
+            raise ValidationError("rope_theta and norm_eps must be finite and positive")
 
     def to_dict(self) -> dict:
         return {
@@ -126,58 +127,51 @@ class ModelWeights:
 
     def named_tensors(self):
         """(name, array) pairs in the canonical manifest order."""
+        names = _layer_shapes(self.config)
         yield "embedding", self.embedding
         for l, lw in enumerate(self.layers):
-            yield f"layer{l}.attn_gain", lw.attn_gain
-            yield f"layer{l}.wq", lw.wq
-            yield f"layer{l}.wk", lw.wk
-            yield f"layer{l}.wv", lw.wv
-            yield f"layer{l}.wo", lw.wo
-            yield f"layer{l}.mlp_gain", lw.mlp_gain
-            yield f"layer{l}.w_gate", lw.w_gate
-            yield f"layer{l}.w_up", lw.w_up
-            yield f"layer{l}.w_down", lw.w_down
+            for name in names:
+                yield f"layer{l}.{name}", getattr(lw, name)
         yield "final_gain", self.final_gain
         yield "lm_head", self.lm_head
 
 
+def _layer_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """One layer's tensors in manifest order, which is LayerWeights' field
+    order; every name and shape of a layer in the checkpoint comes from here."""
+    d, ff = c.d_model, c.d_ff
+    return {
+        "attn_gain": (d,),
+        "wq": (d, d),
+        "wk": (d, d),
+        "wv": (d, d),
+        "wo": (d, d),
+        "mlp_gain": (d,),
+        "w_gate": (d, ff),
+        "w_up": (d, ff),
+        "w_down": (ff, d),
+    }
+
+
 def _tensor_specs(c: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    specs: list[tuple[str, tuple[int, ...]]] = [("embedding", (c.vocab_size, c.d_model))]
+    layer = _layer_shapes(c).items()
+    specs = [("embedding", (c.vocab_size, c.d_model))]
     for l in range(c.n_layers):
-        specs += [
-            (f"layer{l}.attn_gain", (c.d_model,)),
-            (f"layer{l}.wq", (c.d_model, c.d_model)),
-            (f"layer{l}.wk", (c.d_model, c.d_model)),
-            (f"layer{l}.wv", (c.d_model, c.d_model)),
-            (f"layer{l}.wo", (c.d_model, c.d_model)),
-            (f"layer{l}.mlp_gain", (c.d_model,)),
-            (f"layer{l}.w_gate", (c.d_model, c.d_ff)),
-            (f"layer{l}.w_up", (c.d_model, c.d_ff)),
-            (f"layer{l}.w_down", (c.d_ff, c.d_model)),
-        ]
+        specs += [(f"layer{l}.{name}", shape) for name, shape in layer]
     specs += [("final_gain", (c.d_model,)), ("lm_head", (c.d_model, c.vocab_size))]
     return specs
 
 
 def _tensor_count(c: ModelConfig) -> int:
     """len(_tensor_specs(c)), without building a list the manifest sizes."""
-    return 9 * c.n_layers + 3
+    return len(_layer_shapes(c)) * c.n_layers + 3
 
 
 def _assemble(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
     """Validated weights from a table keyed by the manifest tensor names."""
+    names = _layer_shapes(config)
     layers = [
-        LayerWeights(
-            attn_gain=tensors[f"layer{l}.attn_gain"],
-            wq=tensors[f"layer{l}.wq"],
-            wk=tensors[f"layer{l}.wk"],
-            wv=tensors[f"layer{l}.wv"],
-            wo=tensors[f"layer{l}.wo"],
-            mlp_gain=tensors[f"layer{l}.mlp_gain"],
-            w_gate=tensors[f"layer{l}.w_gate"],
-            w_up=tensors[f"layer{l}.w_up"],
-            w_down=tensors[f"layer{l}.w_down"],
-        )
+        LayerWeights(**{name: tensors[f"layer{l}.{name}"] for name in names})
         for l in range(config.n_layers)
     ]
     weights = ModelWeights(
@@ -191,14 +185,11 @@ def _assemble(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeigh
     return weights
 
 
-# Norm gains start at one; every other tensor is drawn from one global
-# splitmix64 stream, consumed in manifest order with uniform values in
-# [-1/sqrt(d_model), +1/sqrt(d_model)]. Identical (config, seed) therefore
-# reproduces bit-identical checkpoints.
-_DRAWN_SUFFIXES = ("embedding", ".wq", ".wk", ".wv", ".wo", ".w_gate", ".w_up", ".w_down", "lm_head")
-
-
 def init_synthetic_model(config: ModelConfig, seed: int) -> ModelWeights:
+    """Norm gains (the 1-D tensors) start at one; every other tensor is drawn
+    from one global splitmix64 stream, consumed in manifest order with uniform
+    values in [-1/sqrt(d_model), +1/sqrt(d_model)]. Identical (config, seed)
+    therefore reproduces bit-identical checkpoints."""
     config.validate()
     bound = 1.0 / float(np.sqrt(config.d_model))
     cursor = 0
@@ -212,10 +203,7 @@ def init_synthetic_model(config: ModelConfig, seed: int) -> ModelWeights:
 
     tensors: dict[str, np.ndarray] = {}
     for name, shape in _tensor_specs(config):
-        if name.endswith(_DRAWN_SUFFIXES):
-            tensors[name] = draw(shape)
-        else:
-            tensors[name] = np.ones(shape, dtype=np.float32)
+        tensors[name] = draw(shape) if len(shape) == 2 else np.ones(shape, dtype=np.float32)
 
     return _assemble(config, tensors)
 

@@ -28,7 +28,7 @@ from .kernels import (
 )
 from .model import TokenSequence
 from .planner import GLA, LazyPlan
-from .runtime import _validate_tokens, generate, prefill, prune_visual_tokens
+from .runtime import _validate_tokens, decode, generate, prefill
 
 
 def _split_heads(m: np.ndarray, n_heads: int, d_head: int) -> list[np.ndarray]:
@@ -194,38 +194,29 @@ def oracle_full_generate(
 # ---------------------------------------------------------------------------
 
 
+# How far one production decode step's logits may sit from the oracle's
+# next-step last row.
+DECODE_TOL = 1e-5
+
+
 def verify_case(
     weights,
     tokens: TokenSequence,
     plan: LazyPlan | None,
     steps: int = 8,
-    consistency_tol: float = 1e-5,
-    prune_layer: int | None = None,
-    prune_keep: float = 1.0,
     case_label: str = "",
 ) -> None:
     """All oracle equivalence checks for one prompt; raises on mismatch.
 
-    Checks: (1) production prefill logits match oracle_prefill bitwise,
-    (2) greedy generation ids match oracle_full_generate exactly,
-    (3) prefill(s)+decode matches the oracle's next-step last row within
-    consistency_tol. With pruning enabled, (2) and (3) run on the pruned
-    store against a prune-aware oracle.
+    One production prefill serves three checks: (1) its logits match
+    oracle_prefill bitwise, (2) `generate` from it emits the ids of
+    oracle_full_generate exactly, (3) one decode step on a clone taken
+    before (2) matches the oracle's next-step last row within DECODE_TOL.
     """
-    from .profiler import AttentionCapture
-    from .runtime import decode
-
     if steps < 1:
         raise ValidationError("verify_case needs steps >= 1")
 
-    def prefill_and_prune():
-        capture = AttentionCapture() if prune_layer is not None else None
-        logits, store = prefill(weights, tokens, plan, capture=capture)
-        if prune_layer is not None:
-            prune_visual_tokens(store, capture.snapshot, prune_layer, prune_keep)
-        return logits, store
-
-    logits, store = prefill_and_prune()
+    logits, store = prefill(weights, tokens, plan)
     ref = oracle_prefill(weights, tokens, plan)
     if not np.array_equal(logits, ref):
         bad = int(np.argmax(np.abs(logits - ref)))
@@ -235,8 +226,9 @@ def verify_case(
             case={"tokens": tokens.token_ids, "modality": tokens.modality},
         )
 
-    ids, _ = generate(weights, tokens, steps, plan, store=store, last_logits=logits[-1])
-    ref_ids = oracle_full_generate(weights, tokens, steps, plan, prune=store.prune_record)
+    twin = store.clone()
+    ids = generate(weights, store, logits[-1], steps)
+    ref_ids = oracle_full_generate(weights, tokens, steps, plan)
     if ids != ref_ids:
         step = next(i for i, (a, b) in enumerate(zip(ids, ref_ids)) if a != b)
         raise OracleMismatchError(
@@ -246,14 +238,13 @@ def verify_case(
         )
 
     # One-step prefill/decode consistency against the oracle's next row.
-    _, store2 = prefill_and_prune()
-    step_logits = decode(weights, store2, ids[0])
+    step_logits = decode(weights, twin, ids[0])
     ext = TokenSequence(tokens.token_ids + [ids[0]], tokens.modality + [0])
-    ref_step = oracle_prefill(weights, ext, plan, prune=store.prune_record)[-1]
+    ref_step = oracle_prefill(weights, ext, plan)[-1]
     err = float(np.max(np.abs(step_logits - ref_step)))
-    if err > consistency_tol:
+    if err > DECODE_TOL:
         raise OracleMismatchError(
             f"{case_label}: decode logits deviate from oracle by {err:.3e} "
-            f"(tol {consistency_tol})",
+            f"(tol {DECODE_TOL})",
             case={"tokens": tokens.token_ids, "modality": tokens.modality},
         )

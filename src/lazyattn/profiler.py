@@ -108,8 +108,10 @@ class AttentionCapture:
 
     def record(self, layer: int, head_attn: np.ndarray) -> None:
         """Record one layer's attention, (n_heads, rows, cols). The head mean
-        adds heads in order in float64 (an outer-axis sum), which fixes its bits."""
-        mean = head_attn.sum(axis=0, dtype=np.float64) / len(head_attn)
+        adds heads in order in float64 (an outer-axis sum), which fixes its
+        bits; without full_matrix it averages the last row alone."""
+        rows = head_attn if self.full_matrix else head_attn[:, -1:]
+        mean = rows.sum(axis=0, dtype=np.float64) / len(head_attn)
         self.snapshot.last_rows.append(mean[-1])
         if self.full_matrix:
             self.snapshot.matrices.append(mean)

@@ -3,7 +3,9 @@
 `prefill(weights, tokens, plan)` picks the mode from the plan (None is the
 standard runtime) and builds the cache store; `decode(weights, store, token)`
 takes the mode from that store. No entry point is per mode, so a plan and a
-store cannot disagree about it.
+store cannot disagree about it. `generate(weights, store, last_logits,
+steps)` is the one greedy loop: it continues a store that a prefill filled,
+and a prune possibly cut, from the prefill's last logits.
 
 Prefill and decode run the same head-batched layer step, `_layer`, over a
 chunk of rows and their visual/text split: prefill passes the s prompt rows
@@ -195,34 +197,20 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
 
 
 def generate(
-    weights,
-    tokens,
-    steps: int,
-    plan: LazyPlan | None = None,
-    capture=None,
-    store: CacheStore | None = None,
-    last_logits: np.ndarray | None = None,
-) -> tuple[list[int], CacheStore]:
-    """Greedy generation: argmax feedback, ties broken by lowest index.
-
-    Pass an existing (store, last_logits) pair to continue from a store that
-    was prefilled (and possibly pruned) earlier.
+    weights: ModelWeights, store: CacheStore, last_logits: np.ndarray, steps: int
+) -> list[int]:
+    """Greedy decode continuing `store`, which a prefill filled (and possibly
+    a prune cut), from its last logits: argmax feedback, ties broken by
+    lowest index. Returns the `steps` ids; the store is mutated in place.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
-    if store is None:
-        logits, store = prefill(weights, tokens, plan, capture=capture)
-        last = logits[-1]
-    else:
-        if last_logits is None:
-            raise ValidationError("continuing from a store requires last_logits")
-        last = last_logits
     ids: list[int] = []
     for _ in range(steps):
-        t = int(np.argmax(last))
+        t = int(np.argmax(last_logits))
         ids.append(t)
-        last = decode(weights, store, t)
-    return ids, store
+        last_logits = decode(weights, store, t)
+    return ids
 
 
 def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: float) -> list[int]:

@@ -84,6 +84,31 @@ def test_threads_flag_is_a_usage_error(pipeline, tmp_path):
                  "--out", str(tmp_path), "--threads", "2"]) == EXIT_VALIDATION
 
 
+def test_genmodel_rejects_nan_norm_eps(tmp_path):
+    out = str(tmp_path / "model")
+    assert main(["genmodel", "--norm-eps", "nan", "--out", out]) == EXIT_VALIDATION
+    assert not os.path.exists(out)
+
+
+def test_bench_writes_json(pipeline, tmp_path):
+    out = str(tmp_path / "bench.json")
+    assert main(["bench", "--model", pipeline["model"], "--mode", GLA, "--plan", pipeline["plan"],
+                 "--context", "8", "--steps", "2", "--repeats", "3", "--out", out]) == EXIT_OK
+    with open(out, encoding="utf-8") as fh:
+        result = json.load(fh)
+    assert result["mode"] == GLA
+    assert len(result["tokens_per_sec"]) == 3
+    assert result["p10"] <= result["median"] <= result["p90"]
+    assert os.listdir(tmp_path) == ["bench.json"]
+
+
+def test_bench_rejects_empty_context(pipeline, tmp_path):
+    out = str(tmp_path / "bench.json")
+    assert main(["bench", "--model", pipeline["model"], "--mode", "standard",
+                 "--context", "0", "--out", out]) == EXIT_VALIDATION
+    assert not os.path.exists(out)
+
+
 def test_verify_reports_oracle_mismatch(pipeline, monkeypatch, capsys):
     real = oracle.oracle_prefill
 
@@ -158,6 +183,10 @@ HOSTILE = [
     pytest.param("manifest", _set_config("n_layers", 4.0), ManifestError, id="manifest-n_layers-float"),
     pytest.param("manifest", _set_config("vocab_size", 64.7), ManifestError, id="manifest-vocab-float"),
     pytest.param("manifest", _set_config("d_ff", True), ManifestError, id="manifest-d_ff-bool"),
+    pytest.param("manifest", _set_config("norm_eps", float("nan")), ManifestError,
+                 id="manifest-norm_eps-nan"),
+    pytest.param("manifest", _set_config("rope_theta", float("inf")), ManifestError,
+                 id="manifest-rope_theta-inf"),
     pytest.param("jsonl", _line({"tokens": ["a"]}), ValidationError, id="jsonl-token-str"),
     pytest.param("jsonl", _line({"tokens": 5}), ValidationError, id="jsonl-tokens-int"),
     pytest.param("jsonl", _line(5), ValidationError, id="jsonl-record-int"),

@@ -7,7 +7,7 @@ import pytest
 
 from lazyattn import GLA, VLA, kv_savings, meter_run, standard_prefill_flops, verify_flops_savings
 
-from conftest import make_model, random_plan, random_prompt
+from helpers import make_model, random_plan, random_prompt
 
 N_LAYERS = 6
 

@@ -26,7 +26,7 @@ from lazyattn.kernels import matmul, rms_norm, silu
 from lazyattn.model import atomic_write
 from lazyattn.rng import splitmix64
 
-from conftest import make_model
+from helpers import make_model
 
 
 def _checkpoint_bytes(path):

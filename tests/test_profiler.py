@@ -19,7 +19,7 @@ from lazyattn import (
 from lazyattn.profiler import LN2, adjacent_profile_csv
 from lazyattn.viz import render_heatmap_svg
 
-from conftest import make_model
+from helpers import make_model
 
 LN = math.log
 
@@ -210,6 +210,9 @@ def test_head_mean_equals_sequential_float64_sum(shape):
     capture.record(0, head_attn)
     assert np.array_equal(capture.snapshot.matrices[0], expected)
     assert np.array_equal(capture.snapshot.last_rows[0], expected[-1])
+    last_row_only = AttentionCapture()
+    last_row_only.record(0, head_attn)
+    assert np.array_equal(last_row_only.snapshot.last_rows[0], expected[-1])
 
 
 def test_adjacent_and_similarity_view():

@@ -18,7 +18,7 @@ from lazyattn import (
     prune_visual_tokens,
 )
 
-from conftest import make_model, random_plan, random_prompt
+from helpers import make_model, random_plan, random_prompt
 
 
 def two_block_plan(mode, n_layers=6):
@@ -180,7 +180,8 @@ def test_generate_matches_oracle_over_random_plans(model):
         mode = GLA if trial % 2 == 0 else VLA
         plan = random_plan(rng, 6, mode)
         tokens = random_prompt(rng, model.config.vocab_size)
-        ids, _ = generate(model, tokens, 8, plan)
+        logits, store = prefill(model, tokens, plan)
+        ids = generate(model, store, logits[-1], 8)
         assert ids == oracle_full_generate(model, tokens, 8, plan)
 
 
@@ -220,7 +221,7 @@ def test_prune_bookkeeping_through_decode(model, prompt):
     logits, store = prefill(model, prompt, capture=capture)
     prune_visual_tokens(store, capture.snapshot, 2, 0.5)
     steps = 3
-    generate(model, prompt, steps, None, store=store, last_logits=logits[-1])
+    generate(model, store, logits[-1], steps)
     kept = prompt.n_text + 2 + steps
     for l, cache in enumerate(store.layers):
         if l > 2:
@@ -248,7 +249,7 @@ def test_pruned_store_matches_prune_aware_oracle(model, prompt):
         prune_visual_tokens(store, capture.snapshot, 2, 0.5)
         spec = store.prune_record
         twin = store.clone()
-        ids, _ = generate(model, prompt, 6, plan, store=store, last_logits=logits[-1])
+        ids = generate(model, store, logits[-1], 6)
         assert ids == oracle_full_generate(model, prompt, 6, plan, prune=spec)
         assert_decode_matches_oracle(model, prompt, plan, twin, spec)
 
@@ -266,7 +267,7 @@ def test_prune_straddling_block_prunes_with_anchor(model, prompt):
 
     spec = store.prune_record
     twin = store.clone()
-    ids, _ = generate(model, prompt, 5, plan, store=store, last_logits=logits[-1])
+    ids = generate(model, store, logits[-1], 5)
     assert ids == oracle_full_generate(model, prompt, 5, plan, prune=spec)
     assert_decode_matches_oracle(model, prompt, plan, twin, spec)
 
@@ -310,9 +311,9 @@ INTERLEAVED = [
 def test_vla_interleaved_modality_matches_oracle(model, tokens):
 
     plan = two_block_plan(VLA)
-    logits, _ = prefill(model, tokens, plan)
+    logits, store = prefill(model, tokens, plan)
     assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
-    ids, _ = generate(model, tokens, 16, plan)
+    ids = generate(model, store, logits[-1], 16)
     assert ids == oracle_full_generate(model, tokens, 16, plan)
     # layer 0 prunes both blocks (and resets their merge order); layer 2
     # prunes only the block anchored at 4
@@ -321,7 +322,7 @@ def test_vla_interleaved_modality_matches_oracle(model, tokens):
         logits, store = prefill(model, tokens, plan, capture=capture)
         prune_visual_tokens(store, capture.snapshot, layer, 0.5)
         spec = store.prune_record
-        ids, _ = generate(model, tokens, 16, plan, store=store, last_logits=logits[-1])
+        ids = generate(model, store, logits[-1], 16)
         assert ids == oracle_full_generate(model, tokens, 16, plan, prune=spec)
 
 
@@ -348,7 +349,7 @@ def test_vla_clone_mid_decode_copies_merge_state(model):
     tokens = INTERLEAVED[0]
     plan = two_block_plan(VLA)
     logits, store = prefill(model, tokens, plan)
-    generate(model, tokens, 4, plan, store=store, last_logits=logits[-1])
+    generate(model, store, logits[-1], 4)
     twin = store.clone()
     feed = [5, 17, 3, 40, 9]
     ours = [decode(model, store, t) for t in feed]
