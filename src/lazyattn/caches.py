@@ -1,19 +1,21 @@
 """Cache structures for the three runtimes.
 
 Layer roles come from the plan: standard layers and block anchors own a full
-post-rotation K cache plus a V cache; GLA lazy layers own no K at all (reads
-resolve to their anchor); VLA lazy layers own K rows only for TEXT positions
-and read visual K from their anchor. Every layer owns its full V cache.
+post-rotation K cache plus a V cache; a lazy layer owns K rows only for its
+own positions and reads the shared ones from its anchor. Which prompt rows
+are shared is decided once, by the store: every row under GLA, the visual
+rows under VLA. Every layer owns its full V cache.
 Each cache is one (n_heads, L, d_head) array (`GrowableHeads`), so a layer
 step appends, reads and prunes all heads at once.
 
-Positions live in the store alone: the prompt's modality, the sequence
-length and at most one prune record (a store is pruned at most once). A
-layer's rows are all positions, or all but the removed ones, ascending; a
-lazy layer prunes with its anchor, so its row i is its anchor's row i.
+Positions live in the store alone: the prompt's modality, its shared/own
+split, the sequence length and at most one prune record (a store is pruned
+at most once). A layer's rows are all positions, or all but the removed
+ones, ascending; a lazy layer prunes with its anchor, so its row i is its
+anchor's row i.
 
 The Q cache is block-scoped: it holds at most one block's anchor queries at
-any moment (the full sequence during prefill, a single row during GLA
+any moment (the shared prompt rows during prefill, a single row during GLA
 decode) and is released once prefill ends. Byte accounting everywhere is
 logical: stored elements times 4, independent of buffer capacity.
 """
@@ -109,26 +111,27 @@ def _block(idx: np.ndarray) -> np.ndarray | slice:
 
 
 class RowSplit:
-    """Which rows of a layout are visual and which are text; each index is
-    a slice when it is one ascending run (as for a leading visual span)."""
+    """Which rows of a layout a lazy layer shares with its anchor and which
+    it owns; each index is a slice when it is one ascending run (as for a
+    leading visual span)."""
 
-    __slots__ = ("visual", "text", "n_visual", "n_text")
+    __slots__ = ("shared", "own", "n_shared", "n_own")
 
-    def __init__(self, is_visual: np.ndarray):
-        self.visual = _block(np.flatnonzero(is_visual))
-        self.text = _block(np.flatnonzero(~is_visual))
-        self.n_visual = int(np.count_nonzero(is_visual))
-        self.n_text = len(is_visual) - self.n_visual
+    def __init__(self, is_shared: np.ndarray):
+        self.shared = _block(np.flatnonzero(is_shared))
+        self.own = _block(np.flatnonzero(~is_shared))
+        self.n_shared = int(np.count_nonzero(is_shared))
+        self.n_own = len(is_shared) - self.n_shared
 
 
 class LayerCache:
     """One layer's K/V store: one (n_heads, L, d_head) array each for keys
-    and values, plus the visual/text split of its prompt rows (the store's,
-    replaced by the shared pruned split when the layer prunes). A VLA lazy
-    layer's keys are its text rows only."""
+    and values, plus the shared/own split of its prompt rows (the store's,
+    replaced by the pruned split when the layer prunes). A lazy layer's
+    keys are its own rows only."""
 
-    def __init__(self, n_heads: int, d_head: int, own_keys: bool, split: RowSplit):
-        self.keys = GrowableHeads(n_heads, d_head) if own_keys else None
+    def __init__(self, n_heads: int, d_head: int, split: RowSplit):
+        self.keys = GrowableHeads(n_heads, d_head)
         self.values = GrowableHeads(n_heads, d_head)
         self.split = split
 
@@ -137,30 +140,31 @@ class LayerCache:
         return len(self.values)
 
     def append_keys(self, k: np.ndarray) -> None:
-        if self.keys is None:
-            raise ValidationError("layer owns no key cache")
         self.keys.append(k)
 
     def append_values(self, v: np.ndarray) -> None:
         self.values.append(v)
 
     def merged_keys(self, anchor: "LayerCache") -> np.ndarray:
-        """Own text keys merged with the anchor's visual keys, (n_heads, L,
-        d_head) in position order. The split places the prompt rows (row i
-        of the anchor is row i here); decoded rows follow as one block."""
+        """Own keys merged with the anchor's shared keys, (n_heads, L,
+        d_head) in position order: the anchor's keys themselves when the
+        layer owns none. The split places the prompt rows (row i of the
+        anchor is row i here); decoded rows follow as one block."""
+        if not len(self.keys):
+            return anchor.keys.data
         split = self.split
         own = self.keys.data
         n_heads, n_own, d_head = own.shape
-        head = split.n_visual + split.n_text  # rows the split covers
-        out = np.empty((n_heads, head + n_own - split.n_text, d_head), dtype=np.float32)
-        out[:, split.visual] = anchor.keys.data[:, split.visual]
-        out[:, split.text] = own[:, : split.n_text]
-        out[:, head:] = own[:, split.n_text :]
+        head = split.n_shared + split.n_own  # rows the split covers
+        out = np.empty((n_heads, head + n_own - split.n_own, d_head), dtype=np.float32)
+        out[:, split.shared] = anchor.keys.data[:, split.shared]
+        out[:, split.own] = own[:, : split.n_own]
+        out[:, head:] = own[:, split.n_own :]
         return out
 
     @property
     def key_bytes(self) -> int:
-        return self.keys.nbytes if self.keys is not None else 0
+        return self.keys.nbytes
 
     @property
     def value_bytes(self) -> int:
@@ -171,9 +175,9 @@ class LayerCache:
         return self.key_bytes + self.value_bytes
 
     def prune(self, keep: np.ndarray, split: RowSplit) -> None:
-        """Keep the given rows (ascending). A prune removes a visual row, so
-        text-only keys are shorter than the values and keep all theirs."""
-        if self.keys is not None and len(self.keys) == len(self.values):
+        """Keep the given rows (ascending). A prune removes a shared row, so
+        own-row keys are shorter than the values and keep all theirs."""
+        if len(self.keys) == len(self.values):
             self.keys.keep_rows(keep)
         self.values.keep_rows(keep)
         self.split = split
@@ -229,16 +233,20 @@ class PruneRecord:
 
 class CacheStore:
     """All request state for one in-flight sequence. `modality` is True at
-    the prompt's VISUAL positions; decoded tokens are TEXT."""
+    the prompt's VISUAL positions; decoded tokens are TEXT. `shared` is
+    True at the prompt rows a lazy layer takes from its anchor; `split`
+    divides the prompt by it and `decode_split` a decoded row."""
 
     def __init__(self, config: ModelConfig, plan: LazyPlan | None, tokens: TokenSequence):
         self.config = config
         self.mode = plan.mode if plan is not None else "standard"
         self.roles = roles_from_plan(plan, config.n_layers)
         self.modality = np.asarray(tokens.modality) == VISUAL
-        self.split = RowSplit(self.modality)
-        own_keys = [not (r.kind == ROLE_LAZY and self.mode == GLA) for r in self.roles]
-        self.layers = [LayerCache(config.n_heads, config.d_head, k, self.split) for k in own_keys]
+        gla = self.mode == GLA
+        self.shared = np.ones_like(self.modality) if gla else self.modality
+        self.split = RowSplit(self.shared)
+        self.decode_split = RowSplit(np.full(1, gla))
+        self.layers = [LayerCache(config.n_heads, config.d_head, self.split) for _ in self.roles]
         self.qcache = QCache()
         self.seq_len = 0
         self.prune_record: PruneRecord | None = None
@@ -247,21 +255,18 @@ class CacheStore:
     def n_visual(self) -> int:
         """Visual positions the pruned layers keep (all of them unpruned)."""
         removed = 0 if self.prune_record is None else len(self.prune_record.removed)
-        return self.split.n_visual - removed
+        return int(np.count_nonzero(self.modality)) - removed
 
     @property
     def n_text(self) -> int:
         """Text positions after prefill: the prompt's plus every decoded one."""
-        return self.seq_len - self.split.n_visual
+        return self.seq_len - int(np.count_nonzero(self.modality))
 
     def kv_bytes(self) -> int:
         return sum(layer.nbytes for layer in self.layers)
 
     def layer_kv_bytes(self) -> list[tuple[int, int]]:
         return [(layer.key_bytes, layer.value_bytes) for layer in self.layers]
-
-    def anchor_cache(self, role: LayerRole) -> LayerCache:
-        return self.layers[role.anchor_layer]
 
     def clone(self) -> "CacheStore":
         return copy.deepcopy(self)

@@ -77,7 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--max-span", type=int, default=None)
     pl.add_argument("--random", action="store_true")
     pl.add_argument("--layers", type=int, help="model layer count (random plans)")
-    pl.add_argument("--blocks", type=int, help="number of random blocks")
     pl.add_argument("--spans", help="comma list of block spans, e.g. 3,3,4")
     pl.add_argument("--seed", type=int, default=0)
 
@@ -88,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--plan")
     r.add_argument("--steps", type=int, default=8)
     r.add_argument("--prune-layer", type=int, default=None)
-    r.add_argument("--prune-keep", type=float, default=1.0)
+    r.add_argument("--prune-keep", type=float, default=None)
     r.add_argument("--out", default=".", help="directory for cost_report.json")
 
     v = sub.add_parser("verify", help="oracle equivalence on random prompts")
@@ -163,10 +162,13 @@ def cmd_profile(args) -> int:
 
 def cmd_plan(args) -> int:
     if args.random:
-        if args.layers is None or args.blocks is None or args.spans is None:
-            raise ValidationError("--random needs --layers, --blocks and --spans")
-        spans = [int(x) for x in args.spans.split(",") if x]
-        plan = planner.plan_random(args.layers, args.blocks, spans, args.seed, mode=args.mode)
+        if args.layers is None or args.spans is None:
+            raise ValidationError("--random needs --layers and --spans")
+        try:
+            spans = [int(x) for x in args.spans.split(",") if x]
+        except ValueError as exc:
+            raise ValidationError(f"--spans must be a comma list of integers: {exc}") from exc
+        plan = planner.plan_random(args.layers, spans, args.seed, mode=args.mode)
     else:
         if args.sim is None or args.epsilon is None:
             raise ValidationError("threshold planning needs --sim and --epsilon")
@@ -183,6 +185,8 @@ def cmd_plan(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if (args.prune_layer is None) != (args.prune_keep is None):
+        raise ValidationError("--prune-layer and --prune-keep must be given together")
     weights = load_checkpoint(args.model)
     sequences = read_sequences_jsonl(args.input)
     if not sequences:
@@ -276,7 +280,7 @@ def main(argv=None) -> int:
         if exc.case:
             print(f"repro: {json.dumps(exc.case)}", file=sys.stderr)
         return EXIT_ORACLE
-    except (CheckpointError, OSError, json.JSONDecodeError) as exc:
+    except (CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -241,11 +241,8 @@ def save_checkpoint(weights: ModelWeights, path: str) -> None:
 def load_checkpoint(path: str) -> ModelWeights:
     manifest_path = os.path.join(path, MANIFEST_NAME)
     blob_path = os.path.join(path, BLOB_NAME)
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ManifestError(f"unparseable manifest {manifest_path}: {exc}") from exc
+    with open(manifest_path, "rb") as fh:
+        manifest = parse_json(fh.read(), ManifestError, manifest_path)
     if not isinstance(manifest, dict):
         raise ManifestError(f"manifest {manifest_path} is not a JSON object")
 
@@ -305,6 +302,15 @@ def load_checkpoint(path: str) -> ModelWeights:
         return _assemble(config, tensors)
     except ValidationError as exc:
         raise DimensionMismatchError(str(exc)) from exc
+
+
+def parse_json(data: bytes, error: type[Exception], where: str):
+    """`data` parsed as UTF-8 JSON. Bytes that do not decode, malformed JSON
+    and nesting too deep for the parser all raise the caller's `error`."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise error(f"{where}: bad JSON: {exc}") from exc
 
 
 def strict_int(value) -> int:
@@ -380,10 +386,7 @@ def read_sequences_jsonl(path: str) -> list[TokenSequence]:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                raise ValidationError(f"{path}:{lineno}: bad JSON: {exc}") from exc
+            rec = parse_json(line, ValidationError, f"{path}:{lineno}")
             if not isinstance(rec, dict) or "tokens" not in rec:
                 raise ValidationError(f"{path}:{lineno}: missing 'tokens' field")
             try:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import PlanError, ValidationError
-from .model import atomic_write, strict_int
+from .model import atomic_write, parse_json, strict_int
 from .rng import Splitmix
 
 GLA = "gla"
@@ -172,20 +172,16 @@ def plan_from_profile(
 
 
 def plan_random(
-    n_layers: int, n_blocks: int, layers_per_block: list[int], seed: int, mode: str = GLA
+    n_layers: int, layers_per_block: list[int], seed: int, mode: str = GLA
 ) -> LazyPlan:
     """Uniform random disjoint placement of contiguous blocks with given spans.
 
     Block spans are placed left to right in the given order; the free layers
-    are distributed uniformly over the n_blocks+1 gaps (stars and bars), so
-    every feasible placement of the ordered spans is equally likely.
+    are distributed uniformly over the len(layers_per_block)+1 gaps (stars
+    and bars), so every feasible placement of the ordered spans is equally
+    likely.
     """
-    if n_blocks < 0:
-        raise ValidationError("n_blocks must be >= 0")
-    if len(layers_per_block) != n_blocks:
-        raise ValidationError(
-            f"layers_per_block has {len(layers_per_block)} entries for {n_blocks} blocks"
-        )
+    n_blocks = len(layers_per_block)
     for span in layers_per_block:
         if span < 2:
             raise ValidationError("each block needs span >= 2 (anchor plus one lazy layer)")
@@ -230,9 +226,5 @@ def save_plan(plan: LazyPlan, path: str) -> None:
 
 
 def load_plan(path: str) -> LazyPlan:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise PlanError(f"unparseable plan {path}: {exc}") from exc
-    return LazyPlan.from_dict(d)
+    with open(path, "rb") as fh:
+        return LazyPlan.from_dict(parse_json(fh.read(), PlanError, path))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import atomic_write, strict_int
+from .model import atomic_write, parse_json, strict_int
 
 LN2 = math.log(2.0)
 
@@ -206,12 +206,8 @@ def save_profile(profile: SimilarityProfile, path: str) -> None:
 
 
 def load_profile(path: str) -> SimilarityProfile:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            d = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"unparseable profile {path}: {exc}") from exc
-    return SimilarityProfile.from_dict(d)
+    with open(path, "rb") as fh:
+        return SimilarityProfile.from_dict(parse_json(fh.read(), ValidationError, path))
 
 
 def adjacent_profile_csv(profile: SimilarityProfile) -> str:

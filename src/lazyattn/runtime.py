@@ -1,4 +1,4 @@
-"""Prefill and decode for all three modes: standard, GLA, and VLA.
+"""Prefill and decode for the standard runtime and both lazy modes.
 
 `prefill(weights, tokens, plan)` picks the mode from the plan (None is the
 standard runtime) and builds the cache store; `decode(weights, store, token)`
@@ -8,28 +8,27 @@ steps)` is the one greedy loop: it continues a store that a prefill filled,
 and a prune possibly cut, from the prefill's last logits.
 
 Prefill and decode run the same head-batched layer step, `_layer`, over a
-chunk of rows and their visual/text split: prefill passes the s prompt rows
-with the store's prompt split, decode one new row that is always TEXT.
-Positions live in the store (see `caches`); no layer keeps its own. Each
-layer's K/V cache is one (n_heads, L, d_head) array, so rotary runs once
-per layer and attention for all heads is one scores product, one masked
-softmax over (n_heads, rows, L) and one weighted sum. A layer's role under
-the active plan decides where its queries and keys come from:
+chunk of rows and their shared/own split: prefill passes the s prompt rows
+with the store's prompt split, decode one new row with the store's
+`decode_split`. Positions live in the store (see `caches`); no layer keeps
+its own. Each layer's K/V cache is one (n_heads, L, d_head) array, so
+rotary runs once per layer and attention for all heads is one scores
+product, one masked softmax over (n_heads, rows, L) and one weighted sum.
+A layer's role under the active plan decides where its queries and keys
+come from:
 
-  standard/anchor  project Q and K themselves (keys cached post-rotation);
-                   anchors additionally publish Q to the block's Q cache
-                   (all rows under GLA, the visual rows under VLA)
-  lazy + GLA       skip the Q/K projections and rotation entirely; read the
-                   anchor's Q from the Q cache and the anchor's K cache
-  lazy + VLA       project Q/K for TEXT rows only (at their original
-                   sequence positions); visual rows take the anchor's Q from
-                   the Q cache, and K is the layer's text keys merged with
-                   the anchor's visual keys in position order
+  standard/anchor  project Q and K for every row (keys cached post-rotation);
+                   anchors additionally publish the shared rows' Q to the
+                   block's Q cache
+  lazy             project Q and K for its own rows only (at their original
+                   sequence positions), and none when it owns no row; shared
+                   rows take the anchor's Q from the Q cache, and K is the
+                   layer's own keys merged with the anchor's shared keys in
+                   position order (see `LayerCache.merged_keys`)
 
-Values, the output projection, and the MLP are always computed per layer.
-A decoded token is TEXT: under GLA lazy layers reuse the anchor's fresh
-query and key, under VLA every layer projects the new token itself and its
-key follows the merged prompt keys (see `LayerCache.merged_keys`).
+The store alone decides which rows are shared (see `caches`), so nothing
+here tests the mode. Values, the output projection, and the MLP are always
+computed per layer.
 
 A FastV-style pruning hook drops the lowest-attention visual positions from
 every cache that lives past a chosen layer. A lazy block prunes with its
@@ -56,7 +55,7 @@ from .kernels import (
     silu,
 )
 from .model import ModelWeights, TokenSequence
-from .planner import GLA, LazyPlan
+from .planner import LazyPlan
 
 
 def _validate_tokens(tokens: TokenSequence, vocab_size: int) -> None:
@@ -72,10 +71,6 @@ def _record(meter, label: str, m: int, k: int, n: int) -> None:
         meter.record(label, m, k, n)
 
 
-# A decoded token is one TEXT row.
-_DECODE_ROWS = RowSplit(np.zeros(1, dtype=bool))
-
-
 def _project(weights: ModelWeights, xn: np.ndarray, w: np.ndarray, positions: np.ndarray):
     """Rotated per-head projection of the rows of xn, as (n_heads, rows, d_head)."""
     config = weights.config
@@ -86,7 +81,7 @@ def _project(weights: ModelWeights, xn: np.ndarray, w: np.ndarray, positions: np
 
 def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, capture, meter):
     """One decoder layer over the rows after the store's `seq_len`, whose
-    visual/text split is `split`; appends their K/V to the layer's caches
+    shared/own split is `split`; appends their K/V to the layer's caches
     and returns the layer output."""
     config = weights.config
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
@@ -101,34 +96,30 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, c
     _record(meter, "attn_v", rows, d, d)
     cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2))
 
-    if role.kind != ROLE_LAZY:
-        q = _project(weights, xn, lw.wq, positions)
-        _record(meter, "attn_q", rows, d, d)
-        k = _project(weights, xn, lw.wk, positions)
-        _record(meter, "attn_k", rows, d, d)
+    lazy = role.kind == ROLE_LAZY
+    own = split.own if lazy else slice(None)
+    n_own = split.n_own if lazy else rows
+    if n_own:
+        xo = xn[own]
+        q = _project(weights, xo, lw.wq, positions[own])
+        _record(meter, "attn_q", n_own, d, d)
+        k = _project(weights, xo, lw.wk, positions[own])
+        _record(meter, "attn_k", n_own, d, d)
         cache.append_keys(k)
+    if not lazy:
         keys = cache.keys.data
-        if role.kind == ROLE_ANCHOR:
-            shared = q if store.mode == GLA else q[:, split.visual]
-            if shared.shape[1]:
-                store.qcache.publish(role.block, shared)
-    elif store.mode == GLA:
-        q = store.qcache.read(role.block)
-        keys = store.anchor_cache(role).keys.data
-    else:  # VLA lazy layer
-        text = split.text
-        xt = xn[text]
-        qt = _project(weights, xt, lw.wq, positions[text])
-        _record(meter, "attn_q", len(xt), d, d)
-        kt = _project(weights, xt, lw.wk, positions[text])
-        _record(meter, "attn_k", len(xt), d, d)
-        cache.append_keys(kt)
-        q = qt
-        if split.n_visual:
-            q = np.empty((n_heads, rows, d_head), dtype=np.float32)
-            q[:, text] = qt
-            q[:, split.visual] = store.qcache.read(role.block)
-        keys = cache.merged_keys(store.anchor_cache(role))
+        if role.kind == ROLE_ANCHOR and split.n_shared:
+            store.qcache.publish(role.block, q[:, split.shared])
+    else:
+        keys = cache.merged_keys(store.layers[role.anchor_layer])
+        if split.n_shared:
+            shared_q = store.qcache.read(role.block)
+            if n_own:
+                own_q, q = q, np.empty((n_heads, rows, d_head), dtype=np.float32)
+                q[:, own] = own_q
+                q[:, split.shared] = shared_q
+            else:
+                q = shared_q
 
     n_keys = keys.shape[1]
     scores = head_matmul(q, keys.transpose(0, 2, 1))
@@ -191,7 +182,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     if not 0 <= next_token < weights.config.vocab_size:
         raise ValidationError(f"token id {next_token} outside vocabulary")
-    logits = _forward(weights, store, [next_token], _DECODE_ROWS, None, meter)
+    logits = _forward(weights, store, [next_token], store.decode_split, None, meter)
     store.seq_len += 1
     return logits[0]
 
@@ -242,7 +233,7 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
     removed = sorted(ranked[keep_count:])
 
     keep = np.delete(np.arange(store.seq_len), removed)
-    split = RowSplit(np.delete(store.modality, removed))
+    split = RowSplit(np.delete(store.shared, removed))
     for l, role in enumerate(store.roles):
         ref = l if role.anchor_layer is None else role.anchor_layer
         if ref > layer:

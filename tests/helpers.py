@@ -23,14 +23,29 @@ def make_model(n_layers=6, n_heads=2, d_model=32, d_ff=64, vocab_size=96, seed=0
     return init_synthetic_model(config, seed)
 
 
-def random_prompt(rng: np.random.Generator, vocab_size: int, length=None, visual_fraction=None):
+def random_prompt(
+    rng: np.random.Generator, vocab_size: int, length=None, visual_fraction=None, layout="leading"
+):
+    """A prompt whose visual rows lead (`leading`), form one run with text on
+    both sides (`mid`), or sit at every other position first (`alternating`)."""
     if length is None:
         length = int(rng.integers(4, 13))
     if visual_fraction is None:
         visual_fraction = float(rng.choice([0.0, 0.25, 0.5, 0.75]))
     ids = rng.integers(0, vocab_size, size=length).tolist()
     n_visual = min(int(round(visual_fraction * length)), length - 1)
-    modality = [1] * n_visual + [0] * (length - n_visual)
+    if layout == "leading":
+        order = list(range(length))
+    elif layout == "mid":
+        start = (length - n_visual + 1) // 2
+        order = list(range(start, length))
+    elif layout == "alternating":
+        order = list(range(1, length, 2)) + list(range(0, length, 2))
+    else:
+        raise ValueError(f"unknown layout {layout!r}")
+    modality = [0] * length
+    for p in order[:n_visual]:
+        modality[p] = 1
     return TokenSequence(ids, modality)
 
 

@@ -109,6 +109,29 @@ def test_bench_rejects_empty_context(pipeline, tmp_path):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("flag", [["--prune-layer", "1"], ["--prune-keep", "0.5"]],
+                         ids=["layer-only", "keep-only"])
+def test_prune_flag_alone_is_rejected(pipeline, tmp_path, flag):
+    """A prune needs both its layer and its keep ratio; either alone would
+    run unpruned."""
+    out = str(tmp_path / "out")
+    assert main(["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
+                 "--mode", "standard", *flag, "--out", out]) == EXIT_VALIDATION
+    assert not os.path.exists(out)
+
+
+def test_random_plan_rejects_non_integer_spans(tmp_path):
+    out = str(tmp_path / "plan.json")
+    assert main(["plan", "--mode", GLA, "--random", "--layers", "8", "--spans", "a",
+                 "--out", out]) == EXIT_VALIDATION
+    assert main(["plan", "--mode", GLA, "--random", "--layers", "8", "--spans", "3",
+                 "--blocks", "1", "--out", out]) == EXIT_VALIDATION
+    assert not os.path.exists(out)
+    assert main(["plan", "--mode", GLA, "--random", "--layers", "8", "--spans", "3,2",
+                 "--out", out]) == EXIT_OK
+    assert len(load_plan(out).blocks) == 2
+
+
 def test_verify_reports_oracle_mismatch(pipeline, monkeypatch, capsys):
     real = oracle.oracle_prefill
 
@@ -172,6 +195,7 @@ def _line(record):
 
 
 UNDECODABLE = b"\xff\xfe{\n"
+DEEP = b"[" * 200000
 
 HOSTILE = [
     pytest.param("manifest", _set_config("n_layers", "x"), ManifestError, id="manifest-n_layers-str"),
@@ -187,6 +211,7 @@ HOSTILE = [
                  id="manifest-norm_eps-nan"),
     pytest.param("manifest", _set_config("rope_theta", float("inf")), ManifestError,
                  id="manifest-rope_theta-inf"),
+    pytest.param("manifest", DEEP, ManifestError, id="manifest-deep"),
     pytest.param("jsonl", _line({"tokens": ["a"]}), ValidationError, id="jsonl-token-str"),
     pytest.param("jsonl", _line({"tokens": 5}), ValidationError, id="jsonl-tokens-int"),
     pytest.param("jsonl", _line(5), ValidationError, id="jsonl-record-int"),
@@ -195,15 +220,18 @@ HOSTILE = [
     pytest.param("jsonl", _line({"tokens": [True, 1]}), ValidationError, id="jsonl-token-bool"),
     pytest.param("jsonl", _line({"tokens": [1, 2], "modality": [0, False]}), ValidationError,
                  id="jsonl-modality-bool"),
+    pytest.param("jsonl", DEEP, ValidationError, id="jsonl-deep"),
     pytest.param("plan", _set("n_layers", "x"), PlanError, id="plan-n_layers-str"),
     pytest.param("plan", UNDECODABLE, PlanError, id="plan-undecodable"),
     pytest.param("plan", _set("n_layers", 4.9), PlanError, id="plan-n_layers-float"),
     pytest.param("plan", _set_anchor(False), PlanError, id="plan-anchor-bool"),
+    pytest.param("plan", DEEP, PlanError, id="plan-deep"),
     pytest.param("profile", _set("S", "zz"), ValidationError, id="profile-S-str"),
     pytest.param("profile", _set_cell("a"), ValidationError, id="profile-cell-str"),
     pytest.param("profile", UNDECODABLE, ValidationError, id="profile-undecodable"),
     pytest.param("profile", _set("n_layers", 4.0), ValidationError, id="profile-n_layers-float"),
     pytest.param("profile", _set("n_samples", True), ValidationError, id="profile-n_samples-bool"),
+    pytest.param("profile", DEEP, ValidationError, id="profile-deep"),
 ]
 
 
@@ -241,3 +269,74 @@ def test_hostile_input_maps_to_error_taxonomy(pipeline, tmp_path, kind, edit, er
         load(bad)
     assert main(argv) == code
     assert not os.path.exists(out)
+
+
+MUTATED = ["manifest", "jsonl", "plan", "profile"]
+NEST = "\u0000nest\u0000"
+RETYPED = [None, True, "x", 1.5, -1, 10**30, [], {}]
+
+
+def _mutate(rng, doc: bytes) -> tuple[bytes, str]:
+    """One seeded mutation of a JSON document: drop a key or element, give a
+    value another JSON type, nest a value deeply, or truncate the bytes. A
+    drop that lands on the whole document retypes it instead."""
+    kind = ["drop", "retype", "nest", "truncate"][int(rng.integers(4))]
+    if kind == "truncate":
+        cut = int(rng.integers(len(doc)))
+        return doc[:cut], f"truncate at {cut}"
+    root = [json.loads(doc)]
+    parent, key = root, 0
+    while isinstance(parent[key], (dict, list)) and parent[key] and rng.random() < 0.75:
+        parent = parent[key]
+        keys = list(parent) if isinstance(parent, dict) else range(len(parent))
+        key = list(keys)[int(rng.integers(len(keys)))]
+    if kind == "drop" and parent is not root:
+        del parent[key]
+        return json.dumps(root[0]).encode(), f"drop {key!r}"
+    if kind == "nest":
+        depth = int(rng.choice([3, 900, 200000]))
+        parent[key] = NEST
+        text = json.dumps(root[0]).replace(json.dumps(NEST), "[" * depth + "]" * depth)
+        return text.encode(), f"nest {key!r} {depth} deep"
+    value = RETYPED[int(rng.integers(len(RETYPED)))]
+    parent[key] = value
+    return json.dumps(root[0]).encode(), f"set {key!r} to {value!r}"
+
+
+@pytest.mark.parametrize("kind", MUTATED)
+def test_seeded_mutations_exit_cleanly(pipeline, tmp_path, kind):
+    """Randomly damaged inputs end in exit code 0, 1 or 3, never a raise."""
+    rng = np.random.default_rng(MUTATED.index(kind))
+    model, inputs, plan = pipeline["model"], pipeline["inputs"], pipeline["plan"]
+    if kind == "manifest":
+        model = str(tmp_path / "model")
+        shutil.copytree(pipeline["model"], model)
+        bad, source = os.path.join(model, "model.json"), os.path.join(pipeline["model"], "model.json")
+    else:
+        bad = str(tmp_path / "input")
+        source = {"jsonl": inputs, "plan": plan,
+                  "profile": os.path.join(pipeline["prof"], "profile.json")}[kind]
+    with open(source, "rb") as fh:
+        original = fh.read()
+    out = str(tmp_path / "out")
+    if kind == "profile":
+        argv = ["plan", "--mode", GLA, "--sim", bad, "--epsilon", "0.5", "--out", out]
+    else:
+        argv = ["run", "--model", model, "--input", bad if kind == "jsonl" else inputs,
+                "--mode", GLA, "--plan", bad if kind == "plan" else plan, "--steps", "1",
+                "--out", out]
+    for case in range(64):
+        if kind == "jsonl":
+            lines = original.splitlines()
+            i = int(rng.integers(len(lines)))
+            lines[i], what = _mutate(rng, lines[i])
+            data, what = b"\n".join(lines), f"line {i + 1}: {what}"
+        else:
+            data, what = _mutate(rng, original)
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        try:
+            code = main(argv)
+        except Exception as exc:  # any raise fails the test; name the case
+            pytest.fail(f"{kind} case {case} ({what}) raised {exc!r}")
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_IO), f"{kind} case {case} ({what})"

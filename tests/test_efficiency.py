@@ -17,11 +17,19 @@ def model():
     return make_model(n_layers=N_LAYERS, seed=5)
 
 
-@pytest.mark.parametrize("trial", range(6))
-def test_meter_run_lands_on_the_closed_forms(model, trial):
+# Leading visual spans keep their ids; the interleaved layouts put own rows
+# on both sides of (mid) or between (alternating) the shared ones.
+LAYOUTS = [pytest.param(t, "leading", id=str(t)) for t in range(6)] + [
+    pytest.param(t, layout, id=f"{t}-{layout}") for layout in ("mid", "alternating") for t in range(6)
+]
+
+
+@pytest.mark.parametrize("trial,layout", LAYOUTS)
+def test_meter_run_lands_on_the_closed_forms(model, trial, layout):
     rng = np.random.default_rng(100 + trial)
     config = model.config
-    tokens = random_prompt(rng, config.vocab_size, length=int(rng.integers(6, 20)))
+    length = int(rng.integers(6, 20))
+    tokens = random_prompt(rng, config.vocab_size, length=length, layout=layout)
     s, d = len(tokens), config.d_model
     std, _ = meter_run(model, tokens, None)
     assert std.prefill_flops == standard_prefill_flops(config, s)
@@ -40,6 +48,9 @@ def test_meter_run_lands_on_the_closed_forms(model, trial):
     # VLA lazy layers skip Q and K for the visual rows only
     visual_projector = 2 * tokens.n_visual * d * d
     assert std.prefill_flops - vla.prefill_flops == 2 * n_vla * visual_projector
+    # Q projections: a lazy layer runs them for its own rows only
+    assert gla.flops_by_op["attn_q"] == 2 * d * d * (N_LAYERS - n_gla) * s
+    assert vla.flops_by_op["attn_q"] == 2 * d * d * ((N_LAYERS - n_vla) * s + n_vla * tokens.n_text)
 
     # KV: GLA drops n of 2L per-layer K/V halves, VLA their visual rows
     assert Fraction(std.kv_bytes - gla.kv_bytes, std.kv_bytes) == Fraction(n_gla, 2 * N_LAYERS)

@@ -106,28 +106,28 @@ def test_figure_shaped_profile_excludes_edges():
 
 
 def test_plan_random_forced_placement():
-    plan = plan_random(4, 1, [4], seed=123)
+    plan = plan_random(4, [4], seed=123)
     assert blocks_of(plan) == [(0, [1, 2, 3])]
 
 
 def test_plan_random_determinism_and_variety():
-    a = plan_random(12, 2, [3, 2], seed=7)
-    b = plan_random(12, 2, [3, 2], seed=7)
+    a = plan_random(12, [3, 2], seed=7)
+    b = plan_random(12, [3, 2], seed=7)
     assert blocks_of(a) == blocks_of(b)
-    seen = {plan_random(12, 2, [3, 2], seed=s).blocks[0].anchor for s in range(20)}
+    seen = {plan_random(12, [3, 2], seed=s).blocks[0].anchor for s in range(20)}
     assert len(seen) > 1  # placements actually vary with the seed
 
 
 def test_plan_random_infeasible():
     with pytest.raises(ValidationError):
-        plan_random(4, 2, [3, 3], seed=0)
+        plan_random(4, [3, 3], seed=0)
     with pytest.raises(ValidationError):
-        plan_random(4, 1, [1], seed=0)
+        plan_random(4, [1], seed=0)
 
 
 def test_plan_random_valid_over_many_seeds():
     for s in range(25):
-        plan = plan_random(10, 3, [2, 3, 2], seed=s)
+        plan = plan_random(10, [2, 3, 2], seed=s)
         plan.validate()
         assert plan.n_lazy == 4
 
@@ -149,7 +149,7 @@ def test_lazy_fraction_values():
 
 
 def test_plan_roundtrip(tmp_path):
-    plan = plan_random(10, 2, [2, 3], seed=3, mode="vla")
+    plan = plan_random(10, [2, 3], seed=3, mode="vla")
     path = str(tmp_path / "plan.json")
     save_plan(plan, path)
     back = load_plan(path)
