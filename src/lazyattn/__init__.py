@@ -28,7 +28,6 @@ from .errors import (
     ValidationError,
 )
 from .kernels import (
-    CausalMask,
     Matrix,
     apply_rope,
     head_matmul,

@@ -1,10 +1,11 @@
 """Cache structures for the three runtimes.
 
-Layer roles come from the plan: standard layers and block anchors own a full
-post-rotation K cache plus a V cache; a lazy layer owns K rows only for its
-own positions and reads the shared ones from its anchor. Which prompt rows
-are shared is decided once, by the store: every row under GLA, the visual
-rows under VLA. Every layer owns its full V cache.
+Each layer's anchor comes from the plan (`planner.layer_anchors`): a layer
+whose anchor is itself owns a full post-rotation K cache; a lazy layer, whose
+anchor is an earlier layer, owns K rows only for its own positions and reads
+the shared ones from its anchor. Which prompt rows are shared is decided
+once, by the store: every row under GLA, the visual rows under VLA. Every
+layer owns its full V cache.
 Each cache is one (n_heads, L, d_head) array (`GrowableHeads`), so a layer
 step appends, reads and prunes all heads at once.
 
@@ -14,7 +15,7 @@ at most once). A layer's rows are all positions, or all but the removed
 ones, ascending; a lazy layer prunes with its anchor, so its row i is its
 anchor's row i.
 
-The Q cache is block-scoped: it holds at most one block's anchor queries at
+The Q cache is block-scoped: it holds at most one anchor's queries at
 any moment (the shared prompt rows during prefill, a single row during GLA
 decode) and is released once prefill ends. Byte accounting everywhere is
 logical: stored elements times 4, independent of buffer capacity.
@@ -28,36 +29,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import VISUAL, ModelConfig, TokenSequence
-from .planner import GLA, LazyPlan
-
-ROLE_STANDARD = "standard"
-ROLE_ANCHOR = "anchor"
-ROLE_LAZY = "lazy"
-
-
-class LayerRole:
-    __slots__ = ("kind", "block", "anchor_layer")
-
-    def __init__(self, kind: str, block: int | None = None, anchor_layer: int | None = None):
-        self.kind = kind
-        self.block = block
-        self.anchor_layer = anchor_layer
-
-
-def roles_from_plan(plan: LazyPlan | None, n_layers: int) -> list[LayerRole]:
-    roles = [LayerRole(ROLE_STANDARD) for _ in range(n_layers)]
-    if plan is None:
-        return roles
-    plan.validate()
-    if plan.n_layers != n_layers:
-        raise ValidationError(
-            f"plan covers {plan.n_layers} layers but the model has {n_layers}"
-        )
-    for b, block in enumerate(plan.blocks):
-        roles[block.anchor] = LayerRole(ROLE_ANCHOR, block=b, anchor_layer=block.anchor)
-        for l in block.lazy_layers:
-            roles[l] = LayerRole(ROLE_LAZY, block=b, anchor_layer=block.anchor)
-    return roles
+from .planner import GLA, LazyPlan, layer_anchors
 
 
 class GrowableHeads:
@@ -186,31 +158,31 @@ class LayerCache:
 class QCache:
     """The block-shared query cache.
 
-    Holds at most one block's anchor queries at a time, as one
-    (n_heads, n, d_head) array; publish() on a new block overwrites the
-    previous one. Peak logical bytes are tracked so the 1/(2N) overhead
-    bound can be checked against real occupancy.
+    Holds at most one anchor layer's queries at a time, as one
+    (n_heads, n, d_head) array, tagged by that anchor's index; publish() by
+    the next anchor overwrites them. Peak logical bytes are tracked so the
+    1/(2N) overhead bound can be checked against real occupancy.
     """
 
     def __init__(self):
-        self.block: int | None = None
+        self.anchor: int | None = None
         self.q_heads: np.ndarray | None = None
         self.peak_bytes = 0
 
-    def publish(self, block: int, q_heads: np.ndarray) -> None:
-        self.block = block
+    def publish(self, anchor: int, q_heads: np.ndarray) -> None:
+        self.anchor = anchor
         self.q_heads = q_heads
         self.peak_bytes = max(self.peak_bytes, self.nbytes)
 
-    def read(self, block: int) -> np.ndarray:
-        if self.q_heads is None or self.block != block:
+    def read(self, anchor: int) -> np.ndarray:
+        if self.q_heads is None or self.anchor != anchor:
             raise ValidationError(
-                f"Q cache holds block {self.block}, layer asked for block {block}"
+                f"Q cache holds layer {self.anchor}'s queries, layer asked for layer {anchor}'s"
             )
         return self.q_heads
 
     def release(self) -> None:
-        self.block = None
+        self.anchor = None
         self.q_heads = None
 
     @property
@@ -220,7 +192,7 @@ class QCache:
 
 class PruneRecord:
     """What the one visual-token pruning pass removed. The oracle replays it:
-    at layers whose block reference exceeds `layer`, query rows at positions
+    at layers whose anchor exceeds `layer`, query rows at positions
     >= prompt_len attend only to columns not in `removed`."""
 
     __slots__ = ("layer", "removed", "prompt_len")
@@ -235,18 +207,18 @@ class CacheStore:
     """All request state for one in-flight sequence. `modality` is True at
     the prompt's VISUAL positions; decoded tokens are TEXT. `shared` is
     True at the prompt rows a lazy layer takes from its anchor; `split`
-    divides the prompt by it and `decode_split` a decoded row."""
+    divides the prompt by it and `decode_split` a decoded row. `anchors[l]`
+    is layer l's anchor (see `planner.layer_anchors`)."""
 
     def __init__(self, config: ModelConfig, plan: LazyPlan | None, tokens: TokenSequence):
         self.config = config
-        self.mode = plan.mode if plan is not None else "standard"
-        self.roles = roles_from_plan(plan, config.n_layers)
+        self.anchors = layer_anchors(plan, config.n_layers)
         self.modality = np.asarray(tokens.modality) == VISUAL
-        gla = self.mode == GLA
+        gla = plan is not None and plan.mode == GLA
         self.shared = np.ones_like(self.modality) if gla else self.modality
         self.split = RowSplit(self.shared)
         self.decode_split = RowSplit(np.full(1, gla))
-        self.layers = [LayerCache(config.n_heads, config.d_head, self.split) for _ in self.roles]
+        self.layers = [LayerCache(config.n_heads, config.d_head, self.split) for _ in self.anchors]
         self.qcache = QCache()
         self.seq_len = 0
         self.prune_record: PruneRecord | None = None

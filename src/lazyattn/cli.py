@@ -3,8 +3,9 @@
 Every command validates its inputs before any side effect and writes output
 files through `model.atomic_write` (a unique temp file, then a rename), so
 failures never leave partial artifacts. All randomness flows from explicit
---seed flags. The library takes the mode from the plan; `run`, `verify` and
-`bench` only check that a --plan file holds the --mode they were given.
+--seed flags. A mode is chosen once, by `plan --mode`; `run`, `verify` and
+`bench` run the mode of their --plan file, or the standard runtime without
+one.
 
 Exit codes: 0 success, 1 validation/usage error, 2 oracle mismatch, 3 I/O or
 checkpoint error.
@@ -38,6 +39,11 @@ EXIT_IO = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    # Subparsers are built by this class too, so none of them takes an
+    # abbreviated flag: without that, `run --mode gla` would read as --model.
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     # argparse exits with code 2 on usage errors; that code is reserved for
     # oracle mismatches here, so remap usage problems to the validation code.
     def error(self, message):
@@ -83,8 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="generate tokens and write a cost report")
     r.add_argument("--model", required=True)
     r.add_argument("--input", required=True, help="JSONL; first record is the prompt")
-    r.add_argument("--mode", choices=["standard", GLA, VLA], required=True)
-    r.add_argument("--plan")
+    r.add_argument("--plan", help="lazy plan JSON, whose mode runs (standard without one)")
     r.add_argument("--steps", type=int, default=8)
     r.add_argument("--prune-layer", type=int, default=None)
     r.add_argument("--prune-keep", type=float, default=None)
@@ -92,16 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="oracle equivalence on random prompts")
     v.add_argument("--model", required=True)
-    v.add_argument("--mode", choices=["standard", GLA, VLA], required=True)
-    v.add_argument("--plan")
+    v.add_argument("--plan", help="lazy plan JSON, whose mode runs (standard without one)")
     v.add_argument("--cases", type=int, default=10)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--steps", type=int, default=8)
 
     b = sub.add_parser("bench", help="decode throughput benchmark")
     b.add_argument("--model", required=True)
-    b.add_argument("--mode", choices=["standard", GLA, VLA], required=True)
-    b.add_argument("--plan")
+    b.add_argument("--plan", help="lazy plan JSON, whose mode runs (standard without one)")
     b.add_argument("--context", type=int, required=True)
     b.add_argument("--steps", type=int, default=32)
     b.add_argument("--repeats", type=int, default=5)
@@ -110,17 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--out", required=True, help="JSON path")
 
     return p
-
-
-def _load_plan_for_mode(args) -> planner.LazyPlan | None:
-    if args.mode == "standard":
-        return None
-    if not args.plan:
-        raise ValidationError(f"--mode {args.mode} requires --plan")
-    plan = planner.load_plan(args.plan)
-    if plan.mode != args.mode:
-        raise ValidationError(f"plan file is mode {plan.mode!r}, command asked for {args.mode!r}")
-    return plan
 
 
 def cmd_genmodel(args) -> int:
@@ -192,7 +184,7 @@ def cmd_run(args) -> int:
     if not sequences:
         raise ValidationError(f"input file {args.input} holds no sequences")
     tokens = sequences[0]
-    plan = _load_plan_for_mode(args)
+    plan = planner.load_plan(args.plan) if args.plan is not None else None
     if args.steps < 0:
         raise ValidationError("--steps must be >= 0")
 
@@ -214,7 +206,7 @@ def cmd_verify(args) -> int:
     if args.cases < 1:
         raise ValidationError("--cases must be >= 1")
     weights = load_checkpoint(args.model)
-    plan = _load_plan_for_mode(args)
+    plan = planner.load_plan(args.plan) if args.plan is not None else None
     vocab = weights.config.vocab_size
     draws = rng.splitmix64(args.seed, 0, 3 * args.cases)
     for case in range(args.cases):
@@ -236,7 +228,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     weights = load_checkpoint(args.model)
-    plan = _load_plan_for_mode(args)
+    plan = planner.load_plan(args.plan) if args.plan is not None else None
     result = efficiency.bench_decode(
         weights,
         plan,

@@ -120,7 +120,7 @@ def cost_report(
     beta = projector_flops / total if total else 0.0
 
     return CostReport(
-        mode=store.mode,
+        mode=plan.mode if plan is not None else STANDARD,
         seq_len=store.seq_len,
         n_text=store.n_text,
         n_visual=store.n_visual,

@@ -22,7 +22,6 @@ so the same position always yields the same bits regardless of batch shape;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +31,6 @@ from .errors import ValidationError
 Matrix = np.ndarray
 
 F32 = np.float32
-
-
-@dataclass(frozen=True)
-class CausalMask:
-    """Lower-triangular visibility: row i sees columns j <= i + row_offset.
-
-    row_offset=0 is the square prefill mask; a single decode row over L
-    cached positions uses row_offset=L-1 (everything visible).
-    """
-
-    row_offset: int = 0
 
 
 def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,8 +64,12 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_gemv(a, b)
 
 
-def masked_softmax_rows(logits: np.ndarray, mask: CausalMask | None, scale: float) -> np.ndarray:
+def masked_softmax_rows(logits: np.ndarray, row_offset: int | None, scale: float) -> np.ndarray:
     """Softmax of scale*logits along the last axis with causal masking.
+
+    With a `row_offset`, row i sees columns j <= i + row_offset: 0 is the
+    square prefill mask. None masks nothing (a single decode row sees every
+    cached position).
 
     `logits` is (rows, cols) or stacked (..., rows, cols), e.g. one
     (H, rows, cols) block for all heads; every row gets the bits it would
@@ -89,18 +81,18 @@ def masked_softmax_rows(logits: np.ndarray, mask: CausalMask | None, scale: floa
         raise ValidationError(f"softmax scale must be positive, got {scale}")
     if logits.ndim < 2:
         raise ValidationError(f"logits must be at least 2-D, got shape {logits.shape}")
-    if mask is not None and mask.row_offset < 0:
+    if row_offset is not None and row_offset < 0:
         raise ValidationError("row_offset must be non-negative (every row needs a visible column)")
     rows, cols = logits.shape[-2:]
     scaled = logits * F32(scale)
-    if mask is not None:
+    if row_offset is not None:
         col = np.arange(cols)
-        row = np.arange(rows)[:, None] + mask.row_offset
+        row = np.arange(rows)[:, None] + row_offset
         visible = col[None, :] <= row
         scaled = np.where(visible, scaled, F32(-np.inf))
     m = np.max(scaled, axis=-1, keepdims=True)
     e = np.exp(scaled - m)
-    if mask is not None:
+    if row_offset is not None:
         e = np.where(visible, e, F32(0.0))
     denom = np.sum(e, axis=-1, keepdims=True)
     return e / denom

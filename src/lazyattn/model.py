@@ -17,7 +17,7 @@ import contextlib
 import json
 import os
 import secrets
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,18 +60,6 @@ class ModelConfig:
         # NaN fails every comparison, so this rejects it along with infinity.
         if not (0 < self.rope_theta < np.inf and 0 < self.norm_eps < np.inf):
             raise ValidationError("rope_theta and norm_eps must be finite and positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_model": self.d_model,
-            "d_head": self.d_head,
-            "d_ff": self.d_ff,
-            "vocab_size": self.vocab_size,
-            "rope_theta": self.rope_theta,
-            "norm_eps": self.norm_eps,
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
@@ -230,7 +218,7 @@ def save_checkpoint(weights: ModelWeights, path: str) -> None:
         blobs.append(raw)
     manifest = {
         "dtype": _DTYPE_TAG,
-        "config": weights.config.to_dict(),
+        "config": asdict(weights.config),
         "tensors": table,
         "total_bytes": offset,
     }
@@ -268,15 +256,15 @@ def load_checkpoint(path: str) -> ModelWeights:
             raise ManifestError(f"tensor entry for {name!r} is not a JSON object: {entry!r}")
         if entry.get("name") != name:
             raise ManifestError(f"unexpected tensor {entry.get('name')!r}, wanted {name!r}")
-        if entry.get("shape") != list(shape):
+        if not _exact_ints(entry.get("shape"), list(shape)):
             raise DimensionMismatchError(
                 f"tensor {name}: manifest shape {entry.get('shape')} does not match "
                 f"config-derived shape {list(shape)}"
             )
-        if entry.get("offset") != offset:
+        if not _exact_ints(entry.get("offset"), offset):
             raise ManifestError(f"tensor {name}: non-contiguous offset {entry.get('offset')}")
         offset += int(np.prod(shape)) * 4
-    if manifest.get("total_bytes") != offset:
+    if not _exact_ints(manifest.get("total_bytes"), offset):
         raise DimensionMismatchError(
             f"manifest total_bytes {manifest.get('total_bytes')} != expected {offset}"
         )
@@ -302,6 +290,13 @@ def load_checkpoint(path: str) -> ModelWeights:
         return _assemble(config, tensors)
     except ValidationError as exc:
         raise DimensionMismatchError(str(exc)) from exc
+
+
+def _exact_ints(value, expected) -> bool:
+    """`value == expected` (an int or a list of ints), with every number in
+    `value` a JSON integer as read: 16.0 and true are not 16."""
+    items = value if isinstance(value, list) else [value]
+    return value == expected and all(type(n) is int for n in items)
 
 
 def parse_json(data: bytes, error: type[Exception], where: str):

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caches import ROLE_LAZY, PruneRecord, roles_from_plan
+from .caches import PruneRecord
 from .errors import OracleMismatchError, ValidationError
 from .kernels import (
-    CausalMask,
     apply_rope,
     attention_scale,
     masked_softmax_rows,
@@ -27,7 +26,7 @@ from .kernels import (
     silu,
 )
 from .model import TokenSequence
-from .planner import GLA, LazyPlan
+from .planner import GLA, LazyPlan, layer_anchors
 from .runtime import _validate_tokens, decode, generate, prefill
 
 
@@ -66,9 +65,7 @@ def oracle_prefill(
     s = len(tokens)
     positions = list(range(s))
     scale = attention_scale(d_head)
-    mask = CausalMask(0)
-    roles = roles_from_plan(plan, config.n_layers)
-    mode = plan.mode if plan is not None else "standard"
+    anchors = layer_anchors(plan, config.n_layers)
 
     text_pos = [i for i, m in enumerate(tokens.modality) if m == 0]
     visual_pos = [i for i, m in enumerate(tokens.modality) if m == 1]
@@ -80,19 +77,17 @@ def oracle_prefill(
 
     for l, lw in enumerate(weights.layers):
         layer_inputs.append(x)
-        role = roles[l]
+        anchor = anchors[l]
         xn = rms_norm(x, lw.attn_gain, config.norm_eps)
         v_heads = _split_heads(matmul(xn, lw.wv), n_heads, d_head)
 
-        if role.kind != ROLE_LAZY:
+        if anchor == l:
             q_heads, k_heads = _layer_qk(weights, l, x, positions)
-        elif mode == GLA:
-            q_heads, k_heads = _layer_qk(weights, role.anchor_layer, layer_inputs[role.anchor_layer], positions)
+        elif plan.mode == GLA:
+            q_heads, k_heads = _layer_qk(weights, anchor, layer_inputs[anchor], positions)
         else:  # VLA: own text rows, anchor visual rows
             own_q, own_k = _layer_qk(weights, l, x, positions)
-            anchor_q, anchor_k = _layer_qk(
-                weights, role.anchor_layer, layer_inputs[role.anchor_layer], positions
-            )
+            anchor_q, anchor_k = _layer_qk(weights, anchor, layer_inputs[anchor], positions)
             q_heads, k_heads = [], []
             for h in range(n_heads):
                 qf = np.empty((s, d_head), dtype=np.float32)
@@ -104,12 +99,12 @@ def oracle_prefill(
                 q_heads.append(qf)
                 k_heads.append(kf)
 
-        restricted = _pruned_at_layer(roles, l, prune)
+        restricted = prune is not None and anchor > prune.layer
         out_heads = []
         for h in range(n_heads):
             if not restricted:
                 scores = matmul(q_heads[h], k_heads[h].T)
-                attn = masked_softmax_rows(scores, mask, scale)
+                attn = masked_softmax_rows(scores, 0, scale)
                 out_heads.append(matmul(attn, v_heads[h]))
             else:
                 out_heads.append(
@@ -128,14 +123,6 @@ def oracle_prefill(
     return matmul(xn, weights.lm_head)
 
 
-def _pruned_at_layer(roles, layer: int, prune: PruneRecord | None) -> bool:
-    if prune is None:
-        return False
-    role = roles[layer]
-    ref = layer if role.anchor_layer is None else role.anchor_layer
-    return ref > prune.layer
-
-
 def _restricted_attention(q_h, k_h, v_h, scale, prune: PruneRecord):
     """Attention where rows >= prompt_len skip removed columns entirely.
 
@@ -151,7 +138,7 @@ def _restricted_attention(q_h, k_h, v_h, scale, prune: PruneRecord):
 
     if boundary > 0:
         scores = matmul(q_h[:boundary], k_h.T)
-        attn = masked_softmax_rows(scores, CausalMask(0), scale)
+        attn = masked_softmax_rows(scores, 0, scale)
         out[:boundary] = matmul(attn, v_h)
 
     kept = [j for j in range(s) if j not in removed]

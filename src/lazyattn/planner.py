@@ -104,6 +104,8 @@ class LazyPlan:
     @staticmethod
     def from_dict(d: dict) -> "LazyPlan":
         try:
+            if not isinstance(d["blocks"], list):
+                raise TypeError(f"blocks must be a list, got {d['blocks']!r}")
             blocks = [
                 LazyBlock(strict_int(b["anchor"]), tuple(strict_int(x) for x in b["lazy"]))
                 for b in d["blocks"]
@@ -113,13 +115,37 @@ class LazyPlan:
                 n_layers=strict_int(d["n_layers"]),
                 blocks=blocks,
                 source=d.get("source", SOURCE_THRESHOLD),
-                epsilon=float(d["epsilon"]) if "epsilon" in d else None,
+                epsilon=_number(d["epsilon"]) if "epsilon" in d else None,
                 seed=strict_int(d["seed"]) if "seed" in d else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"malformed plan: {exc}") from exc
         plan.validate()
         return plan
+
+
+def _number(value) -> float:
+    """A JSON number as read; a bool, string or null raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def layer_anchors(plan: LazyPlan | None, n_layers: int) -> list[int]:
+    """Each layer's anchor: its block's anchor if the layer is lazy, the
+    layer itself otherwise (every layer when `plan` is None)."""
+    anchors = list(range(n_layers))
+    if plan is None:
+        return anchors
+    plan.validate()
+    if plan.n_layers != n_layers:
+        raise ValidationError(
+            f"plan covers {plan.n_layers} layers but the model has {n_layers}"
+        )
+    for block in plan.blocks:
+        for l in block.lazy_layers:
+            anchors[l] = block.anchor
+    return anchors
 
 
 def empty_plan(mode: str, n_layers: int) -> LazyPlan:

@@ -14,17 +14,17 @@ with the store's prompt split, decode one new row with the store's
 its own. Each layer's K/V cache is one (n_heads, L, d_head) array, so
 rotary runs once per layer and attention for all heads is one scores
 product, one masked softmax over (n_heads, rows, L) and one weighted sum.
-A layer's role under the active plan decides where its queries and keys
-come from:
+A layer's anchor (`store.anchors`, from the plan) decides where its queries
+and keys come from:
 
-  standard/anchor  project Q and K for every row (keys cached post-rotation);
-                   anchors additionally publish the shared rows' Q to the
-                   block's Q cache
-  lazy             project Q and K for its own rows only (at their original
-                   sequence positions), and none when it owns no row; shared
-                   rows take the anchor's Q from the Q cache, and K is the
-                   layer's own keys merged with the anchor's shared keys in
-                   position order (see `LayerCache.merged_keys`)
+  itself   project Q and K for every row (keys cached post-rotation); a
+           layer that the next layer names as its anchor also publishes
+           the shared rows' Q to the Q cache under its own index
+  earlier  (a lazy layer) project Q and K for its own rows only (at their
+           original sequence positions), and none when it owns no row;
+           shared rows take the anchor's Q from the Q cache, and K is the
+           layer's own keys merged with the anchor's shared keys in
+           position order (see `LayerCache.merged_keys`)
 
 The store alone decides which rows are shared (see `caches`), so nothing
 here tests the mode. Values, the output projection, and the MLP are always
@@ -42,10 +42,9 @@ import math
 
 import numpy as np
 
-from .caches import ROLE_ANCHOR, ROLE_LAZY, CacheStore, PruneRecord, RowSplit
+from .caches import CacheStore, PruneRecord, RowSplit
 from .errors import ValidationError
 from .kernels import (
-    CausalMask,
     apply_rope,
     attention_scale,
     head_matmul,
@@ -86,7 +85,7 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, c
     config = weights.config
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
     lw = weights.layers[l]
-    role = store.roles[l]
+    anchor = store.anchors[l]
     cache = store.layers[l]
     rows = x.shape[0]
     positions = np.arange(store.seq_len, store.seq_len + rows)
@@ -96,7 +95,7 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, c
     _record(meter, "attn_v", rows, d, d)
     cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2))
 
-    lazy = role.kind == ROLE_LAZY
+    lazy = anchor != l
     own = split.own if lazy else slice(None)
     n_own = split.n_own if lazy else rows
     if n_own:
@@ -108,12 +107,12 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, c
         cache.append_keys(k)
     if not lazy:
         keys = cache.keys.data
-        if role.kind == ROLE_ANCHOR and split.n_shared:
-            store.qcache.publish(role.block, q[:, split.shared])
+        if l + 1 < config.n_layers and store.anchors[l + 1] == l and split.n_shared:
+            store.qcache.publish(l, q[:, split.shared])
     else:
-        keys = cache.merged_keys(store.layers[role.anchor_layer])
+        keys = cache.merged_keys(store.layers[anchor])
         if split.n_shared:
-            shared_q = store.qcache.read(role.block)
+            shared_q = store.qcache.read(anchor)
             if n_own:
                 own_q, q = q, np.empty((n_heads, rows, d_head), dtype=np.float32)
                 q[:, own] = own_q
@@ -125,8 +124,8 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, c
     scores = head_matmul(q, keys.transpose(0, 2, 1))
     _record(meter, "attn_scores", n_heads * rows, d_head, n_keys)
     # Row i sits at key index n_keys - rows + i; a single row sees every key.
-    mask = CausalMask(n_keys - rows) if rows > 1 else None
-    attn = masked_softmax_rows(scores, mask, attention_scale(d_head))
+    row_offset = n_keys - rows if rows > 1 else None
+    attn = masked_softmax_rows(scores, row_offset, attention_scale(d_head))
     if capture is not None:
         capture.record(l, attn)
     o = head_matmul(attn, cache.values.data)
@@ -176,7 +175,7 @@ def prefill(
 
 
 def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None) -> np.ndarray:
-    """One greedy-decode step: appends the token's K/V per layer role and
+    """One greedy-decode step: appends the token's K/V to every layer and
     returns the next-token logits vector. Mutates the store in place."""
     if store.seq_len == 0:
         raise ValidationError("decode requires caches populated by a prefill")
@@ -209,12 +208,12 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
     returns the kept visual positions, ascending.
 
     Ranking uses the head-averaged last-row attention captured at `layer`
-    during prefill (ties keep the earlier position). Standard layers and
-    anchors prune when their own index exceeds `layer`; a lazy layer prunes
-    exactly when its anchor does, which keeps its K source and its V cache
-    covering the same positions. keep_ratio=1 leaves the store untouched and
-    records nothing. A store is pruned at most once: the prune record, and
-    the oracle that replays it, describe one pass.
+    during prefill (ties keep the earlier position). A layer prunes when its
+    anchor exceeds `layer`, so a lazy layer prunes exactly when its anchor
+    does, which keeps its K source and its V cache covering the same
+    positions. keep_ratio=1 leaves the store untouched and records nothing.
+    A store is pruned at most once: the prune record, and the oracle that
+    replays it, describe one pass.
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ValidationError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
@@ -234,9 +233,8 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
 
     keep = np.delete(np.arange(store.seq_len), removed)
     split = RowSplit(np.delete(store.shared, removed))
-    for l, role in enumerate(store.roles):
-        ref = l if role.anchor_layer is None else role.anchor_layer
-        if ref > layer:
+    for l, anchor in enumerate(store.anchors):
+        if anchor > layer:
             store.layers[l].prune(keep, split)
     store.prune_record = PruneRecord(layer, tuple(removed), store.seq_len)
     return sorted(ranked[:keep_count])

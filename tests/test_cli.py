@@ -7,6 +7,7 @@ import pytest
 
 from lazyattn import (
     GLA,
+    VLA,
     DimensionMismatchError,
     ManifestError,
     PlanError,
@@ -51,8 +52,8 @@ def test_pipeline_exits_zero(pipeline, tmp_path):
     assert load_plan(pipeline["plan"]).n_lazy == 2
     out = str(tmp_path / "run")
     assert main(["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
-                 "--mode", GLA, "--plan", pipeline["plan"], "--steps", "3", "--out", out]) == EXIT_OK
-    assert main(["verify", "--model", pipeline["model"], "--mode", GLA, "--plan", pipeline["plan"],
+                 "--plan", pipeline["plan"], "--steps", "3", "--out", out]) == EXIT_OK
+    assert main(["verify", "--model", pipeline["model"], "--plan", pipeline["plan"],
                  "--cases", "2", "--steps", "2"]) == EXIT_OK
     assert sorted(os.listdir(tmp_path)) == ["run"]
     assert os.listdir(out) == ["cost_report.json"]
@@ -62,7 +63,7 @@ def test_pipeline_exits_zero(pipeline, tmp_path):
 def test_run_report_equals_meter_run(pipeline, tmp_path, mode):
     plan_args = [] if mode == "standard" else ["--plan", pipeline["plan"]]
     assert main(["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
-                 "--mode", mode, *plan_args, "--steps", "3", "--out", str(tmp_path)]) == EXIT_OK
+                 *plan_args, "--steps", "3", "--out", str(tmp_path)]) == EXIT_OK
     with open(tmp_path / "cost_report.json", encoding="utf-8") as fh:
         written = json.load(fh)
     plan = load_plan(pipeline["plan"]) if plan_args else None
@@ -75,8 +76,34 @@ def test_plan_of_another_mode_is_rejected(pipeline, tmp_path, capsys):
     code = main(["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
                  "--mode", "vla", "--plan", pipeline["plan"], "--out", str(tmp_path)])
     assert code == EXIT_VALIDATION
-    assert "plan file is mode 'gla'" in capsys.readouterr().err
+    assert "unrecognized arguments: --mode vla" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
+
+
+def test_run_takes_its_mode_from_the_plan(pipeline, tmp_path):
+    plan = str(tmp_path / "vla.json")
+    assert main(["plan", "--mode", VLA, "--random", "--layers", "4", "--spans", "2",
+                 "--out", plan]) == EXIT_OK
+    out = str(tmp_path / "run")
+    assert main(["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
+                 "--plan", plan, "--steps", "2", "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "cost_report.json"), encoding="utf-8") as fh:
+        assert json.load(fh)["mode"] == VLA
+
+
+def test_bench_with_a_missing_plan_is_an_io_error(pipeline, tmp_path):
+    out = str(tmp_path / "bench.json")
+    assert main(["bench", "--model", pipeline["model"], "--plan", str(tmp_path / "absent.json"),
+                 "--context", "8", "--out", out]) == EXIT_IO
+    assert not os.path.exists(out)
+
+
+def test_abbreviated_flag_is_a_usage_error(pipeline, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
+                 "--pl", pipeline["plan"], "--out", out]) == EXIT_VALIDATION
+    assert "unrecognized arguments: --pl" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_threads_flag_is_a_usage_error(pipeline, tmp_path):
@@ -92,7 +119,7 @@ def test_genmodel_rejects_nan_norm_eps(tmp_path):
 
 def test_bench_writes_json(pipeline, tmp_path):
     out = str(tmp_path / "bench.json")
-    assert main(["bench", "--model", pipeline["model"], "--mode", GLA, "--plan", pipeline["plan"],
+    assert main(["bench", "--model", pipeline["model"], "--plan", pipeline["plan"],
                  "--context", "8", "--steps", "2", "--repeats", "3", "--out", out]) == EXIT_OK
     with open(out, encoding="utf-8") as fh:
         result = json.load(fh)
@@ -104,7 +131,7 @@ def test_bench_writes_json(pipeline, tmp_path):
 
 def test_bench_rejects_empty_context(pipeline, tmp_path):
     out = str(tmp_path / "bench.json")
-    assert main(["bench", "--model", pipeline["model"], "--mode", "standard",
+    assert main(["bench", "--model", pipeline["model"],
                  "--context", "0", "--out", out]) == EXIT_VALIDATION
     assert not os.path.exists(out)
 
@@ -116,7 +143,7 @@ def test_prune_flag_alone_is_rejected(pipeline, tmp_path, flag):
     run unpruned."""
     out = str(tmp_path / "out")
     assert main(["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
-                 "--mode", "standard", *flag, "--out", out]) == EXIT_VALIDATION
+                 *flag, "--out", out]) == EXIT_VALIDATION
     assert not os.path.exists(out)
 
 
@@ -141,13 +168,13 @@ def test_verify_reports_oracle_mismatch(pipeline, monkeypatch, capsys):
         return logits
 
     monkeypatch.setattr(oracle, "oracle_prefill", perturbed)
-    code = main(["verify", "--model", pipeline["model"], "--mode", "standard", "--cases", "1"])
+    code = main(["verify", "--model", pipeline["model"], "--cases", "1"])
     assert code == EXIT_ORACLE
     assert "repro:" in capsys.readouterr().err
 
 
 def test_missing_or_truncated_checkpoint(pipeline, tmp_path):
-    run = ["run", "--input", pipeline["inputs"], "--mode", "standard", "--out", str(tmp_path / "o")]
+    run = ["run", "--input", pipeline["inputs"], "--out", str(tmp_path / "o")]
     assert main([*run, "--model", str(tmp_path / "absent")]) == EXIT_IO
     cut = str(tmp_path / "cut")
     shutil.copytree(pipeline["model"], cut)
@@ -182,6 +209,14 @@ def _set_tensor(i, value):
     return lambda d: d["tensors"].__setitem__(i, value)
 
 
+def _set_tensor_field(i, key, value):
+    return lambda d: d["tensors"][i].__setitem__(key, value)
+
+
+def _float_total_bytes(d):
+    d["total_bytes"] = float(d["total_bytes"])
+
+
 def _set_anchor(value):
     return lambda d: d["blocks"][0].__setitem__("anchor", value)
 
@@ -212,6 +247,12 @@ HOSTILE = [
     pytest.param("manifest", _set_config("rope_theta", float("inf")), ManifestError,
                  id="manifest-rope_theta-inf"),
     pytest.param("manifest", DEEP, ManifestError, id="manifest-deep"),
+    pytest.param("manifest", _set_tensor_field(1, "shape", [16.0]), DimensionMismatchError,
+                 id="manifest-shape-float"),
+    pytest.param("manifest", _set_tensor_field(1, "offset", 4096.0), ManifestError,
+                 id="manifest-offset-float"),
+    pytest.param("manifest", _float_total_bytes, DimensionMismatchError,
+                 id="manifest-total_bytes-float"),
     pytest.param("jsonl", _line({"tokens": ["a"]}), ValidationError, id="jsonl-token-str"),
     pytest.param("jsonl", _line({"tokens": 5}), ValidationError, id="jsonl-tokens-int"),
     pytest.param("jsonl", _line(5), ValidationError, id="jsonl-record-int"),
@@ -226,6 +267,10 @@ HOSTILE = [
     pytest.param("plan", _set("n_layers", 4.9), PlanError, id="plan-n_layers-float"),
     pytest.param("plan", _set_anchor(False), PlanError, id="plan-anchor-bool"),
     pytest.param("plan", DEEP, PlanError, id="plan-deep"),
+    pytest.param("plan", _set("blocks", {}), PlanError, id="plan-blocks-dict"),
+    pytest.param("plan", _set("blocks", ""), PlanError, id="plan-blocks-str"),
+    pytest.param("plan", _set("epsilon", True), PlanError, id="plan-epsilon-bool"),
+    pytest.param("plan", _set("epsilon", "0.5"), PlanError, id="plan-epsilon-str"),
     pytest.param("profile", _set("S", "zz"), ValidationError, id="profile-S-str"),
     pytest.param("profile", _set_cell("a"), ValidationError, id="profile-cell-str"),
     pytest.param("profile", UNDECODABLE, ValidationError, id="profile-undecodable"),
@@ -263,8 +308,7 @@ def test_hostile_input_maps_to_error_taxonomy(pipeline, tmp_path, kind, edit, er
     if kind == "profile":
         argv = ["plan", "--mode", GLA, "--sim", bad, "--epsilon", "0.5", "--out", out]
     else:
-        argv = ["run", "--model", model, "--input", inputs, "--mode", GLA, "--plan", plan,
-                "--out", out]
+        argv = ["run", "--model", model, "--input", inputs, "--plan", plan, "--out", out]
     with pytest.raises(error):
         load(bad)
     assert main(argv) == code
@@ -323,8 +367,7 @@ def test_seeded_mutations_exit_cleanly(pipeline, tmp_path, kind):
         argv = ["plan", "--mode", GLA, "--sim", bad, "--epsilon", "0.5", "--out", out]
     else:
         argv = ["run", "--model", model, "--input", bad if kind == "jsonl" else inputs,
-                "--mode", GLA, "--plan", bad if kind == "plan" else plan, "--steps", "1",
-                "--out", out]
+                "--plan", bad if kind == "plan" else plan, "--steps", "1", "--out", out]
     for case in range(64):
         if kind == "jsonl":
             lines = original.splitlines()

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lazyattn import (
-    CausalMask,
     GrowableHeads,
     ValidationError,
     head_matmul,
@@ -89,12 +88,12 @@ def test_head_matmul_rejects_bad_shapes():
 def test_stacked_softmax_and_rope_match_per_head_bitwise():
     rng = np.random.default_rng(6)
     scores = f32(rng.standard_normal((3, 9, 9)) * 4)
-    stacked = masked_softmax_rows(scores, CausalMask(0), 0.125)
+    stacked = masked_softmax_rows(scores, 0, 0.125)
     qk = f32(rng.standard_normal((9, 3, 16)))
     pos = [0, 2, 3, 5, 8, 13, 21, 34, 55]
     rotated = apply_rope(qk, pos, 10000.0)
     for h in range(3):
-        assert np.array_equal(stacked[h], masked_softmax_rows(scores[h], CausalMask(0), 0.125))
+        assert np.array_equal(stacked[h], masked_softmax_rows(scores[h], 0, 0.125))
         assert np.array_equal(rotated[:, h], apply_rope(qk[:, h].copy(), pos, 10000.0))
 
 
@@ -104,7 +103,7 @@ def test_softmax_symmetric_row():
 
 
 def test_softmax_masked_tail_is_zero():
-    out = masked_softmax_rows(f32([[3.0, 42.0]]), CausalMask(0), 1.0)
+    out = masked_softmax_rows(f32([[3.0, 42.0]]), 0, 1.0)
     assert out[0, 0] == 1.0
     assert out[0, 1] == 0.0
 
@@ -117,11 +116,11 @@ def test_softmax_closed_form():
 def test_softmax_rows_sum_to_one_and_shift_invariance():
     rng = np.random.default_rng(1)
     logits = f32(rng.standard_normal((8, 8)) * 3)
-    out = masked_softmax_rows(logits, CausalMask(0), 0.25)
+    out = masked_softmax_rows(logits, 0, 0.25)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
     tri = np.tril(np.ones((8, 8), dtype=bool))
     assert np.all(out[~tri] == 0.0)
-    shifted = masked_softmax_rows(logits + f32(7.5), CausalMask(0), 0.25)
+    shifted = masked_softmax_rows(logits + f32(7.5), 0, 0.25)
     assert np.allclose(out, shifted, atol=1e-6)
 
 
@@ -186,7 +185,7 @@ def test_kernels_keep_values_finite():
     w = f32(rng.standard_normal((16, 16)))
     for out in (
         matmul(x, w),
-        masked_softmax_rows(matmul(x, x.T), CausalMask(0), 0.25),
+        masked_softmax_rows(matmul(x, x.T), 0, 0.25),
         rms_norm(x, np.ones(16, np.float32), 1e-5),
         apply_rope(x, list(range(7)), 10000.0),
     ):

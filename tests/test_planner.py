@@ -14,6 +14,7 @@ from lazyattn import (
     plan_random,
     save_plan,
 )
+from lazyattn.planner import layer_anchors
 
 
 def profile_from_adjacent(adj):
@@ -146,6 +147,16 @@ def test_lazy_fraction_values():
         mode="gla", n_layers=8, blocks=[LazyBlock(0, tuple(range(1, 8)))], epsilon=0.5
     )
     assert math.isclose(maximal.lazy_fraction(), 7 / 8)
+
+
+def test_layer_anchors_map_lazy_layers_to_their_block_anchor():
+    plan = LazyPlan(
+        mode="vla", n_layers=8, blocks=[LazyBlock(1, (2, 3)), LazyBlock(5, (6, 7))], epsilon=0.5
+    )
+    assert layer_anchors(plan, 8) == [0, 1, 1, 1, 4, 5, 5, 5]
+    assert layer_anchors(None, 3) == [0, 1, 2]
+    with pytest.raises(ValidationError, match="8 layers"):
+        layer_anchors(plan, 6)
 
 
 def test_plan_roundtrip(tmp_path):

@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from lazyattn import (
     decode,
     empty_plan,
     generate,
+    oracle,
     oracle_full_generate,
     oracle_prefill,
     prefill,
@@ -376,3 +380,17 @@ def test_runtime_matmul_sees_only_2d_operands(model, prompt, monkeypatch):
         logits, store = prefill(model, prompt, plan)
         decode(model, store, int(np.argmax(logits[-1])))
     assert shapes and all(s == (2, 2) for s in shapes)
+
+
+def test_oracle_takes_only_the_prune_record_from_caches():
+    """The oracle is an independent reference: it reads its layer map from
+    the plan, not from the production cache module."""
+    tree = ast.parse(inspect.getsource(oracle))
+    from_caches, modules = [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("caches"):
+            from_caches += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules += [alias.name for alias in node.names]
+    assert from_caches == ["PruneRecord"]
+    assert not any(name.endswith("caches") for name in modules)
