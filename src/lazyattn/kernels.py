@@ -7,12 +7,32 @@ Caching a projection and recomputing it later from the same inputs
 therefore gives bit-identical values; the equivalence oracles rely on this
 and compare bitwise.
 
-For products the rule is concrete. NumPy runs a stacked matmul of
-(m, 1, k) row vectors against a (k, n) matrix as m separate GEMV calls, one
-per row, all in C; the bits of each row are those of `a[i] @ b` alone. A
-plain 2-D `np.matmul` of (m, k) by (k, n) is one GEMM, whose blocking
-depends on m, and does not give these bits. `matmul` and `head_matmul` are
-both written as the stacked form.
+For products there are two kernels, with different bits:
+
+- `matmul`/`head_matmul` run 4-row GEMM tiles: the rows are padded with
+  zeros to a multiple of 4 (only the tail tile holds padding), and
+  `np.matmul` runs one fixed-shape GEMM per (4, k) tile. A row's bits are
+  the same in any slot of any tile, whatever its neighbours, so they do
+  not depend on m. A plain 2-D `np.matmul` would not do: its blocking
+  depends on m (at k=512 a row's bits at m=8 differ from its tile bits).
+- `matvec`/`head_matvec` run the stacked GEMV: (m, 1, k) row vectors, one
+  GEMV per row, all in C; row i has the bits of `a[i] @ b` alone.
+
+A phase uses one kernel for every product: prefill the tiles, decode the
+GEMV, since a padded 1-row tile costs about twice a GEMV on weights that
+are cold in cache. The oracle computes every product with `matmul`.
+
+The tiles see one canonical layout: a right-hand operand whose last axis
+is not unit-stride (K^T as a transposed view of the key cache) is copied to
+C order first. BLAS runs a transposed operand through another code path, so
+a view and a copy of the same values give different bits; on the scores
+product the copy is also several times faster than the view.
+
+Tile invariance is a property of the BLAS, so it is checked where the
+engine runs: on the first use of each (k, n), a random row's bits in slot
+0 and in slot 3 between random neighbours, and alone in a padded tile, must
+agree. Where they do not, that shape runs the GEMV on the canonical layout,
+in production and oracle alike.
 
 Transcendentals (cos/sin for the rotary tables) are memoized per position
 so the same position always yields the same bits regardless of batch shape;
@@ -32,35 +52,95 @@ Matrix = np.ndarray
 
 F32 = np.float32
 
+TILE = 4
+
+
+def _check(name: str, a: np.ndarray, b: np.ndarray, ndim: int) -> None:
+    """(..., m, k) by (..., k, n) operands of `ndim` axes with equal leading
+    axes; anything else raises."""
+    if (
+        a.ndim != ndim
+        or b.ndim != ndim
+        or a.shape[:-2] != b.shape[:-2]
+        or a.shape[-1] != b.shape[-2]
+    ):
+        raise ValidationError(
+            f"{name} expects {ndim}-D (..., m, k) x (..., k, n), got {a.shape} x {b.shape}"
+        )
+
 
 def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[..., i, :] = a[..., i, :] @ b, one GEMV per row (see module doc)."""
-    if a.shape[-1] != b.shape[-2]:
-        raise ValidationError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Fixed-order 2-D product: out[i] = a[i] @ b, one GEMV per row.
+def _tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., i, :] = a[..., i, :] @ b over zero-padded 4-row tiles."""
+    *lead, m, k = a.shape
+    pad = -m % TILE
+    if pad:
+        a = np.concatenate([a, np.zeros((*lead, pad, k), dtype=a.dtype)], axis=-2)
+    out = np.matmul(a.reshape(*lead, (m + pad) // TILE, TILE, k), b[..., None, :, :])
+    return out.reshape(*lead, m + pad, b.shape[-1])[..., :m, :]
 
-    Do not "optimize" this into a 2-D np.matmul: that is a GEMM and would
-    break the bitwise cache-vs-recompute contracts.
+
+# (k, n) -> whether 4-row tiles of that shape are batch-invariant here.
+_TILES_HOLD: dict[tuple[int, int], bool] = {}
+
+
+def _probe_tiles(k: int, n: int) -> bool:
+    """One random row's tile bits in slot 0 and slot 3, between random
+    neighbours, and alone in a zero-padded tail tile: all equal?"""
+    rng = np.random.default_rng([k, n])
+    a = rng.random((2 * TILE + 1, k), dtype=np.float32) - F32(0.5)
+    b = rng.random((k, n), dtype=np.float32) - F32(0.5)
+    a[2 * TILE - 1] = a[2 * TILE] = a[0]
+    out = _tiles(a, b)
+    return np.array_equal(out[0], out[2 * TILE - 1]) and np.array_equal(out[0], out[2 * TILE])
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if b.strides[-1] != b.itemsize:  # one canonical layout (see module doc)
+        b = np.ascontiguousarray(b)
+    shape = b.shape[-2:]
+    hold = _TILES_HOLD.get(shape)
+    if hold is None:
+        hold = _TILES_HOLD[shape] = _probe_tiles(*shape)
+    return _tiles(a, b) if hold else _row_gemv(a, b)
+
+
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """Fixed-order 2-D product over 4-row tiles: out[i] = a[i] @ b with the
+    same bits for any m and any slot of row i (see module doc).
+
+    Do not "optimize" this into a 2-D np.matmul, or drop the copy of a
+    strided `b`: either would break the bitwise contracts between
+    production and the oracle.
     """
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValidationError(f"matmul expects 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    return _row_gemv(a, b)
+    _check("matmul", a, b, 2)
+    return _product(a, b)
 
 
 def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-head product of (H, m, k) by (H, k, n): out[h, i] = a[h, i] @ b[h].
 
-    Each row is one GEMV, so every head's rows carry the bits `matmul`
-    gives for that head alone.
+    Each head runs the tiles `matmul` runs for that head alone, so every
+    head's rows carry the bits `matmul` gives them.
     """
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0]:
-        raise ValidationError(
-            f"head_matmul expects (H, m, k) x (H, k, n), got {a.shape} x {b.shape}"
-        )
+    _check("head_matmul", a, b, 3)
+    return _product(a, b)
+
+
+def matvec(a: Matrix, b: Matrix) -> Matrix:
+    """Decode's 2-D product: out[i] = a[i] @ b, one GEMV per row, on `b` as
+    given (a strided view is not copied)."""
+    _check("matvec", a, b, 2)
+    return _row_gemv(a, b)
+
+
+def head_matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Decode's per-head product of (H, m, k) by (H, k, n), one GEMV per row."""
+    _check("head_matvec", a, b, 3)
     return _row_gemv(a, b)
 
 

@@ -71,8 +71,8 @@ class ModelConfig:
                 d_head=strict_int(d["d_head"]),
                 d_ff=strict_int(d["d_ff"]),
                 vocab_size=strict_int(d["vocab_size"]),
-                rope_theta=float(d["rope_theta"]),
-                norm_eps=float(d["norm_eps"]),
+                rope_theta=strict_number(d["rope_theta"]),
+                norm_eps=strict_number(d["norm_eps"]),
             )
         except KeyError as exc:
             raise ManifestError(f"manifest config missing field {exc}") from exc
@@ -314,6 +314,13 @@ def strict_int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r}")
     return value
+
+
+def strict_number(value) -> float:
+    """A JSON number as read; a bool, string or null raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def atomic_write(path: str, data: bytes | str) -> None:

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import PlanError, ValidationError
-from .model import atomic_write, parse_json, strict_int
+from .model import atomic_write, parse_json, strict_int, strict_number
 from .rng import Splitmix
 
 GLA = "gla"
@@ -115,20 +115,13 @@ class LazyPlan:
                 n_layers=strict_int(d["n_layers"]),
                 blocks=blocks,
                 source=d.get("source", SOURCE_THRESHOLD),
-                epsilon=_number(d["epsilon"]) if "epsilon" in d else None,
+                epsilon=strict_number(d["epsilon"]) if "epsilon" in d else None,
                 seed=strict_int(d["seed"]) if "seed" in d else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"malformed plan: {exc}") from exc
         plan.validate()
         return plan
-
-
-def _number(value) -> float:
-    """A JSON number as read; a bool, string or null raises TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def layer_anchors(plan: LazyPlan | None, n_layers: int) -> list[int]:

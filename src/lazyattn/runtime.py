@@ -1,11 +1,11 @@
 """Prefill and decode for the standard runtime and both lazy modes.
 
-`prefill(weights, tokens, plan)` picks the mode from the plan (None is the
-standard runtime) and builds the cache store; `decode(weights, store, token)`
-takes the mode from that store. No entry point is per mode, so a plan and a
-store cannot disagree about it. `generate(weights, store, last_logits,
-steps)` is the one greedy loop: it continues a store that a prefill filled,
-and a prune possibly cut, from the prefill's last logits.
+`prefill(weights, tokens, plan)` builds the cache store from the plan
+(None is the standard runtime); `decode(weights, store, token)` continues
+that store, whose layer map came from the plan. No entry point is per mode,
+so a plan and a store cannot disagree about it. `generate(weights, store,
+last_logits, steps)` is the one greedy loop: it continues a store that a
+prefill filled, and a prune possibly cut, from the prefill's last logits.
 
 Prefill and decode run the same head-batched layer step, `_layer`, over a
 chunk of rows and their shared/own split: prefill passes the s prompt rows
@@ -14,6 +14,15 @@ with the store's prompt split, decode one new row with the store's
 its own. Each layer's K/V cache is one (n_heads, L, d_head) array, so
 rotary runs once per layer and attention for all heads is one scores
 product, one masked softmax over (n_heads, rows, L) and one weighted sum.
+
+The phase picks the product kernels, never the row count (see `kernels`):
+prefill runs the batch-invariant 4-row tiles (`matmul`, `head_matmul`),
+which the oracle computes every product with, so prefill matches it bit for
+bit even where a lazy layer projects a single own row; decode runs the
+stacked GEMV (`matvec`, `head_matvec`), which is cheaper for its one row.
+`prefill` and `decode` look the kernels up in this module when called, so
+a wrapper set on `runtime.matmul` sees every prefill product.
+
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
 
@@ -48,8 +57,10 @@ from .kernels import (
     apply_rope,
     attention_scale,
     head_matmul,
+    head_matvec,
     masked_softmax_rows,
     matmul,
+    matvec,
     rms_norm,
     silu,
 )
@@ -70,18 +81,22 @@ def _record(meter, label: str, m: int, k: int, n: int) -> None:
         meter.record(label, m, k, n)
 
 
-def _project(weights: ModelWeights, xn: np.ndarray, w: np.ndarray, positions: np.ndarray):
+def _project(weights: ModelWeights, mm, xn: np.ndarray, w: np.ndarray, positions: np.ndarray):
     """Rotated per-head projection of the rows of xn, as (n_heads, rows, d_head)."""
     config = weights.config
-    m = matmul(xn, w).reshape(xn.shape[0], config.n_heads, config.d_head)
+    m = mm(xn, w).reshape(xn.shape[0], config.n_heads, config.d_head)
     # Rotary's per-position table lookup iterates Python ints fastest.
     return apply_rope(m, positions.tolist(), config.rope_theta).transpose(1, 0, 2)
 
 
-def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, capture, meter):
+def _layer(
+    weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, products, capture, meter
+):
     """One decoder layer over the rows after the store's `seq_len`, whose
-    shared/own split is `split`; appends their K/V to the layer's caches
-    and returns the layer output."""
+    shared/own split is `split`, with the phase's `products` (the 2-D and
+    the per-head kernel); appends their K/V to the layer's caches and
+    returns the layer output."""
+    mm, head_mm = products
     config = weights.config
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
     lw = weights.layers[l]
@@ -91,7 +106,7 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, c
     positions = np.arange(store.seq_len, store.seq_len + rows)
     xn = rms_norm(x, lw.attn_gain, config.norm_eps)
 
-    v = matmul(xn, lw.wv)
+    v = mm(xn, lw.wv)
     _record(meter, "attn_v", rows, d, d)
     cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2))
 
@@ -100,9 +115,9 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, c
     n_own = split.n_own if lazy else rows
     if n_own:
         xo = xn[own]
-        q = _project(weights, xo, lw.wq, positions[own])
+        q = _project(weights, mm, xo, lw.wq, positions[own])
         _record(meter, "attn_q", n_own, d, d)
-        k = _project(weights, xo, lw.wk, positions[own])
+        k = _project(weights, mm, xo, lw.wk, positions[own])
         _record(meter, "attn_k", n_own, d, d)
         cache.append_keys(k)
     if not lazy:
@@ -121,36 +136,39 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, c
                 q = shared_q
 
     n_keys = keys.shape[1]
-    scores = head_matmul(q, keys.transpose(0, 2, 1))
+    scores = head_mm(q, keys.transpose(0, 2, 1))
     _record(meter, "attn_scores", n_heads * rows, d_head, n_keys)
     # Row i sits at key index n_keys - rows + i; a single row sees every key.
     row_offset = n_keys - rows if rows > 1 else None
     attn = masked_softmax_rows(scores, row_offset, attention_scale(d_head))
     if capture is not None:
         capture.record(l, attn)
-    o = head_matmul(attn, cache.values.data)
+    o = head_mm(attn, cache.values.data)
     _record(meter, "attn_wv", n_heads * rows, n_keys, d_head)
-    x = x + matmul(o.transpose(1, 0, 2).reshape(rows, d), lw.wo)
+    x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo)
     _record(meter, "attn_out", rows, d, d)
 
     hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
-    gate = matmul(hn, lw.w_gate)
+    gate = mm(hn, lw.w_gate)
     _record(meter, "mlp_gate", rows, d, config.d_ff)
-    up = matmul(hn, lw.w_up)
+    up = mm(hn, lw.w_up)
     _record(meter, "mlp_up", rows, d, config.d_ff)
-    down = matmul(silu(gate) * up, lw.w_down)
+    down = mm(silu(gate) * up, lw.w_down)
     _record(meter, "mlp_down", rows, config.d_ff, d)
     return x + down
 
 
-def _forward(weights: ModelWeights, store: CacheStore, token_ids, split: RowSplit, capture, meter):
-    """Run the rows through every layer; returns their logits."""
+def _forward(
+    weights: ModelWeights, store: CacheStore, token_ids, split: RowSplit, products, capture, meter
+):
+    """Run the rows through every layer with the phase's `products`;
+    returns their logits."""
     config = weights.config
     x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
     for l in range(config.n_layers):
-        x = _layer(weights, store, l, x, split, capture, meter)
+        x = _layer(weights, store, l, x, split, products, capture, meter)
     xn = rms_norm(x, weights.final_gain, config.norm_eps)
-    logits = matmul(xn, weights.lm_head)
+    logits = products[0](xn, weights.lm_head)
     _record(meter, "lm_head", len(token_ids), config.d_model, config.vocab_size)
     return logits
 
@@ -166,7 +184,8 @@ def prefill(
     and the populated cache store. `plan=None` is the standard runtime."""
     _validate_tokens(tokens, weights.config.vocab_size)
     store = CacheStore(weights.config, plan, tokens)
-    logits = _forward(weights, store, tokens.token_ids, store.split, capture, meter)
+    products = (matmul, head_matmul)  # looked up now, so wrappers take effect
+    logits = _forward(weights, store, tokens.token_ids, store.split, products, capture, meter)
     # Prefill-era shared queries are never reread by decode; release them so
     # the Q cache occupancy bound stays honest (peak remains recorded).
     store.qcache.release()
@@ -181,7 +200,8 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     if not 0 <= next_token < weights.config.vocab_size:
         raise ValidationError(f"token id {next_token} outside vocabulary")
-    logits = _forward(weights, store, [next_token], store.decode_split, None, meter)
+    products = (matvec, head_matvec)
+    logits = _forward(weights, store, [next_token], store.decode_split, products, None, meter)
     store.seq_len += 1
     return logits[0]
 

@@ -246,6 +246,10 @@ HOSTILE = [
                  id="manifest-norm_eps-nan"),
     pytest.param("manifest", _set_config("rope_theta", float("inf")), ManifestError,
                  id="manifest-rope_theta-inf"),
+    pytest.param("manifest", _set_config("rope_theta", "1e4"), ManifestError,
+                 id="manifest-rope_theta-str"),
+    pytest.param("manifest", _set_config("norm_eps", True), ManifestError,
+                 id="manifest-norm_eps-bool"),
     pytest.param("manifest", DEEP, ManifestError, id="manifest-deep"),
     pytest.param("manifest", _set_tensor_field(1, "shape", [16.0]), DimensionMismatchError,
                  id="manifest-shape-float"),

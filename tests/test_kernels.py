@@ -11,7 +11,8 @@ from lazyattn import (
     matmul,
     rms_norm,
 )
-from lazyattn.kernels import apply_rope
+from lazyattn import kernels
+from lazyattn.kernels import apply_rope, head_matvec, matvec
 
 
 def f32(x):
@@ -30,8 +31,35 @@ def test_matmul_hand_values():
 
 
 def test_matmul_dim_mismatch():
-    with pytest.raises(ValidationError):
-        matmul(f32(np.ones((2, 3))), f32(np.ones((2, 3))))
+    for product in (matmul, matvec):
+        with pytest.raises(ValidationError):
+            product(f32(np.ones((2, 3))), f32(np.ones((2, 3))))
+        with pytest.raises(ValidationError):
+            product(f32(np.ones((1, 2, 3))), f32(np.ones((3, 3))))
+
+
+def per_row(a, b):
+    """The lone GEMV a[i] @ b of every row."""
+    return np.stack([a[i] @ b for i in range(a.shape[0])])
+
+
+def alone_in_tile(a, b, slot):
+    """Every row of a run alone in a zero-padded 4-row tile, at `slot`,
+    against the canonical (C-contiguous) layout of b."""
+    tiles = np.zeros((a.shape[0], 4, a.shape[1]), dtype=np.float32)
+    tiles[:, slot] = a
+    return np.matmul(tiles, np.ascontiguousarray(b))[:, slot]
+
+
+def growable_keys(rng):
+    """(2, 300, 64) keys as attention reads them: a growable-buffer prefix
+    with spare capacity behind it."""
+    buf = GrowableHeads(2, 64)
+    buf.append(f32(rng.standard_normal((2, 200, 64))))
+    buf.append(f32(rng.standard_normal((2, 100, 64))))
+    keys = buf.data
+    assert keys.shape == (2, 300, 64) and not keys.flags.c_contiguous
+    return keys
 
 
 def test_matmul_deterministic_and_row_independent():
@@ -44,45 +72,101 @@ def test_matmul_deterministic_and_row_independent():
     for i in (0, 4, 8):
         assert np.array_equal(first[i], matmul(a[i : i + 1].copy(), b)[0])
 
-    # ... and bitwise the lone GEMV a[i] @ b, at any batch size. K^T comes
-    # from a growable-buffer prefix (spare capacity behind it), as in attention.
-    def per_row(a, b):
-        return np.stack([a[i] @ b for i in range(a.shape[0])])
-
-    buf = GrowableHeads(2, 64)
-    buf.append(f32(rng.standard_normal((2, 200, 64))))
-    buf.append(f32(rng.standard_normal((2, 100, 64))))
-    keys = buf.data
-    assert keys.shape == (2, 300, 64) and not keys.flags.c_contiguous
+    # The decode kernels give row i bitwise the lone GEMV a[i] @ b, at any
+    # batch size, on b as given. K^T comes from a growable-buffer prefix
+    # (spare capacity behind it), as in attention.
+    keys = growable_keys(rng)
     cases = [
         (f32(rng.standard_normal((1, 256))), f32(rng.standard_normal((256, 512)))),
         (f32(rng.standard_normal((512, 256))), f32(rng.standard_normal((256, 512)))),
         (f32(rng.standard_normal((37, 64))), keys[1].T),
     ]
     for a, b in cases:
-        assert np.array_equal(matmul(a, b), per_row(a, b))
+        assert np.array_equal(matvec(a, b), per_row(a, b))
     for rows in (1, 37):
         q = f32(rng.standard_normal((2, rows, 64)))
-        out = head_matmul(q, keys.transpose(0, 2, 1))
+        out = head_matvec(q, keys.transpose(0, 2, 1))
         attn = f32(rng.random((2, rows, 300)))
-        weighted = head_matmul(attn, keys)
+        weighted = head_matvec(attn, keys)
         for h in range(2):
             assert np.array_equal(out[h], per_row(q[h], keys[h].T))
             assert np.array_equal(weighted[h], per_row(attn[h], keys[h]))
     a = f32(rng.standard_normal((2, 512, 256)))
     b = f32(rng.standard_normal((2, 256, 512)))
-    out = head_matmul(a, b)
+    out = head_matvec(a, b)
     for h in range(2):
         assert np.array_equal(out[h], per_row(a[h], b[h]))
 
+    # The tile kernels give row i bitwise the product of row i alone in a
+    # zero-padded 4-row tile, in any slot, at any batch size.
+    cases = [(f32(rng.standard_normal((m, 256))), f32(rng.standard_normal((256, 512))))
+             for m in (1, 3, 4, 5, 37, 512)]
+    cases.append((f32(rng.standard_normal((37, 64))), keys[1].T))
+    for a, b in cases:
+        out = matmul(a, b)
+        for slot in range(4):
+            assert np.array_equal(out, alone_in_tile(a, b, slot))
+    for rows in (1, 3, 4, 5, 37):
+        q = f32(rng.standard_normal((2, rows, 64)))
+        out = head_matmul(q, keys.transpose(0, 2, 1))
+        attn = f32(rng.random((2, rows, 300)))
+        weighted = head_matmul(attn, keys)
+        for h in range(2):
+            for slot in range(4):
+                assert np.array_equal(out[h], alone_in_tile(q[h], keys[h].T, slot))
+                assert np.array_equal(weighted[h], alone_in_tile(attn[h], keys[h], slot))
+    a = f32(rng.standard_normal((2, 512, 256)))
+    b = f32(rng.standard_normal((2, 256, 512)))
+    out = head_matmul(a, b)
+    for h in range(2):
+        for slot in range(4):
+            assert np.array_equal(out[h], alone_in_tile(a[h], b[h], slot))
+
+
+def test_tile_kernels_see_one_layout_of_b():
+    """A transposed view of b and a contiguous copy of it give the same bits."""
+    rng = np.random.default_rng(8)
+    keys = growable_keys(rng)
+    a = f32(rng.standard_normal((512, 256)))
+    b = f32(rng.standard_normal((256, 256)))
+    view = np.ascontiguousarray(b.T).T
+    assert not view.flags.c_contiguous
+    assert np.array_equal(matmul(a, view), matmul(a, b))
+    q = f32(rng.standard_normal((2, 37, 64)))
+    kt = keys.transpose(0, 2, 1)
+    assert np.array_equal(head_matmul(q, kt), head_matmul(q, np.ascontiguousarray(kt)))
+
+
+def test_tile_probe_catches_a_row_that_moves(monkeypatch):
+    """The run-time probe fails when a row's bits differ in slot 3 or alone
+    in a padded tile, and the product then runs the GEMV."""
+    real = kernels._tiles
+    assert kernels._probe_tiles(64, 96)
+    for moved in (7, 8):  # slot 3 of the second tile; alone in the tail tile
+
+        def nudged(a, b, moved=moved):
+            out = real(a, b).copy()
+            out[moved] = np.nextafter(out[moved], np.float32(np.inf))
+            return out
+
+        monkeypatch.setattr(kernels, "_tiles", nudged)
+        assert not kernels._probe_tiles(64, 96)
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    rng = np.random.default_rng(9)
+    a = f32(rng.standard_normal((9, 64)))
+    b = f32(rng.standard_normal((64, 96)))
+    assert np.array_equal(matmul(a, b), matvec(a, b))
+    assert kernels._TILES_HOLD == {(64, 96): False}
+
 
 def test_head_matmul_rejects_bad_shapes():
-    with pytest.raises(ValidationError):
-        head_matmul(f32(np.ones((2, 3))), f32(np.ones((3, 2))))
-    with pytest.raises(ValidationError):
-        head_matmul(f32(np.ones((2, 1, 3))), f32(np.ones((3, 3, 2))))
-    with pytest.raises(ValidationError):
-        head_matmul(f32(np.ones((2, 1, 3))), f32(np.ones((2, 4, 2))))
+    for product in (head_matmul, head_matvec):
+        with pytest.raises(ValidationError):
+            product(f32(np.ones((2, 3))), f32(np.ones((3, 2))))
+        with pytest.raises(ValidationError):
+            product(f32(np.ones((2, 1, 3))), f32(np.ones((3, 3, 2))))
+        with pytest.raises(ValidationError):
+            product(f32(np.ones((2, 1, 3))), f32(np.ones((2, 4, 2))))
 
 
 def test_stacked_softmax_and_rope_match_per_head_bitwise():

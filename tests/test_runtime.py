@@ -394,3 +394,44 @@ def test_oracle_takes_only_the_prune_record_from_caches():
             modules += [alias.name for alias in node.names]
     assert from_caches == ["PruneRecord"]
     assert not any(name.endswith("caches") for name in modules)
+
+
+# A prompt that is all visual but its last token, so every VLA lazy layer
+# owns exactly one row, and a one-token prompt. The model is wider than the
+# module's, since at d_model 32 a lone GEMV and a padded tile can agree.
+@pytest.fixture(scope="module")
+def wide_model():
+    return make_model(n_layers=6, d_model=64, d_ff=128, seed=21)
+
+
+ONE_OWN_ROW = TokenSequence([(7 * i + 3) % 96 for i in range(24)], [1] * 23 + [0])
+ONE_TOKEN = TokenSequence([42], [0])
+
+
+@pytest.mark.parametrize("tokens", [ONE_OWN_ROW, ONE_TOKEN], ids=["one-own-row", "one-token"])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_prefill_runs_the_tile_kernel_whatever_its_row_count(wide_model, tokens, mode):
+    """The phase picks the kernel, not the row count: a product of one row
+    in prefill gets the tile bits the oracle computes it with."""
+    plan = None if mode is None else two_block_plan(mode)
+    logits, _ = prefill(wide_model, tokens, plan)
+    assert np.array_equal(logits, oracle_prefill(wide_model, tokens, plan))
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypatch):
+    """When the run-time probe finds tiles that are not batch-invariant,
+    matmul runs the GEMV and prefill still equals the oracle bit for bit."""
+    from lazyattn import kernels
+
+    monkeypatch.setattr(kernels, "_probe_tiles", lambda k, n: False)
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 32), dtype=np.float32)
+    b = rng.standard_normal((48, 32), dtype=np.float32).T
+    assert np.array_equal(kernels.matmul(a, b), kernels.matvec(a, np.ascontiguousarray(b)))
+    plan = None if mode is None else two_block_plan(mode)
+    for tokens in (prompt, ONE_OWN_ROW):
+        logits, _ = prefill(model, tokens, plan)
+        assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
+    assert kernels._TILES_HOLD and not any(kernels._TILES_HOLD.values())
