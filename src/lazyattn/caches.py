@@ -1,4 +1,4 @@
-"""Cache structures for the three runtimes.
+"""Cache structures for the standard runtime and both lazy modes.
 
 Each layer's anchor comes from the plan (`planner.layer_anchors`): a layer
 whose anchor is itself owns a full post-rotation K cache; a lazy layer, whose
@@ -106,10 +106,6 @@ class LayerCache:
         self.keys = GrowableHeads(n_heads, d_head)
         self.values = GrowableHeads(n_heads, d_head)
         self.split = split
-
-    @property
-    def stored_len(self) -> int:
-        return len(self.values)
 
     def append_keys(self, k: np.ndarray) -> None:
         self.keys.append(k)
@@ -236,9 +232,6 @@ class CacheStore:
 
     def kv_bytes(self) -> int:
         return sum(layer.nbytes for layer in self.layers)
-
-    def layer_kv_bytes(self) -> list[tuple[int, int]]:
-        return [(layer.key_bytes, layer.value_bytes) for layer in self.layers]
 
     def clone(self) -> "CacheStore":
         return copy.deepcopy(self)

@@ -1,13 +1,14 @@
 """Exact cost accounting and decode throughput benchmarking.
 
-The FLOPs meter is fed by the engine at every matmul call site and counts
-one multiply-accumulate as 2 FLOPs; elementwise work (rotation, softmax,
-norms, activations) and the embedding lookup are excluded, which is what
-makes the lazy-mode savings land exactly on the closed forms: a GLA run
-skips the query and key projections of every lazy layer, so its prefill
-FLOPs drop by 2n*beta of the standard total, where beta is one attention
-projector's share. KV and Q-cache bytes are read off the cache structures
-after the run (4 bytes per stored element), never predicted from formulas.
+Every product the engine runs records its operands' multiply-accumulates
+on the FLOPs meter (see `runtime._metered`), one MAC counted as 2 FLOPs.
+Elementwise work (rotation, softmax, norms, activations) and the embedding
+lookup are excluded, which is what makes the lazy-mode savings land exactly
+on the closed forms: a GLA run skips the query and key projections of every
+lazy layer, so its prefill FLOPs drop by 2n*beta of the standard total,
+where beta is one attention projector's share. KV and Q-cache bytes are
+read off the cache structures after the run (4 bytes per stored element),
+never predicted from formulas.
 
 `bench_decode` times greedy decode; `lazyattn bench` writes its
 `BenchResult` as JSON: every repeat's tokens/s, then median, p10 and p90.
@@ -32,7 +33,7 @@ STANDARD = "standard"
 
 
 class FlopMeter:
-    """Accumulates matmul multiply-accumulates, labelled by call site."""
+    """Accumulates product multiply-accumulates, labelled by operation."""
 
     def __init__(self):
         self.macs: dict[str, int] = {}

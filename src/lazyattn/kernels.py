@@ -47,7 +47,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-# A Matrix is a 2-D C-contiguous float32 ndarray throughout the engine.
+# A Matrix is a 2-D float32 ndarray, the operand of `matmul` and `matvec`;
+# the per-head kernels take stacked (H, m, k) arrays.
 Matrix = np.ndarray
 
 F32 = np.float32
@@ -144,38 +145,31 @@ def head_matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_gemv(a, b)
 
 
-def masked_softmax_rows(logits: np.ndarray, row_offset: int | None, scale: float) -> np.ndarray:
-    """Softmax of scale*logits along the last axis with causal masking.
+def masked_softmax_rows(logits: np.ndarray, row_offset: int, scale: float) -> np.ndarray:
+    """Softmax of scale*logits along the last axis with causal masking: row
+    i sees columns j <= i + row_offset, so 0 is the square prefill mask.
 
-    With a `row_offset`, row i sees columns j <= i + row_offset: 0 is the
-    square prefill mask. None masks nothing (a single decode row sees every
-    cached position).
-
-    `logits` is (rows, cols) or stacked (..., rows, cols), e.g. one
-    (H, rows, cols) block for all heads; every row gets the bits it would
-    get alone. Masked positions are exactly 0 in the output; rows are
-    stabilized by subtracting the row max over visible positions before
-    exponentiation.
+    An offset of at least cols - 1 lets row 0 see every column (as a single
+    decode row sees every cached position), so no mask is built. `logits` is
+    (rows, cols) or stacked (..., rows, cols), e.g. one (H, rows, cols)
+    block for all heads; every row gets the bits it would get alone. Rows
+    are stabilized by subtracting the row max over visible positions before
+    exponentiation; column 0 is always visible, so that max is finite and
+    masked positions come out exactly 0.
     """
     if scale <= 0:
         raise ValidationError(f"softmax scale must be positive, got {scale}")
     if logits.ndim < 2:
         raise ValidationError(f"logits must be at least 2-D, got shape {logits.shape}")
-    if row_offset is not None and row_offset < 0:
+    if row_offset < 0:
         raise ValidationError("row_offset must be non-negative (every row needs a visible column)")
     rows, cols = logits.shape[-2:]
     scaled = logits * F32(scale)
-    if row_offset is not None:
-        col = np.arange(cols)
-        row = np.arange(rows)[:, None] + row_offset
-        visible = col[None, :] <= row
+    if row_offset < cols - 1:
+        visible = np.arange(cols) <= np.arange(rows)[:, None] + row_offset
         scaled = np.where(visible, scaled, F32(-np.inf))
-    m = np.max(scaled, axis=-1, keepdims=True)
-    e = np.exp(scaled - m)
-    if row_offset is not None:
-        e = np.where(visible, e, F32(0.0))
-    denom = np.sum(e, axis=-1, keepdims=True)
-    return e / denom
+    e = np.exp(scaled - np.max(scaled, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:

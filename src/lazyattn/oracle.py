@@ -151,7 +151,7 @@ def _restricted_attention(q_h, k_h, v_h, scale, prune: PruneRecord):
             np.ascontiguousarray(q_h[i : i + 1]),
             np.ascontiguousarray(k_kept[:n_vis]).T,
         )
-        attn = masked_softmax_rows(scores, None, scale)
+        attn = masked_softmax_rows(scores, n_vis - 1, scale)
         out[i : i + 1] = matmul(attn, np.ascontiguousarray(v_kept[:n_vis]))
     return out
 

@@ -76,47 +76,40 @@ def _kl_against(p: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AttentionSnapshot:
-    """Per-layer head-averaged attention rows captured during one prefill."""
+    """Per-layer head-averaged attention captured during one prefill: each
+    layer's (rows, cols) float64 mean, every row with full_matrix and the
+    last row alone otherwise."""
 
-    last_rows: list[np.ndarray] = field(default_factory=list)
-    matrices: list[np.ndarray] | None = None
-    head_matrices: list[list[np.ndarray]] | None = None
+    rows: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def last_rows(self) -> list[np.ndarray]:
+        return [r[-1] for r in self.rows]
 
     def validate(self) -> None:
-        """Check every row the profile reads, the full matrices' if captured."""
-        rows = self.last_rows if self.matrices is None else self.matrices
-        if not rows:
+        """Check every row the profile reads."""
+        if not self.rows:
             raise ValidationError("snapshot is empty")
-        shape = rows[0].shape
-        for l, r in enumerate(rows):
+        shape = self.rows[0].shape
+        for l, r in enumerate(self.rows):
             if r.shape != shape:
                 raise ValidationError(f"layer {l} attention has shape {r.shape} != {shape}")
             _check_distribution(r, f"layer {l} attention")
 
 
 class AttentionCapture:
-    """Capture hook handed to prefill; collects what the caller asked for."""
+    """Capture hook handed to prefill; collects each layer's head mean."""
 
-    def __init__(self, full_matrix: bool = False, per_head: bool = False):
+    def __init__(self, full_matrix: bool = False):
         self.full_matrix = full_matrix
-        self.per_head = per_head
-        self.snapshot = AttentionSnapshot(
-            last_rows=[],
-            matrices=[] if full_matrix else None,
-            head_matrices=[] if per_head else None,
-        )
+        self.snapshot = AttentionSnapshot()
 
     def record(self, layer: int, head_attn: np.ndarray) -> None:
         """Record one layer's attention, (n_heads, rows, cols). The head mean
         adds heads in order in float64 (an outer-axis sum), which fixes its
         bits; without full_matrix it averages the last row alone."""
         rows = head_attn if self.full_matrix else head_attn[:, -1:]
-        mean = rows.sum(axis=0, dtype=np.float64) / len(head_attn)
-        self.snapshot.last_rows.append(mean[-1])
-        if self.full_matrix:
-            self.snapshot.matrices.append(mean)
-        if self.per_head:
-            self.snapshot.head_matrices.append([a.copy() for a in head_attn])
+        self.snapshot.rows.append(rows.sum(axis=0, dtype=np.float64) / len(head_attn))
 
 
 @dataclass
@@ -189,10 +182,9 @@ def profile_model(weights, corpus, full_matrix: bool = False) -> SimilarityProfi
         snap.validate()
         # Causally masked entries are exactly 0 in both rows, so they add
         # nothing; the last-row profile is the one-row case.
-        rows = snap.matrices if full_matrix else snap.last_rows
         for a in range(n_layers):
             for b in range(a + 1, n_layers):
-                S[a, b] += float(np.mean(_js_rows(rows[a], rows[b])))
+                S[a, b] += float(np.mean(_js_rows(snap.rows[a], snap.rows[b])))
     S /= len(corpus)
     S = S + S.T
     profile = SimilarityProfile(n_layers=n_layers, n_samples=len(corpus), S=S)

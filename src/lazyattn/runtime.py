@@ -21,7 +21,9 @@ which the oracle computes every product with, so prefill matches it bit for
 bit even where a lazy layer projects a single own row; decode runs the
 stacked GEMV (`matvec`, `head_matvec`), which is cheaper for its one row.
 `prefill` and `decode` look the kernels up in this module when called, so
-a wrapper set on `runtime.matmul` sees every prefill product.
+a wrapper set on `runtime.matmul` sees every prefill product. Each product
+states its operands once and records its own MACs on the meter it is given
+(`_metered`), so the meter counts what ran.
 
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
@@ -76,26 +78,33 @@ def _validate_tokens(tokens: TokenSequence, vocab_size: int) -> None:
             raise ValidationError(f"token id {t} outside vocabulary of size {vocab_size}")
 
 
-def _record(meter, label: str, m: int, k: int, n: int) -> None:
-    if meter is not None:
-        meter.record(label, m, k, n)
+def _metered(kernel, meter):
+    """The phase's `kernel` as a product `(a, b, label)`: once the kernel
+    returns, `meter` records label's MACs, with m the product of a's
+    leading axes, k a's last axis and n b's last axis."""
+    if meter is None:
+        return lambda a, b, label: kernel(a, b)
+
+    def product(a, b, label):
+        out = kernel(a, b)
+        meter.record(label, math.prod(a.shape[:-1]), a.shape[-1], b.shape[-1])
+        return out
+
+    return product
 
 
-def _project(weights: ModelWeights, mm, xn: np.ndarray, w: np.ndarray, positions: np.ndarray):
-    """Rotated per-head projection of the rows of xn, as (n_heads, rows, d_head)."""
-    config = weights.config
-    m = mm(xn, w).reshape(xn.shape[0], config.n_heads, config.d_head)
+def _rotated(config, m: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """A projection's rows rotated per head, as (n_heads, rows, d_head)."""
+    m = m.reshape(m.shape[0], config.n_heads, config.d_head)
     # Rotary's per-position table lookup iterates Python ints fastest.
     return apply_rope(m, positions.tolist(), config.rope_theta).transpose(1, 0, 2)
 
 
-def _layer(
-    weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, products, capture, meter
-):
+def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, products, capture):
     """One decoder layer over the rows after the store's `seq_len`, whose
     shared/own split is `split`, with the phase's `products` (the 2-D and
-    the per-head kernel); appends their K/V to the layer's caches and
-    returns the layer output."""
+    the per-head product, see `_metered`); appends their K/V to the layer's
+    caches and returns the layer output."""
     mm, head_mm = products
     config = weights.config
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
@@ -106,8 +115,7 @@ def _layer(
     positions = np.arange(store.seq_len, store.seq_len + rows)
     xn = rms_norm(x, lw.attn_gain, config.norm_eps)
 
-    v = mm(xn, lw.wv)
-    _record(meter, "attn_v", rows, d, d)
+    v = mm(xn, lw.wv, "attn_v")
     cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2))
 
     lazy = anchor != l
@@ -115,11 +123,8 @@ def _layer(
     n_own = split.n_own if lazy else rows
     if n_own:
         xo = xn[own]
-        q = _project(weights, mm, xo, lw.wq, positions[own])
-        _record(meter, "attn_q", n_own, d, d)
-        k = _project(weights, mm, xo, lw.wk, positions[own])
-        _record(meter, "attn_k", n_own, d, d)
-        cache.append_keys(k)
+        q = _rotated(config, mm(xo, lw.wq, "attn_q"), positions[own])
+        cache.append_keys(_rotated(config, mm(xo, lw.wk, "attn_k"), positions[own]))
     if not lazy:
         keys = cache.keys.data
         if l + 1 < config.n_layers and store.anchors[l + 1] == l and split.n_shared:
@@ -135,42 +140,31 @@ def _layer(
             else:
                 q = shared_q
 
-    n_keys = keys.shape[1]
-    scores = head_mm(q, keys.transpose(0, 2, 1))
-    _record(meter, "attn_scores", n_heads * rows, d_head, n_keys)
-    # Row i sits at key index n_keys - rows + i; a single row sees every key.
-    row_offset = n_keys - rows if rows > 1 else None
-    attn = masked_softmax_rows(scores, row_offset, attention_scale(d_head))
+    scores = head_mm(q, keys.transpose(0, 2, 1), "attn_scores")
+    # Row i sits at key index L - rows + i, for L keys.
+    attn = masked_softmax_rows(scores, keys.shape[1] - rows, attention_scale(d_head))
     if capture is not None:
         capture.record(l, attn)
-    o = head_mm(attn, cache.values.data)
-    _record(meter, "attn_wv", n_heads * rows, n_keys, d_head)
-    x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo)
-    _record(meter, "attn_out", rows, d, d)
+    o = head_mm(attn, cache.values.data, "attn_wv")
+    x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo, "attn_out")
 
     hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
-    gate = mm(hn, lw.w_gate)
-    _record(meter, "mlp_gate", rows, d, config.d_ff)
-    up = mm(hn, lw.w_up)
-    _record(meter, "mlp_up", rows, d, config.d_ff)
-    down = mm(silu(gate) * up, lw.w_down)
-    _record(meter, "mlp_down", rows, config.d_ff, d)
-    return x + down
+    gate = mm(hn, lw.w_gate, "mlp_gate")
+    up = mm(hn, lw.w_up, "mlp_up")
+    return x + mm(silu(gate) * up, lw.w_down, "mlp_down")
 
 
 def _forward(
-    weights: ModelWeights, store: CacheStore, token_ids, split: RowSplit, products, capture, meter
+    weights: ModelWeights, store: CacheStore, token_ids, split: RowSplit, products, capture
 ):
     """Run the rows through every layer with the phase's `products`;
     returns their logits."""
     config = weights.config
     x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
     for l in range(config.n_layers):
-        x = _layer(weights, store, l, x, split, products, capture, meter)
+        x = _layer(weights, store, l, x, split, products, capture)
     xn = rms_norm(x, weights.final_gain, config.norm_eps)
-    logits = products[0](xn, weights.lm_head)
-    _record(meter, "lm_head", len(token_ids), config.d_model, config.vocab_size)
-    return logits
+    return products[0](xn, weights.lm_head, "lm_head")
 
 
 def prefill(
@@ -181,11 +175,14 @@ def prefill(
     meter=None,
 ) -> tuple[np.ndarray, CacheStore]:
     """Run the prompt through the model, returning logits for every position
-    and the populated cache store. `plan=None` is the standard runtime."""
+    and the populated cache store. `plan=None` is the standard runtime.
+    `capture` is any object with `record(layer, head_attn)`, which gets each
+    layer's (n_heads, rows, cols) attention."""
     _validate_tokens(tokens, weights.config.vocab_size)
     store = CacheStore(weights.config, plan, tokens)
-    products = (matmul, head_matmul)  # looked up now, so wrappers take effect
-    logits = _forward(weights, store, tokens.token_ids, store.split, products, capture, meter)
+    # Looked up now, so wrappers take effect.
+    products = (_metered(matmul, meter), _metered(head_matmul, meter))
+    logits = _forward(weights, store, tokens.token_ids, store.split, products, capture)
     # Prefill-era shared queries are never reread by decode; release them so
     # the Q cache occupancy bound stays honest (peak remains recorded).
     store.qcache.release()
@@ -200,8 +197,8 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     if not 0 <= next_token < weights.config.vocab_size:
         raise ValidationError(f"token id {next_token} outside vocabulary")
-    products = (matvec, head_matvec)
-    logits = _forward(weights, store, [next_token], store.decode_split, products, None, meter)
+    products = (_metered(matvec, meter), _metered(head_matvec, meter))
+    logits = _forward(weights, store, [next_token], store.decode_split, products, None)
     store.seq_len += 1
     return logits[0]
 

@@ -23,6 +23,17 @@ def make_model(n_layers=6, n_heads=2, d_model=32, d_ff=64, vocab_size=96, seed=0
     return init_synthetic_model(config, seed)
 
 
+class HeadRecorder:
+    """A prefill capture hook that keeps every layer's per-head attention,
+    (n_heads, rows, cols), in layer order."""
+
+    def __init__(self):
+        self.layers = []
+
+    def record(self, layer, head_attn):
+        self.layers.append(head_attn.copy())
+
+
 def random_prompt(
     rng: np.random.Generator, vocab_size: int, length=None, visual_fraction=None, layout="leading"
 ):

@@ -5,7 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lazyattn import GLA, VLA, kv_savings, meter_run, standard_prefill_flops, verify_flops_savings
+from lazyattn import (
+    GLA,
+    VLA,
+    FlopMeter,
+    decode,
+    kv_savings,
+    meter_run,
+    prefill,
+    standard_prefill_flops,
+    verify_flops_savings,
+)
 
 from helpers import make_model, random_plan, random_prompt
 
@@ -33,6 +43,20 @@ def test_meter_run_lands_on_the_closed_forms(model, trial, layout):
     s, d = len(tokens), config.d_model
     std, _ = meter_run(model, tokens, None)
     assert std.prefill_flops == standard_prefill_flops(config, s)
+    L, ff, v = N_LAYERS, config.d_ff, config.vocab_size
+    projection = 2 * L * s * d * d
+    assert std.flops_by_op == {
+        "attn_q": projection,
+        "attn_k": projection,
+        "attn_v": projection,
+        "attn_out": projection,
+        "attn_scores": 2 * L * s * s * d,
+        "attn_wv": 2 * L * s * s * d,
+        "mlp_gate": 2 * L * s * d * ff,
+        "mlp_up": 2 * L * s * d * ff,
+        "mlp_down": 2 * L * s * d * ff,
+        "lm_head": 2 * s * d * v,
+    }
     projector = 2 * s * d * d  # one full-width attention projection
     assert std.beta == projector / std.prefill_flops
 
@@ -48,9 +72,15 @@ def test_meter_run_lands_on_the_closed_forms(model, trial, layout):
     # VLA lazy layers skip Q and K for the visual rows only
     visual_projector = 2 * tokens.n_visual * d * d
     assert std.prefill_flops - vla.prefill_flops == 2 * n_vla * visual_projector
-    # Q projections: a lazy layer runs them for its own rows only
-    assert gla.flops_by_op["attn_q"] == 2 * d * d * (N_LAYERS - n_gla) * s
-    assert vla.flops_by_op["attn_q"] == 2 * d * d * ((N_LAYERS - n_vla) * s + n_vla * tokens.n_text)
+    # Q and K projections: a lazy layer runs them for its own rows only, and
+    # every other label is the standard run's
+    own_rows = {
+        GLA: (N_LAYERS - n_gla) * s,
+        VLA: (N_LAYERS - n_vla) * s + n_vla * tokens.n_text,
+    }
+    for report in (gla, vla):
+        projected = 2 * d * d * own_rows[report.mode]
+        assert report.flops_by_op == {**std.flops_by_op, "attn_q": projected, "attn_k": projected}
 
     # KV: GLA drops n of 2L per-layer K/V halves, VLA their visual rows
     assert Fraction(std.kv_bytes - gla.kv_bytes, std.kv_bytes) == Fraction(n_gla, 2 * N_LAYERS)
@@ -70,3 +100,31 @@ def test_kv_savings_hold_after_decode_steps(model):
     assert Fraction(std.kv_bytes - vla.kv_bytes, std.kv_bytes) == Fraction(
         plan.n_lazy * tokens.n_visual, 2 * N_LAYERS * std.seq_len
     )
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_decode_step_meters_one_row_per_product(model, mode):
+    """One decode step after an s-token prefill: each product runs one row,
+    scores and weighted sum over s + 1 keys. A GLA lazy layer projects no
+    Q or K; the decoded row is text, so a VLA lazy layer projects both."""
+    rng = np.random.default_rng(11)
+    config = model.config
+    tokens = random_prompt(rng, config.vocab_size, length=9, visual_fraction=0.5)
+    plan = None if mode is None else random_plan(rng, N_LAYERS, mode)
+    logits, store = prefill(model, tokens, plan)
+    meter = FlopMeter()
+    decode(model, store, int(np.argmax(logits[-1])), meter=meter)
+    s, d, L = len(tokens), config.d_model, N_LAYERS
+    projecting = L - plan.n_lazy if mode == GLA else L
+    assert meter.macs == {
+        "attn_q": projecting * d * d,
+        "attn_k": projecting * d * d,
+        "attn_v": L * d * d,
+        "attn_out": L * d * d,
+        "attn_scores": L * d * (s + 1),
+        "attn_wv": L * d * (s + 1),
+        "mlp_gate": L * d * config.d_ff,
+        "mlp_up": L * d * config.d_ff,
+        "mlp_down": L * d * config.d_ff,
+        "lm_head": d * config.vocab_size,
+    }

@@ -182,7 +182,7 @@ def test_stacked_softmax_and_rope_match_per_head_bitwise():
 
 
 def test_softmax_symmetric_row():
-    out = masked_softmax_rows(f32([[0.0, 0.0]]), None, 1.0)
+    out = masked_softmax_rows(f32([[0.0, 0.0]]), 1, 1.0)
     assert np.allclose(out, [[0.5, 0.5]], atol=1e-7)
 
 
@@ -193,7 +193,7 @@ def test_softmax_masked_tail_is_zero():
 
 
 def test_softmax_closed_form():
-    out = masked_softmax_rows(f32([[math.log(2.0), 0.0]]), None, 1.0)
+    out = masked_softmax_rows(f32([[math.log(2.0), 0.0]]), 1, 1.0)
     assert np.allclose(out, [[2 / 3, 1 / 3]], atol=1e-6)
 
 
@@ -210,9 +210,9 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
 
 def test_softmax_rejects_bad_scale():
     with pytest.raises(ValidationError):
-        masked_softmax_rows(f32([[1.0, 2.0]]), None, 0.0)
+        masked_softmax_rows(f32([[1.0, 2.0]]), 1, 0.0)
     with pytest.raises(ValidationError):
-        masked_softmax_rows(f32([[1.0, 2.0]]), None, -1.0)
+        masked_softmax_rows(f32([[1.0, 2.0]]), 1, -1.0)
 
 
 def test_rms_norm_zero_row_and_zero_gain():

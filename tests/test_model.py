@@ -26,7 +26,7 @@ from lazyattn.kernels import matmul, rms_norm, silu
 from lazyattn.model import atomic_write
 from lazyattn.rng import splitmix64
 
-from helpers import make_model
+from helpers import HeadRecorder, make_model
 
 
 def _checkpoint_bytes(path):
@@ -233,13 +233,15 @@ def test_single_token_forward_matches_hand_computation():
 
 
 def test_attention_rows_are_distributions(small_model):
-    capture = AttentionCapture(per_head=True)
+    recorder = HeadRecorder()
     tokens = TokenSequence([3, 1, 4, 1, 5, 9], [1, 1, 0, 0, 0, 0])
-    prefill(small_model, tokens, capture=capture)
-    for head_mats in capture.snapshot.head_matrices:
+    prefill(small_model, tokens, capture=recorder)
+    for head_mats in recorder.layers:
         for a in head_mats:
             assert np.allclose(a.sum(axis=1), 1.0, atol=1e-6)
             assert np.all(a >= 0.0)
+    capture = AttentionCapture()
+    prefill(small_model, tokens, capture=capture)
     for row in capture.snapshot.last_rows:
         assert abs(float(np.sum(row)) - 1.0) <= 1e-6
 
@@ -273,14 +275,14 @@ def test_prefill_decode_consistency(small_model):
 def test_decode_bookkeeping_and_determinism(small_model):
     tokens = TokenSequence([3, 1, 4], [1, 0, 0])
     _, store = prefill(small_model, tokens)
-    assert all(c.stored_len == 3 for c in store.layers)
+    assert all(len(c.values) == 3 for c in store.layers)
     clone = store.clone()
     l1 = decode(small_model, store, 5)
     l2 = decode(small_model, clone, 5)
     assert np.array_equal(l1, l2)
-    assert all(c.stored_len == 4 for c in store.layers)
+    assert all(len(c.values) == 4 for c in store.layers)
     decode(small_model, store, 6)
-    assert all(c.stored_len == 5 for c in store.layers)
+    assert all(len(c.values) == 5 for c in store.layers)
 
 
 def test_decode_requires_prefill(small_model):
@@ -295,5 +297,5 @@ def test_standard_layer_kv_byte_accounting(small_model):
     tokens = TokenSequence([3, 1, 4, 1, 5], [1, 1, 0, 0, 0])
     _, store = prefill(small_model, tokens)
     d = small_model.config.d_model
-    for key_bytes, value_bytes in store.layer_kv_bytes():
-        assert key_bytes + value_bytes == 2 * 5 * d * 4
+    for layer in store.layers:
+        assert layer.key_bytes + layer.value_bytes == 2 * 5 * d * 4

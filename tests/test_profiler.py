@@ -152,7 +152,7 @@ def per_row_reference_profile(weights, corpus, full_matrix):
     for seq in corpus:
         capture = AttentionCapture(full_matrix=True)
         prefill(weights, seq, capture=capture)
-        mats = capture.snapshot.matrices
+        mats = capture.snapshot.rows
         s = len(seq)
         rows = range(s) if full_matrix else [s - 1]
         for a in range(n):
@@ -192,7 +192,7 @@ def test_snapshot_validate_checks_every_full_matrix_row():
     prefill(w, TokenSequence([1, 2, 3, 4, 5], [1, 1, 0, 0, 0]), capture=capture)
     snap = capture.snapshot
     snap.validate()
-    snap.matrices[1][2] *= 1.5  # a middle row; the last rows stay intact
+    snap.rows[1][2] *= 1.5  # a middle row; the last rows stay intact
     with pytest.raises(ValidationError, match="layer 1"):
         snap.validate()
 
@@ -208,7 +208,7 @@ def test_head_mean_equals_sequential_float64_sum(shape):
     expected = expected / shape[0]
     capture = AttentionCapture(full_matrix=True)
     capture.record(0, head_attn)
-    assert np.array_equal(capture.snapshot.matrices[0], expected)
+    assert np.array_equal(capture.snapshot.rows[0], expected)
     assert np.array_equal(capture.snapshot.last_rows[0], expected[-1])
     last_row_only = AttentionCapture()
     last_row_only.record(0, head_attn)

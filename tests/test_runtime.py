@@ -8,6 +8,7 @@ from lazyattn import (
     GLA,
     VLA,
     AttentionCapture,
+    FlopMeter,
     LazyBlock,
     LazyPlan,
     TokenSequence,
@@ -22,7 +23,7 @@ from lazyattn import (
     prune_visual_tokens,
 )
 
-from helpers import make_model, random_plan, random_prompt
+from helpers import HeadRecorder, make_model, random_plan, random_prompt
 
 
 def two_block_plan(mode, n_layers=6):
@@ -77,9 +78,9 @@ def test_empty_plan_decode_is_bitwise_standard(model, prompt):
 
 def test_gla_lazy_attention_equals_anchor_bitwise(model, prompt):
     plan = two_block_plan(GLA)
-    capture = AttentionCapture(per_head=True)
-    prefill(model, prompt, plan, capture=capture)
-    mats = capture.snapshot.head_matrices
+    recorder = HeadRecorder()
+    prefill(model, prompt, plan, capture=recorder)
+    mats = recorder.layers
     for block in plan.blocks:
         for lazy in block.lazy_layers:
             for h in range(model.config.n_heads):
@@ -229,9 +230,9 @@ def test_prune_bookkeeping_through_decode(model, prompt):
     kept = prompt.n_text + 2 + steps
     for l, cache in enumerate(store.layers):
         if l > 2:
-            assert cache.stored_len == kept
+            assert len(cache.values) == kept
         else:
-            assert cache.stored_len == len(prompt) + steps
+            assert len(cache.values) == len(prompt) + steps
 
 
 def test_prune_validation(model, prompt):
@@ -265,9 +266,9 @@ def test_prune_straddling_block_prunes_with_anchor(model, prompt):
     capture = AttentionCapture()
     logits, store = prefill(model, prompt, plan, capture=capture)
     prune_visual_tokens(store, capture.snapshot, 3, 0.5)
-    assert store.layers[2].stored_len == len(prompt)
-    assert store.layers[3].stored_len == len(prompt)  # V only, unpruned with anchor
-    assert store.layers[5].stored_len < len(prompt)
+    assert len(store.layers[2].values) == len(prompt)
+    assert len(store.layers[3].values) == len(prompt)  # V only, unpruned with anchor
+    assert len(store.layers[5].values) < len(prompt)
 
     spec = store.prune_record
     twin = store.clone()
@@ -365,19 +366,25 @@ def test_vla_clone_mid_decode_copies_merge_state(model):
 
 def test_runtime_matmul_sees_only_2d_operands(model, prompt, monkeypatch):
     # Span tracers wrap runtime.matmul and read `m, k = a.shape`; head-batched
-    # products must go through their own kernel.
+    # products must go through their own kernel. The tracer's matmul flops
+    # are the spy's sum of m*k*n, which must be the meter's 2-D products.
     from lazyattn import runtime
 
     real = runtime.matmul
-    shapes = []
+    shapes, macs = [], []
 
     def spy(a, b):
         shapes.append((a.ndim, b.ndim))
+        macs.append(a.shape[0] * a.shape[1] * b.shape[1])
         return real(a, b)
 
     monkeypatch.setattr(runtime, "matmul", spy)
     for plan in (None, two_block_plan(GLA), two_block_plan(VLA)):
-        logits, store = prefill(model, prompt, plan)
+        macs.clear()
+        meter = FlopMeter()
+        logits, store = prefill(model, prompt, plan, meter=meter)
+        head_labels = ("attn_scores", "attn_wv")
+        assert sum(macs) == sum(v for k, v in meter.macs.items() if k not in head_labels)
         decode(model, store, int(np.argmax(logits[-1])))
     assert shapes and all(s == (2, 2) for s in shapes)
 
