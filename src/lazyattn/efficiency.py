@@ -27,7 +27,7 @@ from .caches import CacheStore
 from .errors import ValidationError
 from .model import ModelConfig, ModelWeights, TokenSequence, synthetic_prompt
 from .planner import GLA, LazyPlan
-from .runtime import generate, prefill
+from .runtime import generate, prefill, prefill_chunk
 
 STANDARD = "standard"
 
@@ -156,9 +156,17 @@ def _check_comparable(a: CostReport, b: CostReport) -> None:
 
 
 def standard_prefill_flops(config: ModelConfig, s: int) -> int:
-    """Closed-form matmul FLOPs of a standard prefill (embedding excluded)."""
+    """Closed-form matmul FLOPs of a standard prefill (embedding excluded):
+    the Q/K/V/output projections, the MLP and the LM head over s rows, and
+    the scores and weighted sum over the query-key pairs block-causal
+    attention computes: each block of `runtime.CHUNK` query rows against
+    the keys up to its last row (s * s where the kernels run attention as
+    one square, see `runtime.prefill_chunk`)."""
     d, ff, v = config.d_model, config.d_ff, config.vocab_size
-    per_layer = 4 * s * d * d + 2 * s * s * d + 3 * s * d * ff
+    chunk = prefill_chunk(config.d_head, s) or s
+    blocks = [(start, min(start + chunk, s)) for start in range(0, s, chunk)]
+    pairs = sum((stop - start) * stop for start, stop in blocks)
+    per_layer = 4 * s * d * d + 2 * pairs * d + 3 * s * d * ff
     return 2 * (config.n_layers * per_layer + s * d * v)
 
 

@@ -18,9 +18,23 @@ For products there are two kernels, with different bits:
 - `matvec`/`head_matvec` run the stacked GEMV: (m, 1, k) row vectors, one
   GEMV per row, all in C; row i has the bits of `a[i] @ b` alone.
 
-A phase uses one kernel for every product: prefill the tiles, decode the
-GEMV, since a padded 1-row tile costs about twice a GEMV on weights that
-are cold in cache. The oracle computes every product with `matmul`.
+The tiles are also length-invariant: k and n are zero-padded to multiples
+of LANE (16) and the logical result sliced back out. Then a column of the
+product keeps its bits as b gains columns, and a row keeps its bits as k
+grows by terms that are zero in a. Attention rests on both: a scores
+column does not depend on how many keys follow it, nor a weighted sum on
+how many masked (zero) weights. The model's weight shapes are multiples of
+16 already, so only the attention products pay for the padding. The
+softmax does its part in `masked_softmax_rows`, whose blocked row sum does
+not depend on how many masked columns follow a row. So a block of query
+rows attended against a prefix of the keys gets the bits the full square
+gives those rows, which lets prefill skip the masked triangle.
+
+A phase picks its kernels, never the row count: prefill runs the tiles and
+the blocked row sum, decode the GEMV and one plain `np.sum` per row, since
+a padded 1-row tile costs about twice a GEMV on weights that are cold in
+cache and decode never needs length invariance. The oracle computes every
+product with `matmul` and every softmax with the blocked sum.
 
 The tiles see one canonical layout: a right-hand operand whose last axis
 is not unit-stride (K^T as a transposed view of the key cache) is copied to
@@ -29,10 +43,12 @@ a view and a copy of the same values give different bits; on the scores
 product the copy is also several times faster than the view.
 
 Tile invariance is a property of the BLAS, so it is checked where the
-engine runs: on the first use of each (k, n), a random row's bits in slot
-0 and in slot 3 between random neighbours, and alone in a padded tile, must
-agree. Where they do not, that shape runs the GEMV on the canonical layout,
-in production and oracle alike.
+engine runs, once per padded (k, n): a random row's bits in slot 0 and in
+slot 3 between random neighbours and alone in a padded tile must agree,
+and must not move when b gains LANE columns or k gains LANE zero terms.
+Where they do not, that shape runs the GEMV on the canonical layout, in
+production and oracle alike, and `causal_blocks_hold` tells the runtime to
+run attention as one square.
 
 Transcendentals (cos/sin for the rotary tables) are memoized per position
 so the same position always yields the same bits regardless of batch shape;
@@ -54,6 +70,10 @@ Matrix = np.ndarray
 F32 = np.float32
 
 TILE = 4
+# The tiles pad k and n to multiples of LANE (see module doc).
+LANE = 16
+# Columns per partial sum of a blocked softmax row sum.
+SUM_BLOCK = 128
 
 
 def _check(name: str, a: np.ndarray, b: np.ndarray, ndim: int) -> None:
@@ -75,39 +95,85 @@ def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
 
 
+def _up(x: int, step: int) -> int:
+    return x + (-x % step)
+
+
+def _padded(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """`x` zero-padded on its last two axes to (rows, cols), in C order."""
+    out = np.zeros((*x.shape[:-2], rows, cols), dtype=x.dtype)
+    out[..., : x.shape[-2], : x.shape[-1]] = x
+    return out
+
+
 def _tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[..., i, :] = a[..., i, :] @ b over zero-padded 4-row tiles."""
+    """out[..., i, :] = a[..., i, :] @ b over 4-row tiles, with m zero-padded
+    to a multiple of TILE and k and n to multiples of LANE."""
     *lead, m, k = a.shape
-    pad = -m % TILE
-    if pad:
-        a = np.concatenate([a, np.zeros((*lead, pad, k), dtype=a.dtype)], axis=-2)
-    out = np.matmul(a.reshape(*lead, (m + pad) // TILE, TILE, k), b[..., None, :, :])
-    return out.reshape(*lead, m + pad, b.shape[-1])[..., :m, :]
+    n = b.shape[-1]
+    m_pad, k_pad, n_pad = _up(m, TILE), _up(k, LANE), _up(n, LANE)
+    if (m_pad, k_pad) != (m, k):
+        a = _padded(a, m_pad, k_pad)
+    if (k_pad, n_pad) != (k, n) or b.strides[-1] != b.itemsize:
+        b = _padded(b, k_pad, n_pad)  # also the one canonical layout (see module doc)
+    out = np.matmul(a.reshape(*lead, m_pad // TILE, TILE, k_pad), b[..., None, :, :])
+    return out.reshape(*lead, m_pad, n_pad)[..., :m, :n]
 
 
-# (k, n) -> whether 4-row tiles of that shape are batch-invariant here.
+# Padded (k, n) -> whether tiles of that shape are batch- and
+# length-invariant here; one entry per padded shape ever used.
 _TILES_HOLD: dict[tuple[int, int], bool] = {}
 
 
 def _probe_tiles(k: int, n: int) -> bool:
-    """One random row's tile bits in slot 0 and slot 3, between random
-    neighbours, and alone in a zero-padded tail tile: all equal?"""
+    """On random operands of the padded shape (k, n): one row's tile bits in
+    slot 0 and slot 3, between random neighbours, and alone in a zero-padded
+    tail tile all agree; the columns keep their bits when b gains LANE
+    columns; and they keep them when k grows by LANE, zeros in a against
+    random rows of b."""
     rng = np.random.default_rng([k, n])
     a = rng.random((2 * TILE + 1, k), dtype=np.float32) - F32(0.5)
-    b = rng.random((k, n), dtype=np.float32) - F32(0.5)
+    b = rng.random((k + LANE, n + LANE), dtype=np.float32) - F32(0.5)
     a[2 * TILE - 1] = a[2 * TILE] = a[0]
-    out = _tiles(a, b)
-    return np.array_equal(out[0], out[2 * TILE - 1]) and np.array_equal(out[0], out[2 * TILE])
+    out = _tiles(a, np.ascontiguousarray(b[:k, :n]))
+    wide = _tiles(a, np.ascontiguousarray(b[:k]))[:, :n]
+    deep = _tiles(_padded(a, len(a), k + LANE), np.ascontiguousarray(b[:, :n]))
+    return (
+        np.array_equal(out[0], out[2 * TILE - 1])
+        and np.array_equal(out[0], out[2 * TILE])
+        and np.array_equal(out, wide)
+        and np.array_equal(out, deep)
+    )
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if b.strides[-1] != b.itemsize:  # one canonical layout (see module doc)
-        b = np.ascontiguousarray(b)
-    shape = b.shape[-2:]
+def _tiles_hold(k: int, n: int) -> bool:
+    """Whether the tiles of (k, n) products are batch- and length-invariant
+    on this host; probed once per padded shape."""
+    shape = (_up(k, LANE), _up(n, LANE))
     hold = _TILES_HOLD.get(shape)
     if hold is None:
         hold = _TILES_HOLD[shape] = _probe_tiles(*shape)
-    return _tiles(a, b) if hold else _row_gemv(a, b)
+    return hold
+
+
+def causal_blocks_hold(d_head: int, n_keys: int) -> bool:
+    """Whether attention over up to `n_keys` keys may run in row blocks, each
+    against a prefix of the keys, with the bits of the full square: the
+    scores (d_head, w) and weighted-sum (w, d_head) tiles hold at every
+    padded width w up to n_keys, so a column or a sum keeps its bits from
+    one width to the next."""
+    return all(
+        _tiles_hold(d_head, w) and _tiles_hold(w, d_head)
+        for w in range(LANE, _up(n_keys, LANE) + 1, LANE)
+    )
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if _tiles_hold(*b.shape[-2:]):
+        return _tiles(a, b)
+    if b.strides[-1] != b.itemsize:  # one canonical layout (see module doc)
+        b = np.ascontiguousarray(b)
+    return _row_gemv(a, b)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -145,7 +211,9 @@ def head_matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_gemv(a, b)
 
 
-def masked_softmax_rows(logits: np.ndarray, row_offset: int, scale: float) -> np.ndarray:
+def masked_softmax_rows(
+    logits: np.ndarray, row_offset: int, scale: float, blocked: bool = True
+) -> np.ndarray:
     """Softmax of scale*logits along the last axis with causal masking: row
     i sees columns j <= i + row_offset, so 0 is the square prefill mask.
 
@@ -156,6 +224,11 @@ def masked_softmax_rows(logits: np.ndarray, row_offset: int, scale: float) -> np
     are stabilized by subtracting the row max over visible positions before
     exponentiation; column 0 is always visible, so that max is finite and
     masked positions come out exactly 0.
+
+    `blocked` sums each row in SUM_BLOCK-column blocks, the tail block
+    zero-padded, and adds the block sums left to right, so a row's bits do
+    not depend on how many masked columns follow it (see module doc).
+    Otherwise the row is one `np.sum`.
     """
     if scale <= 0:
         raise ValidationError(f"softmax scale must be positive, got {scale}")
@@ -166,10 +239,20 @@ def masked_softmax_rows(logits: np.ndarray, row_offset: int, scale: float) -> np
     rows, cols = logits.shape[-2:]
     scaled = logits * F32(scale)
     if row_offset < cols - 1:
-        visible = np.arange(cols) <= np.arange(rows)[:, None] + row_offset
-        scaled = np.where(visible, scaled, F32(-np.inf))
+        # Columns up to row_offset are visible to every row.
+        start = row_offset + 1
+        hidden = np.arange(start, cols) > np.arange(rows)[:, None] + row_offset
+        np.copyto(scaled[..., start:], F32(-np.inf), where=hidden)
     e = np.exp(scaled - np.max(scaled, axis=-1, keepdims=True))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    if not blocked:
+        return e / np.sum(e, axis=-1, keepdims=True)
+    full = cols - cols % SUM_BLOCK
+    parts = e[..., :full].reshape(*e.shape[:-1], full // SUM_BLOCK, SUM_BLOCK).sum(axis=-1)
+    if full < cols:
+        tail = np.zeros((*e.shape[:-1], SUM_BLOCK), dtype=np.float32)
+        tail[..., : cols - full] = e[..., full:]
+        parts = np.concatenate([parts, tail.sum(axis=-1, keepdims=True)], axis=-1)
+    return e / np.cumsum(parts, axis=-1)[..., -1:]
 
 
 def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:

@@ -7,23 +7,33 @@ so a plan and a store cannot disagree about it. `generate(weights, store,
 last_logits, steps)` is the one greedy loop: it continues a store that a
 prefill filled, and a prune possibly cut, from the prefill's last logits.
 
-Prefill and decode run the same head-batched layer step, `_layer`, over a
-chunk of rows and their shared/own split: prefill passes the s prompt rows
+Prefill and decode run the same head-batched layer step, `_layer`, over
+some rows and their shared/own split: prefill passes the s prompt rows
 with the store's prompt split, decode one new row with the store's
 `decode_split`. Positions live in the store (see `caches`); no layer keeps
 its own. Each layer's K/V cache is one (n_heads, L, d_head) array, so
-rotary runs once per layer and attention for all heads is one scores
-product, one masked softmax over (n_heads, rows, L) and one weighted sum.
+rotary runs once per layer and attention for all heads runs as one scores
+product, one masked softmax and one weighted sum per block of rows.
 
-The phase picks the product kernels, never the row count (see `kernels`):
-prefill runs the batch-invariant 4-row tiles (`matmul`, `head_matmul`),
-which the oracle computes every product with, so prefill matches it bit for
-bit even where a lazy layer projects a single own row; decode runs the
-stacked GEMV (`matvec`, `head_matvec`), which is cheaper for its one row.
-`prefill` and `decode` look the kernels up in this module when called, so
-a wrapper set on `runtime.matmul` sees every prefill product. Each product
-states its operands once and records its own MACs on the meter it is given
-(`_metered`), so the meter counts what ran.
+Prefill attention is block-causal: the query rows run in blocks of CHUNK,
+each against the keys up to its last row only, so the masked triangle past
+a block's last row is never computed. The kernels are length-invariant
+(see `kernels`), so every row gets the bits of the full square, which the
+oracle computes; where the run-time probe finds otherwise, prefill runs
+the square in one pass (`prefill_chunk`). Decode's one row sees every key
+in one pass.
+
+The phase picks its kernels, never the row count (see `kernels`): prefill
+runs the batch-invariant 4-row tiles (`matmul`, `head_matmul`) and the
+blocked softmax row sum, which the oracle computes with, so prefill
+matches it bit for bit even where a lazy layer projects a single own row;
+decode runs the stacked GEMV (`matvec`, `head_matvec`) and a plain row
+sum, which are cheaper for its one row. `prefill` and `decode` look the
+kernels up in this module when called, so a wrapper set on
+`runtime.matmul` sees every prefill product. Each product states its
+operands once and records its own MACs on the meter it is given
+(`_metered`), so the meter counts what ran: a block's scores and weighted
+sum count its rows against its keys.
 
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
@@ -50,6 +60,7 @@ at most once.
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,6 +69,7 @@ from .errors import ValidationError
 from .kernels import (
     apply_rope,
     attention_scale,
+    causal_blocks_hold,
     head_matmul,
     head_matvec,
     masked_softmax_rows,
@@ -68,6 +80,9 @@ from .kernels import (
 )
 from .model import ModelWeights, TokenSequence
 from .planner import LazyPlan
+
+# Query rows per block of block-causal prefill attention.
+CHUNK = 64
 
 
 def _validate_tokens(tokens: TokenSequence, vocab_size: int) -> None:
@@ -93,6 +108,23 @@ def _metered(kernel, meter):
     return product
 
 
+class _Phase(NamedTuple):
+    """What a phase runs: its 2-D and per-head products (see `_metered`),
+    whether its softmax sums rows in blocks, and the query rows per
+    attention block (None: one pass over all rows)."""
+
+    mm: Callable
+    head_mm: Callable
+    blocked_sum: bool
+    chunk: int | None
+
+
+def prefill_chunk(d_head: int, s: int) -> int | None:
+    """The query rows per attention block of an s-token prefill: CHUNK where
+    the kernels hold block-causal bits up to s keys, else None (one square)."""
+    return CHUNK if causal_blocks_hold(d_head, s) else None
+
+
 def _rotated(config, m: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """A projection's rows rotated per head, as (n_heads, rows, d_head)."""
     m = m.reshape(m.shape[0], config.n_heads, config.d_head)
@@ -100,12 +132,50 @@ def _rotated(config, m: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return apply_rope(m, positions.tolist(), config.rope_theta).transpose(1, 0, 2)
 
 
-def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, products, capture):
+def _attend(phase: _Phase, q: np.ndarray, kt: np.ndarray, values: np.ndarray):
+    """softmax(q K^T / sqrt(d_head)) V for q's rows, which sit at the last
+    of the n keys' positions, with K^T as (n_heads, d_head, n); returns the
+    weighted sum and the attention."""
+    scores = phase.head_mm(q, kt, "attn_scores")
+    # Row i sits at key index n - rows + i.
+    attn = masked_softmax_rows(
+        scores, kt.shape[2] - q.shape[1], attention_scale(q.shape[2]), phase.blocked_sum
+    )
+    return phase.head_mm(attn, values, "attn_wv"), attn
+
+
+def _attention(phase: _Phase, q, keys, values, full_attn: bool):
+    """Attention for q's rows: one pass, or block-causally in blocks of
+    `phase.chunk` rows, each against the keys up to its last row, so the
+    masked columns past a block are never computed. Returns the weighted
+    sum and, when `full_attn`, the (n_heads, rows, L) attention (masked
+    entries 0, as a pass over all keys gives them)."""
+    n_heads, rows, d_head = q.shape
+    chunk = phase.chunk
+    kt = keys.transpose(0, 2, 1)
+    if chunk is None or rows <= chunk:
+        return _attend(phase, q, kt, values)
+    # One C-order copy of K^T serves every block (see `kernels`).
+    kt = np.ascontiguousarray(kt)
+    n_keys = keys.shape[1]
+    out = np.empty((n_heads, rows, d_head), dtype=np.float32)
+    attn = np.zeros((n_heads, rows, n_keys), dtype=np.float32) if full_attn else None
+    for start in range(0, rows, chunk):
+        stop = min(start + chunk, rows)
+        n = n_keys - rows + stop
+        out[:, start:stop], block = _attend(phase, q[:, start:stop], kt[..., :n], values[:, :n])
+        if full_attn:
+            attn[:, start:stop, :n] = block
+    return out, attn
+
+
+def _layer(
+    weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, phase: _Phase, capture
+):
     """One decoder layer over the rows after the store's `seq_len`, whose
-    shared/own split is `split`, with the phase's `products` (the 2-D and
-    the per-head product, see `_metered`); appends their K/V to the layer's
-    caches and returns the layer output."""
-    mm, head_mm = products
+    shared/own split is `split`, with the `phase`'s kernels; appends their
+    K/V to the layer's caches and returns the layer output."""
+    mm = phase.mm
     config = weights.config
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
     lw = weights.layers[l]
@@ -140,12 +210,9 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, p
             else:
                 q = shared_q
 
-    scores = head_mm(q, keys.transpose(0, 2, 1), "attn_scores")
-    # Row i sits at key index L - rows + i, for L keys.
-    attn = masked_softmax_rows(scores, keys.shape[1] - rows, attention_scale(d_head))
+    o, attn = _attention(phase, q, keys, cache.values.data, capture is not None)
     if capture is not None:
         capture.record(l, attn)
-    o = head_mm(attn, cache.values.data, "attn_wv")
     x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo, "attn_out")
 
     hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
@@ -155,16 +222,16 @@ def _layer(weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, p
 
 
 def _forward(
-    weights: ModelWeights, store: CacheStore, token_ids, split: RowSplit, products, capture
+    weights: ModelWeights, store: CacheStore, token_ids, split: RowSplit, phase: _Phase, capture
 ):
-    """Run the rows through every layer with the phase's `products`;
-    returns their logits."""
+    """Run the rows through every layer with the `phase`'s kernels; returns
+    their logits."""
     config = weights.config
     x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
     for l in range(config.n_layers):
-        x = _layer(weights, store, l, x, split, products, capture)
+        x = _layer(weights, store, l, x, split, phase, capture)
     xn = rms_norm(x, weights.final_gain, config.norm_eps)
-    return products[0](xn, weights.lm_head, "lm_head")
+    return phase.mm(xn, weights.lm_head, "lm_head")
 
 
 def prefill(
@@ -181,8 +248,13 @@ def prefill(
     _validate_tokens(tokens, weights.config.vocab_size)
     store = CacheStore(weights.config, plan, tokens)
     # Looked up now, so wrappers take effect.
-    products = (_metered(matmul, meter), _metered(head_matmul, meter))
-    logits = _forward(weights, store, tokens.token_ids, store.split, products, capture)
+    phase = _Phase(
+        _metered(matmul, meter),
+        _metered(head_matmul, meter),
+        True,
+        prefill_chunk(weights.config.d_head, len(tokens)),
+    )
+    logits = _forward(weights, store, tokens.token_ids, store.split, phase, capture)
     # Prefill-era shared queries are never reread by decode; release them so
     # the Q cache occupancy bound stays honest (peak remains recorded).
     store.qcache.release()
@@ -197,8 +269,8 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     if not 0 <= next_token < weights.config.vocab_size:
         raise ValidationError(f"token id {next_token} outside vocabulary")
-    products = (_metered(matvec, meter), _metered(head_matvec, meter))
-    logits = _forward(weights, store, [next_token], store.decode_split, products, None)
+    phase = _Phase(_metered(matvec, meter), _metered(head_matvec, meter), False, None)
+    logits = _forward(weights, store, [next_token], store.decode_split, phase, None)
     store.seq_len += 1
     return logits[0]
 

@@ -9,6 +9,8 @@ from lazyattn import (
     GLA,
     VLA,
     FlopMeter,
+    LazyBlock,
+    LazyPlan,
     decode,
     kv_savings,
     meter_run,
@@ -16,6 +18,8 @@ from lazyattn import (
     standard_prefill_flops,
     verify_flops_savings,
 )
+from lazyattn.kernels import causal_blocks_hold
+from lazyattn.runtime import CHUNK
 
 from helpers import make_model, random_plan, random_prompt
 
@@ -28,19 +32,37 @@ def model():
 
 
 # Leading visual spans keep their ids; the interleaved layouts put own rows
-# on both sides of (mid) or between (alternating) the shared ones.
-LAYOUTS = [pytest.param(t, "leading", id=str(t)) for t in range(6)] + [
-    pytest.param(t, layout, id=f"{t}-{layout}") for layout in ("mid", "alternating") for t in range(6)
-]
+# on both sides of (mid) or between (alternating) the shared ones. Short
+# prompts are one attention block; 200 tokens are four blocks of CHUNK rows.
+LAYOUTS = (
+    [pytest.param(t, "leading", None, id=str(t)) for t in range(6)]
+    + [
+        pytest.param(t, layout, None, id=f"{t}-{layout}")
+        for layout in ("mid", "alternating")
+        for t in range(6)
+    ]
+    + [
+        pytest.param(0, layout, 200, id=f"long-{layout}")
+        for layout in ("leading", "mid", "alternating")
+    ]
+)
 
 
-@pytest.mark.parametrize("trial,layout", LAYOUTS)
-def test_meter_run_lands_on_the_closed_forms(model, trial, layout):
+def attended_pairs(s):
+    """Query-key pairs of block-causal attention, row by row: each row runs
+    against the keys up to the last row of its block."""
+    return sum(min((i // CHUNK + 1) * CHUNK, s) for i in range(s))
+
+
+@pytest.mark.parametrize("trial,layout,length", LAYOUTS)
+def test_meter_run_lands_on_the_closed_forms(model, trial, layout, length):
     rng = np.random.default_rng(100 + trial)
     config = model.config
-    length = int(rng.integers(6, 20))
+    if length is None:
+        length = int(rng.integers(6, 20))
     tokens = random_prompt(rng, config.vocab_size, length=length, layout=layout)
     s, d = len(tokens), config.d_model
+    assert causal_blocks_hold(config.d_head, s)
     std, _ = meter_run(model, tokens, None)
     assert std.prefill_flops == standard_prefill_flops(config, s)
     L, ff, v = N_LAYERS, config.d_ff, config.vocab_size
@@ -50,8 +72,8 @@ def test_meter_run_lands_on_the_closed_forms(model, trial, layout):
         "attn_k": projection,
         "attn_v": projection,
         "attn_out": projection,
-        "attn_scores": 2 * L * s * s * d,
-        "attn_wv": 2 * L * s * s * d,
+        "attn_scores": 2 * L * attended_pairs(s) * d,
+        "attn_wv": 2 * L * attended_pairs(s) * d,
         "mlp_gate": 2 * L * s * d * ff,
         "mlp_up": 2 * L * s * d * ff,
         "mlp_down": 2 * L * s * d * ff,
@@ -88,6 +110,25 @@ def test_meter_run_lands_on_the_closed_forms(model, trial, layout):
         n_vla * tokens.n_visual, 2 * N_LAYERS * s
     )
     assert kv_savings(std, gla) == pytest.approx(n_gla / (2 * N_LAYERS), rel=1e-12)
+
+
+def test_block_causal_counts_on_a_200_token_prompt(model):
+    """Pinned figures for four blocks of CHUNK = 64 rows: 64*64 + 64*128 +
+    64*192 + 8*200 = 26176 query-key pairs against 200*200 = 40000 for the
+    full square."""
+    assert CHUNK == 64
+    config = model.config
+    rng = np.random.default_rng(9)
+    tokens = random_prompt(rng, config.vocab_size, length=200, visual_fraction=0.5)
+    plan = LazyPlan(mode=GLA, n_layers=N_LAYERS, blocks=[LazyBlock(1, (2, 3)), LazyBlock(4, (5,))])
+    std, _ = meter_run(model, tokens, None)
+    gla, _ = meter_run(model, tokens, plan)
+    # 6 layers, d 32, d_ff 64, vocab 96: 2 * 6 * 26176 * 32
+    assert std.flops_by_op["attn_scores"] == std.flops_by_op["attn_wv"] == 10_051_584
+    assert std.prefill_flops == standard_prefill_flops(config, 200) == 45_907_968
+    # 2n * beta: three lazy layers skip Q and K, 2 * 3 * (2 * 200 * 32 * 32)
+    assert std.prefill_flops - gla.prefill_flops == 2_457_600
+    assert gla.flops_by_op["attn_scores"] == std.flops_by_op["attn_scores"]
 
 
 def test_kv_savings_hold_after_decode_steps(model):

@@ -43,12 +43,20 @@ def per_row(a, b):
     return np.stack([a[i] @ b for i in range(a.shape[0])])
 
 
+def up16(x):
+    return -(-x // 16) * 16
+
+
 def alone_in_tile(a, b, slot):
     """Every row of a run alone in a zero-padded 4-row tile, at `slot`,
-    against the canonical (C-contiguous) layout of b."""
-    tiles = np.zeros((a.shape[0], 4, a.shape[1]), dtype=np.float32)
-    tiles[:, slot] = a
-    return np.matmul(tiles, np.ascontiguousarray(b))[:, slot]
+    against the canonical (C-contiguous) layout of b, with k and n
+    zero-padded to multiples of 16."""
+    (m, k), n = a.shape, b.shape[1]
+    tiles = np.zeros((m, 4, up16(k)), dtype=np.float32)
+    tiles[:, slot, :k] = a
+    padded = np.zeros((up16(k), up16(n)), dtype=np.float32)
+    padded[:k, :n] = b
+    return np.matmul(tiles, padded)[:, slot, :n]
 
 
 def growable_keys(rng):
@@ -159,6 +167,59 @@ def test_tile_probe_catches_a_row_that_moves(monkeypatch):
     assert kernels._TILES_HOLD == {(64, 96): False}
 
 
+@pytest.mark.parametrize("grown", [-1, -2], ids=["wider-b", "deeper-k"])
+def test_tile_probe_catches_bits_that_move_with_length(monkeypatch, grown):
+    """The probe also fails when a column's bits change as b gains columns,
+    or a row's as k gains zero terms; attention then runs as one square."""
+    real = kernels._tiles
+
+    def nudged(a, b):
+        out = real(a, b)
+        if b.shape[grown] > 64:
+            out = np.nextafter(out, np.float32(np.inf))
+        return out
+
+    monkeypatch.setattr(kernels, "_tiles", nudged)
+    assert not kernels._probe_tiles(64, 64)
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    assert not kernels.causal_blocks_hold(64, 40)
+    assert False in kernels._TILES_HOLD.values()
+
+
+def test_tile_probes_are_kept_per_padded_shape(monkeypatch):
+    """Products whose k and n round up to the same multiples of 16 share one
+    probe, so prompt lengths add at most one entry per 16 positions."""
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    rng = np.random.default_rng(10)
+    for n in range(97, 113):
+        q = f32(rng.standard_normal((3, 64)))
+        keys = f32(rng.standard_normal((n, 64)))
+        matmul(matmul(q, keys.T), keys)
+    assert kernels._TILES_HOLD == {(64, 112): True, (112, 64): True}
+    assert kernels.causal_blocks_hold(64, 200)
+    assert set(kernels._TILES_HOLD) == {
+        shape for w in range(16, 209, 16) for shape in ((64, w), (w, 64))
+    }
+
+
+def test_padded_products_keep_a_columns_bits_as_the_keys_grow():
+    """Scores columns keep their bits as n grows, and weighted sums keep
+    theirs as k grows with zero weights: the two properties block-causal
+    attention rests on."""
+    rng = np.random.default_rng(12)
+    keys = f32(rng.standard_normal((2, 600, 64)))
+    q = f32(rng.standard_normal((2, 37, 64)))
+    attn = f32(rng.random((2, 37, 600)))
+    scores = head_matmul(q, keys.transpose(0, 2, 1))
+    for n in (1, 15, 16, 17, 64, 100, 128, 257, 511):
+        assert np.array_equal(head_matmul(q, keys[:, :n].transpose(0, 2, 1)), scores[..., :n])
+        zero_tail = attn.copy()
+        zero_tail[..., n:] = 0
+        assert np.array_equal(
+            head_matmul(attn[..., :n], keys[:, :n]), head_matmul(zero_tail, keys)
+        )
+
+
 def test_head_matmul_rejects_bad_shapes():
     for product in (head_matmul, head_matvec):
         with pytest.raises(ValidationError):
@@ -206,6 +267,48 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
     assert np.all(out[~tri] == 0.0)
     shifted = masked_softmax_rows(logits + f32(7.5), 0, 0.25)
     assert np.allclose(out, shifted, atol=1e-6)
+
+
+def blocked_reference(logits, row_offset, scale):
+    """The blocked softmax one row at a time: 128-column blocks, the tail
+    zero-padded, each summed alone and added left to right."""
+    out = np.empty_like(logits)
+    for i, row in enumerate(logits * np.float32(scale)):
+        row = row.copy()
+        row[i + row_offset + 1 :] = -np.inf
+        e = np.exp(row - row.max())
+        padded = np.zeros(up16(len(e)) + 128, dtype=np.float32)
+        padded[: len(e)] = e
+        total = np.float32(0)
+        for start in range(0, len(e), 128):
+            total = total + np.sum(padded[start : start + 128])
+        out[i] = e / total
+    return out
+
+
+def test_blocked_softmax_sums_rows_in_fixed_blocks():
+    rng = np.random.default_rng(13)
+    logits = f32(rng.standard_normal((40, 300)) * 3)
+    for offset in (0, 100, 260, 299):
+        out = masked_softmax_rows(logits, offset, 0.125)
+        assert np.array_equal(out, blocked_reference(logits, offset, 0.125))
+        plain = masked_softmax_rows(logits, offset, 0.125, blocked=False)
+        assert np.allclose(out, plain, rtol=1e-6, atol=0)
+    one = masked_softmax_rows(logits[:1], 299, 0.125, blocked=False)
+    e = np.exp(logits[:1] * np.float32(0.125) - np.max(logits[:1] * np.float32(0.125)))
+    assert np.array_equal(one, e / np.sum(e, axis=-1, keepdims=True))
+
+
+def test_blocked_softmax_rows_ignore_masked_columns_after_them():
+    """A row's bits do not depend on how many masked columns follow it: the
+    first n columns of a row that sees fewer than n equal the row cut at n."""
+    rng = np.random.default_rng(14)
+    logits = f32(rng.standard_normal((4, 64, 600)) * 3)
+    offset = 200
+    full = masked_softmax_rows(logits, offset, 0.125)
+    for n in (264, 265, 300, 384, 385, 511):
+        cut = masked_softmax_rows(logits[..., :n], offset, 0.125)
+        assert np.array_equal(cut, full[..., :n])
 
 
 def test_softmax_rejects_bad_scale():

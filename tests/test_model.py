@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from lazyattn import (
+    GLA,
+    VLA,
     AttentionCapture,
     DimensionMismatchError,
+    LazyBlock,
+    LazyPlan,
     ManifestError,
     ModelConfig,
     TokenSequence,
@@ -22,11 +26,11 @@ from lazyattn import (
     save_checkpoint,
     write_sequences_jsonl,
 )
-from lazyattn.kernels import matmul, rms_norm, silu
+from lazyattn.kernels import causal_blocks_hold, matmul, rms_norm, silu
 from lazyattn.model import atomic_write
 from lazyattn.rng import splitmix64
 
-from helpers import HeadRecorder, make_model
+from helpers import HeadRecorder, make_model, random_prompt
 
 
 def _checkpoint_bytes(path):
@@ -260,7 +264,27 @@ def test_causality_prefix_oracle(small_model):
     for t in (1, 3, 5):
         prefix = TokenSequence(full.token_ids[:t], full.modality[:t])
         lp, _ = prefill(small_model, prefix)
-        assert np.max(np.abs(lf[t - 1] - lp[-1])) <= 1e-5
+        assert np.array_equal(lf[:t], lp)
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_prefill_is_prefix_invariant(small_model, mode):
+    """prefill(tokens[:L]) is prefill(tokens)[:L] bit for bit, for prefixes
+    inside, at and across the attention blocks. The probe must hold here:
+    where it fails attention runs as one square, which is not
+    prefix-invariant, so a silent fallback fails this test too."""
+    s = 200
+    assert causal_blocks_hold(small_model.config.d_head, s)
+    rng = np.random.default_rng(4)
+    tokens = random_prompt(rng, small_model.config.vocab_size, s, 0.5, layout="mid")
+    plan = None if mode is None else LazyPlan(
+        mode=mode, n_layers=6, blocks=[LazyBlock(1, (2, 3)), LazyBlock(4, (5,))]
+    )
+    full, _ = prefill(small_model, tokens, plan)
+    for L in sorted({*range(1, s, 6), 63, 64, 65, 127, 128, 129}):
+        prefix = TokenSequence(tokens.token_ids[:L], tokens.modality[:L])
+        logits, _ = prefill(small_model, prefix, plan)
+        assert np.array_equal(logits, full[:L]), L
 
 
 def test_prefill_decode_consistency(small_model):

@@ -21,6 +21,7 @@ from lazyattn import (
     oracle_prefill,
     prefill,
     prune_visual_tokens,
+    runtime,
 )
 
 from helpers import HeadRecorder, make_model, random_plan, random_prompt
@@ -368,8 +369,6 @@ def test_runtime_matmul_sees_only_2d_operands(model, prompt, monkeypatch):
     # Span tracers wrap runtime.matmul and read `m, k = a.shape`; head-batched
     # products must go through their own kernel. The tracer's matmul flops
     # are the spy's sum of m*k*n, which must be the meter's 2-D products.
-    from lazyattn import runtime
-
     real = runtime.matmul
     shapes, macs = [], []
 
@@ -425,10 +424,20 @@ def test_prefill_runs_the_tile_kernel_whatever_its_row_count(wide_model, tokens,
     assert np.array_equal(logits, oracle_prefill(wide_model, tokens, plan))
 
 
+# More than two blocks of runtime.CHUNK query rows.
+LONG = 150
+
+
+def long_prompt(layout: str, seed: int) -> TokenSequence:
+    rng = np.random.default_rng(seed)
+    return random_prompt(rng, 96, length=LONG, visual_fraction=0.5, layout=layout)
+
+
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
 def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypatch):
-    """When the run-time probe finds tiles that are not batch-invariant,
-    matmul runs the GEMV and prefill still equals the oracle bit for bit."""
+    """When the run-time probe finds tiles that are not batch- and
+    length-invariant, matmul runs the GEMV, prefill attention runs as one
+    square, and prefill still equals the oracle bit for bit."""
     from lazyattn import kernels
 
     monkeypatch.setattr(kernels, "_probe_tiles", lambda k, n: False)
@@ -437,8 +446,63 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
     a = rng.standard_normal((6, 32), dtype=np.float32)
     b = rng.standard_normal((48, 32), dtype=np.float32).T
     assert np.array_equal(kernels.matmul(a, b), kernels.matvec(a, np.ascontiguousarray(b)))
+    assert runtime.prefill_chunk(model.config.d_head, LONG) is None
     plan = None if mode is None else two_block_plan(mode)
-    for tokens in (prompt, ONE_OWN_ROW):
+    for tokens in (prompt, ONE_OWN_ROW, long_prompt("mid", 4)):
         logits, _ = prefill(model, tokens, plan)
         assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
     assert kernels._TILES_HOLD and not any(kernels._TILES_HOLD.values())
+
+
+# ---------------------------------------------------------------------------
+# Block-causal prefill: prompts over several attention blocks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("layout", ["mid", "alternating"])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_long_prompt_meets_the_oracle_contracts(model, layout, mode):
+    """Over several blocks prefill equals the oracle bit for bit, and greedy
+    decode emits the oracle's ids."""
+    assert LONG > 2 * runtime.CHUNK
+    assert runtime.prefill_chunk(model.config.d_head, LONG) == runtime.CHUNK
+    tokens = long_prompt(layout, 5)
+    plan = None if mode is None else two_block_plan(mode)
+    logits, store = prefill(model, tokens, plan)
+    assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
+    ids = generate(model, store, logits[-1], 4)
+    assert ids == oracle_full_generate(model, tokens, 4, plan)
+
+
+def test_long_pruned_prompt_meets_the_prune_aware_oracle(model):
+    tokens = long_prompt("alternating", 6)
+    plan = two_block_plan(VLA)
+    capture = AttentionCapture()
+    logits, store = prefill(model, tokens, plan, capture=capture)
+    assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
+    prune_visual_tokens(store, capture.snapshot, 2, 0.5)
+    spec = store.prune_record
+    ids = generate(model, store, logits[-1], 4)
+    assert ids == oracle_full_generate(model, tokens, 4, plan, prune=spec)
+
+
+@pytest.mark.parametrize("chunk", [32, 64, 128])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_block_causal_attention_equals_the_full_square(model, chunk, mode, monkeypatch):
+    """Attention in blocks of `chunk` rows gives the logits and the captured
+    attention of one pass over the full square, bit for bit."""
+    tokens = long_prompt("mid", 7)
+    plan = None if mode is None else two_block_plan(mode)
+    square = HeadRecorder()
+    monkeypatch.setattr(runtime, "CHUNK", LONG)
+    one_pass, _ = prefill(model, tokens, plan, capture=square)
+    blocks = HeadRecorder()
+    monkeypatch.setattr(runtime, "CHUNK", chunk)
+    meter = FlopMeter()
+    logits, _ = prefill(model, tokens, plan, capture=blocks, meter=meter)
+    assert np.array_equal(logits, one_pass)
+    for a, b in zip(blocks.layers, square.layers, strict=True):
+        assert np.array_equal(a, b)
+    # Each block of rows computes against the keys up to its last row.
+    pairs = sum(min((i // chunk + 1) * chunk, LONG) for i in range(LONG))
+    assert meter.macs["attn_scores"] == 6 * model.config.d_model * pairs
