@@ -32,27 +32,39 @@ from .model import VISUAL, ModelConfig, TokenSequence
 from .planner import GLA, LazyPlan, layer_anchors
 
 
+# Spare rows a buffer gets past what it must hold whenever it reallocates,
+# so the decode steps after a prefill or a prune append in place.
+HEADROOM = 64
+
+
 class GrowableHeads:
     """(n_heads, length, d_head) float32 array that grows along the length axis.
 
-    Capacity doubles when full. `data` is a view of the filled prefix; each
-    head's (length, d_head) slab in it is C-contiguous, so `data` and its
-    transposes can go straight to the kernels. Logical bytes ignore spare
-    capacity.
+    When full it reallocates to HEADROOM rows past what it must hold, or to
+    twice its capacity if that is more; a prune compacts it with the same
+    headroom. `data` is a view of the filled prefix; each head's (length,
+    d_head) slab in it is C-contiguous, so `data` and its transposes can go
+    straight to the kernels. Logical bytes ignore spare capacity.
     """
 
-    def __init__(self, n_heads: int, d_head: int, capacity: int = 8):
-        self._buf = np.empty((n_heads, max(capacity, 1), d_head), dtype=np.float32)
+    def __init__(self, n_heads: int, d_head: int):
+        # Empty until the first append, which then sizes it with headroom.
+        self._buf = np.empty((n_heads, 0, d_head), dtype=np.float32)
         self._len = 0
+
+    def _reallocate(self, rows: np.ndarray, capacity: int) -> None:
+        """A new buffer of `capacity` rows whose filled prefix is `rows`."""
+        n_heads, _, d_head = self._buf.shape
+        self._len = rows.shape[1]
+        self._buf = np.empty((n_heads, capacity, d_head), dtype=np.float32)
+        self._buf[:, : self._len] = rows
 
     def append(self, rows: np.ndarray) -> None:
         """Append (n_heads, n, d_head) rows after the filled prefix."""
         need = self._len + rows.shape[1]
-        if need > self._buf.shape[1]:
-            n_heads, cap, d_head = self._buf.shape
-            buf = np.empty((n_heads, max(need, cap * 2), d_head), dtype=np.float32)
-            buf[:, : self._len] = self._buf[:, : self._len]
-            self._buf = buf
+        cap = self._buf.shape[1]
+        if need > cap:
+            self._reallocate(self.data, max(need + HEADROOM, 2 * cap))
         self._buf[:, self._len : need] = rows
         self._len = need
 
@@ -69,8 +81,7 @@ class GrowableHeads:
 
     def keep_rows(self, keep: np.ndarray) -> None:
         """Compact to the given row indices (ascending)."""
-        self._buf = self._buf[:, keep]
-        self._len = len(keep)
+        self._reallocate(self._buf[:, keep], len(keep) + HEADROOM)
 
 
 def _block(idx: np.ndarray) -> np.ndarray | slice:

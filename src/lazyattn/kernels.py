@@ -9,14 +9,27 @@ and compare bitwise.
 
 For products there are two kernels, with different bits:
 
-- `matmul`/`head_matmul` run 4-row GEMM tiles: the rows are padded with
-  zeros to a multiple of 4 (only the tail tile holds padding), and
-  `np.matmul` runs one fixed-shape GEMM per (4, k) tile. A row's bits are
-  the same in any slot of any tile, whatever its neighbours, so they do
-  not depend on m. A plain 2-D `np.matmul` would not do: its blocking
+- `matmul`/`head_matmul` run GEMM tiles: the rows are padded with zeros to
+  a multiple of the tile width (only the tail tile holds padding), and
+  `np.matmul` runs one fixed-shape GEMM per (width, k) tile. A row's bits
+  are the same in any slot of any tile, whatever its neighbours, so they
+  do not depend on m. A plain 2-D `np.matmul` would not do: its blocking
   depends on m (at k=512 a row's bits at m=8 differ from its tile bits).
 - `matvec`/`head_matvec` run the stacked GEMV: (m, 1, k) row vectors, one
   GEMV per row, all in C; row i has the bits of `a[i] @ b` alone.
+
+The tiles come in two widths. `matmul` is the weight product (Q/K/V/O,
+the MLP, the LM head) and runs WIDE = 64-row tiles: one BLAS call per 64
+rows rather than per 4, each streaming the whole weight, and its bits
+depend on (k, n) alone. `head_matmul` is the attention product (scores and
+weighted sum) and keeps TILE = 4-row tiles, because attention also needs
+length invariance (below), and the wide tiles lose it: probed on OpenBLAS
+0.3.31 (Haswell kernels, 2 threads), 64-row tiles change a weighted-sum
+row's bits when k grows by zero terms at every width from 448 up, and at
+(k, n) = (512, 256), so block-causal prefill would fall back to one
+square. The widths agree in bits at k = 256 but not at k = 512, so
+production and oracle must give each product the same width: weight
+products go through `matmul`, attention products through `head_matmul`.
 
 The tiles are also length-invariant: k and n are zero-padded to multiples
 of LANE (16) and the logical result sliced back out. Then a column of the
@@ -34,7 +47,9 @@ A phase picks its kernels, never the row count: prefill runs the tiles and
 the blocked row sum, decode the GEMV and one plain `np.sum` per row, since
 a padded 1-row tile costs about twice a GEMV on weights that are cold in
 cache and decode never needs length invariance. The oracle computes every
-product with `matmul` and every softmax with the blocked sum.
+weight product with `matmul`, each head's attention products with
+`head_matmul` (one head at a time) and every softmax with the blocked sum;
+so in production and oracle alike a 2-D `matmul` is a weight product.
 
 The tiles see one canonical layout: a right-hand operand whose last axis
 is not unit-stride (K^T as a transposed view of the key cache) is copied to
@@ -43,12 +58,14 @@ a view and a copy of the same values give different bits; on the scores
 product the copy is also several times faster than the view.
 
 Tile invariance is a property of the BLAS, so it is checked where the
-engine runs, once per padded (k, n): a random row's bits in slot 0 and in
-slot 3 between random neighbours and alone in a padded tile must agree,
-and must not move when b gains LANE columns or k gains LANE zero terms.
-Where they do not, that shape runs the GEMV on the canonical layout, in
-production and oracle alike, and `causal_blocks_hold` tells the runtime to
-run attention as one square.
+engine runs, once per tile width and padded (k, n). Both probes ask that a
+random row's bits agree in slot 0, in the last slot of the next tile
+between random neighbours, and alone in a padded tail tile. The attention
+probe (`_probe_tiles`) also asks that they do not move when b gains LANE
+columns or k gains LANE zero terms; a weight's k and n never change, so
+the wide probe (`_probe_wide`) does not. Where a probe fails, that shape
+runs the GEMV on the canonical layout, in production and oracle alike,
+and `causal_blocks_hold` tells the runtime to run attention as one square.
 
 Transcendentals (cos/sin for the rotary tables) are memoized per position
 so the same position always yields the same bits regardless of batch shape;
@@ -69,7 +86,10 @@ Matrix = np.ndarray
 
 F32 = np.float32
 
+# Rows per tile: TILE for the attention products (`head_matmul`), WIDE for
+# the weight products (`matmul`); see module doc.
 TILE = 4
+WIDE = 64
 # The tiles pad k and n to multiples of LANE (see module doc).
 LANE = 16
 # Columns per partial sum of a blocked softmax row sum.
@@ -106,53 +126,68 @@ def _padded(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return out
 
 
-def _tiles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[..., i, :] = a[..., i, :] @ b over 4-row tiles, with m zero-padded
-    to a multiple of TILE and k and n to multiples of LANE."""
+def _tiles(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
+    """out[..., i, :] = a[..., i, :] @ b over `tile`-row tiles, with m
+    zero-padded to a multiple of `tile` and k and n to multiples of LANE."""
     *lead, m, k = a.shape
     n = b.shape[-1]
-    m_pad, k_pad, n_pad = _up(m, TILE), _up(k, LANE), _up(n, LANE)
+    m_pad, k_pad, n_pad = _up(m, tile), _up(k, LANE), _up(n, LANE)
     if (m_pad, k_pad) != (m, k):
         a = _padded(a, m_pad, k_pad)
     if (k_pad, n_pad) != (k, n) or b.strides[-1] != b.itemsize:
         b = _padded(b, k_pad, n_pad)  # also the one canonical layout (see module doc)
-    out = np.matmul(a.reshape(*lead, m_pad // TILE, TILE, k_pad), b[..., None, :, :])
+    out = np.matmul(a.reshape(*lead, m_pad // tile, tile, k_pad), b[..., None, :, :])
     return out.reshape(*lead, m_pad, n_pad)[..., :m, :n]
 
 
-# Padded (k, n) -> whether tiles of that shape are batch- and
-# length-invariant here; one entry per padded shape ever used.
-_TILES_HOLD: dict[tuple[int, int], bool] = {}
+# (tile rows, padded k, padded n) -> whether tiles of that shape hold their
+# invariants here; one entry per tile width and padded shape ever used.
+_TILES_HOLD: dict[tuple[int, int, int], bool] = {}
+
+
+def _probe_rows(tile: int, k: int, n: int):
+    """Random operands of the padded shape (k, n) for a probe of `tile`-row
+    tiles: a has 2*tile + 1 rows, whose row 0 recurs in the last slot of the
+    second tile, between random neighbours, and alone in the zero-padded
+    tail tile; b has LANE spare rows and columns. Returns a, b, the tiles'
+    product of a and b[:k, :n], and whether row 0's three copies agree."""
+    rng = np.random.default_rng([k, n])
+    a = rng.random((2 * tile + 1, k), dtype=np.float32) - F32(0.5)
+    b = rng.random((k + LANE, n + LANE), dtype=np.float32) - F32(0.5)
+    a[2 * tile - 1] = a[2 * tile] = a[0]
+    out = _tiles(a, np.ascontiguousarray(b[:k, :n]), tile)
+    agree = np.array_equal(out[0], out[2 * tile - 1]) and np.array_equal(out[0], out[2 * tile])
+    return a, b, out, agree
 
 
 def _probe_tiles(k: int, n: int) -> bool:
-    """On random operands of the padded shape (k, n): one row's tile bits in
-    slot 0 and slot 3, between random neighbours, and alone in a zero-padded
-    tail tile all agree; the columns keep their bits when b gains LANE
-    columns; and they keep them when k grows by LANE, zeros in a against
-    random rows of b."""
-    rng = np.random.default_rng([k, n])
-    a = rng.random((2 * TILE + 1, k), dtype=np.float32) - F32(0.5)
-    b = rng.random((k + LANE, n + LANE), dtype=np.float32) - F32(0.5)
-    a[2 * TILE - 1] = a[2 * TILE] = a[0]
-    out = _tiles(a, np.ascontiguousarray(b[:k, :n]))
-    wide = _tiles(a, np.ascontiguousarray(b[:k]))[:, :n]
-    deep = _tiles(_padded(a, len(a), k + LANE), np.ascontiguousarray(b[:, :n]))
-    return (
-        np.array_equal(out[0], out[2 * TILE - 1])
-        and np.array_equal(out[0], out[2 * TILE])
-        and np.array_equal(out, wide)
-        and np.array_equal(out, deep)
-    )
+    """Attention tiles (TILE rows) of the padded shape (k, n) are batch- and
+    length-invariant: one row's bits agree in every probed slot (see
+    `_probe_rows`); the columns keep their bits when b gains LANE columns;
+    and they keep them when k grows by LANE, zeros in a against random rows
+    of b."""
+    a, b, out, agree = _probe_rows(TILE, k, n)
+    more_n = _tiles(a, np.ascontiguousarray(b[:k]), TILE)[:, :n]
+    more_k = _tiles(_padded(a, len(a), k + LANE), np.ascontiguousarray(b[:, :n]), TILE)
+    return agree and np.array_equal(out, more_n) and np.array_equal(out, more_k)
 
 
-def _tiles_hold(k: int, n: int) -> bool:
-    """Whether the tiles of (k, n) products are batch- and length-invariant
-    on this host; probed once per padded shape."""
-    shape = (_up(k, LANE), _up(n, LANE))
-    hold = _TILES_HOLD.get(shape)
+def _probe_wide(k: int, n: int) -> bool:
+    """Weight tiles (WIDE rows) of the padded shape (k, n) are batch-invariant:
+    one row's bits agree in every probed slot (see `_probe_rows`). A weight's
+    k and n never change, so length invariance is not asked of them."""
+    *_, agree = _probe_rows(WIDE, k, n)
+    return agree
+
+
+def _tiles_hold(tile: int, k: int, n: int) -> bool:
+    """Whether `tile`-row tiles of (k, n) products hold their invariants on
+    this host; probed once per tile width and padded shape."""
+    key = (tile, _up(k, LANE), _up(n, LANE))
+    hold = _TILES_HOLD.get(key)
     if hold is None:
-        hold = _TILES_HOLD[shape] = _probe_tiles(*shape)
+        probe = _probe_tiles if tile == TILE else _probe_wide
+        hold = _TILES_HOLD[key] = probe(*key[1:])
     return hold
 
 
@@ -163,39 +198,41 @@ def causal_blocks_hold(d_head: int, n_keys: int) -> bool:
     padded width w up to n_keys, so a column or a sum keeps its bits from
     one width to the next."""
     return all(
-        _tiles_hold(d_head, w) and _tiles_hold(w, d_head)
+        _tiles_hold(TILE, d_head, w) and _tiles_hold(TILE, w, d_head)
         for w in range(LANE, _up(n_keys, LANE) + 1, LANE)
     )
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if _tiles_hold(*b.shape[-2:]):
-        return _tiles(a, b)
+def _product(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
+    if _tiles_hold(tile, *b.shape[-2:]):
+        return _tiles(a, b, tile)
     if b.strides[-1] != b.itemsize:  # one canonical layout (see module doc)
         b = np.ascontiguousarray(b)
     return _row_gemv(a, b)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Fixed-order 2-D product over 4-row tiles: out[i] = a[i] @ b with the
-    same bits for any m and any slot of row i (see module doc).
+    """Fixed-order 2-D product over WIDE-row tiles, for weight products:
+    out[i] = a[i] @ b with the same bits for any m and any slot of row i
+    (see module doc).
 
     Do not "optimize" this into a 2-D np.matmul, or drop the copy of a
     strided `b`: either would break the bitwise contracts between
     production and the oracle.
     """
     _check("matmul", a, b, 2)
-    return _product(a, b)
+    return _product(a, b, WIDE)
 
 
 def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-head product of (H, m, k) by (H, k, n): out[h, i] = a[h, i] @ b[h].
+    """Per-head attention product of (H, m, k) by (H, k, n) over TILE-row
+    tiles: out[h, i] = a[h, i] @ b[h].
 
-    Each head runs the tiles `matmul` runs for that head alone, so every
-    head's rows carry the bits `matmul` gives them.
+    Each head runs the tiles it would run alone, so a head's rows carry the
+    same bits for any H, and the oracle's one-head products match.
     """
     _check("head_matmul", a, b, 3)
-    return _product(a, b)
+    return _product(a, b, TILE)
 
 
 def matvec(a: Matrix, b: Matrix) -> Matrix:

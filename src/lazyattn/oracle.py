@@ -8,7 +8,10 @@ anchor's retained input. Generation reruns the full sequence each step.
 They share only the primitive kernels (matmul/softmax/norm/rotary) with
 production; those are row-independent and deterministic, so production
 prefill must match the oracle bit for bit and greedy generation must emit
-identical token ids. Any divergence is a bug, never tolerance noise.
+identical token ids. Any divergence is a bug, never tolerance noise. Each
+product runs on the tiles production gives it: weight products on
+`matmul`'s 64-row tiles, each head's scores and weighted sum on
+`head_matmul`'s 4-row attention tiles, with a head axis of 1.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .errors import OracleMismatchError, ValidationError
 from .kernels import (
     apply_rope,
     attention_scale,
+    head_matmul,
     masked_softmax_rows,
     matmul,
     rms_norm,
@@ -28,6 +32,12 @@ from .kernels import (
 from .model import TokenSequence
 from .planner import GLA, LazyPlan, layer_anchors
 from .runtime import _validate_tokens, decode, generate, prefill
+
+
+def _head_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One head's attention product, on the attention tiles production runs
+    it on (`head_matmul` with a head axis of 1)."""
+    return head_matmul(a[None], b[None])[0]
 
 
 def _split_heads(m: np.ndarray, n_heads: int, d_head: int) -> list[np.ndarray]:
@@ -103,9 +113,9 @@ def oracle_prefill(
         out_heads = []
         for h in range(n_heads):
             if not restricted:
-                scores = matmul(q_heads[h], k_heads[h].T)
+                scores = _head_product(q_heads[h], k_heads[h].T)
                 attn = masked_softmax_rows(scores, 0, scale)
-                out_heads.append(matmul(attn, v_heads[h]))
+                out_heads.append(_head_product(attn, v_heads[h]))
             else:
                 out_heads.append(
                     _restricted_attention(
@@ -137,9 +147,9 @@ def _restricted_attention(q_h, k_h, v_h, scale, prune: PruneRecord):
     out = np.empty((s, d_head), dtype=np.float32)
 
     if boundary > 0:
-        scores = matmul(q_h[:boundary], k_h.T)
+        scores = _head_product(q_h[:boundary], k_h.T)
         attn = masked_softmax_rows(scores, 0, scale)
-        out[:boundary] = matmul(attn, v_h)
+        out[:boundary] = _head_product(attn, v_h)
 
     kept = [j for j in range(s) if j not in removed]
     kept_arr = np.asarray(kept, dtype=np.intp)
@@ -147,12 +157,12 @@ def _restricted_attention(q_h, k_h, v_h, scale, prune: PruneRecord):
     v_kept = np.ascontiguousarray(v_h[kept_arr])
     for i in range(boundary, s):
         n_vis = int(np.searchsorted(kept_arr, i, side="right"))
-        scores = matmul(
+        scores = _head_product(
             np.ascontiguousarray(q_h[i : i + 1]),
             np.ascontiguousarray(k_kept[:n_vis]).T,
         )
         attn = masked_softmax_rows(scores, n_vis - 1, scale)
-        out[i : i + 1] = matmul(attn, np.ascontiguousarray(v_kept[:n_vis]))
+        out[i : i + 1] = _head_product(attn, np.ascontiguousarray(v_kept[:n_vis]))
     return out
 
 

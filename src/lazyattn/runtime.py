@@ -24,16 +24,17 @@ the square in one pass (`prefill_chunk`). Decode's one row sees every key
 in one pass.
 
 The phase picks its kernels, never the row count (see `kernels`): prefill
-runs the batch-invariant 4-row tiles (`matmul`, `head_matmul`) and the
-blocked softmax row sum, which the oracle computes with, so prefill
-matches it bit for bit even where a lazy layer projects a single own row;
-decode runs the stacked GEMV (`matvec`, `head_matvec`) and a plain row
-sum, which are cheaper for its one row. `prefill` and `decode` look the
-kernels up in this module when called, so a wrapper set on
-`runtime.matmul` sees every prefill product. Each product states its
-operands once and records its own MACs on the meter it is given
+runs the batch-invariant tiles, 64 rows wide for the weight products
+(`matmul`) and 4 rows, length-invariant, for attention (`head_matmul`),
+and the blocked softmax row sum. The oracle computes with the same, so
+prefill matches it bit for bit even where a lazy layer projects a single
+own row. Decode runs the stacked GEMV (`matvec`, `head_matvec`) and a
+plain row sum, which are cheaper for its one row. `prefill` and `decode`
+look the kernels up in this module when called, so a wrapper set on
+`runtime.matmul` sees every prefill weight product. Each product states
+its operands once and records its own MACs on the meter it is given
 (`_metered`), so the meter counts what ran: a block's scores and weighted
-sum count its rows against its keys.
+sum count its rows against its keys, and a padded tile its logical rows.
 
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:

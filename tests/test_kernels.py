@@ -47,16 +47,20 @@ def up16(x):
     return -(-x // 16) * 16
 
 
-def alone_in_tile(a, b, slot):
-    """Every row of a run alone in a zero-padded 4-row tile, at `slot`,
+def alone_in_tile(a, b, slot, tile=kernels.TILE):
+    """Every row of a run alone in a zero-padded `tile`-row tile, at `slot`,
     against the canonical (C-contiguous) layout of b, with k and n
     zero-padded to multiples of 16."""
     (m, k), n = a.shape, b.shape[1]
-    tiles = np.zeros((m, 4, up16(k)), dtype=np.float32)
-    tiles[:, slot, :k] = a
     padded = np.zeros((up16(k), up16(n)), dtype=np.float32)
     padded[:k, :n] = b
-    return np.matmul(tiles, padded)[:, slot, :n]
+    out = np.empty((m, n), dtype=np.float32)
+    for start in range(0, m, 16):  # 16 rows at a time bounds the memory
+        rows = a[start : start + 16]
+        tiles = np.zeros((len(rows), tile, up16(k)), dtype=np.float32)
+        tiles[:, slot, :k] = rows
+        out[start : start + 16] = np.matmul(tiles, padded)[:, slot, :n]
+    return out
 
 
 def growable_keys(rng):
@@ -105,15 +109,18 @@ def test_matmul_deterministic_and_row_independent():
     for h in range(2):
         assert np.array_equal(out[h], per_row(a[h], b[h]))
 
-    # The tile kernels give row i bitwise the product of row i alone in a
-    # zero-padded 4-row tile, in any slot, at any batch size.
-    cases = [(f32(rng.standard_normal((m, 256))), f32(rng.standard_normal((256, 512))))
-             for m in (1, 3, 4, 5, 37, 512)]
+    # matmul gives row i bitwise the product of row i alone in a zero-padded
+    # 64-row tile, in any slot, at any batch size; head_matmul gives it the
+    # product alone in a 4-row tile. At k = 512 the two widths differ in bits
+    # on some hosts, so each is held to its own reference.
+    wide = kernels.WIDE
+    cases = [(f32(rng.standard_normal((m, k))), f32(rng.standard_normal((k, 512))))
+             for m in (1, 63, 64, 65, 200) for k in (256, 512)]
     cases.append((f32(rng.standard_normal((37, 64))), keys[1].T))
     for a, b in cases:
         out = matmul(a, b)
-        for slot in range(4):
-            assert np.array_equal(out, alone_in_tile(a, b, slot))
+        for slot in (0, wide // 2 - 1, wide - 1):
+            assert np.array_equal(out, alone_in_tile(a, b, slot, wide))
     for rows in (1, 3, 4, 5, 37):
         q = f32(rng.standard_normal((2, rows, 64)))
         out = head_matmul(q, keys.transpose(0, 2, 1))
@@ -146,25 +153,28 @@ def test_tile_kernels_see_one_layout_of_b():
 
 
 def test_tile_probe_catches_a_row_that_moves(monkeypatch):
-    """The run-time probe fails when a row's bits differ in slot 3 or alone
-    in a padded tile, and the product then runs the GEMV."""
+    """Both probes fail when a row's bits differ in the last slot of the
+    second tile (slot 3 of a 4-row tile, 63 of a 64-row one) or alone in a
+    padded tail tile, and the products then run the GEMV."""
     real = kernels._tiles
-    assert kernels._probe_tiles(64, 96)
-    for moved in (7, 8):  # slot 3 of the second tile; alone in the tail tile
+    assert kernels._probe_tiles(64, 96) and kernels._probe_wide(64, 96)
+    for moved in (-2, -1):  # the probe's last two rows (see `_probe_rows`)
 
-        def nudged(a, b, moved=moved):
-            out = real(a, b).copy()
+        def nudged(a, b, tile, moved=moved):
+            out = real(a, b, tile).copy()
             out[moved] = np.nextafter(out[moved], np.float32(np.inf))
             return out
 
         monkeypatch.setattr(kernels, "_tiles", nudged)
         assert not kernels._probe_tiles(64, 96)
+        assert not kernels._probe_wide(64, 96)
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(9)
     a = f32(rng.standard_normal((9, 64)))
     b = f32(rng.standard_normal((64, 96)))
     assert np.array_equal(matmul(a, b), matvec(a, b))
-    assert kernels._TILES_HOLD == {(64, 96): False}
+    assert np.array_equal(head_matmul(a[None], b[None]), head_matvec(a[None], b[None]))
+    assert kernels._TILES_HOLD == {(kernels.WIDE, 64, 96): False, (kernels.TILE, 64, 96): False}
 
 
 @pytest.mark.parametrize("grown", [-1, -2], ids=["wider-b", "deeper-k"])
@@ -173,8 +183,8 @@ def test_tile_probe_catches_bits_that_move_with_length(monkeypatch, grown):
     or a row's as k gains zero terms; attention then runs as one square."""
     real = kernels._tiles
 
-    def nudged(a, b):
-        out = real(a, b)
+    def nudged(a, b, tile):
+        out = real(a, b, tile)
         if b.shape[grown] > 64:
             out = np.nextafter(out, np.float32(np.inf))
         return out
@@ -188,17 +198,23 @@ def test_tile_probe_catches_bits_that_move_with_length(monkeypatch, grown):
 
 def test_tile_probes_are_kept_per_padded_shape(monkeypatch):
     """Products whose k and n round up to the same multiples of 16 share one
-    probe, so prompt lengths add at most one entry per 16 positions."""
+    probe per tile width, so prompt lengths add at most one attention entry
+    per 16 positions, and a weight's products one entry whatever their m."""
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(10)
+    tile, wide = kernels.TILE, kernels.WIDE
     for n in range(97, 113):
-        q = f32(rng.standard_normal((3, 64)))
-        keys = f32(rng.standard_normal((n, 64)))
-        matmul(matmul(q, keys.T), keys)
-    assert kernels._TILES_HOLD == {(64, 112): True, (112, 64): True}
+        q = f32(rng.standard_normal((1, 3, 64)))
+        keys = f32(rng.standard_normal((1, n, 64)))
+        head_matmul(head_matmul(q, keys.transpose(0, 2, 1)), keys)
+    assert kernels._TILES_HOLD == {(tile, 64, 112): True, (tile, 112, 64): True}
+    w = f32(rng.standard_normal((256, 512)))
+    for m in (1, 64, 65, 300):
+        matmul(f32(rng.standard_normal((m, 256))), w)
+    assert kernels._TILES_HOLD.pop((wide, 256, 512))
     assert kernels.causal_blocks_hold(64, 200)
     assert set(kernels._TILES_HOLD) == {
-        shape for w in range(16, 209, 16) for shape in ((64, w), (w, 64))
+        (tile, *shape) for w in range(16, 209, 16) for shape in ((64, w), (w, 64))
     }
 
 

@@ -236,6 +236,30 @@ def test_prune_bookkeeping_through_decode(model, prompt):
             assert len(cache.values) == len(prompt) + steps
 
 
+def buffers(store):
+    return [buf._buf for cache in store.layers for buf in (cache.keys, cache.values)]
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_first_decode_appends_in_place(model, prompt, mode):
+    """The buffers keep headroom after a prefill and after a prune, so the
+    next decode step appends to every K/V buffer in place; logical bytes
+    count stored rows only."""
+    plan = None if mode is None else two_block_plan(mode)
+    capture = AttentionCapture()
+    logits, store = prefill(model, prompt, plan, capture=capture)
+    logits = logits[-1]
+    for prune in (False, True):
+        if prune:
+            prune_visual_tokens(store, capture.snapshot, 0, 0.5)
+            assert store.prune_record is not None
+        before = buffers(store)
+        logits = decode(model, store, int(np.argmax(logits)))
+        assert all(a is b for a, b in zip(buffers(store), before, strict=True))
+        rows = sum(len(cache.keys) + len(cache.values) for cache in store.layers)
+        assert store.kv_bytes() == rows * model.config.d_model * 4
+
+
 def test_prune_validation(model, prompt):
     capture = AttentionCapture()
     _, store = prefill(model, prompt, capture=capture)
@@ -388,6 +412,28 @@ def test_runtime_matmul_sees_only_2d_operands(model, prompt, monkeypatch):
     assert shapes and all(s == (2, 2) for s in shapes)
 
 
+def test_matmul_multiplies_only_by_weights(model, monkeypatch):
+    """A 2-D matmul is a weight product, in production and in the oracle
+    alike: attention goes through head_matmul, on the attention tiles."""
+    names = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
+    weights = [model.lm_head] + [getattr(lw, name) for lw in model.layers for name in names]
+    seen = []
+
+    def spy(a, b, real=runtime.matmul):
+        seen.append(any(b is w for w in weights))
+        return real(a, b)
+
+    monkeypatch.setattr(runtime, "matmul", spy)
+    monkeypatch.setattr(oracle, "matmul", spy)
+    tokens = long_prompt("alternating", 8)
+    for plan in (None, two_block_plan(GLA), two_block_plan(VLA)):
+        capture = AttentionCapture()
+        logits, store = prefill(model, tokens, plan, capture=capture)
+        prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+        oracle_full_generate(model, tokens, 2, plan, prune=store.prune_record)
+    assert seen and all(seen)
+
+
 def test_oracle_takes_only_the_prune_record_from_caches():
     """The oracle is an independent reference: it reads its layer map from
     the plan, not from the production cache module."""
@@ -424,6 +470,41 @@ def test_prefill_runs_the_tile_kernel_whatever_its_row_count(wide_model, tokens,
     assert np.array_equal(logits, oracle_prefill(wide_model, tokens, plan))
 
 
+@pytest.mark.parametrize("length", [63, 64, 65, 129])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_prefill_meets_the_oracle_across_tile_boundaries(wide_model, length, mode):
+    """Prompts that fill, just miss or just pass whole 64-row weight tiles
+    (and attention blocks) get the oracle's bits."""
+    rng = np.random.default_rng(length)
+    tokens = random_prompt(rng, 96, length=length, visual_fraction=0.5, layout="mid")
+    plan = None if mode is None else two_block_plan(mode)
+    logits, _ = prefill(wide_model, tokens, plan)
+    assert np.array_equal(logits, oracle_prefill(wide_model, tokens, plan))
+
+
+@pytest.mark.parametrize("n_own", [1, 65])
+def test_vla_lazy_layers_owning_1_or_65_rows_meet_the_oracle(wide_model, n_own):
+    """A VLA lazy layer projects its own (text) rows alone: one row in a
+    padded tile, or one full 64-row tile and one row. Prefill equals the
+    oracle bit for bit, and after a prune greedy decode emits the
+    prune-aware oracle's ids."""
+    length = 129
+    rng = np.random.default_rng(n_own)
+    tokens = random_prompt(
+        rng, 96, length=length, visual_fraction=(length - n_own) / length, layout="alternating"
+    )
+    assert tokens.n_text == n_own
+    plan = two_block_plan(VLA)
+    capture = AttentionCapture()
+    logits, store = prefill(wide_model, tokens, plan, capture=capture)
+    assert np.array_equal(logits, oracle_prefill(wide_model, tokens, plan))
+    prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+    spec = store.prune_record
+    assert np.array_equal(logits, oracle_prefill(wide_model, tokens, plan, prune=spec))
+    ids = generate(wide_model, store, logits[-1], 3)
+    assert ids == oracle_full_generate(wide_model, tokens, 3, plan, prune=spec)
+
+
 # More than two blocks of runtime.CHUNK query rows.
 LONG = 150
 
@@ -435,23 +516,27 @@ def long_prompt(layout: str, seed: int) -> TokenSequence:
 
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
 def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypatch):
-    """When the run-time probe finds tiles that are not batch- and
-    length-invariant, matmul runs the GEMV, prefill attention runs as one
-    square, and prefill still equals the oracle bit for bit."""
+    """When the run-time probes find tiles of either width that do not hold
+    their invariants, matmul and head_matmul run the GEMV, prefill attention
+    runs as one square, and prefill still equals the oracle bit for bit."""
     from lazyattn import kernels
 
     monkeypatch.setattr(kernels, "_probe_tiles", lambda k, n: False)
+    monkeypatch.setattr(kernels, "_probe_wide", lambda k, n: False)
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 32), dtype=np.float32)
     b = rng.standard_normal((48, 32), dtype=np.float32).T
     assert np.array_equal(kernels.matmul(a, b), kernels.matvec(a, np.ascontiguousarray(b)))
+    a1, b1 = a[None], b[None]
+    assert np.array_equal(kernels.head_matmul(a1, b1), kernels.head_matvec(a1, b1.copy()))
     assert runtime.prefill_chunk(model.config.d_head, LONG) is None
     plan = None if mode is None else two_block_plan(mode)
     for tokens in (prompt, ONE_OWN_ROW, long_prompt("mid", 4)):
         logits, _ = prefill(model, tokens, plan)
         assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
-    assert kernels._TILES_HOLD and not any(kernels._TILES_HOLD.values())
+    widths = {key[0] for key in kernels._TILES_HOLD}
+    assert widths == {kernels.TILE, kernels.WIDE} and not any(kernels._TILES_HOLD.values())
 
 
 # ---------------------------------------------------------------------------
