@@ -16,7 +16,8 @@ For products there are two kernels, with different bits:
   do not depend on m. A plain 2-D `np.matmul` would not do: its blocking
   depends on m (at k=512 a row's bits at m=8 differ from its tile bits).
 - `matvec`/`head_matvec` run the stacked GEMV: (m, 1, k) row vectors, one
-  GEMV per row, all in C; row i has the bits of `a[i] @ b` alone.
+  GEMV per row, all in C; row i has the bits of `a[i] @ b` alone. A 1-row
+  product (every decode product) is that GEMV as a direct `np.matmul`.
 
 The tiles come in two widths. `matmul` is the weight product (Q/K/V/O,
 the MLP, the LM head) and runs WIDE = 64-row tiles: one BLAS call per 64
@@ -67,9 +68,24 @@ the wide probe (`_probe_wide`) does not. Where a probe fails, that shape
 runs the GEMV on the canonical layout, in production and oracle alike,
 and `causal_blocks_hold` tells the runtime to run attention as one square.
 
+A layer's Q, K and V weights (and its gate and up weights) are column
+blocks of one fused weight (see `model.LayerWeights`), so the runtime runs
+each group as one product, while the oracle runs one product per block's
+column view. That saves per-call overhead only if the fused product gives
+each block the bits of the product on its view, which is again a property
+of the BLAS, so `fused_columns_hold` probes it where the engine runs: once
+per kernel (`matmul` or `matvec`), k, block width, block count and row
+stride of the operand, a random row's fused product against the product
+on each view. Where it fails, the runtime runs one product per view.
+
 Transcendentals (cos/sin for the rotary tables) are memoized per position
 so the same position always yields the same bits regardless of batch shape;
 +,-,*,/ and sqrt are correctly rounded by IEEE-754 and need no such care.
+The table of one (theta, half) keeps its rows contiguous over a range of
+positions, each row computed alone with one call shape, so a lookup is one
+gather rather than a Python loop. The elementwise kernels (`rms_norm`, the
+softmax, `silu`) compute in place in their own buffers, in the operation
+order of their formulas, so they keep those formulas' bits.
 """
 
 from __future__ import annotations
@@ -111,7 +127,10 @@ def _check(name: str, a: np.ndarray, b: np.ndarray, ndim: int) -> None:
 
 
 def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[..., i, :] = a[..., i, :] @ b, one GEMV per row (see module doc)."""
+    """out[..., i, :] = a[..., i, :] @ b, one GEMV per row (see module doc).
+    A 1-row product is that GEMV already, so it runs as a direct np.matmul."""
+    if a.shape[-2] == 1:
+        return np.matmul(a, b)
     return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
 
 
@@ -248,6 +267,36 @@ def head_matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _row_gemv(a, b)
 
 
+# (kernel name, k, block width, blocks, row stride of b) -> whether the
+# kernel's product on b carries, in each column block, the bits of its
+# product on that block's view; one entry per fused shape ever used.
+_FUSED_HOLD: dict[tuple[str, int, int, int, int], bool] = {}
+
+
+def _probe_fused(kernel, k: int, width: int, parts: int, ld: int) -> bool:
+    """`kernel`'s product of a random row by `parts` column blocks of width
+    `width`, stored with row stride `ld`, equals in each block the product
+    on that block's view."""
+    rng = np.random.default_rng([k, width, parts, ld])
+    a = rng.random((1, k), dtype=np.float32) - F32(0.5)
+    b = (rng.random((k, ld), dtype=np.float32) - F32(0.5))[:, : width * parts]
+    blocks = zip(np.split(kernel(a, b), parts, axis=1), np.split(b, parts, axis=1))
+    return all(np.array_equal(block, kernel(a, view)) for block, view in blocks)
+
+
+def fused_columns_hold(kernel, b: Matrix, parts: int) -> bool:
+    """Whether `kernel` (`matmul` or `matvec`) may run one product on b,
+    whose columns are `parts` equal blocks, in place of one per block's
+    view: probed on this host once per kernel, k, block width, block count
+    and row stride (see module doc)."""
+    k, n = b.shape
+    key = (kernel.__name__, k, n // parts, parts, b.strides[0] // b.itemsize)
+    hold = _FUSED_HOLD.get(key)
+    if hold is None:
+        hold = _FUSED_HOLD[key] = _probe_fused(kernel, *key[1:])
+    return hold
+
+
 def masked_softmax_rows(
     logits: np.ndarray, row_offset: int, scale: float, blocked: bool = True
 ) -> np.ndarray:
@@ -274,26 +323,35 @@ def masked_softmax_rows(
     if row_offset < 0:
         raise ValidationError("row_offset must be non-negative (every row needs a visible column)")
     rows, cols = logits.shape[-2:]
-    scaled = logits * F32(scale)
+    # One buffer, computed in place, with the operations in the order of
+    # exp(scale*logits - max) / sum.
+    e = logits * F32(scale)
     if row_offset < cols - 1:
         # Columns up to row_offset are visible to every row.
         start = row_offset + 1
         hidden = np.arange(start, cols) > np.arange(rows)[:, None] + row_offset
-        np.copyto(scaled[..., start:], F32(-np.inf), where=hidden)
-    e = np.exp(scaled - np.max(scaled, axis=-1, keepdims=True))
+        np.copyto(e[..., start:], F32(-np.inf), where=hidden)
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
     if not blocked:
-        return e / np.sum(e, axis=-1, keepdims=True)
+        e /= np.add.reduce(e, axis=-1, keepdims=True)
+        return e
     full = cols - cols % SUM_BLOCK
     parts = e[..., :full].reshape(*e.shape[:-1], full // SUM_BLOCK, SUM_BLOCK).sum(axis=-1)
     if full < cols:
         tail = np.zeros((*e.shape[:-1], SUM_BLOCK), dtype=np.float32)
         tail[..., : cols - full] = e[..., full:]
         parts = np.concatenate([parts, tail.sum(axis=-1, keepdims=True)], axis=-1)
-    return e / np.cumsum(parts, axis=-1)[..., -1:]
+    e /= np.cumsum(parts, axis=-1)[..., -1:]
+    return e
 
 
 def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:
-    """Divide each row by sqrt(mean of squares + eps), then scale by gain."""
+    """Divide each row by sqrt(mean of squares + eps), then scale by gain.
+
+    Computed in two buffers, in the order of x * (1 / sqrt(sum(x*x) / d +
+    eps)) * gain; the mean is the row sum divided by d, as `np.mean` takes
+    it."""
     if eps <= 0:
         raise ValidationError(f"rms_norm eps must be positive, got {eps}")
     gain = np.asarray(gain, dtype=np.float32)
@@ -301,47 +359,66 @@ def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:
         raise ValidationError(
             f"gain length {gain.shape} does not match row width {x.shape[1]}"
         )
-    ms = np.mean(x * x, axis=1, keepdims=True)
-    inv = F32(1.0) / np.sqrt(ms + F32(eps))
-    return x * inv * gain
+    out = x * x
+    inv = np.add.reduce(out, axis=1, keepdims=True)
+    inv /= F32(x.shape[1])
+    inv += F32(eps)
+    np.sqrt(inv, out=inv)
+    np.divide(F32(1.0), inv, out=inv)
+    np.multiply(x, inv, out=out)
+    out *= gain
+    return out
 
 
-# Memoized rotary tables: (theta_base, half_dim) -> {position: (cos_row, sin_row)}.
-# Rows are computed one position at a time with an identical call shape, so a
-# position's table bits never depend on which other positions were requested.
-_ROPE_TABLES: dict[tuple[float, int], dict[int, tuple[np.ndarray, np.ndarray]]] = {}
-_ROPE_FREQS: dict[tuple[float, int], np.ndarray] = {}
+class _RopeTable:
+    """cos and sin rows of one (theta_base, half) for the positions lo,
+    lo + 1, ..., as contiguous (positions, half) arrays. Each row is filled
+    one position at a time with an identical call shape, so a position's
+    bits never depend on which other positions were requested; a lookup is
+    one gather."""
 
-
-def _rope_rows(theta_base: float, half: int, positions) -> tuple[np.ndarray, np.ndarray]:
-    key = (float(theta_base), half)
-    freqs = _ROPE_FREQS.get(key)
-    if freqs is None:
+    def __init__(self, theta_base: float, half: int):
         exponents = np.arange(half, dtype=np.float64) * (2.0 / (2 * half))
-        freqs = theta_base ** (-exponents)
-        _ROPE_FREQS[key] = freqs
-    table = _ROPE_TABLES.setdefault(key, {})
-    cos = np.empty((len(positions), half), dtype=np.float32)
-    sin = np.empty((len(positions), half), dtype=np.float32)
-    for i, p in enumerate(positions):
-        p = int(p)
-        row = table.get(p)
-        if row is None:
-            angle = p * freqs
-            row = (np.cos(angle).astype(np.float32), np.sin(angle).astype(np.float32))
-            table[p] = row
-        cos[i] = row[0]
-        sin[i] = row[1]
-    return cos, sin
+        self.freqs = theta_base ** (-exponents)
+        self.lo = 0
+        self.cos = self.sin = np.empty((0, half), dtype=np.float32)
+
+    def _cover(self, first: int, last: int) -> None:
+        """Extend the table to positions first..last, at least doubling it
+        upwards, so decode's one new position a step refills nothing."""
+        lo, hi = self.lo, self.lo + len(self.cos)
+        new_lo = min(lo, first)
+        new_hi = hi if last < hi else max(last + 1, 2 * hi - lo)
+        cos = np.empty((new_hi - new_lo, self.freqs.shape[0]), dtype=np.float32)
+        sin = np.empty_like(cos)
+        cos[lo - new_lo : hi - new_lo] = self.cos
+        sin[lo - new_lo : hi - new_lo] = self.sin
+        for p in (*range(new_lo, lo), *range(hi, new_hi)):
+            angle = p * self.freqs
+            cos[p - new_lo] = np.cos(angle).astype(np.float32)
+            sin[p - new_lo] = np.sin(angle).astype(np.float32)
+        self.lo, self.cos, self.sin = new_lo, cos, sin
+
+    def rows(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (len(positions), half) cos and sin rows, gathered."""
+        idx = positions - self.lo
+        if len(idx) and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(self.cos)):
+            self._cover(int(np.minimum.reduce(positions)), int(np.maximum.reduce(positions)))
+            idx = positions - self.lo
+        return self.cos.take(idx, axis=0), self.sin.take(idx, axis=0)
+
+
+# Memoized rotary tables, one per (theta_base, half_dim).
+_ROPE_TABLES: dict[tuple[float, int], _RopeTable] = {}
 
 
 def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
     """Rotary rotation of adjacent column pairs by position-dependent angles.
 
     `qk` is (rows, d) or (rows, ..., d), e.g. (rows, H, d_head) for all
-    heads at once; positions index the first axis. Position 0 is the
-    identity; every rotation preserves the row norm. The output is a fresh
-    contiguous array.
+    heads at once, or (rows, 2H, d_head) for Q and K together; positions
+    index the first axis. Position 0 is the identity; every rotation
+    preserves the row norm. The output is a fresh contiguous array.
     """
     if theta_base <= 0:
         raise ValidationError("theta_base must be positive")
@@ -352,7 +429,11 @@ def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
             f"positions length {len(positions)} != row count {qk.shape[0]}"
         )
     half = qk.shape[-1] // 2
-    cos, sin = _rope_rows(theta_base, half, positions)
+    key = (float(theta_base), half)
+    table = _ROPE_TABLES.get(key)
+    if table is None:
+        table = _ROPE_TABLES[key] = _RopeTable(theta_base, half)
+    cos, sin = table.rows(np.asarray(positions, dtype=np.intp))
     table_shape = (qk.shape[0],) + (1,) * (qk.ndim - 2) + (half,)
     cos, sin = cos.reshape(table_shape), sin.reshape(table_shape)
     x1 = qk[..., 0::2]
@@ -364,7 +445,13 @@ def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
 
 
 def silu(x: Matrix) -> Matrix:
-    return x * (F32(1.0) / (F32(1.0) + np.exp(-x)))
+    """x * (1 / (1 + exp(-x))), in one buffer."""
+    out = np.negative(x)
+    np.exp(out, out=out)
+    out += F32(1.0)
+    np.divide(F32(1.0), out, out=out)
+    out *= x
+    return out
 
 
 def attention_scale(d_head: int) -> float:

@@ -5,9 +5,16 @@ residual -> RMSNorm -> gated (silu) MLP -> residual, with a final RMSNorm
 before the vocabulary head. Keys are always cached post-rotation so layers
 can share them without re-rotating.
 
+A layer stores its Q, K and V weights as the column blocks of one (d, 3d)
+array and its gate and up weights as those of one (d, 2 d_ff) array, so the
+runtime runs each group as one product; `wq`, `wk`, `wv`, `w_gate` and
+`w_up` are views of them, and assigning one copies into its columns.
+
 Checkpoint format: a directory holding `model.json` (config plus an ordered
 tensor table with name/shape/byte offset, dtype f32le) and `model.bin`
-(little-endian raw float32 in table order). Token input is JSON Lines, one
+(little-endian raw float32 in table order). The format names each tensor
+alone, as before fused storage: the loader reads each tensor's bytes
+straight into its columns, so it never holds a second copy of the model. Token input is JSON Lines, one
 record per sequence: {"tokens": [...], "modality": [0|1, ...]} with 1 = VISUAL.
 """
 
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import secrets
 from dataclasses import asdict, dataclass, field
@@ -80,17 +88,47 @@ class ModelConfig:
             raise ManifestError(f"malformed manifest config: {exc}") from exc
 
 
+class _Columns:
+    """A weight stored as column block `index` of a layer's fused weight
+    `fused`, which holds `parts` equal blocks: reading gives the view, and
+    assigning copies into its columns."""
+
+    def __init__(self, fused: str, index: int, parts: int):
+        self.fused, self.index, self.parts = fused, index, parts
+
+    def __get__(self, lw, owner=None):
+        if lw is None:
+            return self
+        buf = getattr(lw, self.fused)
+        width = buf.shape[1] // self.parts
+        return buf[:, self.index * width : (self.index + 1) * width]
+
+    def __set__(self, lw, value) -> None:
+        view = self.__get__(lw)
+        if np.shape(value) != view.shape:
+            raise ValidationError(f"weight of shape {np.shape(value)} for columns {view.shape}")
+        view[...] = value
+
+
 @dataclass
 class LayerWeights:
+    """One layer's tensors. Q, K and V are the column blocks of one (d, 3d)
+    `w_qkv`, gate and up those of one (d, 2 d_ff) `w_gate_up`, so a layer
+    runs each group as one product; `wq`, `wk`, `wv`, `w_gate` and `w_up`
+    are views of them."""
+
     attn_gain: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    w_qkv: np.ndarray
     wo: np.ndarray
     mlp_gain: np.ndarray
-    w_gate: np.ndarray
-    w_up: np.ndarray
+    w_gate_up: np.ndarray
     w_down: np.ndarray
+
+    wq = _Columns("w_qkv", 0, 3)
+    wk = _Columns("w_qkv", 1, 3)
+    wv = _Columns("w_qkv", 2, 3)
+    w_gate = _Columns("w_gate_up", 0, 2)
+    w_up = _Columns("w_gate_up", 1, 2)
 
 
 @dataclass
@@ -114,7 +152,8 @@ class ModelWeights:
                 raise ValidationError(f"tensor {name} contains non-finite values")
 
     def named_tensors(self):
-        """(name, array) pairs in the canonical manifest order."""
+        """(name, array) pairs in the canonical manifest order; the fused
+        weights' blocks come as their column views."""
         names = _layer_shapes(self.config)
         yield "embedding", self.embedding
         for l, lw in enumerate(self.layers):
@@ -123,10 +162,29 @@ class ModelWeights:
         yield "final_gain", self.final_gain
         yield "lm_head", self.lm_head
 
+    @staticmethod
+    def filled(config: ModelConfig, fill) -> "ModelWeights":
+        """Validated weights whose tensors `fill(shape)` returns, called in
+        manifest order, each copied into its place in the fused storage."""
+        d, ff, vocab = config.d_model, config.d_ff, config.vocab_size
+
+        def alloc(*shape):
+            return np.empty(shape, dtype=np.float32)
+
+        layers = [
+            LayerWeights(alloc(d), alloc(d, 3 * d), alloc(d, d), alloc(d), alloc(d, 2 * ff), alloc(ff, d))
+            for _ in range(config.n_layers)
+        ]
+        weights = ModelWeights(config, alloc(vocab, d), layers, alloc(d), alloc(d, vocab))
+        for _, dest in weights.named_tensors():
+            dest[...] = fill(dest.shape)
+        weights.validate()
+        return weights
+
 
 def _layer_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """One layer's tensors in manifest order, which is LayerWeights' field
-    order; every name and shape of a layer in the checkpoint comes from here."""
+    """One layer's tensors in manifest order; every name and shape of a
+    layer in the checkpoint comes from here."""
     d, ff = c.d_model, c.d_ff
     return {
         "attn_gain": (d,),
@@ -155,24 +213,6 @@ def _tensor_count(c: ModelConfig) -> int:
     return len(_layer_shapes(c)) * c.n_layers + 3
 
 
-def _assemble(config: ModelConfig, tensors: dict[str, np.ndarray]) -> ModelWeights:
-    """Validated weights from a table keyed by the manifest tensor names."""
-    names = _layer_shapes(config)
-    layers = [
-        LayerWeights(**{name: tensors[f"layer{l}.{name}"] for name in names})
-        for l in range(config.n_layers)
-    ]
-    weights = ModelWeights(
-        config=config,
-        embedding=tensors["embedding"],
-        layers=layers,
-        final_gain=tensors["final_gain"],
-        lm_head=tensors["lm_head"],
-    )
-    weights.validate()
-    return weights
-
-
 def init_synthetic_model(config: ModelConfig, seed: int) -> ModelWeights:
     """Norm gains (the 1-D tensors) start at one; every other tensor is drawn
     from one global splitmix64 stream, consumed in manifest order with uniform
@@ -185,15 +225,13 @@ def init_synthetic_model(config: ModelConfig, seed: int) -> ModelWeights:
     def draw(shape: tuple[int, ...]) -> np.ndarray:
         nonlocal cursor
         n = int(np.prod(shape))
-        vals = rng.uniform(seed, cursor, n, -bound, bound).astype(np.float32)
+        vals = rng.uniform(seed, cursor, n, -bound, bound)  # rounded to f32 in place
         cursor += n
-        return np.ascontiguousarray(vals.reshape(shape))
+        return vals.reshape(shape)
 
-    tensors: dict[str, np.ndarray] = {}
-    for name, shape in _tensor_specs(config):
-        tensors[name] = draw(shape) if len(shape) == 2 else np.ones(shape, dtype=np.float32)
-
-    return _assemble(config, tensors)
+    return ModelWeights.filled(
+        config, lambda shape: draw(shape) if len(shape) == 2 else np.ones(shape, dtype=np.float32)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +247,22 @@ def save_checkpoint(weights: ModelWeights, path: str) -> None:
     weights.validate()
     os.makedirs(path, exist_ok=True)
     table = []
+    tensors = list(weights.named_tensors())
+    # Every tensor is copied once, into its place in the one blob.
+    blob = np.empty(sum(arr.size for _, arr in tensors), dtype="<f4")
     offset = 0
-    blobs = []
-    for name, arr in weights.named_tensors():
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += len(raw)
-        blobs.append(raw)
+    for name, arr in tensors:
+        table.append({"name": name, "shape": list(arr.shape), "offset": offset * 4})
+        blob[offset : offset + arr.size].reshape(arr.shape)[...] = arr
+        offset += arr.size
     manifest = {
         "dtype": _DTYPE_TAG,
         "config": asdict(weights.config),
         "tensors": table,
-        "total_bytes": offset,
+        "total_bytes": blob.nbytes,
     }
     atomic_write(os.path.join(path, MANIFEST_NAME), json.dumps(manifest, indent=2) + "\n")
-    atomic_write(os.path.join(path, BLOB_NAME), b"".join(blobs))
+    atomic_write(os.path.join(path, BLOB_NAME), memoryview(blob).cast("B"))
 
 
 def load_checkpoint(path: str) -> ModelWeights:
@@ -270,26 +309,28 @@ def load_checkpoint(path: str) -> ModelWeights:
         )
 
     with open(blob_path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < offset:
-        raise TruncatedWeightsError(
-            f"truncated weights: blob has {len(blob)} bytes, manifest needs {offset}"
-        )
-    if len(blob) > offset:
-        raise ManifestError(f"blob has {len(blob) - offset} trailing bytes beyond manifest")
+        size = os.fstat(fh.fileno()).st_size
+        if size < offset:
+            raise TruncatedWeightsError(
+                f"truncated weights: blob has {size} bytes, manifest needs {offset}"
+            )
+        if size > offset:
+            raise ManifestError(f"blob has {size - offset} trailing bytes beyond manifest")
 
-    tensors: dict[str, np.ndarray] = {}
-    pos = 0
-    for name, shape in specs:
-        n = int(np.prod(shape)) * 4
-        arr = np.frombuffer(blob, dtype="<f4", count=n // 4, offset=pos).astype(np.float32)
-        tensors[name] = np.ascontiguousarray(arr.reshape(shape))
-        pos += n
+        # Each tensor is read alone into one scratch buffer, so the file is
+        # never held whole next to the weights.
+        scratch = np.empty(max(math.prod(shape) for _, shape in specs), dtype="<f4")
 
-    try:
-        return _assemble(config, tensors)
-    except ValidationError as exc:
-        raise DimensionMismatchError(str(exc)) from exc
+        def read(shape):
+            tensor = scratch[: math.prod(shape)]
+            if fh.readinto(tensor) != tensor.nbytes:
+                raise TruncatedWeightsError("truncated weights: blob ended inside a tensor")
+            return tensor.reshape(shape)
+
+        try:
+            return ModelWeights.filled(config, read)
+        except ValidationError as exc:
+            raise DimensionMismatchError(str(exc)) from exc
 
 
 def _exact_ints(value, expected) -> bool:
@@ -323,7 +364,7 @@ def strict_number(value) -> float:
     return float(value)
 
 
-def atomic_write(path: str, data: bytes | str) -> None:
+def atomic_write(path: str, data: bytes | memoryview | str) -> None:
     """Replace `path` by `data` (a str is written as UTF-8): readers see the
     old file or the new one, never a partial write.
 

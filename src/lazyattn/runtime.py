@@ -12,8 +12,20 @@ some rows and their shared/own split: prefill passes the s prompt rows
 with the store's prompt split, decode one new row with the store's
 `decode_split`. Positions live in the store (see `caches`); no layer keeps
 its own. Each layer's K/V cache is one (n_heads, L, d_head) array, so
-rotary runs once per layer and attention for all heads runs as one scores
-product, one masked softmax and one weighted sum per block of rows.
+rotary runs once per layer, on Q and K together, and attention for all
+heads runs as one scores product, one masked softmax and one weighted sum
+per block of rows.
+
+A layer step runs few, large products on the fused weights (see
+`model.LayerWeights`): one Q|K|V product where every row projects Q and K
+(standard layers, anchors, and a lazy layer that owns every row, as VLA
+decode does), else V alone and, for the rows a lazy layer owns, one Q|K
+product on the first two thirds of Q|K|V; and one gate|up product. Where
+the run-time probe finds that fused columns do not carry the bits of the
+products on their column views, which the oracle runs, each block runs as
+its own product (`kernels.fused_columns_hold`). The meter records each
+label's share of the columns, so it counts what the separate products
+would.
 
 Prefill attention is block-causal: the query rows run in blocks of CHUNK,
 each against the keys up to its last row only, so the masked triangle past
@@ -35,6 +47,9 @@ look the kernels up in this module when called, so a wrapper set on
 its operands once and records its own MACs on the meter it is given
 (`_metered`), so the meter counts what ran: a block's scores and weighted
 sum count its rows against its keys, and a padded tile its logical rows.
+
+`generate` sizes the K/V buffers for all its steps before the first, so no
+step reallocates.
 
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
@@ -65,12 +80,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .caches import CacheStore, PruneRecord, RowSplit
 from .errors import ValidationError
 from .kernels import (
     apply_rope,
     attention_scale,
     causal_blocks_hold,
+    fused_columns_hold,
     head_matmul,
     head_matvec,
     masked_softmax_rows,
@@ -94,16 +111,26 @@ def _validate_tokens(tokens: TokenSequence, vocab_size: int) -> None:
             raise ValidationError(f"token id {t} outside vocabulary of size {vocab_size}")
 
 
-def _metered(kernel, meter):
-    """The phase's `kernel` as a product `(a, b, label)`: once the kernel
-    returns, `meter` records label's MACs, with m the product of a's
-    leading axes, k a's last axis and n b's last axis."""
-    if meter is None:
-        return lambda a, b, label: kernel(a, b)
+def _metered(kernel, meter, base=None):
+    """The phase's `kernel` as a product `(a, b, *labels)`. With several
+    labels, b's columns are that many equal blocks, one per label: the
+    product runs once where `fused_columns_hold` finds that the columns
+    carry the bits of `base` (the kernels-module kernel, unwrapped) on each
+    block's view, else once per view, and returns the blocks side by side
+    either way. Once it returns, `meter` records each label's MACs, with m
+    the product of a's leading axes, k a's last axis and n the label's
+    share of b's columns."""
 
-    def product(a, b, label):
-        out = kernel(a, b)
-        meter.record(label, math.prod(a.shape[:-1]), a.shape[-1], b.shape[-1])
+    def product(a, b, *labels):
+        parts = len(labels)
+        if parts == 1 or fused_columns_hold(base, b, parts):
+            out = kernel(a, b)
+        else:
+            out = np.concatenate([kernel(a, view) for view in np.split(b, parts, axis=1)], axis=1)
+        if meter is not None:
+            m, k, n = math.prod(a.shape[:-1]), a.shape[-1], b.shape[-1] // parts
+            for label in labels:
+                meter.record(label, m, k, n)
         return out
 
     return product
@@ -126,11 +153,11 @@ def prefill_chunk(d_head: int, s: int) -> int | None:
     return CHUNK if causal_blocks_hold(d_head, s) else None
 
 
-def _rotated(config, m: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """A projection's rows rotated per head, as (n_heads, rows, d_head)."""
-    m = m.reshape(m.shape[0], config.n_heads, config.d_head)
-    # Rotary's per-position table lookup iterates Python ints fastest.
-    return apply_rope(m, positions.tolist(), config.rope_theta).transpose(1, 0, 2)
+def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The rows of a Q|K product (rows, 2d) rotated in one call, as
+    (2 n_heads, rows, d_head): Q's heads, then K's."""
+    qk = qk.reshape(qk.shape[0], 2 * config.n_heads, config.d_head)
+    return apply_rope(qk, positions, config.rope_theta).transpose(1, 0, 2)
 
 
 def _attend(phase: _Phase, q: np.ndarray, kt: np.ndarray, values: np.ndarray):
@@ -186,16 +213,21 @@ def _layer(
     positions = np.arange(store.seq_len, store.seq_len + rows)
     xn = rms_norm(x, lw.attn_gain, config.norm_eps)
 
-    v = mm(xn, lw.wv, "attn_v")
-    cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2))
-
     lazy = anchor != l
     own = split.own if lazy else slice(None)
     n_own = split.n_own if lazy else rows
+    if n_own == rows:  # every row projects Q, K and V: one product
+        qkv = mm(xn, lw.w_qkv, "attn_q", "attn_k", "attn_v")
+        qk, v = qkv[:, : 2 * d], qkv[:, 2 * d :]
+    else:
+        v = mm(xn, lw.wv, "attn_v")
+        if n_own:
+            qk = mm(xn[own], lw.w_qkv[:, : 2 * d], "attn_q", "attn_k")
+    cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2))
     if n_own:
-        xo = xn[own]
-        q = _rotated(config, mm(xo, lw.wq, "attn_q"), positions[own])
-        cache.append_keys(_rotated(config, mm(xo, lw.wk, "attn_k"), positions[own]))
+        qk = _rotated(config, qk, positions[own])
+        q = qk[:n_heads]
+        cache.append_keys(qk[n_heads:])
     if not lazy:
         keys = cache.keys.data
         if l + 1 < config.n_layers and store.anchors[l + 1] == l and split.n_shared:
@@ -217,8 +249,8 @@ def _layer(
     x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo, "attn_out")
 
     hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
-    gate = mm(hn, lw.w_gate, "mlp_gate")
-    up = mm(hn, lw.w_up, "mlp_up")
+    gate_up = mm(hn, lw.w_gate_up, "mlp_gate", "mlp_up")
+    gate, up = gate_up[:, : config.d_ff], gate_up[:, config.d_ff :]
     return x + mm(silu(gate) * up, lw.w_down, "mlp_down")
 
 
@@ -250,7 +282,7 @@ def prefill(
     store = CacheStore(weights.config, plan, tokens)
     # Looked up now, so wrappers take effect.
     phase = _Phase(
-        _metered(matmul, meter),
+        _metered(matmul, meter, kernels.matmul),
         _metered(head_matmul, meter),
         True,
         prefill_chunk(weights.config.d_head, len(tokens)),
@@ -270,7 +302,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     if not 0 <= next_token < weights.config.vocab_size:
         raise ValidationError(f"token id {next_token} outside vocabulary")
-    phase = _Phase(_metered(matvec, meter), _metered(head_matvec, meter), False, None)
+    phase = _Phase(_metered(matvec, meter, kernels.matvec), _metered(head_matvec, meter), False, None)
     logits = _forward(weights, store, [next_token], store.decode_split, phase, None)
     store.seq_len += 1
     return logits[0]
@@ -281,10 +313,12 @@ def generate(
 ) -> list[int]:
     """Greedy decode continuing `store`, which a prefill filled (and possibly
     a prune cut), from its last logits: argmax feedback, ties broken by
-    lowest index. Returns the `steps` ids; the store is mutated in place.
+    lowest index. Returns the `steps` ids; the store is mutated in place,
+    its buffers sized once for every step before the first.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
+    store.reserve(steps)
     ids: list[int] = []
     for _ in range(steps):
         t = int(np.argmax(last_logits))

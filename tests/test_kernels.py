@@ -12,7 +12,7 @@ from lazyattn import (
     rms_norm,
 )
 from lazyattn import kernels
-from lazyattn.kernels import apply_rope, head_matvec, matvec
+from lazyattn.kernels import apply_rope, fused_columns_hold, head_matvec, matvec, silu
 
 
 def f32(x):
@@ -234,6 +234,130 @@ def test_padded_products_keep_a_columns_bits_as_the_keys_grow():
         assert np.array_equal(
             head_matmul(attn[..., :n], keys[:, :n]), head_matmul(zero_tail, keys)
         )
+
+
+def fused_weights(rng, k, width, parts, ld=None):
+    """`parts` column blocks of `width` side by side, as a view of a buffer
+    with row stride `ld` (the blocks' own width when None)."""
+    buf = f32(rng.standard_normal((k, ld or width * parts)))
+    return buf[:, : width * parts]
+
+
+def test_fused_columns_carry_the_bits_of_the_view_products():
+    """One product on Q|K|V, gate|up or the Q|K columns of Q|K|V gives each
+    block the bits of the product on that block's view, on the 64-row tiles
+    at any row count and on the GEMV."""
+    rng = np.random.default_rng(15)
+    shapes = [(256, 256, 3, None), (256, 512, 2, None), (256, 256, 2, 768), (32, 32, 3, None)]
+    for k, width, parts, ld in shapes:
+        b = fused_weights(rng, k, width, parts, ld)
+        views = [b[:, i * width : (i + 1) * width] for i in range(parts)]
+        products = [(matmul, m) for m in (1, 63, 64, 65, 512)] + [(matvec, 1), (matvec, 3)]
+        for product, m in products:
+            assert fused_columns_hold(product, b, parts)
+            a = f32(rng.standard_normal((m, k)))
+            out = product(a, b)
+            for i, view in enumerate(views):
+                assert np.array_equal(out[:, i * width : (i + 1) * width], product(a, view))
+
+
+def test_fusion_probe_catches_a_nudged_column_block(monkeypatch):
+    """The probe fails when any one column block of the fused product moves
+    by one ulp, and its verdict is kept per kernel, k, block width, block
+    count and row stride, whatever the row count."""
+    for product in (matmul, matvec):
+        for nudged_block in range(3):
+
+            def nudged(a, b, product=product, i=nudged_block):
+                out = product(a, b)
+                if b.shape[1] == 3 * 32:  # the fused product, not a view's
+                    out[:, i * 32 : (i + 1) * 32] = np.nextafter(
+                        out[:, i * 32 : (i + 1) * 32], np.float32(np.inf)
+                    )
+                return out
+
+            assert kernels._probe_fused(product, 32, 32, 3, 96)
+            assert not kernels._probe_fused(nudged, 32, 32, 3, 96)
+    monkeypatch.setattr(kernels, "_FUSED_HOLD", {})
+    rng = np.random.default_rng(16)
+    for m in (1, 70):
+        b = fused_weights(rng, 64, 32, 3)
+        matmul(f32(rng.standard_normal((m, 64))), b)
+        assert fused_columns_hold(matmul, b, 3)
+    assert fused_columns_hold(matmul, fused_weights(rng, 64, 32, 2, 96), 2)
+    assert fused_columns_hold(matvec, fused_weights(rng, 64, 32, 3), 3)
+    assert kernels._FUSED_HOLD == {
+        ("matmul", 64, 32, 3, 96): True,
+        ("matmul", 64, 32, 2, 96): True,
+        ("matvec", 64, 32, 3, 96): True,
+    }
+
+
+def rope_reference(x, positions, theta):
+    """Rotary one row at a time, each row's cos and sin computed alone with
+    the table's call shape."""
+    half = x.shape[-1] // 2
+    freqs = theta ** (-(np.arange(half, dtype=np.float64) * (2.0 / (2 * half))))
+    out = np.empty_like(x)
+    for i, p in enumerate(positions):
+        cos = np.cos(p * freqs).astype(np.float32)
+        sin = np.sin(p * freqs).astype(np.float32)
+        x1, x2 = x[i, ..., 0::2], x[i, ..., 1::2]
+        out[i, ..., 0::2] = x1 * cos - x2 * sin
+        out[i, ..., 1::2] = x1 * sin + x2 * cos
+    return out
+
+
+def test_rope_table_rows_equal_per_position_rows(monkeypatch):
+    """Gathered table rows give the per-position bits for any order, for
+    repeats, for negative positions and for positions past the table's end,
+    however the table grew to hold them."""
+    monkeypatch.setattr(kernels, "_ROPE_TABLES", {})
+    rng = np.random.default_rng(17)
+    for positions in (
+        [3, 1, 2, 0],
+        [7, 7, 0, 7, 5],
+        [-3, 4, -1, 0],
+        [40, 2, 39],  # past the end of the table so far
+        [-20],
+        [900, -21, 901],
+        list(range(64)),
+    ):
+        x = f32(rng.standard_normal((len(positions), 3, 16)))
+        assert np.array_equal(apply_rope(x, positions, 10000.0), rope_reference(x, positions, 10000.0))
+        assert np.array_equal(
+            apply_rope(x, np.asarray(positions), 10000.0), rope_reference(x, positions, 10000.0)
+        )
+    table = kernels._ROPE_TABLES[(10000.0, 8)]
+    assert table.lo == -21 and len(table.cos) >= 902 + 21
+
+
+def test_joint_rope_equals_two_calls():
+    """Q and K rotated together as (rows, 2H, d) equal Q and K rotated apart."""
+    rng = np.random.default_rng(18)
+    qk = f32(rng.standard_normal((37, 8, 64)))
+    positions = np.arange(100, 137)
+    both = apply_rope(qk, positions, 10000.0)
+    assert np.array_equal(both[:, :4], apply_rope(qk[:, :4], positions, 10000.0))
+    assert np.array_equal(both[:, 4:], apply_rope(qk[:, 4:].copy(), positions, 10000.0))
+
+
+def test_in_place_kernels_keep_the_written_out_bits():
+    """rms_norm, the softmax and silu, computed in their own buffers, give
+    the bits of their formulas written out and leave their inputs alone."""
+    rng = np.random.default_rng(19)
+    x = f32(rng.standard_normal((9, 256)) * 3)
+    gain = f32(rng.random(256))
+    keep = x.copy()
+    ref = x * (np.float32(1.0) / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + np.float32(1e-5))) * gain
+    assert np.array_equal(rms_norm(x, gain, 1e-5), ref)
+    assert np.array_equal(silu(x), x * (np.float32(1.0) / (np.float32(1.0) + np.exp(-x))))
+    scores = f32(rng.standard_normal((4, 1, 300)))
+    scaled = scores * np.float32(0.125)
+    e = np.exp(scaled - np.max(scaled, axis=-1, keepdims=True))
+    out = masked_softmax_rows(scores, 299, 0.125, blocked=False)
+    assert np.array_equal(out, e / np.sum(e, axis=-1, keepdims=True))
+    assert np.array_equal(x, keep)
 
 
 def test_head_matmul_rejects_bad_shapes():

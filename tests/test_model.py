@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import stat
@@ -27,6 +28,7 @@ from lazyattn import (
     write_sequences_jsonl,
 )
 from lazyattn.kernels import causal_blocks_hold, matmul, rms_norm, silu
+from lazyattn.oracle import oracle_prefill
 from lazyattn.model import atomic_write
 from lazyattn.rng import splitmix64
 
@@ -82,6 +84,70 @@ def test_checkpoint_roundtrip_bytes(tmp_path):
     loaded = load_checkpoint(first)
     save_checkpoint(loaded, second)
     assert _checkpoint_bytes(first) == _checkpoint_bytes(second)
+
+
+def test_benchmark_checkpoint_bytes_are_unchanged(tmp_path):
+    """Fused storage changes no checkpoint byte: the benchmark's model (8
+    layers, 4 heads, d_model 256, d_ff 512, vocab 512, seed 0) saves to the
+    same files as when every tensor was its own array."""
+    config = ModelConfig(
+        n_layers=8, n_heads=4, d_model=256, d_head=64, d_ff=512, vocab_size=512
+    )
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(init_synthetic_model(config, 0), path)
+    manifest, blob = _checkpoint_bytes(path)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "b6a7dd7441d582d3bca59a62c8219190054cc0f4fbb5592655ecec5c45a9aef4"
+    )
+    assert hashlib.sha256(manifest).hexdigest() == (
+        "f678ab69d8ae642024a8bab27f35544143387d14da040c2c69d187a5c6bb47ef"
+    )
+
+
+def test_fused_weights_hold_the_named_tensors_as_column_views():
+    """wq/wk/wv are w_qkv's column thirds and w_gate/w_up w_gate_up's
+    halves; assigning one copies into its columns, keeps the fused array,
+    and prefill (still equal to the oracle) computes with the new values."""
+    w = make_model(n_layers=2, seed=8)
+    c = w.config
+    lw = w.layers[1]
+    fused = lw.w_qkv
+    for name, i in (("wq", 0), ("wk", 1), ("wv", 2)):
+        assert np.shares_memory(getattr(lw, name), fused)
+        assert np.array_equal(getattr(lw, name), fused[:, i * c.d_model : (i + 1) * c.d_model])
+    assert np.array_equal(lw.w_up, lw.w_gate_up[:, c.d_ff :])
+    tokens = TokenSequence([5, 9, 1, 40, 2, 7], [1, 1, 1, 0, 0, 0])
+    plan = LazyPlan(mode=VLA, n_layers=2, blocks=[LazyBlock(0, (1,))])
+    before, _ = prefill(w, tokens, plan)
+    rng = np.random.default_rng(8)
+    wq = rng.standard_normal((c.d_model, c.d_model), dtype=np.float32) * np.float32(0.2)
+    w_up = rng.standard_normal((c.d_model, c.d_ff), dtype=np.float32) * np.float32(0.2)
+    lw.wq, lw.w_up = wq, w_up
+    assert lw.w_qkv is fused and np.array_equal(fused[:, : c.d_model], wq)
+    assert np.array_equal(lw.w_gate_up[:, c.d_ff :], w_up)
+    after, _ = prefill(w, tokens, plan)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, oracle_prefill(w, tokens, plan))
+    with pytest.raises(ValidationError):
+        lw.wk = wq[:, :-2]
+
+
+def test_load_checkpoint_holds_about_one_model(tmp_path):
+    """The loader reads each tensor straight into its place, so its peak
+    traced memory is one model plus a tensor, not the file and the model."""
+    w = make_model(n_layers=4, d_model=128, d_ff=256, vocab_size=256, seed=6)
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(w, path)
+    model_bytes = sum(a.nbytes for _, a in w.named_tensors())
+    tracemalloc.start()
+    try:
+        loaded = load_checkpoint(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * model_bytes
+    for (_, a), (_, b) in zip(w.named_tensors(), loaded.named_tensors(), strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_truncated_blob(tmp_path):

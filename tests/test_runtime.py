@@ -260,6 +260,37 @@ def test_first_decode_appends_in_place(model, prompt, mode):
         assert store.kv_bytes() == rows * model.config.d_model * 4
 
 
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_generate_reserves_its_rows(model, prompt, mode, monkeypatch):
+    """generate sizes every K/V buffer for all its steps before the first,
+    so no step reallocates; the ids and logical bytes are those of steps
+    that grow the buffers as they go."""
+    from lazyattn import caches
+
+    steps = caches.HEADROOM + 20
+    plan = None if mode is None else two_block_plan(mode)
+    logits, store = prefill(model, prompt, plan)
+    twin = store.clone()
+    seen = []
+
+    def spy(weights, store, token, real=runtime.decode):
+        seen.append(buffers(store))
+        return real(weights, store, token)
+
+    monkeypatch.setattr(runtime, "decode", spy)
+    ids = generate(model, store, logits[-1], steps)
+    seen.append(buffers(store))
+    assert len(seen) == steps + 1
+    assert all(a is b for later in seen[1:] for a, b in zip(later, seen[0], strict=True))
+    for cache in store.layers:
+        assert cache.values._buf.shape[1] == len(prompt) + steps
+    last = logits[-1]
+    for t in ids:
+        assert t == int(np.argmax(last))
+        last = decode(model, twin, t)
+    assert twin.kv_bytes() == store.kv_bytes()
+
+
 def test_prune_validation(model, prompt):
     capture = AttentionCapture()
     _, store = prefill(model, prompt, capture=capture)
@@ -414,13 +445,14 @@ def test_runtime_matmul_sees_only_2d_operands(model, prompt, monkeypatch):
 
 def test_matmul_multiplies_only_by_weights(model, monkeypatch):
     """A 2-D matmul is a weight product, in production and in the oracle
-    alike: attention goes through head_matmul, on the attention tiles."""
-    names = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
+    alike: attention goes through head_matmul, on the attention tiles. A
+    fused weight counts, and so does a column view of it (wq, w_up, ...)."""
+    names = ("w_qkv", "wo", "w_gate_up", "w_down")
     weights = [model.lm_head] + [getattr(lw, name) for lw in model.layers for name in names]
     seen = []
 
     def spy(a, b, real=runtime.matmul):
-        seen.append(any(b is w for w in weights))
+        seen.append(any(b is w or b.base is w for w in weights))
         return real(a, b)
 
     monkeypatch.setattr(runtime, "matmul", spy)
@@ -537,6 +569,48 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
         assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
     widths = {key[0] for key in kernels._TILES_HOLD}
     assert widths == {kernels.TILE, kernels.WIDE} and not any(kernels._TILES_HOLD.values())
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_failed_fusion_probe_runs_separate_products(model, mode, monkeypatch):
+    """Where the fusion probe fails, every layer runs Q, K, V, gate and up
+    as separate products on the column views: prefill still equals the
+    oracle bit for bit, decode the fused decode's bits (so it meets
+    DECODE_TOL), and every meter reads the same."""
+    from lazyattn import kernels
+
+    tokens = long_prompt("alternating", 9)
+    plan = None if mode is None else two_block_plan(mode)
+    fused_meter = FlopMeter()
+    fused, store = prefill(model, tokens, plan, meter=fused_meter)
+    fused_step = decode(model, store, FEED[0])
+
+    monkeypatch.setattr(kernels, "_probe_fused", lambda *args: False)
+    monkeypatch.setattr(kernels, "_FUSED_HOLD", {})
+    blocks = []
+
+    def spy(a, b, real=runtime.matmul):
+        for lw in model.layers:
+            for name in ("w_qkv", "w_gate_up"):
+                fused = getattr(lw, name)
+                if b is fused or b.base is fused:
+                    blocks.append((name, b.shape[1]))
+        return real(a, b)
+
+    monkeypatch.setattr(runtime, "matmul", spy)
+    meter = FlopMeter()
+    logits, store = prefill(model, tokens, plan, meter=meter)
+    assert np.array_equal(logits, fused)
+    assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
+    assert meter.macs == fused_meter.macs
+    c = model.config
+    assert set(blocks) == {("w_qkv", c.d_model), ("w_gate_up", c.d_ff)}
+    step = decode(model, store, FEED[0])
+    assert np.array_equal(step, fused_step)
+    fed = TokenSequence(tokens.token_ids + FEED[:1], tokens.modality + [0])
+    assert_decode_matches_oracle(model, fed, plan, store, None, feed=FEED[1:3])
+    assert {key[0] for key in kernels._FUSED_HOLD} == {"matmul", "matvec"}
+    assert not any(kernels._FUSED_HOLD.values())
 
 
 # ---------------------------------------------------------------------------
