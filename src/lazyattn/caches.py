@@ -42,7 +42,7 @@ class GrowableHeads:
 
     When full it reallocates to HEADROOM rows past what it must hold, or to
     twice its capacity if that is more; a prune compacts it with the same
-    headroom, and `reserve` sizes it for a known number of appends. `data` is a view of the filled prefix; each head's (length,
+    headroom. `data` is a view of the filled prefix; each head's (length,
     d_head) slab in it is C-contiguous, so `data` and its transposes can go
     straight to the kernels. Logical bytes ignore spare capacity.
     """
@@ -67,12 +67,6 @@ class GrowableHeads:
             self._reallocate(self.data, max(need + HEADROOM, 2 * cap))
         self._buf[:, self._len : need] = rows
         self._len = need
-
-    def reserve(self, extra: int) -> None:
-        """Room for `extra` more rows, so that many appends reallocate nothing."""
-        need = self._len + extra
-        if need > self._buf.shape[1]:
-            self._reallocate(self.data, need)
 
     @property
     def data(self) -> np.ndarray:
@@ -246,15 +240,6 @@ class CacheStore:
     def n_text(self) -> int:
         """Text positions after prefill: the prompt's plus every decoded one."""
         return self.seq_len - int(np.count_nonzero(self.modality))
-
-    def reserve(self, steps: int) -> None:
-        """Room for `steps` decoded rows in every buffer a decode step appends
-        to: each layer's values, and its keys unless a decoded row is shared
-        (a GLA lazy layer's)."""
-        for l, layer in enumerate(self.layers):
-            layer.values.reserve(steps)
-            if self.anchors[l] == l or self.decode_split.n_own:
-                layer.keys.reserve(steps)
 
     def kv_bytes(self) -> int:
         return sum(layer.nbytes for layer in self.layers)

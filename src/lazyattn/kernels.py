@@ -47,10 +47,12 @@ gives those rows, which lets prefill skip the masked triangle.
 A phase picks its kernels, never the row count: prefill runs the tiles and
 the blocked row sum, decode the GEMV and one plain `np.sum` per row, since
 a padded 1-row tile costs about twice a GEMV on weights that are cold in
-cache and decode never needs length invariance. The oracle computes every
-weight product with `matmul`, each head's attention products with
-`head_matmul` (one head at a time) and every softmax with the blocked sum;
-so in production and oracle alike a 2-D `matmul` is a weight product.
+cache and decode never needs length invariance. The oracle follows the
+same rule row by row: a prompt row's weight products run on `matmul`, its
+attention products on `head_matmul` (one head at a time) and its softmax
+with the blocked sum; a decoded row's run on `matvec`, `head_matvec` and
+the plain sum. So in production and oracle alike a 2-D `matmul` is a
+weight product, and both phases match the oracle bit for bit.
 
 The tiles see one canonical layout: a right-hand operand whose last axis
 is not unit-stride (K^T as a transposed view of the key cache) is copied to

@@ -13,9 +13,11 @@ runtime runs each group as one product; `wq`, `wk`, `wv`, `w_gate` and
 Checkpoint format: a directory holding `model.json` (config plus an ordered
 tensor table with name/shape/byte offset, dtype f32le) and `model.bin`
 (little-endian raw float32 in table order). The format names each tensor
-alone, as before fused storage: the loader reads each tensor's bytes
-straight into its columns, so it never holds a second copy of the model. Token input is JSON Lines, one
-record per sequence: {"tokens": [...], "modality": [0|1, ...]} with 1 = VISUAL.
+alone, as before fused storage: the writer writes each tensor from its
+own buffer and the loader reads each tensor's bytes straight into its
+columns, so neither holds a second copy of the model. Token input is JSON
+Lines, one record per sequence: {"tokens": [...], "modality": [0|1, ...]}
+with 1 = VISUAL.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import math
 import os
 import secrets
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -248,21 +251,22 @@ def save_checkpoint(weights: ModelWeights, path: str) -> None:
     os.makedirs(path, exist_ok=True)
     table = []
     tensors = list(weights.named_tensors())
-    # Every tensor is copied once, into its place in the one blob.
-    blob = np.empty(sum(arr.size for _, arr in tensors), dtype="<f4")
     offset = 0
     for name, arr in tensors:
-        table.append({"name": name, "shape": list(arr.shape), "offset": offset * 4})
-        blob[offset : offset + arr.size].reshape(arr.shape)[...] = arr
-        offset += arr.size
+        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += arr.size * 4
     manifest = {
         "dtype": _DTYPE_TAG,
         "config": asdict(weights.config),
         "tensors": table,
-        "total_bytes": blob.nbytes,
+        "total_bytes": offset,
     }
     atomic_write(os.path.join(path, MANIFEST_NAME), json.dumps(manifest, indent=2) + "\n")
-    atomic_write(os.path.join(path, BLOB_NAME), memoryview(blob).cast("B"))
+    # One tensor at a time (a copy only for a column view): a freed
+    # model-sized blob raises glibc's mmap threshold to its size, which
+    # leaves later tensors on the heap and peak RSS up to its layout.
+    blocks = (np.ascontiguousarray(arr, dtype="<f4") for _, arr in tensors)
+    atomic_write(os.path.join(path, BLOB_NAME), blocks)
 
 
 def load_checkpoint(path: str) -> ModelWeights:
@@ -358,15 +362,20 @@ def strict_int(value) -> int:
 
 
 def strict_number(value) -> float:
-    """A JSON number as read; a bool, string or null raises TypeError."""
+    """A JSON number as read; a bool, string or null raises TypeError, and an
+    integer past the float range ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError("integer too large for a float") from exc
 
 
-def atomic_write(path: str, data: bytes | memoryview | str) -> None:
-    """Replace `path` by `data` (a str is written as UTF-8): readers see the
-    old file or the new one, never a partial write.
+def atomic_write(path: str, data: bytes | memoryview | str | Iterable) -> None:
+    """Replace `path` by `data`: bytes, a str (written as UTF-8) or an
+    iterable of bytes-like blocks written in order. Readers see the old file
+    or the new one, never a partial write.
 
     The temp file is new, uniquely named and in the same directory, so
     concurrent writers never share one and the rename stays on one file
@@ -375,11 +384,13 @@ def atomic_write(path: str, data: bytes | memoryview | str) -> None:
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, (bytes, memoryview)):
+        data = (data,)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     fh = open(tmp, "xb")
     try:
         with fh:
-            fh.write(data)
+            fh.writelines(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

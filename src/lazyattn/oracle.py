@@ -5,16 +5,25 @@ forward recomputes all projections from retained per-layer inputs, and lazy
 layers substitute anchor-layer queries/keys by recomputing them from the
 anchor's retained input. Generation reruns the full sequence each step.
 
-They share only the primitive kernels (matmul/softmax/norm/rotary) with
+They share only the primitive kernels (products/softmax/norm/rotary) with
 production; those are row-independent and deterministic, so production
-prefill must match the oracle bit for bit and greedy generation must emit
-identical token ids. Any divergence is a bug, never tolerance noise. Each
-product runs on the tiles production gives it: weight products on
-`matmul`'s 64-row tiles, each head's scores and weighted sum on
-`head_matmul`'s 4-row attention tiles, with a head axis of 1.
+prefill, every decode step and the greedy ids must match the oracle bit
+for bit. Any divergence is a bug, never tolerance noise.
+
+A sequence is the prompt's rows, then the rows of the ids decoded after it
+(`decoded`, text), and each row runs on the kernels production gives it in
+its phase (see `kernels`). A prompt row's weight products run on `matmul`'s
+64-row tiles and a decoded row's on `matvec`, the GEMV. Attention has one
+path, `_attention`, per head: the prompt rows' causal square on
+`head_matmul`'s 4-row tiles with the blocked softmax row sum, as prefill
+computes it; then each decoded row alone over its visible columns, on
+`head_matvec` with the plain row sum, as a decode step computes it. In a
+layer that a prune cut, the rows from the prune on see the kept columns.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,8 +33,10 @@ from .kernels import (
     apply_rope,
     attention_scale,
     head_matmul,
+    head_matvec,
     masked_softmax_rows,
     matmul,
+    matvec,
     rms_norm,
     silu,
 )
@@ -34,23 +45,26 @@ from .planner import GLA, LazyPlan, layer_anchors
 from .runtime import _validate_tokens, decode, generate, prefill
 
 
-def _head_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One head's attention product, on the attention tiles production runs
-    it on (`head_matmul` with a head axis of 1)."""
-    return head_matmul(a[None], b[None])[0]
+def _product(a: np.ndarray, b: np.ndarray, n_prompt: int) -> np.ndarray:
+    """a @ b: the first `n_prompt` rows (the prompt's) on `matmul`, the
+    decoded rows after them on `matvec`."""
+    if n_prompt == len(a):
+        return matmul(a, b)
+    return np.concatenate([matmul(a[:n_prompt], b), matvec(a[n_prompt:], b)])
 
 
 def _split_heads(m: np.ndarray, n_heads: int, d_head: int) -> list[np.ndarray]:
     return [np.ascontiguousarray(m[:, h * d_head : (h + 1) * d_head]) for h in range(n_heads)]
 
 
-def _layer_qk(weights, layer: int, x_layer: np.ndarray, positions: list[int]):
+def _layer_qk(weights, layer: int, x_layer: np.ndarray, n_prompt: int):
     """Recompute a layer's rotated per-head Q and K from its retained input."""
     config = weights.config
     lw = weights.layers[layer]
+    positions = range(len(x_layer))
     xn = rms_norm(x_layer, lw.attn_gain, config.norm_eps)
-    q = matmul(xn, lw.wq)
-    k = matmul(xn, lw.wk)
+    q = _product(xn, lw.wq, n_prompt)
+    k = _product(xn, lw.wk, n_prompt)
     q_heads = [
         apply_rope(qh, positions, config.rope_theta)
         for qh in _split_heads(q, config.n_heads, config.d_head)
@@ -62,25 +76,51 @@ def _layer_qk(weights, layer: int, x_layer: np.ndarray, positions: list[int]):
     return q_heads, k_heads
 
 
+def _attention(q, k, v, n_prompt: int, prune: PruneRecord | None) -> np.ndarray:
+    """One head's causal attention over (s, d_head) q, k and v, whose first
+    `n_prompt` rows are the prompt's. The prompt rows that see every column
+    up to their own run as one square on the attention tiles with the
+    blocked row sum. Every other row runs alone over its visible columns: a
+    decoded row on the GEMV with the plain row sum, a prompt row on the
+    tiles and the blocked sum. Under `prune` the rows from its `prompt_len`
+    on see only the columns it kept."""
+    s, d_head = q.shape
+    scale = attention_scale(d_head)
+    square = n_prompt if prune is None else min(n_prompt, prune.prompt_len)
+    out = np.empty((s, d_head), dtype=np.float32)
+    scores = head_matmul(q[None, :square], k[None, :square].transpose(0, 2, 1))
+    out[:square] = head_matmul(masked_softmax_rows(scores, 0, scale), v[None, :square])[0]
+    for i in range(square, s):
+        cols = np.arange(i + 1)
+        if prune is not None and i >= prune.prompt_len:
+            cols = np.delete(cols, prune.removed)
+        product, blocked = (head_matmul, True) if i < n_prompt else (head_matvec, False)
+        scores = product(q[None, i : i + 1], k[None, cols].transpose(0, 2, 1))
+        attn = masked_softmax_rows(scores, len(cols) - 1, scale, blocked)
+        out[i] = product(attn, v[None, cols])[0, 0]
+    return out
+
+
 def oracle_prefill(
     weights,
     tokens: TokenSequence,
     plan: LazyPlan | None = None,
     prune: PruneRecord | None = None,
+    decoded: Sequence[int] = (),
 ) -> np.ndarray:
-    """Full-sequence logits computed without any cache structures."""
+    """Logits for every row of the prompt `tokens` and then of the `decoded`
+    ids (text rows), computed without any cache structures: the prompt rows
+    as prefill computes them, each decoded row as a decode step does."""
     config = weights.config
     _validate_tokens(tokens, config.vocab_size)
+    n_prompt = len(tokens)
+    tokens = TokenSequence(
+        list(tokens.token_ids) + list(decoded), list(tokens.modality) + [0] * len(decoded)
+    )
+    _validate_tokens(tokens, config.vocab_size)
     n_heads, d_head = config.n_heads, config.d_head
-    s = len(tokens)
-    positions = list(range(s))
-    scale = attention_scale(d_head)
     anchors = layer_anchors(plan, config.n_layers)
-
-    text_pos = [i for i, m in enumerate(tokens.modality) if m == 0]
-    visual_pos = [i for i, m in enumerate(tokens.modality) if m == 1]
-    text_idx = np.asarray(text_pos, dtype=np.intp)
-    visual_idx = np.asarray(visual_pos, dtype=np.intp)
+    text = (np.asarray(tokens.modality) == 0)[:, None]
 
     x = np.ascontiguousarray(weights.embedding[np.asarray(tokens.token_ids, dtype=np.intp)])
     layer_inputs: list[np.ndarray] = []
@@ -89,81 +129,30 @@ def oracle_prefill(
         layer_inputs.append(x)
         anchor = anchors[l]
         xn = rms_norm(x, lw.attn_gain, config.norm_eps)
-        v_heads = _split_heads(matmul(xn, lw.wv), n_heads, d_head)
+        v_heads = _split_heads(_product(xn, lw.wv, n_prompt), n_heads, d_head)
 
         if anchor == l:
-            q_heads, k_heads = _layer_qk(weights, l, x, positions)
+            q_heads, k_heads = _layer_qk(weights, l, x, n_prompt)
         elif plan.mode == GLA:
-            q_heads, k_heads = _layer_qk(weights, anchor, layer_inputs[anchor], positions)
+            q_heads, k_heads = _layer_qk(weights, anchor, layer_inputs[anchor], n_prompt)
         else:  # VLA: own text rows, anchor visual rows
-            own_q, own_k = _layer_qk(weights, l, x, positions)
-            anchor_q, anchor_k = _layer_qk(weights, anchor, layer_inputs[anchor], positions)
-            q_heads, k_heads = [], []
-            for h in range(n_heads):
-                qf = np.empty((s, d_head), dtype=np.float32)
-                qf[text_idx] = own_q[h][text_idx]
-                qf[visual_idx] = anchor_q[h][visual_idx]
-                kf = np.empty((s, d_head), dtype=np.float32)
-                kf[text_idx] = own_k[h][text_idx]
-                kf[visual_idx] = anchor_k[h][visual_idx]
-                q_heads.append(qf)
-                k_heads.append(kf)
+            own_q, own_k = _layer_qk(weights, l, x, n_prompt)
+            anchor_q, anchor_k = _layer_qk(weights, anchor, layer_inputs[anchor], n_prompt)
+            q_heads = [np.where(text, own, shared) for own, shared in zip(own_q, anchor_q)]
+            k_heads = [np.where(text, own, shared) for own, shared in zip(own_k, anchor_k)]
 
-        restricted = prune is not None and anchor > prune.layer
-        out_heads = []
-        for h in range(n_heads):
-            if not restricted:
-                scores = _head_product(q_heads[h], k_heads[h].T)
-                attn = masked_softmax_rows(scores, 0, scale)
-                out_heads.append(_head_product(attn, v_heads[h]))
-            else:
-                out_heads.append(
-                    _restricted_attention(
-                        q_heads[h], k_heads[h], v_heads[h], scale, prune
-                    )
-                )
-        o = np.concatenate(out_heads, axis=1)
-        x = x + matmul(o, lw.wo)
+        cut = prune if prune is not None and anchor > prune.layer else None
+        o = np.concatenate(
+            [_attention(*qkv, n_prompt, cut) for qkv in zip(q_heads, k_heads, v_heads)], axis=1
+        )
+        x = x + _product(o, lw.wo, n_prompt)
 
         hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
-        act = silu(matmul(hn, lw.w_gate)) * matmul(hn, lw.w_up)
-        x = x + matmul(act, lw.w_down)
+        act = silu(_product(hn, lw.w_gate, n_prompt)) * _product(hn, lw.w_up, n_prompt)
+        x = x + _product(act, lw.w_down, n_prompt)
 
     xn = rms_norm(x, weights.final_gain, config.norm_eps)
-    return matmul(xn, weights.lm_head)
-
-
-def _restricted_attention(q_h, k_h, v_h, scale, prune: PruneRecord):
-    """Attention where rows >= prompt_len skip removed columns entirely.
-
-    Prompt rows ran before the prune and keep plain causal attention; each
-    generated row gathers its visible columns into the same compact layout
-    the production decode step sees, so the two stay numerically adjacent.
-    """
-    s = q_h.shape[0]
-    d_head = q_h.shape[1]
-    removed = set(prune.removed)
-    boundary = min(prune.prompt_len, s)
-    out = np.empty((s, d_head), dtype=np.float32)
-
-    if boundary > 0:
-        scores = _head_product(q_h[:boundary], k_h.T)
-        attn = masked_softmax_rows(scores, 0, scale)
-        out[:boundary] = _head_product(attn, v_h)
-
-    kept = [j for j in range(s) if j not in removed]
-    kept_arr = np.asarray(kept, dtype=np.intp)
-    k_kept = np.ascontiguousarray(k_h[kept_arr])
-    v_kept = np.ascontiguousarray(v_h[kept_arr])
-    for i in range(boundary, s):
-        n_vis = int(np.searchsorted(kept_arr, i, side="right"))
-        scores = _head_product(
-            np.ascontiguousarray(q_h[i : i + 1]),
-            np.ascontiguousarray(k_kept[:n_vis]).T,
-        )
-        attn = masked_softmax_rows(scores, n_vis - 1, scale)
-        out[i : i + 1] = _head_product(attn, np.ascontiguousarray(v_kept[:n_vis]))
-    return out
+    return _product(xn, weights.lm_head, n_prompt)
 
 
 def oracle_full_generate(
@@ -173,16 +162,14 @@ def oracle_full_generate(
     plan: LazyPlan | None = None,
     prune: PruneRecord | None = None,
 ) -> list[int]:
-    """Greedy ids via repeated full-sequence recomputation (no caches)."""
+    """Greedy ids via repeated full-sequence recomputation (no caches): each
+    id is the argmax of the last row with every earlier id decoded."""
     if steps < 1:
         raise ValidationError("steps must be >= 1")
-    seq = TokenSequence(list(tokens.token_ids), list(tokens.modality))
     ids: list[int] = []
     for _ in range(steps):
-        logits = oracle_prefill(weights, seq, plan, prune)
-        t = int(np.argmax(logits[-1]))
-        ids.append(t)
-        seq = TokenSequence(seq.token_ids + [t], seq.modality + [0])
+        logits = oracle_prefill(weights, tokens, plan, prune, decoded=ids)
+        ids.append(int(np.argmax(logits[-1])))
     return ids
 
 
@@ -191,9 +178,9 @@ def oracle_full_generate(
 # ---------------------------------------------------------------------------
 
 
-# How far one production decode step's logits may sit from the oracle's
-# next-step last row.
-DECODE_TOL = 1e-5
+def _first_difference(prod: np.ndarray, ref: np.ndarray) -> str:
+    bad = int(np.argmax(prod != ref))
+    return f"flat index {bad}, prod {prod.flat[bad]!r} vs oracle {ref.flat[bad]!r}"
 
 
 def verify_case(
@@ -205,22 +192,21 @@ def verify_case(
 ) -> None:
     """All oracle equivalence checks for one prompt; raises on mismatch.
 
-    One production prefill serves three checks: (1) its logits match
-    oracle_prefill bitwise, (2) `generate` from it emits the ids of
-    oracle_full_generate exactly, (3) one decode step on a clone taken
-    before (2) matches the oracle's next-step last row within DECODE_TOL.
+    One production prefill serves three checks, all exact: (1) its logits
+    match oracle_prefill, (2) `generate` from it emits the ids of
+    oracle_full_generate, (3) one decode step on a clone taken before (2)
+    matches the last row of oracle_prefill with that id decoded.
     """
     if steps < 1:
         raise ValidationError("verify_case needs steps >= 1")
+    case = {"tokens": tokens.token_ids, "modality": tokens.modality}
 
     logits, store = prefill(weights, tokens, plan)
     ref = oracle_prefill(weights, tokens, plan)
     if not np.array_equal(logits, ref):
-        bad = int(np.argmax(np.abs(logits - ref)))
         raise OracleMismatchError(
-            f"{case_label}: prefill logits differ from oracle (flat index {bad}, "
-            f"prod {logits.flat[bad]!r} vs oracle {ref.flat[bad]!r})",
-            case={"tokens": tokens.token_ids, "modality": tokens.modality},
+            f"{case_label}: prefill logits differ from oracle ({_first_difference(logits, ref)})",
+            case=case,
         )
 
     twin = store.clone()
@@ -231,17 +217,14 @@ def verify_case(
         raise OracleMismatchError(
             f"{case_label}: generated ids diverge at step {step}: "
             f"prod {ids} vs oracle {ref_ids}",
-            case={"tokens": tokens.token_ids, "modality": tokens.modality, "step": step},
+            case={**case, "step": step},
         )
 
-    # One-step prefill/decode consistency against the oracle's next row.
     step_logits = decode(weights, twin, ids[0])
-    ext = TokenSequence(tokens.token_ids + [ids[0]], tokens.modality + [0])
-    ref_step = oracle_prefill(weights, ext, plan)[-1]
-    err = float(np.max(np.abs(step_logits - ref_step)))
-    if err > DECODE_TOL:
+    ref_step = oracle_prefill(weights, tokens, plan, decoded=ids[:1])[-1]
+    if not np.array_equal(step_logits, ref_step):
         raise OracleMismatchError(
-            f"{case_label}: decode logits deviate from oracle by {err:.3e} "
-            f"(tol {DECODE_TOL})",
-            case={"tokens": tokens.token_ids, "modality": tokens.modality},
+            f"{case_label}: decode logits differ from oracle "
+            f"({_first_difference(step_logits, ref_step)})",
+            case=case,
         )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import atomic_write, parse_json, strict_int
+from .model import atomic_write, parse_json, strict_int, strict_number
 
 LN2 = math.log(2.0)
 
@@ -147,7 +147,7 @@ class SimilarityProfile:
             profile = SimilarityProfile(
                 n_layers=strict_int(d["n_layers"]),
                 n_samples=strict_int(d["n_samples"]),
-                S=np.asarray(d["S"], dtype=np.float64),
+                S=np.array([[strict_number(v) for v in row] for row in d["S"]]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed profile: {exc}") from exc

@@ -41,15 +41,14 @@ runs the batch-invariant tiles, 64 rows wide for the weight products
 and the blocked softmax row sum. The oracle computes with the same, so
 prefill matches it bit for bit even where a lazy layer projects a single
 own row. Decode runs the stacked GEMV (`matvec`, `head_matvec`) and a
-plain row sum, which are cheaper for its one row. `prefill` and `decode`
-look the kernels up in this module when called, so a wrapper set on
-`runtime.matmul` sees every prefill weight product. Each product states
-its operands once and records its own MACs on the meter it is given
-(`_metered`), so the meter counts what ran: a block's scores and weighted
-sum count its rows against its keys, and a padded tile its logical rows.
-
-`generate` sizes the K/V buffers for all its steps before the first, so no
-step reallocates.
+plain row sum, which are cheaper for its one row; the oracle runs its
+decoded rows on them too, so each step matches it bit for bit as well.
+`prefill` and `decode` look the kernels up in this module when called, so
+a wrapper set on `runtime.matmul` sees every prefill weight product. Each
+product states its operands once and records its own MACs on the meter it
+is given (`_metered`), so the meter counts what ran: a block's scores and
+weighted sum count its rows against its keys, and a padded tile its
+logical rows.
 
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
@@ -313,12 +312,10 @@ def generate(
 ) -> list[int]:
     """Greedy decode continuing `store`, which a prefill filled (and possibly
     a prune cut), from its last logits: argmax feedback, ties broken by
-    lowest index. Returns the `steps` ids; the store is mutated in place,
-    its buffers sized once for every step before the first.
+    lowest index. Returns the `steps` ids; the store is mutated in place.
     """
     if steps < 0:
         raise ValidationError("steps must be >= 0")
-    store.reserve(steps)
     ids: list[int] = []
     for _ in range(steps):
         t = int(np.argmax(last_logits))

@@ -173,6 +173,23 @@ def test_verify_reports_oracle_mismatch(pipeline, monkeypatch, capsys):
     assert "repro:" in capsys.readouterr().err
 
 
+def test_verify_reports_a_decode_step_one_ulp_off(pipeline, monkeypatch, capsys):
+    """verify holds its decode step to the oracle bit for bit: one logit
+    moved by one ulp is a mismatch."""
+    real = oracle.decode
+
+    def nudged(*args, **kwargs):
+        logits = real(*args, **kwargs).copy()
+        logits[0] = np.nextafter(logits[0], np.float32(np.inf))
+        return logits
+
+    monkeypatch.setattr(oracle, "decode", nudged)
+    code = main(["verify", "--model", pipeline["model"], "--plan", pipeline["plan"],
+                 "--cases", "1", "--steps", "2"])
+    assert code == EXIT_ORACLE
+    assert "decode logits differ" in capsys.readouterr().err
+
+
 def test_missing_or_truncated_checkpoint(pipeline, tmp_path):
     run = ["run", "--input", pipeline["inputs"], "--out", str(tmp_path / "o")]
     assert main([*run, "--model", str(tmp_path / "absent")]) == EXIT_IO
@@ -225,6 +242,11 @@ def _set_cell(value):
     return lambda d: d["S"][0].__setitem__(1, value)
 
 
+def _set_cells(value):
+    """Every cell of S replaced by value(cell)."""
+    return lambda d: d.__setitem__("S", [[value(v) for v in row] for row in d["S"]])
+
+
 def _line(record):
     return (json.dumps(record) + "\n").encode("utf-8")
 
@@ -250,6 +272,8 @@ HOSTILE = [
                  id="manifest-rope_theta-str"),
     pytest.param("manifest", _set_config("norm_eps", True), ManifestError,
                  id="manifest-norm_eps-bool"),
+    pytest.param("manifest", _set_config("rope_theta", 10**400), ManifestError,
+                 id="manifest-rope_theta-huge-int"),
     pytest.param("manifest", DEEP, ManifestError, id="manifest-deep"),
     pytest.param("manifest", _set_tensor_field(1, "shape", [16.0]), DimensionMismatchError,
                  id="manifest-shape-float"),
@@ -275,8 +299,12 @@ HOSTILE = [
     pytest.param("plan", _set("blocks", ""), PlanError, id="plan-blocks-str"),
     pytest.param("plan", _set("epsilon", True), PlanError, id="plan-epsilon-bool"),
     pytest.param("plan", _set("epsilon", "0.5"), PlanError, id="plan-epsilon-str"),
+    pytest.param("plan", _set("epsilon", 10**400), PlanError, id="plan-epsilon-huge-int"),
     pytest.param("profile", _set("S", "zz"), ValidationError, id="profile-S-str"),
     pytest.param("profile", _set_cell("a"), ValidationError, id="profile-cell-str"),
+    pytest.param("profile", _set_cells(repr), ValidationError, id="profile-S-number-str"),
+    pytest.param("profile", _set_cells(lambda v: False), ValidationError, id="profile-S-bool"),
+    pytest.param("profile", _set_cell(10**400), ValidationError, id="profile-cell-huge-int"),
     pytest.param("profile", UNDECODABLE, ValidationError, id="profile-undecodable"),
     pytest.param("profile", _set("n_layers", 4.0), ValidationError, id="profile-n_layers-float"),
     pytest.param("profile", _set("n_samples", True), ValidationError, id="profile-n_samples-bool"),

@@ -150,6 +150,23 @@ def test_load_checkpoint_holds_about_one_model(tmp_path):
         assert np.array_equal(a, b)
 
 
+def test_save_checkpoint_holds_one_tensor_at_a_time(tmp_path):
+    """The writer writes each tensor from its own buffer, so its peak traced
+    memory is a small share of the model, not a model-sized blob."""
+    w = make_model(n_layers=4, d_model=128, d_ff=256, vocab_size=256, seed=6)
+    model_bytes = sum(a.nbytes for _, a in w.named_tensors())
+    tracemalloc.start()
+    try:
+        save_checkpoint(w, str(tmp_path / "ckpt"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * model_bytes
+    loaded = load_checkpoint(str(tmp_path / "ckpt"))
+    for (_, a), (_, b) in zip(w.named_tensors(), loaded.named_tensors(), strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_checkpoint_truncated_blob(tmp_path):
     w = make_model(n_layers=2, seed=4)
     path = str(tmp_path / "ckpt")

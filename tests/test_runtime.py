@@ -44,15 +44,15 @@ def model():
 FEED = [5, 17, 3, 40, 9, 61]
 
 
-def assert_decode_matches_oracle(model, tokens, plan, store, spec, feed=FEED):
-    """Decode a fixed token list; every step's logits match the prune-aware
-    oracle's last row within verify_case's consistency tolerance."""
-    ids, modality = list(tokens.token_ids), list(tokens.modality)
+def assert_decode_matches_oracle(model, tokens, plan, store, spec, feed=FEED, decoded=()):
+    """Decode a fixed token list after the ids `decoded`; every step's logits
+    equal, bit for bit, the last row of the prune-aware oracle with the ids
+    fed so far decoded after the prompt `tokens`."""
+    decoded = list(decoded)
     for t in feed:
-        ids.append(t)
-        modality.append(0)
-        ref = oracle_prefill(model, TokenSequence(ids, modality), plan, prune=spec)[-1]
-        assert np.max(np.abs(decode(model, store, t) - ref)) <= 1e-5
+        decoded.append(t)
+        ref = oracle_prefill(model, tokens, plan, prune=spec, decoded=decoded)[-1]
+        assert np.array_equal(decode(model, store, t), ref)
 
 
 @pytest.fixture(scope="module")
@@ -260,37 +260,6 @@ def test_first_decode_appends_in_place(model, prompt, mode):
         assert store.kv_bytes() == rows * model.config.d_model * 4
 
 
-@pytest.mark.parametrize("mode", [None, GLA, VLA])
-def test_generate_reserves_its_rows(model, prompt, mode, monkeypatch):
-    """generate sizes every K/V buffer for all its steps before the first,
-    so no step reallocates; the ids and logical bytes are those of steps
-    that grow the buffers as they go."""
-    from lazyattn import caches
-
-    steps = caches.HEADROOM + 20
-    plan = None if mode is None else two_block_plan(mode)
-    logits, store = prefill(model, prompt, plan)
-    twin = store.clone()
-    seen = []
-
-    def spy(weights, store, token, real=runtime.decode):
-        seen.append(buffers(store))
-        return real(weights, store, token)
-
-    monkeypatch.setattr(runtime, "decode", spy)
-    ids = generate(model, store, logits[-1], steps)
-    seen.append(buffers(store))
-    assert len(seen) == steps + 1
-    assert all(a is b for later in seen[1:] for a, b in zip(later, seen[0], strict=True))
-    for cache in store.layers:
-        assert cache.values._buf.shape[1] == len(prompt) + steps
-    last = logits[-1]
-    for t in ids:
-        assert t == int(np.argmax(last))
-        last = decode(model, twin, t)
-    assert twin.kv_bytes() == store.kv_bytes()
-
-
 def test_prune_validation(model, prompt):
     capture = AttentionCapture()
     _, store = prefill(model, prompt, capture=capture)
@@ -402,8 +371,48 @@ def test_prune_after_decode_steps_matches_oracle(model, tokens, mode):
     prune_visual_tokens(store, capture.snapshot, 1, 0.5)
     assert store.prune_record.prompt_len == len(tokens) + 3
     spec = store.prune_record
-    fed = TokenSequence(tokens.token_ids + FEED[:3], tokens.modality + [0] * 3)
-    assert_decode_matches_oracle(model, fed, plan, store, spec, feed=FEED[3:] + FEED)
+    assert_decode_matches_oracle(
+        model, tokens, plan, store, spec, feed=FEED[3:] + FEED, decoded=FEED[:3]
+    )
+
+
+DECODE_PLANS = {
+    "standard": None,
+    "gla": two_block_plan(GLA),
+    "vla": two_block_plan(VLA),
+    "vla-anchor-0": LazyPlan(
+        mode=VLA, n_layers=6, blocks=[LazyBlock(0, (1, 2)), LazyBlock(3, (4, 5))], epsilon=0.5
+    ),
+}
+
+
+@pytest.mark.parametrize("prune_before", [None, 0, 3], ids=["no-prune", "prune-first", "prune-at-3"])
+@pytest.mark.parametrize("layout", ["leading", "mid", "alternating"])
+@pytest.mark.parametrize("plan_name", list(DECODE_PLANS))
+def test_every_decode_step_equals_the_oracle_bit_for_bit(model, plan_name, layout, prune_before):
+    """Each decode step's logits equal the last row of the oracle with the
+    ids fed so far decoded after the prompt (and the store's prune record),
+    bit for bit: before and after a prune before the first step or after
+    three. The oracle with those ids as prompt rows, on prefill's kernels,
+    differs on some step, so the check is not vacuous."""
+    plan = DECODE_PLANS[plan_name]
+    rng = np.random.default_rng(40)
+    tokens = random_prompt(rng, 96, length=24, visual_fraction=0.5, layout=layout)
+    capture = AttentionCapture()
+    _, store = prefill(model, tokens, plan, capture=capture)
+    fed, as_prompt = [], []
+    for step, t in enumerate(FEED):
+        if step == prune_before:
+            prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+        fed.append(t)
+        logits = decode(model, store, t)
+        spec = store.prune_record
+        ref = oracle_prefill(model, tokens, plan, prune=spec, decoded=fed)
+        assert np.array_equal(logits, ref[-1]), step
+        prompt_rows = TokenSequence(tokens.token_ids + fed, tokens.modality + [0] * len(fed))
+        as_prompt.append(np.array_equal(logits, oracle_prefill(model, prompt_rows, plan, spec)[-1]))
+    assert (store.prune_record is None) == (prune_before is None)
+    assert not all(as_prompt)
 
 
 def test_vla_clone_mid_decode_copies_merge_state(model):
@@ -574,9 +583,9 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
 def test_failed_fusion_probe_runs_separate_products(model, mode, monkeypatch):
     """Where the fusion probe fails, every layer runs Q, K, V, gate and up
-    as separate products on the column views: prefill still equals the
-    oracle bit for bit, decode the fused decode's bits (so it meets
-    DECODE_TOL), and every meter reads the same."""
+    as separate products on the column views: prefill and decode still
+    equal the oracle and the fused run bit for bit, and every meter reads
+    the same."""
     from lazyattn import kernels
 
     tokens = long_prompt("alternating", 9)
@@ -607,8 +616,10 @@ def test_failed_fusion_probe_runs_separate_products(model, mode, monkeypatch):
     assert set(blocks) == {("w_qkv", c.d_model), ("w_gate_up", c.d_ff)}
     step = decode(model, store, FEED[0])
     assert np.array_equal(step, fused_step)
-    fed = TokenSequence(tokens.token_ids + FEED[:1], tokens.modality + [0])
-    assert_decode_matches_oracle(model, fed, plan, store, None, feed=FEED[1:3])
+    assert np.array_equal(step, oracle_prefill(model, tokens, plan, decoded=FEED[:1])[-1])
+    assert_decode_matches_oracle(
+        model, tokens, plan, store, None, feed=FEED[1:3], decoded=FEED[:1]
+    )
     assert {key[0] for key in kernels._FUSED_HOLD} == {"matmul", "matvec"}
     assert not any(kernels._FUSED_HOLD.values())
 
