@@ -71,14 +71,10 @@ runs the GEMV on the canonical layout, in production and oracle alike,
 and `causal_blocks_hold` tells the runtime to run attention as one square.
 
 A layer's Q, K and V weights (and its gate and up weights) are column
-blocks of one fused weight (see `model.LayerWeights`), so the runtime runs
-each group as one product, while the oracle runs one product per block's
-column view. That saves per-call overhead only if the fused product gives
-each block the bits of the product on its view, which is again a property
-of the BLAS, so `fused_columns_hold` probes it where the engine runs: once
-per kernel (`matmul` or `matvec`), k, block width, block count and row
-stride of the operand, a random row's fused product against the product
-on each view. Where it fails, the runtime runs one product per view.
+blocks of one fused weight (see `model.LayerWeights`). The layer's role,
+not its rows, picks which columns a product runs on, in production and
+oracle alike (see `runtime`), so no contract asks that a product on the
+fused columns give a block the bits of the product on its view.
 
 Transcendentals (cos/sin for the rotary tables) are memoized per position
 so the same position always yields the same bits regardless of batch shape;
@@ -267,36 +263,6 @@ def head_matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Decode's per-head product of (H, m, k) by (H, k, n), one GEMV per row."""
     _check("head_matvec", a, b, 3)
     return _row_gemv(a, b)
-
-
-# (kernel name, k, block width, blocks, row stride of b) -> whether the
-# kernel's product on b carries, in each column block, the bits of its
-# product on that block's view; one entry per fused shape ever used.
-_FUSED_HOLD: dict[tuple[str, int, int, int, int], bool] = {}
-
-
-def _probe_fused(kernel, k: int, width: int, parts: int, ld: int) -> bool:
-    """`kernel`'s product of a random row by `parts` column blocks of width
-    `width`, stored with row stride `ld`, equals in each block the product
-    on that block's view."""
-    rng = np.random.default_rng([k, width, parts, ld])
-    a = rng.random((1, k), dtype=np.float32) - F32(0.5)
-    b = (rng.random((k, ld), dtype=np.float32) - F32(0.5))[:, : width * parts]
-    blocks = zip(np.split(kernel(a, b), parts, axis=1), np.split(b, parts, axis=1))
-    return all(np.array_equal(block, kernel(a, view)) for block, view in blocks)
-
-
-def fused_columns_hold(kernel, b: Matrix, parts: int) -> bool:
-    """Whether `kernel` (`matmul` or `matvec`) may run one product on b,
-    whose columns are `parts` equal blocks, in place of one per block's
-    view: probed on this host once per kernel, k, block width, block count
-    and row stride (see module doc)."""
-    k, n = b.shape
-    key = (kernel.__name__, k, n // parts, parts, b.strides[0] // b.itemsize)
-    hold = _FUSED_HOLD.get(key)
-    if hold is None:
-        hold = _FUSED_HOLD[key] = _probe_fused(kernel, *key[1:])
-    return hold
 
 
 def masked_softmax_rows(

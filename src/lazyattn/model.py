@@ -7,8 +7,9 @@ can share them without re-rotating.
 
 A layer stores its Q, K and V weights as the column blocks of one (d, 3d)
 array and its gate and up weights as those of one (d, 2 d_ff) array, so the
-runtime runs each group as one product; `wq`, `wk`, `wv`, `w_gate` and
-`w_up` are views of them, and assigning one copies into its columns.
+runtime can run a group as one product; the layer's role picks the columns
+(see `runtime`). `wq`, `wk`, `wv`, `w_gate` and `w_up` are views of them,
+and assigning one copies into its columns.
 
 Checkpoint format: a directory holding `model.json` (config plus an ordered
 tensor table with name/shape/byte offset, dtype f32le) and `model.bin`
@@ -116,9 +117,8 @@ class _Columns:
 @dataclass
 class LayerWeights:
     """One layer's tensors. Q, K and V are the column blocks of one (d, 3d)
-    `w_qkv`, gate and up those of one (d, 2 d_ff) `w_gate_up`, so a layer
-    runs each group as one product; `wq`, `wk`, `wv`, `w_gate` and `w_up`
-    are views of them."""
+    `w_qkv`, gate and up those of one (d, 2 d_ff) `w_gate_up`; `wq`, `wk`,
+    `wv`, `w_gate` and `w_up` are views of them."""
 
     attn_gain: np.ndarray
     w_qkv: np.ndarray
@@ -224,13 +224,20 @@ def init_synthetic_model(config: ModelConfig, seed: int) -> ModelWeights:
     config.validate()
     bound = 1.0 / float(np.sqrt(config.d_model))
     cursor = 0
+    scratch = np.empty(max(math.prod(shape) for _, shape in _tensor_specs(config)), np.float32)
 
     def draw(shape: tuple[int, ...]) -> np.ndarray:
+        # In runs of 16,000 positions, so each run's 8-byte temporaries stay
+        # under glibc's default 128 KiB mmap threshold and come from the
+        # heap: the draw's speed then does not hang on the threshold that
+        # earlier frees in the process have raised.
         nonlocal cursor
-        n = int(np.prod(shape))
-        vals = rng.uniform(seed, cursor, n, -bound, bound)  # rounded to f32 in place
-        cursor += n
-        return vals.reshape(shape)
+        out = scratch[: math.prod(shape)]
+        for lo in range(0, out.size, 16_000):
+            run = out[lo : lo + 16_000]
+            run[...] = rng.uniform(seed, cursor + lo, run.size, -bound, bound)
+        cursor += out.size
+        return out.reshape(shape)
 
     return ModelWeights.filled(
         config, lambda shape: draw(shape) if len(shape) == 2 else np.ones(shape, dtype=np.float32)

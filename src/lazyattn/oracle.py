@@ -13,8 +13,12 @@ for bit. Any divergence is a bug, never tolerance noise.
 A sequence is the prompt's rows, then the rows of the ids decoded after it
 (`decoded`, text), and each row runs on the kernels production gives it in
 its phase (see `kernels`). A prompt row's weight products run on `matmul`'s
-64-row tiles and a decoded row's on `matvec`, the GEMV. Attention has one
-path, `_attention`, per head: the prompt rows' causal square on
+64-row tiles and a decoded row's on `matvec`, the GEMV. Each product runs
+on the columns a layer's role gives it in production (see `runtime`): the
+whole w_qkv for a layer that is its own anchor, and again to recompute an
+anchor's Q and K; `wv` for a lazy layer's V and, under VLA, the Q|K columns
+of w_qkv for its own rows; the whole w_gate_up for every MLP. Attention has
+one path, `_attention`, per head: the prompt rows' causal square on
 `head_matmul`'s 4-row tiles with the blocked softmax row sum, as prefill
 computes it; then each decoded row alone over its visible columns, on
 `head_matvec` with the plain row sum, as a decode step computes it. In a
@@ -57,23 +61,21 @@ def _split_heads(m: np.ndarray, n_heads: int, d_head: int) -> list[np.ndarray]:
     return [np.ascontiguousarray(m[:, h * d_head : (h + 1) * d_head]) for h in range(n_heads)]
 
 
-def _layer_qk(weights, layer: int, x_layer: np.ndarray, n_prompt: int):
-    """Recompute a layer's rotated per-head Q and K from its retained input."""
-    config = weights.config
+def _rotated_heads(config, qk: np.ndarray):
+    """Per-head Q and K, rotated, from the (s, 2d) columns of a Q|K product."""
+    positions = range(len(qk))
+    heads = [
+        apply_rope(h, positions, config.rope_theta)
+        for h in _split_heads(qk, 2 * config.n_heads, config.d_head)
+    ]
+    return heads[: config.n_heads], heads[config.n_heads :]
+
+
+def _qkv(weights, layer: int, x_layer: np.ndarray, n_prompt: int) -> np.ndarray:
+    """A layer's Q|K|V product from its retained input, on its whole w_qkv,
+    as a layer that is its own anchor computes it."""
     lw = weights.layers[layer]
-    positions = range(len(x_layer))
-    xn = rms_norm(x_layer, lw.attn_gain, config.norm_eps)
-    q = _product(xn, lw.wq, n_prompt)
-    k = _product(xn, lw.wk, n_prompt)
-    q_heads = [
-        apply_rope(qh, positions, config.rope_theta)
-        for qh in _split_heads(q, config.n_heads, config.d_head)
-    ]
-    k_heads = [
-        apply_rope(kh, positions, config.rope_theta)
-        for kh in _split_heads(k, config.n_heads, config.d_head)
-    ]
-    return q_heads, k_heads
+    return _product(rms_norm(x_layer, lw.attn_gain, weights.config.norm_eps), lw.w_qkv, n_prompt)
 
 
 def _attention(q, k, v, n_prompt: int, prune: PruneRecord | None) -> np.ndarray:
@@ -118,7 +120,7 @@ def oracle_prefill(
         list(tokens.token_ids) + list(decoded), list(tokens.modality) + [0] * len(decoded)
     )
     _validate_tokens(tokens, config.vocab_size)
-    n_heads, d_head = config.n_heads, config.d_head
+    n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
     anchors = layer_anchors(plan, config.n_layers)
     text = (np.asarray(tokens.modality) == 0)[:, None]
 
@@ -128,18 +130,21 @@ def oracle_prefill(
     for l, lw in enumerate(weights.layers):
         layer_inputs.append(x)
         anchor = anchors[l]
-        xn = rms_norm(x, lw.attn_gain, config.norm_eps)
-        v_heads = _split_heads(_product(xn, lw.wv, n_prompt), n_heads, d_head)
-
+        # The layer's role picks its products' columns, as in production.
         if anchor == l:
-            q_heads, k_heads = _layer_qk(weights, l, x, n_prompt)
-        elif plan.mode == GLA:
-            q_heads, k_heads = _layer_qk(weights, anchor, layer_inputs[anchor], n_prompt)
-        else:  # VLA: own text rows, anchor visual rows
-            own_q, own_k = _layer_qk(weights, l, x, n_prompt)
-            anchor_q, anchor_k = _layer_qk(weights, anchor, layer_inputs[anchor], n_prompt)
-            q_heads = [np.where(text, own, shared) for own, shared in zip(own_q, anchor_q)]
-            k_heads = [np.where(text, own, shared) for own, shared in zip(own_k, anchor_k)]
+            qkv = _qkv(weights, l, x, n_prompt)
+            q_heads, k_heads = _rotated_heads(config, qkv[:, : 2 * d])
+            v = qkv[:, 2 * d :]
+        else:
+            xn = rms_norm(x, lw.attn_gain, config.norm_eps)
+            v = _product(xn, lw.wv, n_prompt)
+            anchor_qkv = _qkv(weights, anchor, layer_inputs[anchor], n_prompt)
+            q_heads, k_heads = _rotated_heads(config, anchor_qkv[:, : 2 * d])
+            if plan.mode != GLA:  # VLA: own text rows, anchor visual rows
+                own_q, own_k = _rotated_heads(config, _product(xn, lw.w_qkv[:, : 2 * d], n_prompt))
+                q_heads = [np.where(text, own, shared) for own, shared in zip(own_q, q_heads)]
+                k_heads = [np.where(text, own, shared) for own, shared in zip(own_k, k_heads)]
+        v_heads = _split_heads(v, n_heads, d_head)
 
         cut = prune if prune is not None and anchor > prune.layer else None
         o = np.concatenate(
@@ -148,7 +153,8 @@ def oracle_prefill(
         x = x + _product(o, lw.wo, n_prompt)
 
         hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
-        act = silu(_product(hn, lw.w_gate, n_prompt)) * _product(hn, lw.w_up, n_prompt)
+        gate_up = _product(hn, lw.w_gate_up, n_prompt)
+        act = silu(gate_up[:, : config.d_ff]) * gate_up[:, config.d_ff :]
         x = x + _product(act, lw.w_down, n_prompt)
 
     xn = rms_norm(x, weights.final_gain, config.norm_eps)

@@ -16,16 +16,14 @@ rotary runs once per layer, on Q and K together, and attention for all
 heads runs as one scores product, one masked softmax and one weighted sum
 per block of rows.
 
-A layer step runs few, large products on the fused weights (see
-`model.LayerWeights`): one Q|K|V product where every row projects Q and K
-(standard layers, anchors, and a lazy layer that owns every row, as VLA
-decode does), else V alone and, for the rows a lazy layer owns, one Q|K
-product on the first two thirds of Q|K|V; and one gate|up product. Where
-the run-time probe finds that fused columns do not carry the bits of the
-products on their column views, which the oracle runs, each block runs as
-its own product (`kernels.fused_columns_hold`). The meter records each
-label's share of the columns, so it counts what the separate products
-would.
+A layer's role alone picks the columns of its products on the fused
+weights (see `model.LayerWeights`): a layer that is its own anchor runs one
+Q|K|V product; a lazy layer runs V alone and, for the rows it owns, one
+Q|K product on the first two thirds of Q|K|V, even when it owns every row;
+every layer runs one gate|up product. The oracle runs the same columns, so
+no contract asks that a fused product give a block the bits of the
+product on its view, and a row's bits never depend on which other rows
+share its call. The meter records each label's share of the columns.
 
 Prefill attention is block-causal: the query rows run in blocks of CHUNK,
 each against the keys up to its last row only, so the masked triangle past
@@ -79,14 +77,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .caches import CacheStore, PruneRecord, RowSplit
 from .errors import ValidationError
 from .kernels import (
     apply_rope,
     attention_scale,
     causal_blocks_hold,
-    fused_columns_hold,
     head_matmul,
     head_matvec,
     masked_softmax_rows,
@@ -110,24 +106,16 @@ def _validate_tokens(tokens: TokenSequence, vocab_size: int) -> None:
             raise ValidationError(f"token id {t} outside vocabulary of size {vocab_size}")
 
 
-def _metered(kernel, meter, base=None):
-    """The phase's `kernel` as a product `(a, b, *labels)`. With several
-    labels, b's columns are that many equal blocks, one per label: the
-    product runs once where `fused_columns_hold` finds that the columns
-    carry the bits of `base` (the kernels-module kernel, unwrapped) on each
-    block's view, else once per view, and returns the blocks side by side
-    either way. Once it returns, `meter` records each label's MACs, with m
-    the product of a's leading axes, k a's last axis and n the label's
-    share of b's columns."""
+def _metered(kernel, meter):
+    """The phase's `kernel` as a product `(a, b, *labels)`, whose b's columns
+    are one equal block per label. Once the kernel returns, `meter` records
+    each label's MACs, with m the product of a's leading axes, k a's last
+    axis and n the label's share of b's columns."""
 
     def product(a, b, *labels):
-        parts = len(labels)
-        if parts == 1 or fused_columns_hold(base, b, parts):
-            out = kernel(a, b)
-        else:
-            out = np.concatenate([kernel(a, view) for view in np.split(b, parts, axis=1)], axis=1)
+        out = kernel(a, b)
         if meter is not None:
-            m, k, n = math.prod(a.shape[:-1]), a.shape[-1], b.shape[-1] // parts
+            m, k, n = math.prod(a.shape[:-1]), a.shape[-1], b.shape[-1] // len(labels)
             for label in labels:
                 meter.record(label, m, k, n)
         return out
@@ -213,15 +201,15 @@ def _layer(
     xn = rms_norm(x, lw.attn_gain, config.norm_eps)
 
     lazy = anchor != l
-    own = split.own if lazy else slice(None)
-    n_own = split.n_own if lazy else rows
-    if n_own == rows:  # every row projects Q, K and V: one product
-        qkv = mm(xn, lw.w_qkv, "attn_q", "attn_k", "attn_v")
-        qk, v = qkv[:, : 2 * d], qkv[:, 2 * d :]
-    else:
+    if lazy:
+        own, n_own = split.own, split.n_own
         v = mm(xn, lw.wv, "attn_v")
         if n_own:
             qk = mm(xn[own], lw.w_qkv[:, : 2 * d], "attn_q", "attn_k")
+    else:
+        own, n_own = slice(None), rows
+        qkv = mm(xn, lw.w_qkv, "attn_q", "attn_k", "attn_v")
+        qk, v = qkv[:, : 2 * d], qkv[:, 2 * d :]
     cache.append_values(v.reshape(rows, n_heads, d_head).transpose(1, 0, 2))
     if n_own:
         qk = _rotated(config, qk, positions[own])
@@ -281,7 +269,7 @@ def prefill(
     store = CacheStore(weights.config, plan, tokens)
     # Looked up now, so wrappers take effect.
     phase = _Phase(
-        _metered(matmul, meter, kernels.matmul),
+        _metered(matmul, meter),
         _metered(head_matmul, meter),
         True,
         prefill_chunk(weights.config.d_head, len(tokens)),
@@ -301,7 +289,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     if not 0 <= next_token < weights.config.vocab_size:
         raise ValidationError(f"token id {next_token} outside vocabulary")
-    phase = _Phase(_metered(matvec, meter, kernels.matvec), _metered(head_matvec, meter), False, None)
+    phase = _Phase(_metered(matvec, meter), _metered(head_matvec, meter), False, None)
     logits = _forward(weights, store, [next_token], store.decode_split, phase, None)
     store.seq_len += 1
     return logits[0]

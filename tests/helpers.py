@@ -73,3 +73,16 @@ def random_plan(rng: np.random.Generator, n_layers: int, mode: str) -> LazyPlan:
     plan = LazyPlan(mode=mode, n_layers=n_layers, blocks=blocks, epsilon=0.5)
     plan.validate()
     return plan
+
+
+def weight_block(model, b):
+    """Which layer weight a product's right operand `b` is, as (layer, name,
+    first column, columns) of the stored tensor it views (`w_qkv`, `wo`,
+    `w_gate_up` or `w_down`), or None for anything else."""
+    for l, lw in enumerate(model.layers):
+        for name in ("w_qkv", "wo", "w_gate_up", "w_down"):
+            w = getattr(lw, name)
+            start = (b.ctypes.data - w.ctypes.data) // w.itemsize
+            if b.strides == w.strides and len(b) == len(w) and 0 <= start < w.shape[1]:
+                return l, name, start, b.shape[1]
+    return None

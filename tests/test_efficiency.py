@@ -15,13 +15,15 @@ from lazyattn import (
     kv_savings,
     meter_run,
     prefill,
+    runtime,
     standard_prefill_flops,
     verify_flops_savings,
 )
+from lazyattn.efficiency import count_used_params
 from lazyattn.kernels import causal_blocks_hold
 from lazyattn.runtime import CHUNK
 
-from helpers import make_model, random_plan, random_prompt
+from helpers import make_model, random_plan, random_prompt, weight_block
 
 N_LAYERS = 6
 
@@ -169,3 +171,35 @@ def test_decode_step_meters_one_row_per_product(model, mode):
         "mlp_down": L * d * config.d_ff,
         "lm_head": d * config.vocab_size,
     }
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_cost_report_params_count_the_weights_a_mode_touches(model, mode, monkeypatch):
+    """Standard and VLA runs touch every tensor; a GLA run touches all but
+    the Q and K columns of its lazy layers, 2 d^2 each, and no product of
+    prefill or decode is handed those columns."""
+    touched = {}
+    for kernel in ("matmul", "matvec"):
+
+        def spy(a, b, real=getattr(runtime, kernel)):
+            block = weight_block(model, b)
+            if block is not None and block[1] == "w_qkv":
+                l, _, start, width = block
+                touched.setdefault(l, set()).update(range(start, start + width))
+            return real(a, b)
+
+        monkeypatch.setattr(runtime, kernel, spy)
+    c = model.config
+    d, ff, vocab = c.d_model, c.d_ff, c.vocab_size
+    every = 2 * vocab * d + d + N_LAYERS * (4 * d * d + 3 * d * ff + 2 * d)
+    rng = np.random.default_rng(13)
+    tokens = random_prompt(rng, vocab, length=20, visual_fraction=0.5, layout="mid")
+    plan = None if mode is None else random_plan(rng, N_LAYERS, mode)
+    report, _ = meter_run(model, tokens, plan, decode_steps=2)
+
+    lazy = [] if plan is None else [l for b in plan.blocks for l in b.lazy_layers]
+    saved = 2 * d * d * len(lazy) if mode == GLA else 0
+    assert report.params == count_used_params(model, plan) == every - saved
+    for l in range(N_LAYERS):
+        qk_used = l not in lazy or mode != GLA
+        assert touched[l] == set(range(0 if qk_used else 2 * d, 3 * d)), l

@@ -12,7 +12,7 @@ from lazyattn import (
     rms_norm,
 )
 from lazyattn import kernels
-from lazyattn.kernels import apply_rope, fused_columns_hold, head_matvec, matvec, silu
+from lazyattn.kernels import apply_rope, head_matvec, matvec, silu
 
 
 def f32(x):
@@ -234,63 +234,6 @@ def test_padded_products_keep_a_columns_bits_as_the_keys_grow():
         assert np.array_equal(
             head_matmul(attn[..., :n], keys[:, :n]), head_matmul(zero_tail, keys)
         )
-
-
-def fused_weights(rng, k, width, parts, ld=None):
-    """`parts` column blocks of `width` side by side, as a view of a buffer
-    with row stride `ld` (the blocks' own width when None)."""
-    buf = f32(rng.standard_normal((k, ld or width * parts)))
-    return buf[:, : width * parts]
-
-
-def test_fused_columns_carry_the_bits_of_the_view_products():
-    """One product on Q|K|V, gate|up or the Q|K columns of Q|K|V gives each
-    block the bits of the product on that block's view, on the 64-row tiles
-    at any row count and on the GEMV."""
-    rng = np.random.default_rng(15)
-    shapes = [(256, 256, 3, None), (256, 512, 2, None), (256, 256, 2, 768), (32, 32, 3, None)]
-    for k, width, parts, ld in shapes:
-        b = fused_weights(rng, k, width, parts, ld)
-        views = [b[:, i * width : (i + 1) * width] for i in range(parts)]
-        products = [(matmul, m) for m in (1, 63, 64, 65, 512)] + [(matvec, 1), (matvec, 3)]
-        for product, m in products:
-            assert fused_columns_hold(product, b, parts)
-            a = f32(rng.standard_normal((m, k)))
-            out = product(a, b)
-            for i, view in enumerate(views):
-                assert np.array_equal(out[:, i * width : (i + 1) * width], product(a, view))
-
-
-def test_fusion_probe_catches_a_nudged_column_block(monkeypatch):
-    """The probe fails when any one column block of the fused product moves
-    by one ulp, and its verdict is kept per kernel, k, block width, block
-    count and row stride, whatever the row count."""
-    for product in (matmul, matvec):
-        for nudged_block in range(3):
-
-            def nudged(a, b, product=product, i=nudged_block):
-                out = product(a, b)
-                if b.shape[1] == 3 * 32:  # the fused product, not a view's
-                    out[:, i * 32 : (i + 1) * 32] = np.nextafter(
-                        out[:, i * 32 : (i + 1) * 32], np.float32(np.inf)
-                    )
-                return out
-
-            assert kernels._probe_fused(product, 32, 32, 3, 96)
-            assert not kernels._probe_fused(nudged, 32, 32, 3, 96)
-    monkeypatch.setattr(kernels, "_FUSED_HOLD", {})
-    rng = np.random.default_rng(16)
-    for m in (1, 70):
-        b = fused_weights(rng, 64, 32, 3)
-        matmul(f32(rng.standard_normal((m, 64))), b)
-        assert fused_columns_hold(matmul, b, 3)
-    assert fused_columns_hold(matmul, fused_weights(rng, 64, 32, 2, 96), 2)
-    assert fused_columns_hold(matvec, fused_weights(rng, 64, 32, 3), 3)
-    assert kernels._FUSED_HOLD == {
-        ("matmul", 64, 32, 3, 96): True,
-        ("matmul", 64, 32, 2, 96): True,
-        ("matvec", 64, 32, 3, 96): True,
-    }
 
 
 def rope_reference(x, positions, theta):

@@ -302,7 +302,8 @@ def test_prefill_rejects_out_of_vocab(small_model):
 
 def test_single_token_forward_matches_hand_computation():
     # With one position, attention is a no-op mix: the head output IS the
-    # value row. Re-derive the whole forward with the raw kernels.
+    # value row. Re-derive the whole forward with the raw kernels, on the
+    # products a standard layer runs: Q|K|V and gate|up whole.
     w = make_model(n_layers=1, seed=6)
     c = w.config
     tokens = TokenSequence([7], [0])
@@ -311,10 +312,11 @@ def test_single_token_forward_matches_hand_computation():
     lw = w.layers[0]
     x = w.embedding[np.asarray([7])]
     xn = rms_norm(x, lw.attn_gain, c.norm_eps)
-    v = matmul(xn, lw.wv)  # attention output == V row at s=1
+    v = matmul(xn, lw.w_qkv)[:, 2 * c.d_model :]  # attention output == V row at s=1
     x1 = x + matmul(v, lw.wo)
     hn = rms_norm(x1, lw.mlp_gain, c.norm_eps)
-    x2 = x1 + matmul(silu(matmul(hn, lw.w_gate)) * matmul(hn, lw.w_up), lw.w_down)
+    gate_up = matmul(hn, lw.w_gate_up)
+    x2 = x1 + matmul(silu(gate_up[:, : c.d_ff]) * gate_up[:, c.d_ff :], lw.w_down)
     expected = matmul(rms_norm(x2, w.final_gain, c.norm_eps), w.lm_head)
     assert np.array_equal(logits, expected)
 

@@ -23,8 +23,9 @@ from lazyattn import (
     prune_visual_tokens,
     runtime,
 )
+from lazyattn.planner import layer_anchors
 
-from helpers import HeadRecorder, make_model, random_plan, random_prompt
+from helpers import HeadRecorder, make_model, random_plan, random_prompt, weight_block
 
 
 def two_block_plan(mode, n_layers=6):
@@ -455,7 +456,8 @@ def test_runtime_matmul_sees_only_2d_operands(model, prompt, monkeypatch):
 def test_matmul_multiplies_only_by_weights(model, monkeypatch):
     """A 2-D matmul is a weight product, in production and in the oracle
     alike: attention goes through head_matmul, on the attention tiles. A
-    fused weight counts, and so does a column view of it (wq, w_up, ...)."""
+    fused weight counts, and so does the column block a lazy layer runs on
+    (wv, the Q|K columns of w_qkv)."""
     names = ("w_qkv", "wo", "w_gate_up", "w_down")
     weights = [model.lm_head] + [getattr(lw, name) for lw in model.layers for name in names]
     seen = []
@@ -580,48 +582,90 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
     assert widths == {kernels.TILE, kernels.WIDE} and not any(kernels._TILES_HOLD.values())
 
 
-@pytest.mark.parametrize("mode", [None, GLA, VLA])
-def test_failed_fusion_probe_runs_separate_products(model, mode, monkeypatch):
-    """Where the fusion probe fails, every layer runs Q, K, V, gate and up
-    as separate products on the column views: prefill and decode still
-    equal the oracle and the fused run bit for bit, and every meter reads
-    the same."""
-    from lazyattn import kernels
+# ---------------------------------------------------------------------------
+# A layer's role picks its products' columns
+# ---------------------------------------------------------------------------
 
+
+def block_name(config, name, start, width):
+    """A weight block's name as the layer step states it."""
+    d = config.d_model
+    return {
+        ("w_qkv", 0, 3 * d): "w_qkv",
+        ("w_qkv", 0, 2 * d): "w_qkv[:, :2d]",
+        ("w_qkv", 2 * d, d): "wv",
+    }.get((name, start, width), name if start == 0 else f"{name}[:, {start}:{start + width}]")
+
+
+@pytest.mark.parametrize("layout", ["leading", "alternating", "all-text"])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_a_layers_role_picks_the_weights_of_its_projections(model, mode, layout, monkeypatch):
+    """In prefill and in decode alike, a layer that is its own anchor
+    projects Q, K and V on its whole w_qkv; a GLA lazy layer projects V
+    alone, on wv; a VLA lazy layer projects V on wv and its own rows' Q and
+    K on w_qkv[:, :2d], even where it owns every row (an all-text prompt,
+    every decode step); every MLP runs on the whole w_gate_up."""
+    seen = {}
+    for kernel in ("matmul", "matvec"):
+
+        def spy(a, b, kernel=kernel, real=getattr(runtime, kernel)):
+            block = weight_block(model, b)
+            if block is not None:
+                l, *columns = block
+                seen.setdefault((kernel, l), set()).add(block_name(model.config, *columns))
+            return real(a, b)
+
+        monkeypatch.setattr(runtime, kernel, spy)
+    rng = np.random.default_rng(14)
+    visual_fraction = 0.0 if layout == "all-text" else 0.5
+    shape = "alternating" if layout == "all-text" else layout
+    tokens = random_prompt(rng, 96, length=40, visual_fraction=visual_fraction, layout=shape)
+    plan = None if mode is None else two_block_plan(mode)
+    logits, store = prefill(model, tokens, plan)
+    generate(model, store, logits[-1], 2)
+
+    rest = {"wo", "w_gate_up", "w_down"}
+    lazy = {GLA: {"wv"}, VLA: {"wv", "w_qkv[:, :2d]"}}
+    anchors = layer_anchors(plan, model.config.n_layers)
+    for (kernel, l), names in seen.items():
+        expected = {"w_qkv"} if anchors[l] == l else lazy[mode]
+        assert names == expected | rest, (kernel, l)
+    assert set(seen) == {(k, l) for k in ("matmul", "matvec") for l in range(len(anchors))}
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_no_contract_rests_on_fused_column_bits(model, mode, monkeypatch):
+    """A product on a whole w_qkv or w_gate_up that gives its last column
+    block other bits than the product on that block's view breaks nothing:
+    with every such product one ulp up in its last block, in production and
+    oracle alike, prefill, each decode step and the generated ids still
+    equal the oracle bit for bit."""
     tokens = long_prompt("alternating", 9)
     plan = None if mode is None else two_block_plan(mode)
-    fused_meter = FlopMeter()
-    fused, store = prefill(model, tokens, plan, meter=fused_meter)
-    fused_step = decode(model, store, FEED[0])
+    clean, _ = prefill(model, tokens, plan)
+    fused = [
+        (getattr(lw, name), getattr(lw, name).shape[1] // parts)
+        for lw in model.layers
+        for name, parts in (("w_qkv", 3), ("w_gate_up", 2))
+    ]
+    for module in (runtime, oracle):
+        for kernel in ("matmul", "matvec"):
 
-    monkeypatch.setattr(kernels, "_probe_fused", lambda *args: False)
-    monkeypatch.setattr(kernels, "_FUSED_HOLD", {})
-    blocks = []
+            def nudged(a, b, real=getattr(module, kernel)):
+                out = real(a, b)
+                for w, width in fused:
+                    if b is w:
+                        out[:, -width:] = np.nextafter(out[:, -width:], np.float32(np.inf))
+                return out
 
-    def spy(a, b, real=runtime.matmul):
-        for lw in model.layers:
-            for name in ("w_qkv", "w_gate_up"):
-                fused = getattr(lw, name)
-                if b is fused or b.base is fused:
-                    blocks.append((name, b.shape[1]))
-        return real(a, b)
-
-    monkeypatch.setattr(runtime, "matmul", spy)
-    meter = FlopMeter()
-    logits, store = prefill(model, tokens, plan, meter=meter)
-    assert np.array_equal(logits, fused)
+            monkeypatch.setattr(module, kernel, nudged)
+    logits, store = prefill(model, tokens, plan)
+    assert not np.array_equal(logits, clean)
     assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
-    assert meter.macs == fused_meter.macs
-    c = model.config
-    assert set(blocks) == {("w_qkv", c.d_model), ("w_gate_up", c.d_ff)}
-    step = decode(model, store, FEED[0])
-    assert np.array_equal(step, fused_step)
-    assert np.array_equal(step, oracle_prefill(model, tokens, plan, decoded=FEED[:1])[-1])
-    assert_decode_matches_oracle(
-        model, tokens, plan, store, None, feed=FEED[1:3], decoded=FEED[:1]
-    )
-    assert {key[0] for key in kernels._FUSED_HOLD} == {"matmul", "matvec"}
-    assert not any(kernels._FUSED_HOLD.values())
+    twin = store.clone()
+    assert_decode_matches_oracle(model, tokens, plan, store, None, feed=FEED[:3])
+    ids = generate(model, twin, logits[-1], 3)
+    assert ids == oracle_full_generate(model, tokens, 3, plan)
 
 
 # ---------------------------------------------------------------------------
