@@ -24,6 +24,7 @@ logical: stored elements times 4, independent of buffer capacity.
 from __future__ import annotations
 
 import copy
+from typing import NamedTuple
 
 import numpy as np
 
@@ -197,17 +198,14 @@ class QCache:
         return 0 if self.q_heads is None else self.q_heads.size * 4
 
 
-class PruneRecord:
+class PruneRecord(NamedTuple):
     """What the one visual-token pruning pass removed. The oracle replays it:
     at layers whose anchor exceeds `layer`, query rows at positions
     >= prompt_len attend only to columns not in `removed`."""
 
-    __slots__ = ("layer", "removed", "prompt_len")
-
-    def __init__(self, layer: int, removed: tuple[int, ...], prompt_len: int):
-        self.layer = layer
-        self.removed = removed
-        self.prompt_len = prompt_len
+    layer: int
+    removed: tuple[int, ...]
+    prompt_len: int
 
 
 class CacheStore:

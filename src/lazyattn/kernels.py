@@ -61,14 +61,14 @@ a view and a copy of the same values give different bits; on the scores
 product the copy is also several times faster than the view.
 
 Tile invariance is a property of the BLAS, so it is checked where the
-engine runs, once per tile width and padded (k, n). Both probes ask that a
-random row's bits agree in slot 0, in the last slot of the next tile
-between random neighbours, and alone in a padded tail tile. The attention
-probe (`_probe_tiles`) also asks that they do not move when b gains LANE
-columns or k gains LANE zero terms; a weight's k and n never change, so
-the wide probe (`_probe_wide`) does not. Where a probe fails, that shape
-runs the GEMV on the canonical layout, in production and oracle alike,
-and `causal_blocks_hold` tells the runtime to run attention as one square.
+engine runs, by one probe (`_probe`) per tile width and padded (k, n). At
+both widths it asks that a random row's bits agree in slot 0, in the last
+slot of the next tile between random neighbours, and alone in a padded
+tail tile. At TILE alone it also asks that they do not move when b gains
+LANE columns or k gains LANE zero terms; a weight's k and n never change.
+Where the probe fails, that shape runs the GEMV on the canonical layout,
+in production and oracle alike, and `causal_blocks_hold` tells the runtime
+to run attention as one square.
 
 A layer's Q, K and V weights (and its gate and up weights) are column
 blocks of one fused weight (see `model.LayerWeights`). The layer's role,
@@ -162,39 +162,22 @@ def _tiles(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
 _TILES_HOLD: dict[tuple[int, int, int], bool] = {}
 
 
-def _probe_rows(tile: int, k: int, n: int):
-    """Random operands of the padded shape (k, n) for a probe of `tile`-row
-    tiles: a has 2*tile + 1 rows, whose row 0 recurs in the last slot of the
-    second tile, between random neighbours, and alone in the zero-padded
-    tail tile; b has LANE spare rows and columns. Returns a, b, the tiles'
-    product of a and b[:k, :n], and whether row 0's three copies agree."""
+def _probe(tile: int, k: int, n: int) -> bool:
+    """Whether `tile`-row tiles of the padded shape (k, n) hold their
+    invariants here (see module doc): a random row's bits agree in slot 0,
+    in the last slot of the second tile and alone in the padded tail tile;
+    at TILE also as b gains LANE columns and as k gains LANE zero terms."""
     rng = np.random.default_rng([k, n])
     a = rng.random((2 * tile + 1, k), dtype=np.float32) - F32(0.5)
     b = rng.random((k + LANE, n + LANE), dtype=np.float32) - F32(0.5)
     a[2 * tile - 1] = a[2 * tile] = a[0]
     out = _tiles(a, np.ascontiguousarray(b[:k, :n]), tile)
     agree = np.array_equal(out[0], out[2 * tile - 1]) and np.array_equal(out[0], out[2 * tile])
-    return a, b, out, agree
-
-
-def _probe_tiles(k: int, n: int) -> bool:
-    """Attention tiles (TILE rows) of the padded shape (k, n) are batch- and
-    length-invariant: one row's bits agree in every probed slot (see
-    `_probe_rows`); the columns keep their bits when b gains LANE columns;
-    and they keep them when k grows by LANE, zeros in a against random rows
-    of b."""
-    a, b, out, agree = _probe_rows(TILE, k, n)
-    more_n = _tiles(a, np.ascontiguousarray(b[:k]), TILE)[:, :n]
-    more_k = _tiles(_padded(a, len(a), k + LANE), np.ascontiguousarray(b[:, :n]), TILE)
-    return agree and np.array_equal(out, more_n) and np.array_equal(out, more_k)
-
-
-def _probe_wide(k: int, n: int) -> bool:
-    """Weight tiles (WIDE rows) of the padded shape (k, n) are batch-invariant:
-    one row's bits agree in every probed slot (see `_probe_rows`). A weight's
-    k and n never change, so length invariance is not asked of them."""
-    *_, agree = _probe_rows(WIDE, k, n)
-    return agree
+    if not agree or tile != TILE:
+        return agree
+    more_n = _tiles(a, np.ascontiguousarray(b[:k]), tile)[:, :n]
+    more_k = _tiles(_padded(a, len(a), k + LANE), np.ascontiguousarray(b[:, :n]), tile)
+    return np.array_equal(out, more_n) and np.array_equal(out, more_k)
 
 
 def _tiles_hold(tile: int, k: int, n: int) -> bool:
@@ -203,8 +186,7 @@ def _tiles_hold(tile: int, k: int, n: int) -> bool:
     key = (tile, _up(k, LANE), _up(n, LANE))
     hold = _TILES_HOLD.get(key)
     if hold is None:
-        probe = _probe_tiles if tile == TILE else _probe_wide
-        hold = _TILES_HOLD[key] = probe(*key[1:])
+        hold = _TILES_HOLD[key] = _probe(*key)
     return hold
 
 

@@ -21,8 +21,9 @@ of w_qkv for its own rows; the whole w_gate_up for every MLP. Attention has
 one path, `_attention`, per head: the prompt rows' causal square on
 `head_matmul`'s 4-row tiles with the blocked softmax row sum, as prefill
 computes it; then each decoded row alone over its visible columns, on
-`head_matvec` with the plain row sum, as a decode step computes it. In a
-layer that a prune cut, the rows from the prune on see the kept columns.
+`head_matvec` with the plain row sum, as a decode step computes it. A
+prune cuts a prefilled store, so a record that cuts into the prompt is
+refused; in a layer the prune cut, the rows after it see the kept columns.
 """
 
 from __future__ import annotations
@@ -80,26 +81,22 @@ def _qkv(weights, layer: int, x_layer: np.ndarray, n_prompt: int) -> np.ndarray:
 
 def _attention(q, k, v, n_prompt: int, prune: PruneRecord | None) -> np.ndarray:
     """One head's causal attention over (s, d_head) q, k and v, whose first
-    `n_prompt` rows are the prompt's. The prompt rows that see every column
-    up to their own run as one square on the attention tiles with the
-    blocked row sum. Every other row runs alone over its visible columns: a
-    decoded row on the GEMV with the plain row sum, a prompt row on the
-    tiles and the blocked sum. Under `prune` the rows from its `prompt_len`
-    on see only the columns it kept."""
+    `n_prompt` rows are the prompt's: the prompt rows as one square on the
+    attention tiles with the blocked row sum, then each decoded row alone
+    over its visible columns on the GEMV with the plain row sum. Under
+    `prune` the rows from its `prompt_len` on see only the columns it kept."""
     s, d_head = q.shape
     scale = attention_scale(d_head)
-    square = n_prompt if prune is None else min(n_prompt, prune.prompt_len)
     out = np.empty((s, d_head), dtype=np.float32)
-    scores = head_matmul(q[None, :square], k[None, :square].transpose(0, 2, 1))
-    out[:square] = head_matmul(masked_softmax_rows(scores, 0, scale), v[None, :square])[0]
-    for i in range(square, s):
+    scores = head_matmul(q[None, :n_prompt], k[None, :n_prompt].transpose(0, 2, 1))
+    out[:n_prompt] = head_matmul(masked_softmax_rows(scores, 0, scale), v[None, :n_prompt])[0]
+    for i in range(n_prompt, s):
         cols = np.arange(i + 1)
         if prune is not None and i >= prune.prompt_len:
             cols = np.delete(cols, prune.removed)
-        product, blocked = (head_matmul, True) if i < n_prompt else (head_matvec, False)
-        scores = product(q[None, i : i + 1], k[None, cols].transpose(0, 2, 1))
-        attn = masked_softmax_rows(scores, len(cols) - 1, scale, blocked)
-        out[i] = product(attn, v[None, cols])[0, 0]
+        scores = head_matvec(q[None, i : i + 1], k[None, cols].transpose(0, 2, 1))
+        attn = masked_softmax_rows(scores, len(cols) - 1, scale, blocked=False)
+        out[i] = head_matvec(attn, v[None, cols])[0, 0]
     return out
 
 
@@ -116,6 +113,8 @@ def oracle_prefill(
     config = weights.config
     _validate_tokens(tokens, config.vocab_size)
     n_prompt = len(tokens)
+    if prune is not None and prune.prompt_len < n_prompt:
+        raise ValidationError(f"prune at {prune.prompt_len} tokens cuts a {n_prompt}-token prompt")
     tokens = TokenSequence(
         list(tokens.token_ids) + list(decoded), list(tokens.modality) + [0] * len(decoded)
     )
@@ -205,7 +204,8 @@ def verify_case(
     """
     if steps < 1:
         raise ValidationError("verify_case needs steps >= 1")
-    case = {"tokens": tokens.token_ids, "modality": tokens.modality}
+    case = dict(tokens=tokens.token_ids, modality=tokens.modality, steps=steps)
+    case["plan"] = None if plan is None else plan.to_dict()
 
     logits, store = prefill(weights, tokens, plan)
     ref = oracle_prefill(weights, tokens, plan)

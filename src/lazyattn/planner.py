@@ -33,10 +33,6 @@ class LazyBlock:
     def n(self) -> int:
         return len(self.lazy_layers)
 
-    @property
-    def span(self) -> int:
-        return 1 + self.n
-
     def layers(self) -> tuple[int, ...]:
         return (self.anchor,) + self.lazy_layers
 
@@ -59,7 +55,6 @@ class LazyPlan:
             raise PlanError("n_layers must be >= 1")
         if self.epsilon is not None and not 0.0 < self.epsilon <= 1.0:
             raise PlanError(f"epsilon must be in (0, 1], got {self.epsilon}")
-        covered: set[int] = set()
         prev_end = -1
         for b in self.blocks:
             if b.n < 1:
@@ -73,12 +68,10 @@ class LazyPlan:
                 raise PlanError(
                     f"block {list(b.layers())} falls outside layers [0, {self.n_layers})"
                 )
-            overlap = covered.intersection(b.layers())
-            if overlap:
-                raise PlanError(f"overlapping blocks at layers {sorted(overlap)}")
             if b.anchor <= prev_end:
-                raise PlanError(f"blocks are not sorted (anchor {b.anchor} after layer {prev_end})")
-            covered.update(b.layers())
+                raise PlanError(
+                    f"blocks overlap or are not sorted (anchor {b.anchor} after layer {prev_end})"
+                )
             prev_end = b.lazy_layers[-1]
 
     @property

@@ -320,7 +320,8 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
     during prefill (ties keep the earlier position). A layer prunes when its
     anchor exceeds `layer`, so a lazy layer prunes exactly when its anchor
     does, which keeps its K source and its V cache covering the same
-    positions. keep_ratio=1 leaves the store untouched and records nothing.
+    positions. The snapshot must be of this store's prompt, on every layer.
+    keep_ratio=1 leaves the store untouched and records nothing.
     A store is pruned at most once: the prune record, and the oracle that
     replays it, describe one pass.
     """
@@ -332,11 +333,15 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
         raise ValidationError("prune requires a prefilled store")
     if store.prune_record is not None:
         raise ValidationError("store is already pruned")
+    if len(snapshot.rows) != store.config.n_layers:
+        raise ValidationError(f"snapshot has {len(snapshot.rows)} layers, not {store.config.n_layers}")
+    scores = snapshot.last_rows[layer]
+    if len(scores) != len(store.modality):
+        raise ValidationError(f"snapshot has {len(scores)} columns, the prompt {len(store.modality)}")
     visual = np.flatnonzero(store.modality).tolist()
     keep_count = math.ceil(keep_ratio * len(visual))
     if keep_count >= len(visual):
         return visual
-    scores = snapshot.last_rows[layer]
     ranked = sorted(visual, key=lambda p: (-float(scores[p]), p))
     removed = sorted(ranked[keep_count:])
 

@@ -8,15 +8,19 @@ import pytest
 from lazyattn import (
     GLA,
     VLA,
+    AttentionCapture,
     DimensionMismatchError,
     ManifestError,
     PlanError,
     ValidationError,
+    generate,
     load_checkpoint,
     load_plan,
     load_profile,
     meter_run,
     oracle,
+    prefill,
+    prune_visual_tokens,
     read_sequences_jsonl,
     synthetic_prompt,
     write_sequences_jsonl,
@@ -147,6 +151,36 @@ def test_prune_flag_alone_is_rejected(pipeline, tmp_path, flag):
     assert not os.path.exists(out)
 
 
+def test_run_with_a_prune_matches_the_prune_aware_oracle(pipeline, tmp_path, capsys):
+    """`run` with both prune flags prints the ids of an in-process prefill,
+    prune and generate, which the prune-aware oracle also emits, and its
+    report counts the pruned caches."""
+    run = ["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
+           "--plan", pipeline["plan"], "--steps", "4"]
+    assert main([*run, "--out", str(tmp_path / "full")]) == EXIT_OK
+    capsys.readouterr()
+    assert main([*run, "--prune-layer", "1", "--prune-keep", "0.5",
+                 "--out", str(tmp_path / "pruned")]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines()[0].split()[1:]
+
+    weights = load_checkpoint(pipeline["model"])
+    plan = load_plan(pipeline["plan"])
+    prompt = read_sequences_jsonl(pipeline["inputs"])[0]
+    capture = AttentionCapture()
+    logits, store = prefill(weights, prompt, plan, capture=capture)
+    kept = prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+    ids = generate(weights, store, logits[-1], 4)
+    assert [int(t) for t in printed] == ids
+    assert ids == oracle.oracle_full_generate(weights, prompt, 4, plan, prune=store.prune_record)
+
+    reports = {}
+    for name in ("full", "pruned"):
+        with open(tmp_path / name / "cost_report.json", encoding="utf-8") as fh:
+            reports[name] = json.load(fh)
+    assert reports["pruned"]["kv_bytes"] < reports["full"]["kv_bytes"]
+    assert reports["pruned"]["n_visual"] == len(kept) < prompt.n_visual
+
+
 def test_random_plan_rejects_non_integer_spans(tmp_path):
     out = str(tmp_path / "plan.json")
     assert main(["plan", "--mode", GLA, "--random", "--layers", "8", "--spans", "a",
@@ -168,9 +202,14 @@ def test_verify_reports_oracle_mismatch(pipeline, monkeypatch, capsys):
         return logits
 
     monkeypatch.setattr(oracle, "oracle_prefill", perturbed)
-    code = main(["verify", "--model", pipeline["model"], "--cases", "1"])
+    code = main(["verify", "--model", pipeline["model"], "--plan", pipeline["plan"],
+                 "--cases", "1", "--steps", "3"])
     assert code == EXIT_ORACLE
-    assert "repro:" in capsys.readouterr().err
+    repro = capsys.readouterr().err.split("repro: ", 1)[1]
+    case = json.loads(repro)
+    assert case["plan"] == load_plan(pipeline["plan"]).to_dict()
+    assert case["steps"] == 3
+    assert len(case["tokens"]) == len(case["modality"]) >= 4
 
 
 def test_verify_reports_a_decode_step_one_ulp_off(pipeline, monkeypatch, capsys):

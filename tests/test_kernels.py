@@ -153,12 +153,12 @@ def test_tile_kernels_see_one_layout_of_b():
 
 
 def test_tile_probe_catches_a_row_that_moves(monkeypatch):
-    """Both probes fail when a row's bits differ in the last slot of the
-    second tile (slot 3 of a 4-row tile, 63 of a 64-row one) or alone in a
-    padded tail tile, and the products then run the GEMV."""
+    """The probe fails at both widths when a row's bits differ in the last
+    slot of the second tile (slot 3 of a 4-row tile, 63 of a 64-row one) or
+    alone in a padded tail tile, and the products then run the GEMV."""
     real = kernels._tiles
-    assert kernels._probe_tiles(64, 96) and kernels._probe_wide(64, 96)
-    for moved in (-2, -1):  # the probe's last two rows (see `_probe_rows`)
+    assert kernels._probe(kernels.TILE, 64, 96) and kernels._probe(kernels.WIDE, 64, 96)
+    for moved in (-2, -1):  # the probe's last two rows (see `_probe`)
 
         def nudged(a, b, tile, moved=moved):
             out = real(a, b, tile).copy()
@@ -166,8 +166,8 @@ def test_tile_probe_catches_a_row_that_moves(monkeypatch):
             return out
 
         monkeypatch.setattr(kernels, "_tiles", nudged)
-        assert not kernels._probe_tiles(64, 96)
-        assert not kernels._probe_wide(64, 96)
+        assert not kernels._probe(kernels.TILE, 64, 96)
+        assert not kernels._probe(kernels.WIDE, 64, 96)
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(9)
     a = f32(rng.standard_normal((9, 64)))
@@ -180,7 +180,8 @@ def test_tile_probe_catches_a_row_that_moves(monkeypatch):
 @pytest.mark.parametrize("grown", [-1, -2], ids=["wider-b", "deeper-k"])
 def test_tile_probe_catches_bits_that_move_with_length(monkeypatch, grown):
     """The probe also fails when a column's bits change as b gains columns,
-    or a row's as k gains zero terms; attention then runs as one square."""
+    or a row's as k gains zero terms; attention then runs as one square.
+    Weight tiles are not asked for length invariance."""
     real = kernels._tiles
 
     def nudged(a, b, tile):
@@ -190,7 +191,8 @@ def test_tile_probe_catches_bits_that_move_with_length(monkeypatch, grown):
         return out
 
     monkeypatch.setattr(kernels, "_tiles", nudged)
-    assert not kernels._probe_tiles(64, 64)
+    assert not kernels._probe(kernels.TILE, 64, 64)
+    assert kernels._probe(kernels.WIDE, 64, 64)
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     assert not kernels.causal_blocks_hold(64, 40)
     assert False in kernels._TILES_HOLD.values()

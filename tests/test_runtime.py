@@ -8,6 +8,7 @@ from lazyattn import (
     GLA,
     VLA,
     AttentionCapture,
+    AttentionSnapshot,
     FlopMeter,
     LazyBlock,
     LazyPlan,
@@ -272,6 +273,35 @@ def test_prune_validation(model, prompt):
         prune_visual_tokens(store, capture.snapshot, 99, 0.5)
 
 
+@pytest.mark.parametrize("other", ["empty", "longer-prompt"])
+def test_prune_rejects_a_snapshot_of_another_prefill(model, prompt, other):
+    """A snapshot must cover every layer of this store's prompt: an empty
+    one, or one of a longer prompt, is refused before the store changes."""
+    snapshot = AttentionSnapshot()
+    if other == "longer-prompt":
+        capture = AttentionCapture()
+        prefill(model, random_prompt(np.random.default_rng(5), 96, length=40), capture=capture)
+        snapshot = capture.snapshot
+    _, store = prefill(model, prompt)
+    before = store.kv_bytes()
+    with pytest.raises(ValidationError, match="snapshot has"):
+        prune_visual_tokens(store, snapshot, 1, 0.5)
+    assert store.prune_record is None and store.kv_bytes() == before
+
+
+def test_oracle_refuses_a_prune_inside_the_prompt(model, prompt):
+    """A prune cuts a prefilled store, so the oracle refuses a record whose
+    prompt_len is shorter than the prompt it is given."""
+    capture = AttentionCapture()
+    logits, store = prefill(model, prompt, capture=capture)
+    prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+    spec = store.prune_record
+    assert np.array_equal(oracle_prefill(model, prompt, prune=spec), logits)
+    short = spec._replace(prompt_len=len(prompt) - 1)
+    with pytest.raises(ValidationError, match="cuts a 8-token prompt"):
+        oracle_prefill(model, prompt, prune=short)
+
+
 def test_pruned_store_matches_prune_aware_oracle(model, prompt):
 
     for plan in (None, two_block_plan(GLA), two_block_plan(VLA)):
@@ -394,8 +424,9 @@ def test_every_decode_step_equals_the_oracle_bit_for_bit(model, plan_name, layou
     """Each decode step's logits equal the last row of the oracle with the
     ids fed so far decoded after the prompt (and the store's prune record),
     bit for bit: before and after a prune before the first step or after
-    three. The oracle with those ids as prompt rows, on prefill's kernels,
-    differs on some step, so the check is not vacuous."""
+    three. Before the prune, the oracle with those ids as prompt rows, on
+    prefill's kernels, differs on some step, so the check is not vacuous;
+    after it, the oracle refuses prompt rows past the prune."""
     plan = DECODE_PLANS[plan_name]
     rng = np.random.default_rng(40)
     tokens = random_prompt(rng, 96, length=24, visual_fraction=0.5, layout=layout)
@@ -411,9 +442,13 @@ def test_every_decode_step_equals_the_oracle_bit_for_bit(model, plan_name, layou
         ref = oracle_prefill(model, tokens, plan, prune=spec, decoded=fed)
         assert np.array_equal(logits, ref[-1]), step
         prompt_rows = TokenSequence(tokens.token_ids + fed, tokens.modality + [0] * len(fed))
-        as_prompt.append(np.array_equal(logits, oracle_prefill(model, prompt_rows, plan, spec)[-1]))
+        if spec is None:
+            as_prompt.append(np.array_equal(logits, oracle_prefill(model, prompt_rows, plan)[-1]))
+        else:
+            with pytest.raises(ValidationError, match="cuts a"):
+                oracle_prefill(model, prompt_rows, plan, spec)
     assert (store.prune_record is None) == (prune_before is None)
-    assert not all(as_prompt)
+    assert prune_before == 0 or not all(as_prompt)
 
 
 def test_vla_clone_mid_decode_copies_merge_state(model):
@@ -564,8 +599,7 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
     runs as one square, and prefill still equals the oracle bit for bit."""
     from lazyattn import kernels
 
-    monkeypatch.setattr(kernels, "_probe_tiles", lambda k, n: False)
-    monkeypatch.setattr(kernels, "_probe_wide", lambda k, n: False)
+    monkeypatch.setattr(kernels, "_probe", lambda tile, k, n: False)
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(3)
     a = rng.standard_normal((6, 32), dtype=np.float32)
