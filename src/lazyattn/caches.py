@@ -107,6 +107,18 @@ class RowSplit:
         self.n_shared = int(np.count_nonzero(is_shared))
         self.n_own = len(is_shared) - self.n_shared
 
+    def merge(self, shared: np.ndarray, own: np.ndarray) -> np.ndarray:
+        """(n_heads, rows, d_head) rows in position order: `shared` at the
+        shared rows, own's first n_own rows at the own rows, and own's later
+        rows (decoded ones) after all the rows the split covers."""
+        n_heads, n_own, d_head = own.shape
+        head = self.n_shared + self.n_own
+        out = np.empty((n_heads, head + n_own - self.n_own, d_head), dtype=np.float32)
+        out[:, self.shared] = shared
+        out[:, self.own] = own[:, : self.n_own]
+        out[:, head:] = own[:, self.n_own :]
+        return out
+
 
 class LayerCache:
     """One layer's K/V store: one (n_heads, L, d_head) array each for keys
@@ -132,15 +144,7 @@ class LayerCache:
         anchor is row i here); decoded rows follow as one block."""
         if not len(self.keys):
             return anchor.keys.data
-        split = self.split
-        own = self.keys.data
-        n_heads, n_own, d_head = own.shape
-        head = split.n_shared + split.n_own  # rows the split covers
-        out = np.empty((n_heads, head + n_own - split.n_own, d_head), dtype=np.float32)
-        out[:, split.shared] = anchor.keys.data[:, split.shared]
-        out[:, split.own] = own[:, : split.n_own]
-        out[:, head:] = own[:, split.n_own :]
-        return out
+        return self.split.merge(anchor.keys.data[:, self.split.shared], self.keys.data)
 
     @property
     def key_bytes(self) -> int:

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import rng
 from .errors import (
+    CheckpointError,
     DimensionMismatchError,
     ManifestError,
     TruncatedWeightsError,
@@ -341,7 +342,7 @@ def load_checkpoint(path: str) -> ModelWeights:
         try:
             return ModelWeights.filled(config, read)
         except ValidationError as exc:
-            raise DimensionMismatchError(str(exc)) from exc
+            raise CheckpointError(str(exc)) from exc
 
 
 def _exact_ints(value, expected) -> bool:

@@ -111,14 +111,14 @@ def oracle_prefill(
     ids (text rows), computed without any cache structures: the prompt rows
     as prefill computes them, each decoded row as a decode step does."""
     config = weights.config
-    _validate_tokens(tokens, config.vocab_size)
+    _validate_tokens(tokens.token_ids, config.vocab_size)
     n_prompt = len(tokens)
     if prune is not None and prune.prompt_len < n_prompt:
         raise ValidationError(f"prune at {prune.prompt_len} tokens cuts a {n_prompt}-token prompt")
     tokens = TokenSequence(
         list(tokens.token_ids) + list(decoded), list(tokens.modality) + [0] * len(decoded)
     )
-    _validate_tokens(tokens, config.vocab_size)
+    _validate_tokens(tokens.token_ids, config.vocab_size)
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
     anchors = layer_anchors(plan, config.n_layers)
     text = (np.asarray(tokens.modality) == 0)[:, None]
@@ -179,13 +179,9 @@ def oracle_full_generate(
 
 
 # ---------------------------------------------------------------------------
-# Verification harness (used by tests and the CLI verify command)
+# Verification harness (used by tests and the CLI verify command). One
+# oracle pass with the decoded ids holds every row a generation is checked on.
 # ---------------------------------------------------------------------------
-
-
-def _first_difference(prod: np.ndarray, ref: np.ndarray) -> str:
-    bad = int(np.argmax(prod != ref))
-    return f"flat index {bad}, prod {prod.flat[bad]!r} vs oracle {ref.flat[bad]!r}"
 
 
 def verify_case(
@@ -195,12 +191,15 @@ def verify_case(
     steps: int = 8,
     case_label: str = "",
 ) -> None:
-    """All oracle equivalence checks for one prompt; raises on mismatch.
+    """All oracle equivalence checks for one prompt, in one oracle pass;
+    raises on mismatch.
 
-    One production prefill serves three checks, all exact: (1) its logits
-    match oracle_prefill, (2) `generate` from it emits the ids of
-    oracle_full_generate, (3) one decode step on a clone taken before (2)
-    matches the last row of oracle_prefill with that id decoded.
+    Production prefills the prompt, `generate` decodes `steps` ids on a
+    clone of the store, and `decode` replays those ids on the store itself.
+    The prefill's rows and every replayed step's logits must equal, bit for
+    bit, the rows of one oracle_prefill with the ids decoded, and each id
+    must be the argmax of the oracle row before it; by induction the ids
+    are then oracle_full_generate's.
     """
     if steps < 1:
         raise ValidationError("verify_case needs steps >= 1")
@@ -208,29 +207,23 @@ def verify_case(
     case["plan"] = None if plan is None else plan.to_dict()
 
     logits, store = prefill(weights, tokens, plan)
-    ref = oracle_prefill(weights, tokens, plan)
-    if not np.array_equal(logits, ref):
+    ids = generate(weights, store.clone(), logits[-1], steps)
+    rows = np.vstack([logits] + [decode(weights, store, t) for t in ids])
+    ref = oracle_prefill(weights, tokens, plan, decoded=ids)
+    n = len(tokens)
+    bad = np.argwhere(rows != ref)
+    if len(bad):
+        row, col = bad[0].tolist()
+        kind, index, phase = ("row", row, "prefill") if row < n else ("step", row - n, "decode")
         raise OracleMismatchError(
-            f"{case_label}: prefill logits differ from oracle ({_first_difference(logits, ref)})",
-            case=case,
+            f"{case_label}: {kind} {index}: {phase} logits differ from oracle "
+            f"(column {col}, prod {rows[row, col]!r} vs oracle {ref[row, col]!r})",
+            case={**case, kind: index},
         )
-
-    twin = store.clone()
-    ids = generate(weights, store, logits[-1], steps)
-    ref_ids = oracle_full_generate(weights, tokens, steps, plan)
+    ref_ids = np.argmax(ref[n - 1 : -1], axis=1).tolist()
     if ids != ref_ids:
         step = next(i for i, (a, b) in enumerate(zip(ids, ref_ids)) if a != b)
         raise OracleMismatchError(
-            f"{case_label}: generated ids diverge at step {step}: "
-            f"prod {ids} vs oracle {ref_ids}",
+            f"{case_label}: step {step}: generated ids {ids} differ from oracle argmax {ref_ids}",
             case={**case, "step": step},
-        )
-
-    step_logits = decode(weights, twin, ids[0])
-    ref_step = oracle_prefill(weights, tokens, plan, decoded=ids[:1])[-1]
-    if not np.array_equal(step_logits, ref_step):
-        raise OracleMismatchError(
-            f"{case_label}: decode logits differ from oracle "
-            f"({_first_difference(step_logits, ref_step)})",
-            case=case,
         )

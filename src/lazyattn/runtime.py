@@ -98,10 +98,13 @@ from .planner import LazyPlan
 CHUNK = 64
 
 
-def _validate_tokens(tokens: TokenSequence, vocab_size: int) -> None:
-    if len(tokens) == 0:
+def _validate_tokens(token_ids, vocab_size: int) -> None:
+    """ValidationError unless the ids are non-empty integers (not bools) in the vocabulary."""
+    if len(token_ids) == 0:
         raise ValidationError("token sequence must be non-empty")
-    for t in tokens.token_ids:
+    for t in token_ids:
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ValidationError(f"token id {t!r} is not an integer")
         if not 0 <= t < vocab_size:
             raise ValidationError(f"token id {t} outside vocabulary of size {vocab_size}")
 
@@ -223,12 +226,7 @@ def _layer(
         keys = cache.merged_keys(store.layers[anchor])
         if split.n_shared:
             shared_q = store.qcache.read(anchor)
-            if n_own:
-                own_q, q = q, np.empty((n_heads, rows, d_head), dtype=np.float32)
-                q[:, own] = own_q
-                q[:, split.shared] = shared_q
-            else:
-                q = shared_q
+            q = split.merge(shared_q, q) if n_own else shared_q
 
     o, attn = _attention(phase, q, keys, cache.values.data, capture is not None)
     if capture is not None:
@@ -265,7 +263,7 @@ def prefill(
     and the populated cache store. `plan=None` is the standard runtime.
     `capture` is any object with `record(layer, head_attn)`, which gets each
     layer's (n_heads, rows, cols) attention."""
-    _validate_tokens(tokens, weights.config.vocab_size)
+    _validate_tokens(tokens.token_ids, weights.config.vocab_size)
     store = CacheStore(weights.config, plan, tokens)
     # Looked up now, so wrappers take effect.
     phase = _Phase(
@@ -287,8 +285,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
     returns the next-token logits vector. Mutates the store in place."""
     if store.seq_len == 0:
         raise ValidationError("decode requires caches populated by a prefill")
-    if not 0 <= next_token < weights.config.vocab_size:
-        raise ValidationError(f"token id {next_token} outside vocabulary")
+    _validate_tokens([next_token], weights.config.vocab_size)
     phase = _Phase(_metered(matvec, meter), _metered(head_matvec, meter), False, None)
     logits = _forward(weights, store, [next_token], store.decode_split, phase, None)
     store.seq_len += 1

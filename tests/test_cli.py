@@ -9,6 +9,7 @@ from lazyattn import (
     GLA,
     VLA,
     AttentionCapture,
+    CheckpointError,
     DimensionMismatchError,
     ManifestError,
     PlanError,
@@ -209,24 +210,32 @@ def test_verify_reports_oracle_mismatch(pipeline, monkeypatch, capsys):
     case = json.loads(repro)
     assert case["plan"] == load_plan(pipeline["plan"]).to_dict()
     assert case["steps"] == 3
+    assert case["row"] == 0
     assert len(case["tokens"]) == len(case["modality"]) >= 4
 
 
-def test_verify_reports_a_decode_step_one_ulp_off(pipeline, monkeypatch, capsys):
-    """verify holds its decode step to the oracle bit for bit: one logit
-    moved by one ulp is a mismatch."""
+@pytest.mark.parametrize("first_step", [0, 1], ids=["every-step", "from-the-second-step"])
+def test_verify_reports_a_decode_step_one_ulp_off(pipeline, monkeypatch, capsys, first_step):
+    """verify holds every decode step to the oracle bit for bit: one logit
+    moved by one ulp, on every step or only from the second on, is a
+    mismatch, and the report names the first step that moved."""
     real = oracle.decode
+    calls = []
 
     def nudged(*args, **kwargs):
         logits = real(*args, **kwargs).copy()
-        logits[0] = np.nextafter(logits[0], np.float32(np.inf))
+        if len(calls) >= first_step:
+            logits[0] = np.nextafter(logits[0], np.float32(np.inf))
+        calls.append(None)
         return logits
 
     monkeypatch.setattr(oracle, "decode", nudged)
     code = main(["verify", "--model", pipeline["model"], "--plan", pipeline["plan"],
-                 "--cases", "1", "--steps", "2"])
+                 "--cases", "1", "--steps", "3"])
     assert code == EXIT_ORACLE
-    assert "decode logits differ" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"step {first_step}: decode logits differ" in err
+    assert json.loads(err.split("repro: ", 1)[1])["step"] == first_step
 
 
 def test_missing_or_truncated_checkpoint(pipeline, tmp_path):
@@ -238,6 +247,28 @@ def test_missing_or_truncated_checkpoint(pipeline, tmp_path):
         fh.truncate(os.path.getsize(os.path.join(cut, "model.bin")) - 8)
     assert main([*run, "--model", cut]) == EXIT_IO
     assert not os.path.exists(tmp_path / "o")
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "trailing"])
+def test_checkpoint_blob_faults_exit_3(pipeline, tmp_path, fault):
+    """A non-finite weight is a plain CheckpointError, since the shapes
+    agree, and bytes past the last tensor a ManifestError; both exit 3."""
+    model = str(tmp_path / "model")
+    shutil.copytree(pipeline["model"], model)
+    with open(os.path.join(model, "model.bin"), "r+b") as fh:
+        if fault == "trailing":
+            fh.seek(0, os.SEEK_END)
+            fh.write(bytes(4))
+        else:
+            fh.seek(8)
+            fh.write(np.float32(fault).tobytes())
+    error = ManifestError if fault == "trailing" else CheckpointError
+    with pytest.raises(error) as info:
+        load_checkpoint(model)
+    assert type(info.value) is error
+    out = str(tmp_path / "out")
+    assert main(["run", "--model", model, "--input", pipeline["inputs"], "--out", out]) == EXIT_IO
+    assert not os.path.exists(out)
 
 
 def _write(path, edit):
@@ -300,6 +331,8 @@ HOSTILE = [
     pytest.param("manifest", _set_tensor(1, {"name": "layer0.attn_gain", "shape": 5}),
                  DimensionMismatchError, id="manifest-shape-int"),
     pytest.param("manifest", UNDECODABLE, ManifestError, id="manifest-undecodable"),
+    pytest.param("manifest", _set_tensor_field(1, "name", "layer0.gain"), ManifestError,
+                 id="manifest-tensor-renamed"),
     pytest.param("manifest", _set_config("n_layers", 4.0), ManifestError, id="manifest-n_layers-float"),
     pytest.param("manifest", _set_config("vocab_size", 64.7), ManifestError, id="manifest-vocab-float"),
     pytest.param("manifest", _set_config("d_ff", True), ManifestError, id="manifest-d_ff-bool"),

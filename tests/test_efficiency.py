@@ -11,6 +11,7 @@ from lazyattn import (
     FlopMeter,
     LazyBlock,
     LazyPlan,
+    ValidationError,
     decode,
     kv_savings,
     meter_run,
@@ -143,6 +144,16 @@ def test_kv_savings_hold_after_decode_steps(model):
     assert Fraction(std.kv_bytes - vla.kv_bytes, std.kv_bytes) == Fraction(
         plan.n_lazy * tokens.n_visual, 2 * N_LAYERS * std.seq_len
     )
+
+
+@pytest.mark.parametrize("savings", [kv_savings, verify_flops_savings])
+def test_savings_refuse_reports_of_different_lengths(model, savings):
+    rng = np.random.default_rng(8)
+    tokens = random_prompt(rng, model.config.vocab_size, length=10, visual_fraction=0.5)
+    std, _ = meter_run(model, tokens, None)
+    gla, _ = meter_run(model, tokens, random_plan(rng, N_LAYERS, GLA), decode_steps=2)
+    with pytest.raises(ValidationError, match="seq 10/12"):
+        savings(std, gla)
 
 
 @pytest.mark.parametrize("mode", [None, GLA, VLA])

@@ -300,6 +300,44 @@ def test_prefill_rejects_out_of_vocab(small_model):
         prefill(small_model, TokenSequence([], []))
 
 
+NOT_IDS = [
+    pytest.param(2.7, id="float"),
+    pytest.param(np.float32(3.0), id="numpy-float"),
+    pytest.param(True, id="bool"),
+    pytest.param(np.bool_(True), id="numpy-bool"),
+    pytest.param("3", id="str"),
+    pytest.param(None, id="none"),
+]
+
+
+@pytest.mark.parametrize("bad", NOT_IDS)
+def test_non_integer_token_ids_are_refused(small_model, bad):
+    """prefill, decode and the oracle refuse an id that is not an integer,
+    rather than truncating it or reading a bool as 0 or 1."""
+    prompt = TokenSequence([2, 5], [0, 0])
+    for run in (prefill, oracle_prefill):
+        with pytest.raises(ValidationError, match="not an integer"):
+            run(small_model, TokenSequence([bad, 5], [0, 0]))
+    with pytest.raises(ValidationError, match="not an integer"):
+        oracle_prefill(small_model, prompt, decoded=[bad])
+    _, store = prefill(small_model, prompt)
+    with pytest.raises(ValidationError, match="not an integer"):
+        decode(small_model, store, bad)
+    assert store.seq_len == 2
+
+
+def test_numpy_integer_token_ids_are_accepted(small_model):
+    ids = [2, 5, 7]
+    as_numpy = [np.int64(t) for t in ids]
+    logits, store = prefill(small_model, TokenSequence(ids, [0, 0, 0]))
+    np_logits, np_store = prefill(small_model, TokenSequence(as_numpy, [0, 0, 0]))
+    assert np.array_equal(logits, np_logits)
+    assert np.array_equal(decode(small_model, store, 4), decode(small_model, np_store, np.int64(4)))
+    ref = oracle_prefill(small_model, TokenSequence(ids, [0, 0, 0]), decoded=[4])
+    np_ref = oracle_prefill(small_model, TokenSequence(as_numpy, [0, 0, 0]), decoded=[np.int64(4)])
+    assert np.array_equal(ref, np_ref)
+
+
 def test_single_token_forward_matches_hand_computation():
     # With one position, attention is a no-op mix: the head output IS the
     # value row. Re-derive the whole forward with the raw kernels, on the

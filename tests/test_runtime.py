@@ -451,6 +451,57 @@ def test_every_decode_step_equals_the_oracle_bit_for_bit(model, plan_name, layou
     assert prune_before == 0 or not all(as_prompt)
 
 
+@pytest.mark.parametrize("prune_at", [None, 0, 3], ids=["no-prune", "prune-first", "prune-at-3"])
+@pytest.mark.parametrize("layout", ["leading", "mid", "alternating"])
+@pytest.mark.parametrize("plan_name", list(DECODE_PLANS))
+def test_one_oracle_pass_holds_every_step_of_a_generation(model, plan_name, layout, prune_at):
+    """The rows of one oracle pass with a generation's ids decoded equal the
+    last rows of the passes with the ids so far, bit for bit, and their
+    argmax ids are oracle_full_generate's: with no prune, a prune at the
+    prompt, and one three steps later."""
+    plan = DECODE_PLANS[plan_name]
+    tokens = random_prompt(
+        np.random.default_rng(40), 96, length=24, visual_fraction=0.5, layout=layout
+    )
+    n, spec = len(tokens), None
+    if prune_at is not None:
+        capture = AttentionCapture()
+        _, store = prefill(model, tokens, plan, capture=capture)
+        prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+        spec = store.prune_record._replace(prompt_len=n + prune_at)
+    ids = oracle_full_generate(model, tokens, 6, plan, prune=spec)
+    one = oracle_prefill(model, tokens, plan, prune=spec, decoded=ids)
+    assert one.shape[0] == n + len(ids)
+    for i in range(len(ids) + 1):
+        step = oracle_prefill(model, tokens, plan, prune=spec, decoded=ids[:i])
+        assert np.array_equal(one[n - 1 + i], step[-1]), i
+    assert np.argmax(one[n - 1 : -1], axis=1).tolist() == ids
+
+
+def test_verify_case_runs_one_oracle_pass(model, monkeypatch):
+    """verify_case checks a whole generation on one oracle_prefill with the
+    ids decoded, and never reruns the oracle per step."""
+    real, decoded = oracle.oracle_prefill, []
+
+    def counted(*args, **kwargs):
+        decoded.append(list(kwargs.get("decoded", ())))
+        return real(*args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("verify_case reran the oracle per step")
+
+    monkeypatch.setattr(oracle, "oracle_prefill", counted)
+    monkeypatch.setattr(oracle, "oracle_full_generate", refused)
+    tokens = random_prompt(
+        np.random.default_rng(41), 96, length=24, visual_fraction=0.5, layout="alternating"
+    )
+    for plan in DECODE_PLANS.values():
+        decoded.clear()
+        oracle.verify_case(model, tokens, plan, steps=5)
+        logits, store = prefill(model, tokens, plan)
+        assert decoded == [generate(model, store, logits[-1], 5)]
+
+
 def test_vla_clone_mid_decode_copies_merge_state(model):
     tokens = INTERLEAVED[0]
     plan = two_block_plan(VLA)
