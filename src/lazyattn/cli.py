@@ -210,8 +210,9 @@ def cmd_verify(args) -> int:
     vocab = weights.config.vocab_size
     draws = rng.splitmix64(args.seed, 0, 3 * args.cases)
     for case in range(args.cases):
-        # 4 to 200 tokens, so a case can cross into a second 64-row weight
-        # tile, attention block and 128-column softmax sum block.
+        # 4 to 200 tokens, so a case can run a weight product as one GEMM of
+        # 128 to 256 padded rows and cross into a second attention block and
+        # 128-column softmax sum block.
         length = 4 + int(draws[3 * case]) % 197
         visual_fraction = (int(draws[3 * case + 1]) % 3) / 4.0
         prompt = synthetic_prompt(

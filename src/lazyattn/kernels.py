@@ -20,9 +20,10 @@ For products there are two kernels, with different bits:
   product (every decode product) is that GEMV as a direct `np.matmul`.
 
 The tiles come in two widths. `matmul` is the weight product (Q/K/V/O,
-the MLP, the LM head) and runs WIDE = 64-row tiles: one BLAS call per 64
-rows rather than per 4, each streaming the whole weight, and its bits
-depend on (k, n) alone. `head_matmul` is the attention product (scores and
+the MLP, the LM head) and gives a row the bits of a WIDE = 64-row tile,
+which depend on (k, n) alone. It runs one GEMM over all its rows, padded
+to a multiple of WIDE, so BLAS packs the weight once per product rather
+than once per tile. `head_matmul` is the attention product (scores and
 weighted sum) and keeps TILE = 4-row tiles, because attention also needs
 length invariance (below), and the wide tiles lose it: probed on OpenBLAS
 0.3.31 (Haswell kernels, 2 threads), 64-row tiles change a weighted-sum
@@ -68,7 +69,11 @@ tail tile. At TILE alone it also asks that they do not move when b gains
 LANE columns or k gains LANE zero terms; a weight's k and n never change.
 Where the probe fails, that shape runs the GEMV on the canonical layout,
 in production and oracle alike, and `causal_blocks_hold` tells the runtime
-to run attention as one square.
+to run attention as one square. `matmul`'s GEMM of r > WIDE padded rows has
+its own probe per (r, k, n): a random row must get the bits it gets alone
+in a WIDE-row tile in the GEMM's first and last slot. Where that fails, r
+rows run one BLAS call per WIDE-row tile, so a row's bits do not depend on
+m even where the GEMM holds at one row count and not at another.
 
 A layer's Q, K and V weights (and its gate and up weights) are column
 blocks of one fused weight (see `model.LayerWeights`). The layer's role,
@@ -157,8 +162,8 @@ def _tiles(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
     return out.reshape(*lead, m_pad, n_pad)[..., :m, :n]
 
 
-# (tile rows, padded k, padded n) -> whether tiles of that shape hold their
-# invariants here; one entry per tile width and padded shape ever used.
+# (rows per BLAS call, padded k, padded n) -> whether tiles of that shape
+# hold their invariants here; one entry per tile height and padded shape used.
 _TILES_HOLD: dict[tuple[int, int, int], bool] = {}
 
 
@@ -166,8 +171,16 @@ def _probe(tile: int, k: int, n: int) -> bool:
     """Whether `tile`-row tiles of the padded shape (k, n) hold their
     invariants here (see module doc): a random row's bits agree in slot 0,
     in the last slot of the second tile and alone in the padded tail tile;
-    at TILE also as b gains LANE columns and as k gains LANE zero terms."""
+    at TILE also as b gains LANE columns and as k gains LANE zero terms.
+    Past WIDE, one GEMM of `tile` rows gives a random row in its first and
+    last slot the bits of the row alone in a padded WIDE-row tile."""
     rng = np.random.default_rng([k, n])
+    if tile > WIDE:
+        a = rng.random((tile, k), dtype=np.float32) - F32(0.5)
+        b = rng.random((k, n), dtype=np.float32) - F32(0.5)
+        a[-1] = a[0]
+        out, alone = _tiles(a, b, tile), _tiles(a[:1], b, WIDE)[0]
+        return np.array_equal(out[0], alone) and np.array_equal(out[-1], alone)
     a = rng.random((2 * tile + 1, k), dtype=np.float32) - F32(0.5)
     b = rng.random((k + LANE, n + LANE), dtype=np.float32) - F32(0.5)
     a[2 * tile - 1] = a[2 * tile] = a[0]
@@ -211,16 +224,19 @@ def _product(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Fixed-order 2-D product over WIDE-row tiles, for weight products:
-    out[i] = a[i] @ b with the same bits for any m and any slot of row i
-    (see module doc).
+    """Fixed-order 2-D product for weight products: out[i] = a[i] @ b with
+    the bits of row i alone in a WIDE-row tile, for any m (see module doc).
+    One GEMM runs over the rows padded to a multiple of WIDE where the probe
+    of that row count holds, else one per WIDE-row tile.
 
     Do not "optimize" this into a 2-D np.matmul, or drop the copy of a
     strided `b`: either would break the bitwise contracts between
     production and the oracle.
     """
     _check("matmul", a, b, 2)
-    return _product(a, b, WIDE)
+    rows = _up(a.shape[0], WIDE)
+    one_gemm = rows > WIDE and _tiles_hold(WIDE, *b.shape) and _tiles_hold(rows, *b.shape)
+    return _product(a, b, rows if one_gemm else WIDE)
 
 
 def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

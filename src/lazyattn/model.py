@@ -425,8 +425,8 @@ class TokenSequence:
                 "must have equal length"
             )
         for m in self.modality:
-            if m not in (TEXT, VISUAL):
-                raise ValidationError(f"modality flags must be 0 or 1, got {m}")
+            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m not in (TEXT, VISUAL):
+                raise ValidationError(f"modality flags must be 0 or 1, got {m!r}")
 
     def __len__(self) -> int:
         return len(self.token_ids)

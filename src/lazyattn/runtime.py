@@ -34,13 +34,14 @@ the square in one pass (`prefill_chunk`). Decode's one row sees every key
 in one pass.
 
 The phase picks its kernels, never the row count (see `kernels`): prefill
-runs the batch-invariant tiles, 64 rows wide for the weight products
-(`matmul`) and 4 rows, length-invariant, for attention (`head_matmul`),
-and the blocked softmax row sum. The oracle computes with the same, so
-prefill matches it bit for bit even where a lazy layer projects a single
-own row. Decode runs the stacked GEMV (`matvec`, `head_matvec`) and a
-plain row sum, which are cheaper for its one row; the oracle runs its
-decoded rows on them too, so each step matches it bit for bit as well.
+runs the batch-invariant tiles, the bits of a 64-row tile in one GEMM per
+weight product (`matmul`) and 4 rows, length-invariant, for attention
+(`head_matmul`), and the blocked softmax row sum. The oracle computes
+with the same, so prefill matches it bit for bit even where a lazy layer
+projects a single own row. Decode runs the stacked GEMV (`matvec`,
+`head_matvec`) and a plain row sum, which are cheaper for its one row; the
+oracle runs its decoded rows on them too, so each step matches it bit for
+bit as well.
 `prefill` and `decode` look the kernels up in this module when called, so
 a wrapper set on `runtime.matmul` sees every prefill weight product. Each
 product states its operands once and records its own MACs on the meter it

@@ -8,6 +8,7 @@ from lazyattn import (
     ModelConfig,
     TokenSequence,
     init_synthetic_model,
+    kernels,
 )
 
 
@@ -86,3 +87,21 @@ def weight_block(model, b):
             if b.strides == w.strides and len(b) == len(w) and 0 <= start < w.shape[1]:
                 return l, name, start, b.shape[1]
     return None
+
+
+def gemm_nudged_at(monkeypatch, bad):
+    """Make `_tiles` move the last row of a GEMM of `bad` rows by one ulp, so
+    that count's probe fails; returns the list of tile heights run."""
+    real, heights = kernels._tiles, []
+
+    def nudged(a, b, tile):
+        heights.append(tile)
+        out = real(a, b, tile)
+        if tile == bad:
+            out = out.copy()
+            out[..., -1, :] = np.nextafter(out[..., -1, :], np.float32(np.inf))
+        return out
+
+    monkeypatch.setattr(kernels, "_tiles", nudged)
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    return heights

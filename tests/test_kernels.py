@@ -14,6 +14,8 @@ from lazyattn import (
 from lazyattn import kernels
 from lazyattn.kernels import apply_rope, head_matvec, matvec, silu
 
+from helpers import gemm_nudged_at
+
 
 def f32(x):
     return np.asarray(x, dtype=np.float32)
@@ -201,7 +203,8 @@ def test_tile_probe_catches_bits_that_move_with_length(monkeypatch, grown):
 def test_tile_probes_are_kept_per_padded_shape(monkeypatch):
     """Products whose k and n round up to the same multiples of 16 share one
     probe per tile width, so prompt lengths add at most one attention entry
-    per 16 positions, and a weight's products one entry whatever their m."""
+    per 16 positions, and a weight's products one entry per row count padded
+    to a multiple of WIDE."""
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(10)
     tile, wide = kernels.TILE, kernels.WIDE
@@ -211,13 +214,80 @@ def test_tile_probes_are_kept_per_padded_shape(monkeypatch):
         head_matmul(head_matmul(q, keys.transpose(0, 2, 1)), keys)
     assert kernels._TILES_HOLD == {(tile, 64, 112): True, (tile, 112, 64): True}
     w = f32(rng.standard_normal((256, 512)))
-    for m in (1, 64, 65, 300):
+    for m in (1, 64, 65, 300, 320):
         matmul(f32(rng.standard_normal((m, 256))), w)
-    assert kernels._TILES_HOLD.pop((wide, 256, 512))
+    for rows in (wide, 2 * wide, 5 * wide):
+        assert kernels._TILES_HOLD.pop((rows, 256, 512))
     assert kernels.causal_blocks_hold(64, 200)
     assert set(kernels._TILES_HOLD) == {
         (tile, *shape) for w in range(16, 209, 16) for shape in ((64, w), (w, 64))
     }
+
+
+# The benchmark model's weight products: Q|K|V, Q|K and the LM head, V and
+# O, gate|up, down.
+WEIGHT_SHAPES = [(256, 768), (256, 512), (256, 256), (256, 1024), (512, 256)]
+
+
+@pytest.mark.parametrize("k, n", WEIGHT_SHAPES)
+def test_one_gemm_gives_every_row_its_wide_tile_bits(k, n):
+    """matmul runs one GEMM over all its padded rows, and a row still gets
+    the bits it gets alone in a 64-row tile, in any slot, at any m. The rows
+    are one pool, so a row's reference is the same at every m."""
+    rng = np.random.default_rng([k, n])
+    pool = f32(rng.standard_normal((1000, k)))
+    b = f32(rng.standard_normal((k, n)))
+    sizes = (1, 63, 64, 65, 200, 320, 511, 512, 513, 1000)
+    picked = sorted({i for m in sizes for i in (0, 31, 63, 64, m // 2, m - 1) if i < m})
+    wide = kernels.WIDE
+    refs = [alone_in_tile(pool[picked], b, slot, wide) for slot in (0, wide // 2 - 1, wide - 1)]
+    for m in sizes:
+        out = matmul(pool[:m], b)
+        live = sum(i < m for i in picked)  # picked is sorted
+        for ref in refs:
+            assert np.array_equal(out[picked[:live]], ref[:live])
+
+
+def test_a_weight_product_packs_its_weight_once(monkeypatch):
+    """Where the probes hold, a weight product of 512 rows is one BLAS call
+    of 512 rows, and 513 rows one call of 576."""
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    for rows in (kernels.WIDE, 512, 576):
+        kernels._TILES_HOLD[(rows, 256, 768)] = True
+    shapes = []
+    real = np.matmul
+
+    def spy(a, b):
+        shapes.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    w = f32(np.ones((256, 768)))
+    matmul(f32(np.ones((512, 256))), w)
+    matmul(f32(np.ones((513, 256))), w)
+    assert shapes == [(1, 512, 256), (1, 576, 256)]
+
+
+def test_a_failed_gemm_probe_keeps_its_row_count_on_wide_tiles(monkeypatch):
+    """A GEMM whose last row moves at one padded row count fails that count's
+    probe alone: products of that many rows run the 64-row tiles, the other
+    counts keep one GEMM, and every row keeps its tile bits."""
+    wide = kernels.WIDE
+    heights = gemm_nudged_at(monkeypatch, 3 * wide)
+    rng = np.random.default_rng(13)
+    b = f32(rng.standard_normal((256, 256)))
+    sizes = (150, 200, 300)
+    a = [f32(rng.standard_normal((m, 256))) for m in sizes]
+    first = [matmul(x, b) for x in a]
+    assert kernels._TILES_HOLD == {
+        (wide, 256, 256): True, (3 * wide, 256, 256): False,
+        (4 * wide, 256, 256): True, (5 * wide, 256, 256): True,
+    }
+    heights.clear()
+    for x, out in zip(a, first):
+        assert np.array_equal(matmul(x, b), out)
+        assert np.array_equal(out[[0, -1]], alone_in_tile(x[[0, -1]], b, 0, wide))
+    assert heights == [wide, 4 * wide, 5 * wide]
 
 
 def test_padded_products_keep_a_columns_bits_as_the_keys_grow():

@@ -274,6 +274,21 @@ def test_token_sequence_validation():
         TokenSequence([1], [2])
 
 
+@pytest.mark.parametrize(
+    "flag", [1.0, True, np.float64(1.0), "1"], ids=["float", "bool", "numpy-float", "str"]
+)
+def test_non_integer_modality_flags_are_refused(flag):
+    """A flag is a Python or numpy integer 0 or 1, as a token id is an
+    integer: a float, bool or string equal to 1 is refused, not kept as given."""
+    with pytest.raises(ValidationError, match="modality flags must be 0 or 1"):
+        TokenSequence([1, 2], [0, flag])
+
+
+def test_numpy_integer_modality_flags_are_accepted():
+    tokens = TokenSequence([1, 2], [np.int64(1), np.int32(0)])
+    assert tokens.n_visual == 1 and tokens.n_text == 1
+
+
 def test_jsonl_roundtrip(tmp_path):
     path = str(tmp_path / "seqs.jsonl")
     seqs = [TokenSequence([1, 2, 3], [1, 0, 0]), TokenSequence([5], [0])]

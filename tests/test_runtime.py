@@ -26,7 +26,14 @@ from lazyattn import (
 )
 from lazyattn.planner import layer_anchors
 
-from helpers import HeadRecorder, make_model, random_plan, random_prompt, weight_block
+from helpers import (
+    HeadRecorder,
+    gemm_nudged_at,
+    make_model,
+    random_plan,
+    random_prompt,
+    weight_block,
+)
 
 
 def two_block_plan(mode, n_layers=6):
@@ -665,6 +672,28 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
         assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
     widths = {key[0] for key in kernels._TILES_HOLD}
     assert widths == {kernels.TILE, kernels.WIDE} and not any(kernels._TILES_HOLD.values())
+
+
+@pytest.mark.parametrize("layout", ["leading", "alternating"])
+@pytest.mark.parametrize("bad, good", [(2, 3), (3, 2)], ids=["own-rows", "prompt"])
+def test_a_gemm_probe_failing_at_one_row_count_keeps_vla_prefill_exact(
+    model, layout, bad, good, monkeypatch
+):
+    """A VLA lazy layer projects Q|K on its 75 own rows (128 padded), the
+    oracle on all 150 prompt rows (192 padded). When the one-GEMM probe fails
+    at one of these counts only, that count runs the 64-row tiles, the other
+    keeps one GEMM, and prefill still equals the oracle bit for bit."""
+    from lazyattn import kernels
+
+    wide = kernels.WIDE
+    gemm_nudged_at(monkeypatch, bad * wide)
+    tokens = long_prompt(layout, 5)
+    assert tokens.n_text == 75
+    plan = two_block_plan(VLA)
+    logits, _ = prefill(model, tokens, plan)
+    assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
+    holds = {rows: hold for (rows, _, _), hold in kernels._TILES_HOLD.items() if rows > wide}
+    assert holds == {bad * wide: False, good * wide: True}
 
 
 # ---------------------------------------------------------------------------
