@@ -208,18 +208,19 @@ def cmd_verify(args) -> int:
     weights = load_checkpoint(args.model)
     plan = planner.load_plan(args.plan) if args.plan is not None else None
     vocab = weights.config.vocab_size
-    draws = rng.splitmix64(args.seed, 0, 3 * args.cases)
     for case in range(args.cases):
+        # Drawn as the case runs: the stream is counter-based, so case i
+        # reads outputs 3i..3i+2 whatever the case count.
+        draws = rng.splitmix64(args.seed, 3 * case, 3)
         # 4 to 200 tokens, so a case can run a weight product as one GEMM of
         # 128 to 256 padded rows and cross into a second attention block and
         # 128-column softmax sum block.
-        length = 4 + int(draws[3 * case]) % 197
-        visual_fraction = (int(draws[3 * case + 1]) % 3) / 4.0
+        length = 4 + int(draws[0]) % 197
         prompt = synthetic_prompt(
             vocab,
             length,
-            seed=int(draws[3 * case + 2]) % (2**31),
-            visual_fraction=visual_fraction,
+            seed=int(draws[2]) % (2**31),
+            visual_fraction=(int(draws[1]) % 3) / 4.0,
         )
         oracle.verify_case(
             weights, prompt, plan, steps=args.steps, case_label=f"case {case}"

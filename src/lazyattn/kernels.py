@@ -7,7 +7,7 @@ Caching a projection and recomputing it later from the same inputs
 therefore gives bit-identical values; the equivalence oracles rely on this
 and compare bitwise.
 
-For products there are two kernels, with different bits:
+Products come in two families, with different bits:
 
 - `matmul`/`head_matmul` run GEMM tiles: the rows are padded with zeros to
   a multiple of the tile width (only the tail tile holds padding), and
@@ -15,9 +15,10 @@ For products there are two kernels, with different bits:
   are the same in any slot of any tile, whatever its neighbours, so they
   do not depend on m. A plain 2-D `np.matmul` would not do: its blocking
   depends on m (at k=512 a row's bits at m=8 differ from its tile bits).
-- `matvec`/`head_matvec` run the stacked GEMV: (m, 1, k) row vectors, one
-  GEMV per row, all in C; row i has the bits of `a[i] @ b` alone. A 1-row
-  product (every decode product) is that GEMV as a direct `np.matmul`.
+- `matvec` runs the stacked GEMV on 2-D weights and stacked heads alike:
+  (..., m, 1, k) row vectors, one GEMV per row, all in C; row i has the
+  bits of `a[..., i, :] @ b` alone. A 1-row product (every decode product)
+  is that GEMV as a direct `np.matmul`.
 
 The tiles come in two widths. `matmul` is the weight product (Q/K/V/O,
 the MLP, the LM head) and gives a row the bits of a WIDE = 64-row tile,
@@ -51,9 +52,9 @@ a padded 1-row tile costs about twice a GEMV on weights that are cold in
 cache and decode never needs length invariance. The oracle follows the
 same rule row by row: a prompt row's weight products run on `matmul`, its
 attention products on `head_matmul` (one head at a time) and its softmax
-with the blocked sum; a decoded row's run on `matvec`, `head_matvec` and
-the plain sum. So in production and oracle alike a 2-D `matmul` is a
-weight product, and both phases match the oracle bit for bit.
+with the blocked sum; a decoded row's run on `matvec` and the plain sum.
+So in production and oracle alike a 2-D `matmul` is a weight product, and
+both phases match the oracle bit for bit.
 
 The tiles see one canonical layout: a right-hand operand whose last axis
 is not unit-stride (K^T as a transposed view of the key cache) is copied to
@@ -99,8 +100,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-# A Matrix is a 2-D float32 ndarray, the operand of `matmul` and `matvec`;
-# the per-head kernels take stacked (H, m, k) arrays.
+# A Matrix is a 2-D float32 ndarray, the operand of `matmul`; `head_matmul`
+# takes stacked (H, m, k) arrays, and `matvec` either.
 Matrix = np.ndarray
 
 F32 = np.float32
@@ -127,14 +128,6 @@ def _check(name: str, a: np.ndarray, b: np.ndarray, ndim: int) -> None:
         raise ValidationError(
             f"{name} expects {ndim}-D (..., m, k) x (..., k, n), got {a.shape} x {b.shape}"
         )
-
-
-def _row_gemv(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[..., i, :] = a[..., i, :] @ b, one GEMV per row (see module doc).
-    A 1-row product is that GEMV already, so it runs as a direct np.matmul."""
-    if a.shape[-2] == 1:
-        return np.matmul(a, b)
-    return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
 
 
 def _up(x: int, step: int) -> int:
@@ -220,7 +213,7 @@ def _product(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
         return _tiles(a, b, tile)
     if b.strides[-1] != b.itemsize:  # one canonical layout (see module doc)
         b = np.ascontiguousarray(b)
-    return _row_gemv(a, b)
+    return matvec(a, b)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -250,17 +243,15 @@ def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _product(a, b, TILE)
 
 
-def matvec(a: Matrix, b: Matrix) -> Matrix:
-    """Decode's 2-D product: out[i] = a[i] @ b, one GEMV per row, on `b` as
-    given (a strided view is not copied)."""
-    _check("matvec", a, b, 2)
-    return _row_gemv(a, b)
-
-
-def head_matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Decode's per-head product of (H, m, k) by (H, k, n), one GEMV per row."""
-    _check("head_matvec", a, b, 3)
-    return _row_gemv(a, b)
+def matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Decode's product of (..., m, k) by (..., k, n), 2-D weights or stacked
+    heads: out[..., i, :] = a[..., i, :] @ b, one GEMV per row, on `b` as
+    given (a strided view is not copied). A 1-row product is that GEMV
+    already, so it runs as a direct np.matmul."""
+    _check("matvec", a, b, max(a.ndim, 2))
+    if a.shape[-2] == 1:
+        return np.matmul(a, b)
+    return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
 
 
 def masked_softmax_rows(
@@ -383,11 +374,16 @@ def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
 
     `qk` is (rows, d) or (rows, ..., d), e.g. (rows, H, d_head) for all
     heads at once, or (rows, 2H, d_head) for Q and K together; positions
-    index the first axis. Position 0 is the identity; every rotation
-    preserves the row norm. The output is a fresh contiguous array.
+    index the first axis and must be integers (negative ones rotate
+    backwards). Position 0 is the identity; every rotation preserves the
+    row norm. The output is a fresh contiguous array.
     """
     if theta_base <= 0:
         raise ValidationError("theta_base must be positive")
+    positions = np.asarray(positions)
+    integral = positions.dtype.kind in "iu" and np.can_cast(positions.dtype, np.intp)
+    if positions.size and not integral:
+        raise ValidationError(f"rotary positions must be integers, got dtype {positions.dtype}")
     if qk.ndim < 2 or qk.shape[-1] % 2 != 0:
         raise ValidationError(f"apply_rope needs an even column count, got shape {qk.shape}")
     if len(positions) != qk.shape[0]:
@@ -399,7 +395,7 @@ def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
     table = _ROPE_TABLES.get(key)
     if table is None:
         table = _ROPE_TABLES[key] = _RopeTable(theta_base, half)
-    cos, sin = table.rows(np.asarray(positions, dtype=np.intp))
+    cos, sin = table.rows(positions.astype(np.intp, copy=False))
     table_shape = (qk.shape[0],) + (1,) * (qk.ndim - 2) + (half,)
     cos, sin = cos.reshape(table_shape), sin.reshape(table_shape)
     x1 = qk[..., 0::2]

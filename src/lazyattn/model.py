@@ -361,6 +361,11 @@ def parse_json(data: bytes, error: type[Exception], where: str):
         raise error(f"{where}: bad JSON: {exc}") from exc
 
 
+def is_int(value) -> bool:
+    """Whether `value` is a Python or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def strict_int(value) -> int:
     """A JSON integer as read; a float, bool or string raises TypeError,
     which each reader maps onto its own error."""
@@ -425,7 +430,7 @@ class TokenSequence:
                 "must have equal length"
             )
         for m in self.modality:
-            if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m not in (TEXT, VISUAL):
+            if not is_int(m) or m not in (TEXT, VISUAL):
                 raise ValidationError(f"modality flags must be 0 or 1, got {m!r}")
 
     def __len__(self) -> int:

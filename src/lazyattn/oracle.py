@@ -12,8 +12,8 @@ for bit. Any divergence is a bug, never tolerance noise.
 
 A sequence is the prompt's rows, then the rows of the ids decoded after it
 (`decoded`, text), and each row runs on the kernels production gives it in
-its phase (see `kernels`). A prompt row's weight products run on `matmul`'s
-64-row tiles and a decoded row's on `matvec`, the GEMV. Each product runs
+its phase (see `kernels`): a prompt row's products on the tiles (`matmul`,
+`head_matmul`), a decoded row's on the GEMV (`matvec`). Each product runs
 on the columns a layer's role gives it in production (see `runtime`): the
 whole w_qkv for a layer that is its own anchor, and again to recompute an
 anchor's Q and K; `wv` for a lazy layer's V and, under VLA, the Q|K columns
@@ -21,9 +21,9 @@ of w_qkv for its own rows; the whole w_gate_up for every MLP. Attention has
 one path, `_attention`, per head: the prompt rows' causal square on
 `head_matmul`'s 4-row tiles with the blocked softmax row sum, as prefill
 computes it; then each decoded row alone over its visible columns, on
-`head_matvec` with the plain row sum, as a decode step computes it. A
-prune cuts a prefilled store, so a record that cuts into the prompt is
-refused; in a layer the prune cut, the rows after it see the kept columns.
+`matvec` with the plain row sum, as a decode step computes it. A prune
+cuts a prefilled store, so a record that cuts into the prompt is refused;
+in a layer the prune cut, the rows after it see the kept columns.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .kernels import (
     apply_rope,
     attention_scale,
     head_matmul,
-    head_matvec,
     masked_softmax_rows,
     matmul,
     matvec,
@@ -94,9 +93,9 @@ def _attention(q, k, v, n_prompt: int, prune: PruneRecord | None) -> np.ndarray:
         cols = np.arange(i + 1)
         if prune is not None and i >= prune.prompt_len:
             cols = np.delete(cols, prune.removed)
-        scores = head_matvec(q[None, i : i + 1], k[None, cols].transpose(0, 2, 1))
+        scores = matvec(q[None, i : i + 1], k[None, cols].transpose(0, 2, 1))
         attn = masked_softmax_rows(scores, len(cols) - 1, scale, blocked=False)
-        out[i] = head_matvec(attn, v[None, cols])[0, 0]
+        out[i] = matvec(attn, v[None, cols])[0, 0]
     return out
 
 

@@ -38,10 +38,10 @@ runs the batch-invariant tiles, the bits of a 64-row tile in one GEMM per
 weight product (`matmul`) and 4 rows, length-invariant, for attention
 (`head_matmul`), and the blocked softmax row sum. The oracle computes
 with the same, so prefill matches it bit for bit even where a lazy layer
-projects a single own row. Decode runs the stacked GEMV (`matvec`,
-`head_matvec`) and a plain row sum, which are cheaper for its one row; the
-oracle runs its decoded rows on them too, so each step matches it bit for
-bit as well.
+projects a single own row. Decode runs every product, weights and
+attention alike, on the one stacked GEMV (`matvec`) and a plain row sum,
+which are cheaper for its one row; the oracle runs its decoded rows on
+them too, so each step matches it bit for bit as well.
 `prefill` and `decode` look the kernels up in this module when called, so
 a wrapper set on `runtime.matmul` sees every prefill weight product. Each
 product states its operands once and records its own MACs on the meter it
@@ -85,14 +85,13 @@ from .kernels import (
     attention_scale,
     causal_blocks_hold,
     head_matmul,
-    head_matvec,
     masked_softmax_rows,
     matmul,
     matvec,
     rms_norm,
     silu,
 )
-from .model import ModelWeights, TokenSequence
+from .model import ModelWeights, TokenSequence, is_int
 from .planner import LazyPlan
 
 # Query rows per block of block-causal prefill attention.
@@ -104,7 +103,7 @@ def _validate_tokens(token_ids, vocab_size: int) -> None:
     if len(token_ids) == 0:
         raise ValidationError("token sequence must be non-empty")
     for t in token_ids:
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        if not is_int(t):
             raise ValidationError(f"token id {t!r} is not an integer")
         if not 0 <= t < vocab_size:
             raise ValidationError(f"token id {t} outside vocabulary of size {vocab_size}")
@@ -287,7 +286,8 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
     if store.seq_len == 0:
         raise ValidationError("decode requires caches populated by a prefill")
     _validate_tokens([next_token], weights.config.vocab_size)
-    phase = _Phase(_metered(matvec, meter), _metered(head_matvec, meter), False, None)
+    gemv = _metered(matvec, meter)
+    phase = _Phase(gemv, gemv, False, None)
     logits = _forward(weights, store, [next_token], store.decode_split, phase, None)
     store.seq_len += 1
     return logits[0]
@@ -300,8 +300,8 @@ def generate(
     a prune cut), from its last logits: argmax feedback, ties broken by
     lowest index. Returns the `steps` ids; the store is mutated in place.
     """
-    if steps < 0:
-        raise ValidationError("steps must be >= 0")
+    if not is_int(steps) or steps < 0:
+        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
     ids: list[int] = []
     for _ in range(steps):
         t = int(np.argmax(last_logits))
@@ -325,8 +325,8 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
     """
     if not 0.0 < keep_ratio <= 1.0:
         raise ValidationError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
-    if not 0 <= layer < store.config.n_layers:
-        raise ValidationError(f"layer {layer} out of range")
+    if not is_int(layer) or not 0 <= layer < store.config.n_layers:
+        raise ValidationError(f"layer {layer!r} is not an integer in [0, {store.config.n_layers})")
     if store.seq_len == 0:
         raise ValidationError("prune requires a prefilled store")
     if store.prune_record is not None:

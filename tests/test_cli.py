@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from lazyattn import (
     synthetic_prompt,
     write_sequences_jsonl,
 )
+from lazyattn import cli, rng
 from lazyattn.cli import EXIT_IO, EXIT_OK, EXIT_ORACLE, EXIT_VALIDATION, main
 
 VOCAB = 64
@@ -180,6 +182,67 @@ def test_run_with_a_prune_matches_the_prune_aware_oracle(pipeline, tmp_path, cap
             reports[name] = json.load(fh)
     assert reports["pruned"]["kv_bytes"] < reports["full"]["kv_bytes"]
     assert reports["pruned"]["n_visual"] == len(kept) < prompt.n_visual
+
+
+REFUSED = [
+    pytest.param(["genmodel", "--heads", "3", "--dmodel", "16", "--out", "{out}"],
+                 "--dmodel 16 is not divisible by --heads 3", id="genmodel-heads"),
+    pytest.param(["profile", "--model", "{model}", "--inputs", "{blank}", "--out", "{out}"],
+                 "holds no sequences", id="profile-no-sequences"),
+    pytest.param(["plan", "--mode", GLA, "--random", "--out", "{out}"],
+                 "--random needs --layers and --spans", id="plan-random-bare"),
+    pytest.param(["plan", "--mode", GLA, "--out", "{out}"],
+                 "threshold planning needs --sim and --epsilon", id="plan-threshold-bare"),
+    pytest.param(["run", "--model", "{model}", "--input", "{blank}", "--out", "{out}"],
+                 "holds no sequences", id="run-no-sequences"),
+    pytest.param(["run", "--model", "{model}", "--input", "{inputs}", "--steps", "-1",
+                  "--out", "{out}"], "--steps must be >= 0", id="run-negative-steps"),
+    pytest.param(["verify", "--model", "{model}", "--cases", "0"],
+                 "--cases must be >= 1", id="verify-no-cases"),
+    pytest.param(["bench", "--model", "{model}", "--context", "8", "--steps", "0",
+                  "--out", "{out}"], "steps must be >= 1", id="bench-no-steps"),
+    pytest.param(["bench", "--model", "{model}", "--context", "8", "--repeats", "0",
+                  "--out", "{out}"], "repeats must be >= 1", id="bench-no-repeats"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED)
+def test_refused_arguments_exit_1_and_write_nothing(pipeline, tmp_path, capsys, argv, message):
+    """Each command refuses its bad arguments with a ValidationError: exit
+    1, its message on stderr, and no file written. A JSONL file of blank
+    lines holds no sequences."""
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n\n", encoding="utf-8")
+    paths = {"model": pipeline["model"], "inputs": pipeline["inputs"], "blank": str(blank),
+             "out": str(tmp_path / "out")}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["blank.jsonl"]
+
+
+def test_verify_draws_each_prompt_as_its_case_runs(pipeline, monkeypatch):
+    """verify asks the stream for one case's three values at a time, and a
+    seed draws the prompts that one draw of 3 * cases values gave."""
+    counts, prompts = [], []
+
+    def draw(seed, start, count):
+        counts.append(count)
+        return rng.splitmix64(seed, start, count)
+
+    monkeypatch.setattr(cli, "rng", SimpleNamespace(splitmix64=draw))
+    monkeypatch.setattr(oracle, "verify_case", lambda w, prompt, *a, **k: prompts.append(prompt))
+    assert main(["verify", "--model", pipeline["model"], "--cases", "6", "--seed", "7"]) == EXIT_OK
+    assert counts == [3] * 6
+    draws = rng.splitmix64(7, 0, 18)
+    assert prompts == [
+        synthetic_prompt(
+            VOCAB,
+            4 + int(draws[3 * case]) % 197,
+            seed=int(draws[3 * case + 2]) % (2**31),
+            visual_fraction=(int(draws[3 * case + 1]) % 3) / 4.0,
+        )
+        for case in range(6)
+    ]
 
 
 def test_random_plan_rejects_non_integer_spans(tmp_path):

@@ -12,7 +12,7 @@ from lazyattn import (
     rms_norm,
 )
 from lazyattn import kernels
-from lazyattn.kernels import apply_rope, head_matvec, matvec, silu
+from lazyattn.kernels import apply_rope, matvec, silu
 
 from helpers import gemm_nudged_at
 
@@ -38,6 +38,8 @@ def test_matmul_dim_mismatch():
             product(f32(np.ones((2, 3))), f32(np.ones((2, 3))))
         with pytest.raises(ValidationError):
             product(f32(np.ones((1, 2, 3))), f32(np.ones((3, 3))))
+        with pytest.raises(ValidationError):
+            product(f32(np.ones(3)), f32(np.ones((3, 3))))
 
 
 def per_row(a, b):
@@ -99,15 +101,15 @@ def test_matmul_deterministic_and_row_independent():
         assert np.array_equal(matvec(a, b), per_row(a, b))
     for rows in (1, 37):
         q = f32(rng.standard_normal((2, rows, 64)))
-        out = head_matvec(q, keys.transpose(0, 2, 1))
+        out = matvec(q, keys.transpose(0, 2, 1))
         attn = f32(rng.random((2, rows, 300)))
-        weighted = head_matvec(attn, keys)
+        weighted = matvec(attn, keys)
         for h in range(2):
             assert np.array_equal(out[h], per_row(q[h], keys[h].T))
             assert np.array_equal(weighted[h], per_row(attn[h], keys[h]))
     a = f32(rng.standard_normal((2, 512, 256)))
     b = f32(rng.standard_normal((2, 256, 512)))
-    out = head_matvec(a, b)
+    out = matvec(a, b)
     for h in range(2):
         assert np.array_equal(out[h], per_row(a[h], b[h]))
 
@@ -175,7 +177,7 @@ def test_tile_probe_catches_a_row_that_moves(monkeypatch):
     a = f32(rng.standard_normal((9, 64)))
     b = f32(rng.standard_normal((64, 96)))
     assert np.array_equal(matmul(a, b), matvec(a, b))
-    assert np.array_equal(head_matmul(a[None], b[None]), head_matvec(a[None], b[None]))
+    assert np.array_equal(head_matmul(a[None], b[None]), matvec(a[None], b[None]))
     assert kernels._TILES_HOLD == {(kernels.WIDE, 64, 96): False, (kernels.TILE, 64, 96): False}
 
 
@@ -376,9 +378,9 @@ def test_in_place_kernels_keep_the_written_out_bits():
 
 
 def test_head_matmul_rejects_bad_shapes():
-    for product in (head_matmul, head_matvec):
-        with pytest.raises(ValidationError):
-            product(f32(np.ones((2, 3))), f32(np.ones((3, 2))))
+    with pytest.raises(ValidationError):
+        head_matmul(f32(np.ones((2, 3))), f32(np.ones((3, 2))))
+    for product in (head_matmul, matvec):
         with pytest.raises(ValidationError):
             product(f32(np.ones((2, 1, 3))), f32(np.ones((3, 3, 2))))
         with pytest.raises(ValidationError):
@@ -519,6 +521,33 @@ def test_rope_rejects_odd_columns_and_bad_positions():
         apply_rope(f32(np.ones((2, 3))), [0, 1], 10000.0)
     with pytest.raises(ValidationError):
         apply_rope(f32(np.ones((2, 4))), [0], 10000.0)
+
+
+@pytest.mark.parametrize(
+    "positions",
+    [[0.5, 1.7], [0, 2**70], np.array([True, False]), np.array([0, 2**63], dtype=np.uint64)],
+    ids=["float", "past-int64", "bool", "uint64"],
+)
+def test_rope_refuses_non_integer_positions(positions):
+    """Rotary positions are integers: a float is not rounded into one, and
+    a position past the platform integer is refused, not overflowed."""
+    with pytest.raises(ValidationError, match="rotary positions must be integers"):
+        apply_rope(f32(np.ones((2, 4))), positions, 10000.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: masked_softmax_rows(f32([1.0, 2.0]), 0, 1.0), "at least 2-D"),
+        (lambda: masked_softmax_rows(f32([[1.0, 2.0]]), -1, 1.0), "row_offset"),
+        (lambda: rms_norm(f32([[1.0, 2.0]]), np.ones(2, np.float32), 0.0), "eps must be positive"),
+        (lambda: apply_rope(f32(np.ones((2, 4))), [0, 1], 0.0), "theta_base"),
+    ],
+    ids=["softmax-1d", "softmax-offset", "rms-eps", "rope-theta"],
+)
+def test_kernels_refuse_bad_arguments(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_kernels_keep_values_finite():

@@ -25,12 +25,13 @@ from lazyattn import (
     prefill,
     read_sequences_jsonl,
     save_checkpoint,
+    synthetic_prompt,
     write_sequences_jsonl,
 )
 from lazyattn.kernels import causal_blocks_hold, matmul, rms_norm, silu
 from lazyattn.oracle import oracle_prefill
 from lazyattn.model import atomic_write
-from lazyattn.rng import splitmix64
+from lazyattn.rng import Splitmix, splitmix64
 
 from helpers import HeadRecorder, make_model, random_prompt
 
@@ -74,6 +75,40 @@ def test_invalid_config_rejected():
             ModelConfig(n_layers=0, n_heads=2, d_model=16, d_head=8, d_ff=32, vocab_size=10),
             seed=0,
         )
+    with pytest.raises(ValidationError, match="d_head must be even"):
+        ModelConfig(n_layers=1, n_heads=2, d_model=6, d_head=3, d_ff=8, vocab_size=10).validate()
+
+
+def test_weights_validate_refuses_a_misshapen_tensor():
+    w = make_model(n_layers=2, seed=4)
+    w.validate()
+    w.final_gain = np.ones(w.config.d_model + 1, dtype=np.float32)
+    with pytest.raises(ValidationError, match="tensor final_gain has shape"):
+        w.validate()
+
+
+@pytest.mark.parametrize(
+    "draw, message",
+    [
+        (lambda: splitmix64(0, 0, -1), "count must be non-negative"),
+        (lambda: Splitmix(0).randint(0), "bound must be positive"),
+        (lambda: Splitmix(0).sample_without_replacement(2, 3), "sample larger than population"),
+    ],
+    ids=["negative-count", "empty-bound", "oversample"],
+)
+def test_rng_refuses_impossible_draws(draw, message):
+    with pytest.raises(ValueError, match=message):
+        draw()
+
+
+@pytest.mark.parametrize(
+    "length, visual_fraction, message",
+    [(0, 0.5, "length must be >= 1"), (4, 1.5, "visual_fraction must be in")],
+    ids=["empty", "fraction-above-one"],
+)
+def test_synthetic_prompt_refuses_bad_arguments(length, visual_fraction, message):
+    with pytest.raises(ValidationError, match=message):
+        synthetic_prompt(10, length, seed=0, visual_fraction=visual_fraction)
 
 
 def test_checkpoint_roundtrip_bytes(tmp_path):
@@ -296,6 +331,12 @@ def test_jsonl_roundtrip(tmp_path):
     back = read_sequences_jsonl(path)
     assert [s.token_ids for s in back] == [[1, 2, 3], [5]]
     assert [s.modality for s in back] == [[1, 0, 0], [0]]
+
+
+def test_jsonl_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "seqs.jsonl"
+    path.write_text('\n{"tokens": [1, 2]}\n  \n\n{"tokens": [5]}\n\n', encoding="utf-8")
+    assert [s.token_ids for s in read_sequences_jsonl(str(path))] == [[1, 2], [5]]
 
 
 def test_jsonl_bad_line_reports_position(tmp_path):

@@ -205,3 +205,14 @@ def test_plan_validation_errors(tmp_path):
     })
     with pytest.raises(PlanError, match="consecutive"):
         load_plan(path)
+
+    write({"mode": "gla", "n_layers": 0, "source": "threshold", "epsilon": 0.2, "blocks": []})
+    with pytest.raises(PlanError, match="n_layers must be >= 1"):
+        load_plan(path)
+
+    write({
+        "mode": "gla", "n_layers": 8, "source": "threshold", "epsilon": 0.2,
+        "blocks": [{"anchor": 1, "lazy": []}],
+    })
+    with pytest.raises(PlanError, match="has no lazy layers"):
+        load_plan(path)

@@ -6,6 +6,7 @@ import pytest
 
 from lazyattn import (
     AttentionCapture,
+    AttentionSnapshot,
     SimilarityProfile,
     TokenSequence,
     ValidationError,
@@ -195,6 +196,28 @@ def test_snapshot_validate_checks_every_full_matrix_row():
     snap.rows[1][2] *= 1.5  # a middle row; the last rows stay intact
     with pytest.raises(ValidationError, match="layer 1"):
         snap.validate()
+
+
+def test_snapshot_validate_refuses_empty_and_ragged_snapshots():
+    with pytest.raises(ValidationError, match="snapshot is empty"):
+        AttentionSnapshot().validate()
+    ragged = AttentionSnapshot([np.full((1, 2), 0.5), np.full((1, 3), 1 / 3)])
+    with pytest.raises(ValidationError, match="layer 1 attention has shape"):
+        ragged.validate()
+
+
+@pytest.mark.parametrize(
+    "S, message",
+    [
+        ([[0.0, 0.1], [0.2, 0.0]], "symmetric"),
+        ([[0.0, 0.8], [0.8, 0.0]], r"\[0, ln 2\]"),
+        ([[0.0, -0.1], [-0.1, 0.0]], r"\[0, ln 2\]"),
+    ],
+    ids=["asymmetric", "above-ln2", "negative"],
+)
+def test_similarity_profile_validate_refuses_bad_matrices(S, message):
+    with pytest.raises(ValidationError, match=message):
+        SimilarityProfile(n_layers=2, n_samples=1, S=np.array(S)).validate()
 
 
 @pytest.mark.parametrize("shape", [(4, 128, 128), (4, 1, 513), (2, 7, 7), (8, 300, 300)])

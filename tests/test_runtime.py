@@ -12,6 +12,7 @@ from lazyattn import (
     FlopMeter,
     LazyBlock,
     LazyPlan,
+    OracleMismatchError,
     TokenSequence,
     ValidationError,
     decode,
@@ -24,6 +25,7 @@ from lazyattn import (
     prune_visual_tokens,
     runtime,
 )
+from lazyattn.caches import CacheStore, QCache
 from lazyattn.planner import layer_anchors
 
 from helpers import (
@@ -143,6 +145,14 @@ def test_vla_lazy_layers_store_text_keys_only(model, prompt):
     for block in plan.blocks:
         for lazy in block.lazy_layers:
             assert store.layers[lazy].key_bytes == (prompt.n_text + 1) * d * 4
+
+
+def test_qcache_refuses_another_anchors_queries():
+    qcache = QCache()
+    qcache.publish(1, np.zeros((2, 3, 4), dtype=np.float32))
+    assert qcache.read(1).shape == (2, 3, 4)
+    with pytest.raises(ValidationError, match="holds layer 1's queries"):
+        qcache.read(4)
 
 
 def test_qcache_lifecycle_and_bound(model, prompt):
@@ -278,6 +288,28 @@ def test_prune_validation(model, prompt):
         prune_visual_tokens(store, capture.snapshot, 2, 1.5)
     with pytest.raises(ValidationError):
         prune_visual_tokens(store, capture.snapshot, 99, 0.5)
+    empty = CacheStore(model.config, None, prompt)
+    with pytest.raises(ValidationError, match="prefilled store"):
+        prune_visual_tokens(empty, capture.snapshot, 2, 0.5)
+
+
+@pytest.mark.parametrize("layer", [1.5, True, np.float64(1.0), "1"])
+def test_prune_refuses_a_non_integer_layer(model, prompt, layer):
+    """A prune layer is an integer, as a token id is: 1.5 is not read as a
+    float index, and True is not layer 1."""
+    capture = AttentionCapture()
+    _, store = prefill(model, prompt, two_block_plan(VLA), capture=capture)
+    with pytest.raises(ValidationError, match="not an integer"):
+        prune_visual_tokens(store, capture.snapshot, layer, 0.5)
+    assert store.prune_record is None
+
+
+@pytest.mark.parametrize("steps", [2.5, True, np.float32(2.0), -1])
+def test_generate_refuses_steps_that_are_not_a_count(model, prompt, steps):
+    logits, store = prefill(model, prompt)
+    with pytest.raises(ValidationError, match="steps must be an integer >= 0"):
+        generate(model, store, logits[-1], steps)
+    assert store.seq_len == len(prompt)
 
 
 @pytest.mark.parametrize("other", ["empty", "longer-prompt"])
@@ -509,6 +541,37 @@ def test_verify_case_runs_one_oracle_pass(model, monkeypatch):
         assert decoded == [generate(model, store, logits[-1], 5)]
 
 
+def test_verify_case_reports_a_generated_id_the_oracle_did_not_pick(model, monkeypatch):
+    """Where `generate` gives another id at step 1, replaying it keeps
+    production equal to the oracle row for row, so only the argmax check
+    catches it, and it names step 1."""
+    real = oracle.generate
+
+    def changed(weights, store, last_logits, steps):
+        ids = real(weights, store, last_logits, steps)
+        ids[1] = (ids[1] + 1) % weights.config.vocab_size
+        return ids
+
+    monkeypatch.setattr(oracle, "generate", changed)
+    tokens = random_prompt(np.random.default_rng(43), 96, length=12, visual_fraction=0.5)
+    with pytest.raises(OracleMismatchError, match="step 1: generated ids") as info:
+        oracle.verify_case(model, tokens, two_block_plan(GLA), steps=3)
+    assert info.value.case["step"] == 1
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda m, p: oracle_full_generate(m, p, 0), "steps must be >= 1"),
+        (lambda m, p: oracle.verify_case(m, p, None, steps=0), "verify_case needs steps >= 1"),
+    ],
+    ids=["full-generate", "verify-case"],
+)
+def test_oracle_refuses_fewer_than_one_step(model, prompt, run, message):
+    with pytest.raises(ValidationError, match=message):
+        run(model, prompt)
+
+
 def test_vla_clone_mid_decode_copies_merge_state(model):
     tokens = INTERLEAVED[0]
     plan = two_block_plan(VLA)
@@ -664,7 +727,7 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
     b = rng.standard_normal((48, 32), dtype=np.float32).T
     assert np.array_equal(kernels.matmul(a, b), kernels.matvec(a, np.ascontiguousarray(b)))
     a1, b1 = a[None], b[None]
-    assert np.array_equal(kernels.head_matmul(a1, b1), kernels.head_matvec(a1, b1.copy()))
+    assert np.array_equal(kernels.head_matmul(a1, b1), kernels.matvec(a1, b1.copy()))
     assert runtime.prefill_chunk(model.config.d_head, LONG) is None
     plan = None if mode is None else two_block_plan(mode)
     for tokens in (prompt, ONE_OWN_ROW, long_prompt("mid", 4)):
