@@ -27,6 +27,7 @@ from .model import (
     init_synthetic_model,
     load_checkpoint,
     read_sequences_jsonl,
+    require_int,
     save_checkpoint,
     synthetic_prompt,
 )
@@ -185,8 +186,7 @@ def cmd_run(args) -> int:
         raise ValidationError(f"input file {args.input} holds no sequences")
     tokens = sequences[0]
     plan = planner.load_plan(args.plan) if args.plan is not None else None
-    if args.steps < 0:
-        raise ValidationError("--steps must be >= 0")
+    require_int("--steps", args.steps, 0)
 
     capture = profiler.AttentionCapture() if args.prune_layer is not None else None
     meter = efficiency.FlopMeter()
@@ -203,8 +203,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.cases < 1:
-        raise ValidationError("--cases must be >= 1")
+    require_int("--cases", args.cases, 1)
     weights = load_checkpoint(args.model)
     plan = planner.load_plan(args.plan) if args.plan is not None else None
     vocab = weights.config.vocab_size

@@ -25,7 +25,7 @@ import numpy as np
 
 from .caches import CacheStore
 from .errors import ValidationError
-from .model import ModelConfig, ModelWeights, TokenSequence, synthetic_prompt
+from .model import ModelConfig, ModelWeights, TokenSequence, require_int, synthetic_prompt
 from .planner import GLA, LazyPlan
 from .runtime import generate, prefill, prefill_chunk
 
@@ -196,12 +196,9 @@ def bench_decode(
     and times `generate` over `steps` greedy steps. One untimed warm-up
     repeat runs first.
     """
-    if context_len < 1:
-        raise ValidationError("context_len must be >= 1")
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
-    if repeats < 1:
-        raise ValidationError("repeats must be >= 1")
+    context_len = require_int("context_len", context_len, 1)
+    steps = require_int("steps", steps, 1)
+    repeats = require_int("repeats", repeats, 1)
     tokens = synthetic_prompt(weights.config.vocab_size, context_len, seed, visual_fraction)
     logits, base = prefill(weights, tokens, plan)
 

@@ -82,12 +82,15 @@ not its rows, picks which columns a product runs on, in production and
 oracle alike (see `runtime`), so no contract asks that a product on the
 fused columns give a block the bits of the product on its view.
 
-Transcendentals (cos/sin for the rotary tables) are memoized per position
+Transcendentals (cos/sin for the rotary tables) are computed per position,
 so the same position always yields the same bits regardless of batch shape;
 +,-,*,/ and sqrt are correctly rounded by IEEE-754 and need no such care.
 The table of one (theta, half) keeps its rows contiguous over a range of
 positions, each row computed alone with one call shape, so a lookup is one
-gather rather than a Python loop. The elementwise kernels (`rms_norm`, the
+gather rather than a Python loop. Its cost is bounded by the rows asked
+for, never by a position: a request reaching past either end by more rows
+than the table or the request holds gets its rows computed alone and leaves
+the table as it is. The elementwise kernels (`rms_norm`, the
 softmax, `silu`) compute in place in their own buffers, in the operation
 order of their formulas, so they keep those formulas' bits.
 """
@@ -329,10 +332,9 @@ def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:
 
 class _RopeTable:
     """cos and sin rows of one (theta_base, half) for the positions lo,
-    lo + 1, ..., as contiguous (positions, half) arrays. Each row is filled
-    one position at a time with an identical call shape, so a position's
-    bits never depend on which other positions were requested; a lookup is
-    one gather."""
+    lo + 1, ..., as contiguous (positions, half) arrays. Every row is computed
+    alone with one call shape (`_alone`), so a position's bits never depend on
+    which other positions were requested; a lookup is one gather."""
 
     def __init__(self, theta_base: float, half: int):
         exponents = np.arange(half, dtype=np.float64) * (2.0 / (2 * half))
@@ -340,27 +342,30 @@ class _RopeTable:
         self.lo = 0
         self.cos = self.sin = np.empty((0, half), dtype=np.float32)
 
-    def _cover(self, first: int, last: int) -> None:
-        """Extend the table to positions first..last, at least doubling it
-        upwards, so decode's one new position a step refills nothing."""
-        lo, hi = self.lo, self.lo + len(self.cos)
-        new_lo = min(lo, first)
-        new_hi = hi if last < hi else max(last + 1, 2 * hi - lo)
-        cos = np.empty((new_hi - new_lo, self.freqs.shape[0]), dtype=np.float32)
-        sin = np.empty_like(cos)
-        cos[lo - new_lo : hi - new_lo] = self.cos
-        sin[lo - new_lo : hi - new_lo] = self.sin
-        for p in (*range(new_lo, lo), *range(hi, new_hi)):
-            angle = p * self.freqs
-            cos[p - new_lo] = np.cos(angle).astype(np.float32)
-            sin[p - new_lo] = np.sin(angle).astype(np.float32)
-        self.lo, self.cos, self.sin = new_lo, cos, sin
+    def _alone(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """The cos and sin rows of `positions`, each computed alone."""
+        shape = (len(positions), len(self.freqs))
+        cos = np.array([np.cos(p * self.freqs) for p in positions], np.float32).reshape(shape)
+        sin = np.array([np.sin(p * self.freqs) for p in positions], np.float32).reshape(shape)
+        return cos, sin
 
     def rows(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (len(positions), half) cos and sin rows, gathered."""
+        """The (len(positions), half) cos and sin rows: gathered from the table
+        grown to hold them, at least doubling upwards so that decode's next
+        position refills nothing, or computed alone out of its reach."""
         idx = positions - self.lo
         if len(idx) and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(self.cos)):
-            self._cover(int(np.minimum.reduce(positions)), int(np.maximum.reduce(positions)))
+            lo, hi = self.lo, self.lo + len(self.cos)
+            first, last = int(np.minimum.reduce(positions)), int(np.maximum.reduce(positions))
+            reach = max(hi - lo, len(positions))
+            if first < lo - reach or last >= hi + reach:
+                return self._alone(positions.tolist())
+            new_lo = min(lo, first)
+            new_hi = hi if last < hi else max(last + 1, 2 * hi - lo)
+            below, above = self._alone(range(new_lo, lo)), self._alone(range(hi, new_hi))
+            self.cos = np.concatenate([below[0], self.cos, above[0]])
+            self.sin = np.concatenate([below[1], self.sin, above[1]])
+            self.lo = new_lo
             idx = positions - self.lo
         return self.cos.take(idx, axis=0), self.sin.take(idx, axis=0)
 

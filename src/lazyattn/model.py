@@ -28,8 +28,9 @@ import json
 import math
 import os
 import secrets
+import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -59,11 +60,12 @@ class ModelConfig:
     rope_theta: float = 10000.0
     norm_eps: float = 1e-5
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
-        if self.n_layers < 1:
-            raise ValidationError("n_layers must be >= 1")
-        if min(self.n_heads, self.d_model, self.d_head, self.d_ff, self.vocab_size) < 1:
-            raise ValidationError("all dimensions must be >= 1")
+        for name in ("n_layers", "n_heads", "d_model", "d_head", "d_ff", "vocab_size"):
+            require_int(name, getattr(self, name), 1)
         if self.d_model != self.n_heads * self.d_head:
             raise ValidationError(
                 f"d_model ({self.d_model}) != n_heads*d_head ({self.n_heads}*{self.d_head})"
@@ -71,22 +73,13 @@ class ModelConfig:
         if self.d_head % 2 != 0:
             raise ValidationError("d_head must be even (rotary pairs)")
         # NaN fails every comparison, so this rejects it along with infinity.
-        if not (0 < self.rope_theta < np.inf and 0 < self.norm_eps < np.inf):
-            raise ValidationError("rope_theta and norm_eps must be finite and positive")
+        if not all(is_number(v) and 0 < v < np.inf for v in (self.rope_theta, self.norm_eps)):
+            raise ValidationError("rope_theta and norm_eps must be finite and positive numbers")
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
         try:
-            return ModelConfig(
-                n_layers=strict_int(d["n_layers"]),
-                n_heads=strict_int(d["n_heads"]),
-                d_model=strict_int(d["d_model"]),
-                d_head=strict_int(d["d_head"]),
-                d_ff=strict_int(d["d_ff"]),
-                vocab_size=strict_int(d["vocab_size"]),
-                rope_theta=strict_number(d["rope_theta"]),
-                norm_eps=strict_number(d["norm_eps"]),
-            )
+            return ModelConfig(**{f.name: d[f.name] for f in fields(ModelConfig)})
         except KeyError as exc:
             raise ManifestError(f"manifest config missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -144,9 +137,7 @@ class ModelWeights:
     lm_head: np.ndarray | None = None
 
     def validate(self) -> None:
-        c = self.config
-        c.validate()
-        expected = dict(_tensor_specs(c))
+        expected = dict(_tensor_specs(self.config))
         for name, arr in self.named_tensors():
             if tuple(arr.shape) != expected[name]:
                 raise ValidationError(
@@ -222,7 +213,7 @@ def init_synthetic_model(config: ModelConfig, seed: int) -> ModelWeights:
     from one global splitmix64 stream, consumed in manifest order with uniform
     values in [-1/sqrt(d_model), +1/sqrt(d_model)]. Identical (config, seed)
     therefore reproduces bit-identical checkpoints."""
-    config.validate()
+    seed = require_int("seed", seed)
     bound = 1.0 / float(np.sqrt(config.d_model))
     cursor = 0
     scratch = np.empty(max(math.prod(shape) for _, shape in _tensor_specs(config)), np.float32)
@@ -288,10 +279,6 @@ def load_checkpoint(path: str) -> ModelWeights:
     if manifest.get("dtype") != _DTYPE_TAG:
         raise ManifestError(f"unsupported dtype {manifest.get('dtype')!r}")
     config = ModelConfig.from_dict(manifest.get("config", {}))
-    try:
-        config.validate()
-    except ValidationError as exc:
-        raise ManifestError(f"invalid config in manifest: {exc}") from exc
 
     table = manifest.get("tensors")
     if not isinstance(table, list):
@@ -349,7 +336,7 @@ def _exact_ints(value, expected) -> bool:
     """`value == expected` (an int or a list of ints), with every number in
     `value` a JSON integer as read: 16.0 and true are not 16."""
     items = value if isinstance(value, list) else [value]
-    return value == expected and all(type(n) is int for n in items)
+    return value == expected and all(is_int(n) for n in items)
 
 
 def parse_json(data: bytes, error: type[Exception], where: str):
@@ -366,23 +353,21 @@ def is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def strict_int(value) -> int:
-    """A JSON integer as read; a float, bool or string raises TypeError,
-    which each reader maps onto its own error."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
+def require_int(name: str, value, low: int | None = None) -> int:
+    """`value` as an int if it is an integer (see `is_int`) of at least `low`
+    when given, else ValidationError: the check of every count and seed."""
+    if not is_int(value):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    return int(value)
 
 
-def strict_number(value) -> float:
-    """A JSON number as read; a bool, string or null raises TypeError, and an
-    integer past the float range ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError as exc:
-        raise ValueError("integer too large for a float") from exc
+def is_number(value) -> bool:
+    """Whether `value` is a float, or an integer (see `is_int`) in float range."""
+    if is_int(value):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, (float, np.floating))
 
 
 def atomic_write(path: str, data: bytes | memoryview | str | Iterable) -> None:
@@ -456,10 +441,11 @@ def read_sequences_jsonl(path: str) -> list[TokenSequence]:
             rec = parse_json(line, ValidationError, f"{path}:{lineno}")
             if not isinstance(rec, dict) or "tokens" not in rec:
                 raise ValidationError(f"{path}:{lineno}: missing 'tokens' field")
+            tokens = rec["tokens"]
+            if not isinstance(tokens, list) or not all(map(is_int, tokens)):
+                raise ValidationError(f"{path}:{lineno}: token ids must be a list of integers")
             try:
-                tokens = [strict_int(t) for t in rec["tokens"]]
-                modality = [strict_int(m) for m in rec.get("modality", [TEXT] * len(tokens))]
-                out.append(TokenSequence(tokens, modality))
+                out.append(TokenSequence(tokens, rec.get("modality", [TEXT] * len(tokens))))
             except (TypeError, ValueError) as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return out
@@ -477,9 +463,10 @@ def synthetic_prompt(
     vocab_size: int, length: int, seed: int, visual_fraction: float = 0.0
 ) -> TokenSequence:
     """Deterministic prompt: a leading visual span followed by text tokens."""
-    if length < 1:
-        raise ValidationError("prompt length must be >= 1")
-    if not 0.0 <= visual_fraction <= 1.0:
+    vocab_size = require_int("vocab_size", vocab_size, 1)
+    length = require_int("length", length, 1)
+    seed = require_int("seed", seed)
+    if not is_number(visual_fraction) or not 0.0 <= visual_fraction <= 1.0:
         raise ValidationError("visual_fraction must be in [0, 1]")
     ids = [int(v % vocab_size) for v in rng.splitmix64(seed, 0, length)]
     n_visual = int(round(visual_fraction * length))

@@ -21,8 +21,8 @@ of w_qkv for its own rows; the whole w_gate_up for every MLP. Attention has
 one path, `_attention`, per head: the prompt rows' causal square on
 `head_matmul`'s 4-row tiles with the blocked softmax row sum, as prefill
 computes it; then each decoded row alone over its visible columns, on
-`matvec` with the plain row sum, as a decode step computes it. A prune
-cuts a prefilled store, so a record that cuts into the prompt is refused;
+`matvec` with the plain row sum, as a decode step computes it. A record
+that is no prune of the prompt is refused (a prune cuts a prefilled store);
 in a layer the prune cut, the rows after it see the kept columns.
 """
 
@@ -44,7 +44,7 @@ from .kernels import (
     rms_norm,
     silu,
 )
-from .model import TokenSequence
+from .model import TokenSequence, is_int, require_int
 from .planner import GLA, LazyPlan, layer_anchors
 from .runtime import _validate_tokens, decode, generate, prefill
 
@@ -112,8 +112,15 @@ def oracle_prefill(
     config = weights.config
     _validate_tokens(tokens.token_ids, config.vocab_size)
     n_prompt = len(tokens)
-    if prune is not None and prune.prompt_len < n_prompt:
-        raise ValidationError(f"prune at {prune.prompt_len} tokens cuts a {n_prompt}-token prompt")
+    if prune is not None:
+        removed = prune.removed
+        visual = set(np.flatnonzero(tokens.modality).tolist())
+        if prune.prompt_len < n_prompt:
+            raise ValidationError(f"prune at {prune.prompt_len} tokens cuts a {n_prompt}-token prompt")
+        if not is_int(prune.layer) or not 0 <= prune.layer < config.n_layers:
+            raise ValidationError(f"prune layer {prune.layer!r} is not a layer of the model")
+        if not all(map(is_int, removed)) or len(set(removed)) < len(removed) or set(removed) - visual:
+            raise ValidationError(f"prune removes {removed!r}, not distinct visual prompt positions")
     tokens = TokenSequence(
         list(tokens.token_ids) + list(decoded), list(tokens.modality) + [0] * len(decoded)
     )
@@ -168,8 +175,7 @@ def oracle_full_generate(
 ) -> list[int]:
     """Greedy ids via repeated full-sequence recomputation (no caches): each
     id is the argmax of the last row with every earlier id decoded."""
-    if steps < 1:
-        raise ValidationError("steps must be >= 1")
+    require_int("steps", steps, 1)
     ids: list[int] = []
     for _ in range(steps):
         logits = oracle_prefill(weights, tokens, plan, prune, decoded=ids)
@@ -200,8 +206,7 @@ def verify_case(
     must be the argmax of the oracle row before it; by induction the ids
     are then oracle_full_generate's.
     """
-    if steps < 1:
-        raise ValidationError("verify_case needs steps >= 1")
+    require_int("steps", steps, 1)
     case = dict(tokens=tokens.token_ids, modality=tokens.modality, steps=steps)
     case["plan"] = None if plan is None else plan.to_dict()
 

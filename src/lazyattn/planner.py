@@ -6,15 +6,18 @@ anchors the block and computes queries/keys normally, the rest inherit them.
 Planning is a greedy left-to-right scan, optionally capped by a maximum
 block span. A seeded random planner with matched block sizes provides the
 sanity-check baseline.
+
+A plan and its blocks are checked once, when they are built, and are frozen
+afterwards, so every pass that reads a plan reads a valid one.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import PlanError, ValidationError
-from .model import atomic_write, parse_json, strict_int, strict_number
+from .model import atomic_write, is_int, is_number, parse_json, require_int
 from .rng import Splitmix
 
 GLA = "gla"
@@ -29,6 +32,10 @@ class LazyBlock:
     anchor: int
     lazy_layers: tuple[int, ...]
 
+    def __post_init__(self):
+        if not isinstance(self.lazy_layers, tuple) or not all(map(is_int, self.layers())):
+            raise PlanError(f"block {self.anchor!r}, {self.lazy_layers!r}: need a tuple of ints")
+
     @property
     def n(self) -> int:
         return len(self.lazy_layers)
@@ -37,29 +44,38 @@ class LazyBlock:
         return (self.anchor,) + self.lazy_layers
 
 
-@dataclass
+@dataclass(frozen=True)
 class LazyPlan:
     mode: str
     n_layers: int
-    blocks: list[LazyBlock] = field(default_factory=list)
+    blocks: tuple[LazyBlock, ...] = ()
     source: str = SOURCE_THRESHOLD
     epsilon: float | None = None
     seed: int | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.blocks, (list, tuple)) or not all(
+            isinstance(b, LazyBlock) for b in self.blocks
+        ):
+            raise PlanError(f"blocks must be a list of LazyBlocks, got {self.blocks!r}")
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        self.validate()
 
     def validate(self) -> None:
         if self.mode not in (GLA, VLA):
             raise PlanError(f"mode must be '{GLA}' or '{VLA}', got {self.mode!r}")
         if self.source not in (SOURCE_THRESHOLD, SOURCE_RANDOM):
             raise PlanError(f"unknown plan source {self.source!r}")
-        if self.n_layers < 1:
-            raise PlanError("n_layers must be >= 1")
-        if self.epsilon is not None and not 0.0 < self.epsilon <= 1.0:
-            raise PlanError(f"epsilon must be in (0, 1], got {self.epsilon}")
+        require_int("n_layers", self.n_layers, 1)
+        if self.seed is not None:
+            require_int("seed", self.seed)
+        if self.epsilon is not None and not (is_number(self.epsilon) and 0.0 < self.epsilon <= 1.0):
+            raise PlanError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
         prev_end = -1
         for b in self.blocks:
             if b.n < 1:
                 raise PlanError(f"block anchored at {b.anchor} has no lazy layers")
-            if tuple(b.lazy_layers) != tuple(range(b.anchor + 1, b.anchor + 1 + b.n)):
+            if b.lazy_layers != tuple(range(b.anchor + 1, b.anchor + 1 + b.n)):
                 raise PlanError(
                     f"block anchored at {b.anchor}: lazy layers {list(b.lazy_layers)} are not "
                     "consecutive immediately after the anchor"
@@ -97,24 +113,19 @@ class LazyPlan:
     @staticmethod
     def from_dict(d: dict) -> "LazyPlan":
         try:
-            if not isinstance(d["blocks"], list):
-                raise TypeError(f"blocks must be a list, got {d['blocks']!r}")
-            blocks = [
-                LazyBlock(strict_int(b["anchor"]), tuple(strict_int(x) for x in b["lazy"]))
-                for b in d["blocks"]
-            ]
-            plan = LazyPlan(
+            blocks = d["blocks"]
+            if isinstance(blocks, list):
+                blocks = [LazyBlock(b["anchor"], tuple(b["lazy"])) for b in blocks]
+            return LazyPlan(
                 mode=d["mode"],
-                n_layers=strict_int(d["n_layers"]),
+                n_layers=d["n_layers"],
                 blocks=blocks,
                 source=d.get("source", SOURCE_THRESHOLD),
-                epsilon=strict_number(d["epsilon"]) if "epsilon" in d else None,
-                seed=strict_int(d["seed"]) if "seed" in d else None,
+                epsilon=d.get("epsilon"),
+                seed=d.get("seed"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise PlanError(f"malformed plan: {exc}") from exc
-        plan.validate()
-        return plan
 
 
 def layer_anchors(plan: LazyPlan | None, n_layers: int) -> list[int]:
@@ -123,7 +134,6 @@ def layer_anchors(plan: LazyPlan | None, n_layers: int) -> list[int]:
     anchors = list(range(n_layers))
     if plan is None:
         return anchors
-    plan.validate()
     if plan.n_layers != n_layers:
         raise ValidationError(
             f"plan covers {plan.n_layers} layers but the model has {n_layers}"
@@ -135,9 +145,7 @@ def layer_anchors(plan: LazyPlan | None, n_layers: int) -> list[int]:
 
 
 def empty_plan(mode: str, n_layers: int) -> LazyPlan:
-    plan = LazyPlan(mode=mode, n_layers=n_layers, blocks=[], epsilon=1.0)
-    plan.validate()
-    return plan
+    return LazyPlan(mode=mode, n_layers=n_layers, epsilon=1.0)
 
 
 def plan_from_profile(
@@ -150,10 +158,10 @@ def plan_from_profile(
     epsilon (and the span stays under max_block_span, when given). The
     block's first layer is the anchor.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"epsilon must be in (0, 1], got {epsilon}")
-    if max_block_span is not None and max_block_span < 2:
-        raise ValidationError("max_block_span must be >= 2 (anchor plus one lazy layer)")
+    if not is_number(epsilon) or not 0.0 < epsilon <= 1.0:
+        raise ValidationError(f"epsilon must be in (0, 1], got {epsilon!r}")
+    if max_block_span is not None:
+        require_int("max_block_span", max_block_span, 2)
     adj = profile.adjacent()
     n_layers = profile.n_layers
     blocks: list[LazyBlock] = []
@@ -176,11 +184,9 @@ def plan_from_profile(
         # adj[i] connects the block's last lazy layer to the next layer and
         # cannot be consumed (that layer is taken); resume one past it.
         i += 1
-    plan = LazyPlan(
+    return LazyPlan(
         mode=mode, n_layers=n_layers, blocks=blocks, source=SOURCE_THRESHOLD, epsilon=epsilon
     )
-    plan.validate()
-    return plan
 
 
 def plan_random(
@@ -193,10 +199,11 @@ def plan_random(
     and bars), so every feasible placement of the ordered spans is equally
     likely.
     """
+    n_layers = require_int("n_layers", n_layers, 1)
+    seed = require_int("seed", seed)
     n_blocks = len(layers_per_block)
     for span in layers_per_block:
-        if span < 2:
-            raise ValidationError("each block needs span >= 2 (anchor plus one lazy layer)")
+        require_int("each block's span", span, 2)
     used = sum(layers_per_block)
     free = n_layers - used
     if free < 0:
@@ -221,19 +228,16 @@ def plan_random(
             LazyBlock(anchor=cursor, lazy_layers=tuple(range(cursor + 1, cursor + span)))
         )
         cursor += span
-    plan = LazyPlan(
+    return LazyPlan(
         mode=mode,
         n_layers=n_layers,
         blocks=blocks,
         source=SOURCE_RANDOM,
         seed=seed,
     )
-    plan.validate()
-    return plan
 
 
 def save_plan(plan: LazyPlan, path: str) -> None:
-    plan.validate()
     atomic_write(path, json.dumps(plan.to_dict(), indent=2) + "\n")
 
 

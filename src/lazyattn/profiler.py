@@ -5,6 +5,9 @@ attention distribution for the final token (the full matrix behind a flag
 for small sequences). Similarity between two layers is the Jensen-Shannon
 divergence of those distributions, averaged over the corpus, giving the
 symmetric matrix S with values in [0, ln 2] (natural log throughout).
+
+A profile is checked once, when it is built, and cannot change afterwards:
+its fields are frozen and it holds S as a read-only float64 copy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .model import atomic_write, parse_json, strict_int, strict_number
+from .model import atomic_write, is_number, parse_json, require_int
 
 LN2 = math.log(2.0)
 
@@ -112,17 +115,27 @@ class AttentionCapture:
         self.snapshot.rows.append(rows.sum(axis=0, dtype=np.float64) / len(head_attn))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimilarityProfile:
     n_layers: int
     n_samples: int
     S: np.ndarray  # (n_layers, n_layers) float64, symmetric, zero diagonal
 
+    def __post_init__(self):
+        # Cell by cell: in nested lists (as JSON holds S) no bool or string is a number.
+        cells = np.asarray(self.S, dtype=object)
+        if cells.ndim != 2 or not all(map(is_number, cells.flat)):
+            raise ValidationError("S must be a matrix of numbers")
+        S = cells.astype(np.float64)
+        S.flags.writeable = False
+        object.__setattr__(self, "S", S)
+        self.validate()
+
     def validate(self) -> None:
+        require_int("n_layers", self.n_layers, 1)
+        require_int("n_samples", self.n_samples, 1)
         if self.S.shape != (self.n_layers, self.n_layers):
             raise ValidationError(f"S has shape {self.S.shape}, expected square n_layers")
-        if self.n_samples < 1:
-            raise ValidationError("n_samples must be >= 1")
         if not np.allclose(self.S, self.S.T, atol=1e-12):
             raise ValidationError("S must be symmetric")
         if np.any(np.abs(np.diag(self.S)) > 1e-12):
@@ -144,15 +157,9 @@ class SimilarityProfile:
     @staticmethod
     def from_dict(d: dict) -> "SimilarityProfile":
         try:
-            profile = SimilarityProfile(
-                n_layers=strict_int(d["n_layers"]),
-                n_samples=strict_int(d["n_samples"]),
-                S=np.array([[strict_number(v) for v in row] for row in d["S"]]),
-            )
+            return SimilarityProfile(n_layers=d["n_layers"], n_samples=d["n_samples"], S=d["S"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed profile: {exc}") from exc
-        profile.validate()
-        return profile
 
 
 def profile_model(weights, corpus, full_matrix: bool = False) -> SimilarityProfile:
@@ -187,13 +194,10 @@ def profile_model(weights, corpus, full_matrix: bool = False) -> SimilarityProfi
                 S[a, b] += float(np.mean(_js_rows(snap.rows[a], snap.rows[b])))
     S /= len(corpus)
     S = S + S.T
-    profile = SimilarityProfile(n_layers=n_layers, n_samples=len(corpus), S=S)
-    profile.validate()
-    return profile
+    return SimilarityProfile(n_layers=n_layers, n_samples=len(corpus), S=S)
 
 
 def save_profile(profile: SimilarityProfile, path: str) -> None:
-    profile.validate()
     atomic_write(path, json.dumps(profile.to_dict(), indent=2) + "\n")
 
 

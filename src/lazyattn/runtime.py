@@ -91,7 +91,7 @@ from .kernels import (
     rms_norm,
     silu,
 )
-from .model import ModelWeights, TokenSequence, is_int
+from .model import ModelWeights, TokenSequence, is_int, require_int
 from .planner import LazyPlan
 
 # Query rows per block of block-causal prefill attention.
@@ -300,8 +300,7 @@ def generate(
     a prune cut), from its last logits: argmax feedback, ties broken by
     lowest index. Returns the `steps` ids; the store is mutated in place.
     """
-    if not is_int(steps) or steps < 0:
-        raise ValidationError(f"steps must be an integer >= 0, got {steps!r}")
+    require_int("steps", steps, 0)
     ids: list[int] = []
     for _ in range(steps):
         t = int(np.argmax(last_logits))

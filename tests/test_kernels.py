@@ -326,9 +326,10 @@ def rope_reference(x, positions, theta):
 
 
 def test_rope_table_rows_equal_per_position_rows(monkeypatch):
-    """Gathered table rows give the per-position bits for any order, for
-    repeats, for negative positions and for positions past the table's end,
-    however the table grew to hold them."""
+    """Table rows give the per-position bits for any order, for repeats, for
+    negative positions and for positions past the table's end, whether the
+    table grew to hold them or they lay out of its reach and were computed
+    alone."""
     monkeypatch.setattr(kernels, "_ROPE_TABLES", {})
     rng = np.random.default_rng(17)
     for positions in (
@@ -346,7 +347,24 @@ def test_rope_table_rows_equal_per_position_rows(monkeypatch):
             apply_rope(x, np.asarray(positions), 10000.0), rope_reference(x, positions, 10000.0)
         )
     table = kernels._ROPE_TABLES[(10000.0, 8)]
-    assert table.lo == -21 and len(table.cos) >= 902 + 21
+    # [40, 2, 39], [-20] and [900, -21, 901] lay out of reach of the table
+    # then, so only the other requests grew it.
+    assert table.lo == -3 and len(table.cos) == 64 + 3
+
+
+def test_rope_table_size_is_bounded_by_the_rows_requested(monkeypatch):
+    """Two rows at positions 0 and 2**18 get their own bits without the
+    table filling every position between them; decode's next position
+    still doubles the table."""
+    monkeypatch.setattr(kernels, "_ROPE_TABLES", {})
+    x = f32(np.random.default_rng(19).standard_normal((2, 2, 16)))
+    positions = [0, 2**18]
+    assert np.array_equal(apply_rope(x, positions, 10000.0), rope_reference(x, positions, 10000.0))
+    table = kernels._ROPE_TABLES[(10000.0, 8)]
+    assert len(table.cos) <= 4096
+    apply_rope(f32(np.ones((512, 2, 16))), range(512), 10000.0)  # a prefill
+    apply_rope(x[:1], [512], 10000.0)  # its first decode step
+    assert (table.lo, len(table.cos)) == (0, 1024)
 
 
 def test_joint_rope_equals_two_calls():

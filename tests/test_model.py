@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -16,9 +17,11 @@ from lazyattn import (
     LazyPlan,
     ManifestError,
     ModelConfig,
+    SimilarityProfile,
     TokenSequence,
     TruncatedWeightsError,
     ValidationError,
+    bench_decode,
     decode,
     init_synthetic_model,
     load_checkpoint,
@@ -29,7 +32,8 @@ from lazyattn import (
     write_sequences_jsonl,
 )
 from lazyattn.kernels import causal_blocks_hold, matmul, rms_norm, silu
-from lazyattn.oracle import oracle_prefill
+from lazyattn.oracle import oracle_full_generate, oracle_prefill
+from lazyattn.planner import plan_random
 from lazyattn.model import atomic_write
 from lazyattn.rng import Splitmix, splitmix64
 
@@ -85,6 +89,59 @@ def test_weights_validate_refuses_a_misshapen_tensor():
     w.final_gain = np.ones(w.config.d_model + 1, dtype=np.float32)
     with pytest.raises(ValidationError, match="tensor final_gain has shape"):
         w.validate()
+
+
+CONFIG = dict(n_layers=2, n_heads=2, d_model=16, d_head=8, d_ff=32, vocab_size=96)
+PROMPT = TokenSequence([5, 9, 1, 40], [1, 1, 0, 0])
+
+# Non-integer counts, seeds and integer fields: each is refused with
+# ValidationError, neither accepted nor left to raise a raw TypeError.
+NOT_COUNTS = {
+    "full-generate-steps-float": lambda w: oracle_full_generate(w, PROMPT, 2.5),
+    "full-generate-steps-bool": lambda w: oracle_full_generate(w, PROMPT, True),
+    "bench-repeats-float": lambda w: bench_decode(w, None, 8, 2, repeats=1.5),
+    "bench-context-float": lambda w: bench_decode(w, None, context_len=10.5, steps=2, repeats=1),
+    "prompt-length-float": lambda w: synthetic_prompt(96, 2.5, 1),
+    "config-n_layers-float": lambda w: ModelConfig(**{**CONFIG, "n_layers": 2.5}),
+    "config-vocab-bool": lambda w: ModelConfig(**{**CONFIG, "vocab_size": True}),
+    "plan-block-floats": lambda w: LazyPlan(GLA, 2, blocks=[LazyBlock(0.0, (1.0,))]),
+    "plan-n_layers-float": lambda w: LazyPlan(GLA, n_layers=2.0),
+    "random-n_layers-float": lambda w: plan_random(8.0, [2], 1),
+    "random-span-float": lambda w: plan_random(8, [2.0], 1),
+    "random-seed-float": lambda w: plan_random(8, [2], 1.5),
+    "profile-n_samples-float": lambda w: SimilarityProfile(3, 1.5, np.zeros((3, 3))),
+}
+
+
+@pytest.mark.parametrize("build", NOT_COUNTS.values(), ids=NOT_COUNTS.keys())
+def test_non_integer_counts_and_fields_are_refused(small_model, build):
+    """Every count, seed and integer field goes through one integer rule,
+    which raises ValidationError (PlanError for a plan's own rules)."""
+    with pytest.raises(ValidationError):
+        build(small_model)
+
+
+def test_configs_plans_and_profiles_cannot_change_after_they_are_built():
+    """Each is checked once, when built: its fields are frozen, a plan holds
+    its blocks as a tuple, and a profile holds a read-only copy of S."""
+    S = np.zeros((2, 2))
+    profile = SimilarityProfile(2, 1, S)
+    plan = LazyPlan(GLA, 4, blocks=[LazyBlock(0, (1,))])
+    assert plan.blocks == (LazyBlock(0, (1,)),)
+    edits = [
+        (ModelConfig(**CONFIG), "n_layers", 3),
+        (plan, "n_layers", 8),
+        (plan.blocks[0], "anchor", 2),
+        (profile, "n_samples", 0),
+        (profile, "S", S),
+    ]
+    for built, name, value in edits:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, value)
+    with pytest.raises(ValueError, match="read-only"):
+        profile.S[0, 1] = 0.5
+    S[0, 1] = S[1, 0] = 0.5
+    assert not profile.S.any()
 
 
 @pytest.mark.parametrize(

@@ -15,14 +15,12 @@ from lazyattn import (
     save_plan,
 )
 from lazyattn.planner import layer_anchors
+from lazyattn.profiler import LN2
 
 
 def profile_from_adjacent(adj):
-    """Profile whose only meaningful entries are the adjacent similarities.
-
-    Built directly (not via the validated loader) so tests can use the
-    illustrative adjacent values above ln 2.
-    """
+    """Profile whose only meaningful entries are the adjacent similarities,
+    each in [0, ln 2] as the constructor requires."""
     n = len(adj) + 1
     S = np.zeros((n, n))
     for i, v in enumerate(adj):
@@ -35,18 +33,18 @@ def blocks_of(plan):
 
 
 def test_plan_nothing_below_threshold():
-    plan = plan_from_profile(profile_from_adjacent([0.9, 0.9, 0.9]), 0.5)
-    assert plan.blocks == []
+    plan = plan_from_profile(profile_from_adjacent([0.6, 0.6, 0.6]), 0.5)
+    assert plan.blocks == ()
     assert plan.lazy_fraction() == 0.0
 
 
 def test_plan_single_block_scan():
-    plan = plan_from_profile(profile_from_adjacent([0.01, 0.01, 0.9]), 0.05)
+    plan = plan_from_profile(profile_from_adjacent([0.01, 0.01, 0.6]), 0.05)
     assert blocks_of(plan) == [(0, [1, 2])]
 
 
 def test_plan_discontinuity_splits_blocks():
-    plan = plan_from_profile(profile_from_adjacent([0.01, 0.9, 0.01]), 0.05)
+    plan = plan_from_profile(profile_from_adjacent([0.01, 0.6, 0.01]), 0.05)
     assert blocks_of(plan) == [(0, [1]), (2, [3])]
 
 
@@ -75,10 +73,10 @@ def test_threshold_monotonicity_random_profiles():
     rng = np.random.default_rng(12)
     for trial in range(30):
         n = int(rng.integers(3, 20))
-        adj = rng.random(n - 1)
+        adj = rng.random(n - 1) * LN2
         prof = profile_from_adjacent(adj.tolist())
         span = None if trial % 2 == 0 else int(rng.integers(2, 6))
-        eps = sorted(rng.random(4) * 0.999 + 1e-6)
+        eps = sorted((rng.random(4) * 0.999 + 1e-6) * LN2)
         lazies = [plan_from_profile(prof, e, max_block_span=span).n_lazy for e in eps]
         assert lazies == sorted(lazies), (adj, eps, span, lazies)
 
@@ -86,8 +84,8 @@ def test_threshold_monotonicity_random_profiles():
 def test_anchor_precedes_lazy_layers_everywhere():
     rng = np.random.default_rng(13)
     for _ in range(20):
-        prof = profile_from_adjacent(rng.random(10).tolist())
-        plan = plan_from_profile(prof, 0.5)
+        prof = profile_from_adjacent((rng.random(10) * LN2).tolist())
+        plan = plan_from_profile(prof, 0.5 * LN2)
         for b in plan.blocks:
             assert all(b.anchor < l for l in b.lazy_layers)
 

@@ -25,7 +25,7 @@ from lazyattn import (
     prune_visual_tokens,
     runtime,
 )
-from lazyattn.caches import CacheStore, QCache
+from lazyattn.caches import CacheStore, PruneRecord, QCache
 from lazyattn.planner import layer_anchors
 
 from helpers import (
@@ -307,7 +307,7 @@ def test_prune_refuses_a_non_integer_layer(model, prompt, layer):
 @pytest.mark.parametrize("steps", [2.5, True, np.float32(2.0), -1])
 def test_generate_refuses_steps_that_are_not_a_count(model, prompt, steps):
     logits, store = prefill(model, prompt)
-    with pytest.raises(ValidationError, match="steps must be an integer >= 0"):
+    with pytest.raises(ValidationError, match="steps must be (an integer|>= 0)"):
         generate(model, store, logits[-1], steps)
     assert store.seq_len == len(prompt)
 
@@ -339,6 +339,31 @@ def test_oracle_refuses_a_prune_inside_the_prompt(model, prompt):
     short = spec._replace(prompt_len=len(prompt) - 1)
     with pytest.raises(ValidationError, match="cuts a 8-token prompt"):
         oracle_prefill(model, prompt, prune=short)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        dict(removed=(99,)),
+        dict(removed=(1.5,)),
+        dict(removed=(9,)),
+        dict(removed=(1, 1)),
+        dict(layer=7),
+        dict(layer=-1),
+    ],
+    ids=[
+        "past-the-prompt", "float", "text-position", "repeated", "layer-past-model", "layer-negative"
+    ],
+)
+def test_oracle_refuses_a_record_that_is_no_prune_of_the_prompt(edit):
+    """A prune record removes distinct visual positions of the prompt after
+    a layer of the model; the oracle refuses any other with ValidationError."""
+    two_layers = make_model(n_layers=2, seed=22)
+    tokens = TokenSequence(list(range(1, 11)), [1] * 5 + [0] * 5)
+    record = PruneRecord(layer=0, removed=(1, 3), prompt_len=10)
+    oracle_prefill(two_layers, tokens, prune=record, decoded=[4, 8])
+    with pytest.raises(ValidationError, match="prune"):
+        oracle_prefill(two_layers, tokens, prune=record._replace(**edit), decoded=[4, 8])
 
 
 def test_pruned_store_matches_prune_aware_oracle(model, prompt):
@@ -563,7 +588,7 @@ def test_verify_case_reports_a_generated_id_the_oracle_did_not_pick(model, monke
     "run, message",
     [
         (lambda m, p: oracle_full_generate(m, p, 0), "steps must be >= 1"),
-        (lambda m, p: oracle.verify_case(m, p, None, steps=0), "verify_case needs steps >= 1"),
+        (lambda m, p: oracle.verify_case(m, p, None, steps=0), "steps must be >= 1"),
     ],
     ids=["full-generate", "verify-case"],
 )
