@@ -27,7 +27,7 @@ from .caches import CacheStore
 from .errors import ValidationError
 from .model import ModelConfig, ModelWeights, TokenSequence, require_int, synthetic_prompt
 from .planner import GLA, LazyPlan
-from .runtime import generate, prefill, prefill_chunk
+from .runtime import CHUNK, generate, prefill
 
 STANDARD = "standard"
 
@@ -160,11 +160,9 @@ def standard_prefill_flops(config: ModelConfig, s: int) -> int:
     the Q/K/V/output projections, the MLP and the LM head over s rows, and
     the scores and weighted sum over the query-key pairs block-causal
     attention computes: each block of `runtime.CHUNK` query rows against
-    the keys up to its last row (s * s where the kernels run attention as
-    one square, see `runtime.prefill_chunk`)."""
+    the keys up to its last row, at any s."""
     d, ff, v = config.d_model, config.d_ff, config.vocab_size
-    chunk = prefill_chunk(config.d_head, s) or s
-    blocks = [(start, min(start + chunk, s)) for start in range(0, s, chunk)]
+    blocks = [(start, min(start + CHUNK, s)) for start in range(0, s, CHUNK)]
     pairs = sum((stop - start) * stop for start, stop in blocks)
     per_layer = 4 * s * d * d + 2 * pairs * d + 3 * s * d * ff
     return 2 * (config.n_layers * per_layer + s * d * v)

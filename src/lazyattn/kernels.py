@@ -25,14 +25,14 @@ the MLP, the LM head) and gives a row the bits of a WIDE = 64-row tile,
 which depend on (k, n) alone. It runs one GEMM over all its rows, padded
 to a multiple of WIDE, so BLAS packs the weight once per product rather
 than once per tile. `head_matmul` is the attention product (scores and
-weighted sum) and keeps TILE = 4-row tiles, because attention also needs
-length invariance (below), and the wide tiles lose it: probed on OpenBLAS
-0.3.31 (Haswell kernels, 2 threads), 64-row tiles change a weighted-sum
-row's bits when k grows by zero terms at every width from 448 up, and at
-(k, n) = (512, 256), so block-causal prefill would fall back to one
-square. The widths agree in bits at k = 256 but not at k = 512, so
-production and oracle must give each product the same width: weight
-products go through `matmul`, attention products through `head_matmul`.
+weighted sum) and keeps TILE = 4-row tiles, because they keep length
+invariance (below) where the wide tiles lose it: on OpenBLAS 0.3.31
+(Haswell kernels, 2 threads), 64-row tiles change a weighted-sum row's
+bits when k grows by zero terms at every width from 448 up, and at
+(k, n) = (512, 256). The widths agree in bits at k = 256 but not at
+k = 512, so production and oracle must give each product the same width:
+weight products go through `matmul`, attention products through
+`head_matmul`.
 
 The tiles are also length-invariant: k and n are zero-padded to multiples
 of LANE (16) and the logical result sliced back out. Then a column of the
@@ -44,7 +44,13 @@ how many masked (zero) weights. The model's weight shapes are multiples of
 softmax does its part in `masked_softmax_rows`, whose blocked row sum does
 not depend on how many masked columns follow a row. So a block of query
 rows attended against a prefix of the keys gets the bits the full square
-gives those rows, which lets prefill skip the masked triangle.
+gives those rows: `prefill(tokens[:L])` equals `prefill(tokens)[:L]`, and
+any block size gives the bits of one square. Tests pin this property; no
+run-time probe checks it, and no oracle contract needs it, since the oracle
+attends the prompt rows in prefill's own blocks (see `oracle`). It holds
+only as far as the BLAS allows: on OpenBLAS 0.3.31 the 4-row weighted-sum
+tiles were found to change a row's bits as k grows by zero terms from
+3,904 keys, and prefill still equals the oracle there.
 
 A phase picks its kernels, never the row count: prefill runs the tiles and
 the blocked row sum, decode the GEMV and one plain `np.sum` per row, since
@@ -62,19 +68,17 @@ C order first. BLAS runs a transposed operand through another code path, so
 a view and a copy of the same values give different bits; on the scores
 product the copy is also several times faster than the view.
 
-Tile invariance is a property of the BLAS, so it is checked where the
-engine runs, by one probe (`_probe`) per tile width and padded (k, n). At
-both widths it asks that a random row's bits agree in slot 0, in the last
-slot of the next tile between random neighbours, and alone in a padded
-tail tile. At TILE alone it also asks that they do not move when b gains
-LANE columns or k gains LANE zero terms; a weight's k and n never change.
-Where the probe fails, that shape runs the GEMV on the canonical layout,
-in production and oracle alike, and `causal_blocks_hold` tells the runtime
-to run attention as one square. `matmul`'s GEMM of r > WIDE padded rows has
-its own probe per (r, k, n): a random row must get the bits it gets alone
-in a WIDE-row tile in the GEMM's first and last slot. Where that fails, r
-rows run one BLAS call per WIDE-row tile, so a row's bits do not depend on
-m even where the GEMM holds at one row count and not at another.
+Batch invariance is a property of the BLAS, and every contract rests on
+it, so it is checked where the engine runs, by one probe (`_probe`) per
+tile width and padded (k, n): a random row's bits must agree in slot 0, in
+the last slot of the next tile between random neighbours, and alone in a
+padded tail tile. Where the probe fails, that shape runs the GEMV on the
+canonical layout, in production and oracle alike. `matmul`'s GEMM of
+r > WIDE padded rows has its own probe per (r, k, n): a random row must get
+the bits it gets alone in a WIDE-row tile in the GEMM's first and last
+slot. Where that fails, r rows run one BLAS call per WIDE-row tile, so a
+row's bits do not depend on m even where the GEMM holds at one row count
+and not at another.
 
 A layer's Q, K and V weights (and its gate and up weights) are column
 blocks of one fused weight (see `model.LayerWeights`). The layer's role,
@@ -159,56 +163,35 @@ def _tiles(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
 
 
 # (rows per BLAS call, padded k, padded n) -> whether tiles of that shape
-# hold their invariants here; one entry per tile height and padded shape used.
+# are batch invariant here; one entry per tile height and padded shape used.
 _TILES_HOLD: dict[tuple[int, int, int], bool] = {}
 
 
 def _probe(tile: int, k: int, n: int) -> bool:
-    """Whether `tile`-row tiles of the padded shape (k, n) hold their
-    invariants here (see module doc): a random row's bits agree in slot 0,
-    in the last slot of the second tile and alone in the padded tail tile;
-    at TILE also as b gains LANE columns and as k gains LANE zero terms.
-    Past WIDE, one GEMM of `tile` rows gives a random row in its first and
-    last slot the bits of the row alone in a padded WIDE-row tile."""
+    """Whether `tile`-row tiles of the padded shape (k, n) are batch
+    invariant here (see module doc): a random row's bits agree in slot 0, in
+    the last slot of the second tile and alone in the padded tail tile. Past
+    WIDE, one GEMM of `tile` rows gives a random row in its first and last
+    slot the bits of the row alone in a padded WIDE-row tile."""
     rng = np.random.default_rng([k, n])
-    if tile > WIDE:
-        a = rng.random((tile, k), dtype=np.float32) - F32(0.5)
-        b = rng.random((k, n), dtype=np.float32) - F32(0.5)
-        a[-1] = a[0]
-        out, alone = _tiles(a, b, tile), _tiles(a[:1], b, WIDE)[0]
-        return np.array_equal(out[0], alone) and np.array_equal(out[-1], alone)
-    a = rng.random((2 * tile + 1, k), dtype=np.float32) - F32(0.5)
-    b = rng.random((k + LANE, n + LANE), dtype=np.float32) - F32(0.5)
-    a[2 * tile - 1] = a[2 * tile] = a[0]
-    out = _tiles(a, np.ascontiguousarray(b[:k, :n]), tile)
-    agree = np.array_equal(out[0], out[2 * tile - 1]) and np.array_equal(out[0], out[2 * tile])
-    if not agree or tile != TILE:
-        return agree
-    more_n = _tiles(a, np.ascontiguousarray(b[:k]), tile)[:, :n]
-    more_k = _tiles(_padded(a, len(a), k + LANE), np.ascontiguousarray(b[:, :n]), tile)
-    return np.array_equal(out, more_n) and np.array_equal(out, more_k)
+    gemm = tile > WIDE
+    a = rng.random((tile if gemm else 2 * tile + 1, k), dtype=np.float32) - F32(0.5)
+    b = rng.random((k, n), dtype=np.float32) - F32(0.5)
+    twins = [-1] if gemm else [2 * tile - 1, 2 * tile]
+    a[twins] = a[0]
+    out = _tiles(a, b, tile)
+    ref = _tiles(a[:1], b, WIDE)[0] if gemm else out[0]
+    return all(np.array_equal(out[i], ref) for i in [0, *twins])
 
 
 def _tiles_hold(tile: int, k: int, n: int) -> bool:
-    """Whether `tile`-row tiles of (k, n) products hold their invariants on
+    """Whether `tile`-row tiles of (k, n) products are batch invariant on
     this host; probed once per tile width and padded shape."""
     key = (tile, _up(k, LANE), _up(n, LANE))
     hold = _TILES_HOLD.get(key)
     if hold is None:
         hold = _TILES_HOLD[key] = _probe(*key)
     return hold
-
-
-def causal_blocks_hold(d_head: int, n_keys: int) -> bool:
-    """Whether attention over up to `n_keys` keys may run in row blocks, each
-    against a prefix of the keys, with the bits of the full square: the
-    scores (d_head, w) and weighted-sum (w, d_head) tiles hold at every
-    padded width w up to n_keys, so a column or a sum keeps its bits from
-    one width to the next."""
-    return all(
-        _tiles_hold(TILE, d_head, w) and _tiles_hold(TILE, w, d_head)
-        for w in range(LANE, _up(n_keys, LANE) + 1, LANE)
-    )
 
 
 def _product(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:

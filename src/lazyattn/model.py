@@ -64,8 +64,10 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        """Check the config, storing each count as the int `require_int`
+        returns and each float as a float, so that it saves as JSON."""
         for name in ("n_layers", "n_heads", "d_model", "d_head", "d_ff", "vocab_size"):
-            require_int(name, getattr(self, name), 1)
+            object.__setattr__(self, name, require_int(name, getattr(self, name), 1))
         if self.d_model != self.n_heads * self.d_head:
             raise ValidationError(
                 f"d_model ({self.d_model}) != n_heads*d_head ({self.n_heads}*{self.d_head})"
@@ -75,6 +77,8 @@ class ModelConfig:
         # NaN fails every comparison, so this rejects it along with infinity.
         if not all(is_number(v) and 0 < v < np.inf for v in (self.rope_theta, self.norm_eps)):
             raise ValidationError("rope_theta and norm_eps must be finite and positive numbers")
+        object.__setattr__(self, "rope_theta", float(self.rope_theta))
+        object.__setattr__(self, "norm_eps", float(self.norm_eps))
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":

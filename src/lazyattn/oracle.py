@@ -18,10 +18,13 @@ on the columns a layer's role gives it in production (see `runtime`): the
 whole w_qkv for a layer that is its own anchor, and again to recompute an
 anchor's Q and K; `wv` for a lazy layer's V and, under VLA, the Q|K columns
 of w_qkv for its own rows; the whole w_gate_up for every MLP. Attention has
-one path, `_attention`, per head: the prompt rows' causal square on
-`head_matmul`'s 4-row tiles with the blocked softmax row sum, as prefill
-computes it; then each decoded row alone over its visible columns, on
-`matvec` with the plain row sum, as a decode step computes it. A record
+one path, `_attention`, per head, with the shapes production runs per head:
+the prompt rows in blocks of `runtime.CHUNK`, each against the keys and
+values up to its last row, on `head_matmul`'s 4-row tiles with the blocked
+softmax row sum, as prefill computes them; then each decoded row alone over
+its visible columns, on `matvec` with the plain row sum, as a decode step
+computes it. So no oracle contract rests on the kernels' length invariance
+(see `kernels`), which tests pin but nothing probes at run time. A record
 that is no prune of the prompt is refused (a prune cuts a prefilled store);
 in a layer the prune cut, the rows after it see the kept columns.
 """
@@ -46,7 +49,7 @@ from .kernels import (
 )
 from .model import TokenSequence, is_int, require_int
 from .planner import GLA, LazyPlan, layer_anchors
-from .runtime import _validate_tokens, decode, generate, prefill
+from .runtime import CHUNK, _validate_tokens, decode, generate, prefill
 
 
 def _product(a: np.ndarray, b: np.ndarray, n_prompt: int) -> np.ndarray:
@@ -80,15 +83,20 @@ def _qkv(weights, layer: int, x_layer: np.ndarray, n_prompt: int) -> np.ndarray:
 
 def _attention(q, k, v, n_prompt: int, prune: PruneRecord | None) -> np.ndarray:
     """One head's causal attention over (s, d_head) q, k and v, whose first
-    `n_prompt` rows are the prompt's: the prompt rows as one square on the
-    attention tiles with the blocked row sum, then each decoded row alone
-    over its visible columns on the GEMV with the plain row sum. Under
-    `prune` the rows from its `prompt_len` on see only the columns it kept."""
+    `n_prompt` rows are the prompt's: the prompt rows in blocks of CHUNK,
+    each against the keys up to its last row, on the attention tiles with
+    the blocked row sum, then each decoded row alone over its visible
+    columns on the GEMV with the plain row sum. Under `prune` the rows from
+    its `prompt_len` on see only the columns it kept."""
     s, d_head = q.shape
     scale = attention_scale(d_head)
     out = np.empty((s, d_head), dtype=np.float32)
-    scores = head_matmul(q[None, :n_prompt], k[None, :n_prompt].transpose(0, 2, 1))
-    out[:n_prompt] = head_matmul(masked_softmax_rows(scores, 0, scale), v[None, :n_prompt])[0]
+    kt = np.ascontiguousarray(k[None, :n_prompt].transpose(0, 2, 1))
+    for start in range(0, n_prompt, CHUNK):
+        stop = min(start + CHUNK, n_prompt)
+        scores = head_matmul(q[None, start:stop], kt[..., :stop])
+        attn = masked_softmax_rows(scores, start, scale)
+        out[start:stop] = head_matmul(attn, v[None, :stop])[0]
     for i in range(n_prompt, s):
         cols = np.arange(i + 1)
         if prune is not None and i >= prune.prompt_len:

@@ -35,6 +35,8 @@ class LazyBlock:
     def __post_init__(self):
         if not isinstance(self.lazy_layers, tuple) or not all(map(is_int, self.layers())):
             raise PlanError(f"block {self.anchor!r}, {self.lazy_layers!r}: need a tuple of ints")
+        object.__setattr__(self, "anchor", int(self.anchor))
+        object.__setattr__(self, "lazy_layers", tuple(map(int, self.lazy_layers)))
 
     @property
     def n(self) -> int:
@@ -62,15 +64,19 @@ class LazyPlan:
         self.validate()
 
     def validate(self) -> None:
+        """Check the plan, storing its counts as the ints `require_int`
+        returns and epsilon as a float, so that it saves as JSON."""
         if self.mode not in (GLA, VLA):
             raise PlanError(f"mode must be '{GLA}' or '{VLA}', got {self.mode!r}")
         if self.source not in (SOURCE_THRESHOLD, SOURCE_RANDOM):
             raise PlanError(f"unknown plan source {self.source!r}")
-        require_int("n_layers", self.n_layers, 1)
+        object.__setattr__(self, "n_layers", require_int("n_layers", self.n_layers, 1))
         if self.seed is not None:
-            require_int("seed", self.seed)
-        if self.epsilon is not None and not (is_number(self.epsilon) and 0.0 < self.epsilon <= 1.0):
-            raise PlanError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
+            object.__setattr__(self, "seed", require_int("seed", self.seed))
+        if self.epsilon is not None:
+            if not (is_number(self.epsilon) and 0.0 < self.epsilon <= 1.0):
+                raise PlanError(f"epsilon must be in (0, 1], got {self.epsilon!r}")
+            object.__setattr__(self, "epsilon", float(self.epsilon))
         prev_end = -1
         for b in self.blocks:
             if b.n < 1:

@@ -132,8 +132,8 @@ class SimilarityProfile:
         self.validate()
 
     def validate(self) -> None:
-        require_int("n_layers", self.n_layers, 1)
-        require_int("n_samples", self.n_samples, 1)
+        object.__setattr__(self, "n_layers", require_int("n_layers", self.n_layers, 1))
+        object.__setattr__(self, "n_samples", require_int("n_samples", self.n_samples, 1))
         if self.S.shape != (self.n_layers, self.n_layers):
             raise ValidationError(f"S has shape {self.S.shape}, expected square n_layers")
         if not np.allclose(self.S, self.S.T, atol=1e-12):

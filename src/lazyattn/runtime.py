@@ -27,18 +27,18 @@ share its call. The meter records each label's share of the columns.
 
 Prefill attention is block-causal: the query rows run in blocks of CHUNK,
 each against the keys up to its last row only, so the masked triangle past
-a block's last row is never computed. The kernels are length-invariant
-(see `kernels`), so every row gets the bits of the full square, which the
-oracle computes; where the run-time probe finds otherwise, prefill runs
-the square in one pass (`prefill_chunk`). Decode's one row sees every key
-in one pass.
+a block's last row is never computed. The oracle attends the prompt rows
+in the same blocks, so prefill equals it bit for bit whether or not the
+kernels are length-invariant: tests pin that property, which makes every
+block size give the bits of one square, but no run-time probe checks it
+and no oracle contract needs it (see `kernels`). A prompt of at most CHUNK
+rows, like decode's one row, is one block against every key.
 
 The phase picks its kernels, never the row count (see `kernels`): prefill
 runs the batch-invariant tiles, the bits of a 64-row tile in one GEMM per
-weight product (`matmul`) and 4 rows, length-invariant, for attention
-(`head_matmul`), and the blocked softmax row sum. The oracle computes
-with the same, so prefill matches it bit for bit even where a lazy layer
-projects a single own row. Decode runs every product, weights and
+weight product (`matmul`) and 4 rows for attention (`head_matmul`), and
+the blocked softmax row sum. The oracle computes with the same, so prefill
+matches it bit for bit even where a lazy layer projects a single own row. Decode runs every product, weights and
 attention alike, on the one stacked GEMV (`matvec`) and a plain row sum,
 which are cheaper for its one row; the oracle runs its decoded rows on
 them too, so each step matches it bit for bit as well.
@@ -83,7 +83,6 @@ from .errors import ValidationError
 from .kernels import (
     apply_rope,
     attention_scale,
-    causal_blocks_hold,
     head_matmul,
     masked_softmax_rows,
     matmul,
@@ -91,7 +90,7 @@ from .kernels import (
     rms_norm,
     silu,
 )
-from .model import ModelWeights, TokenSequence, is_int, require_int
+from .model import ModelWeights, TokenSequence, is_int, is_number, require_int
 from .planner import LazyPlan
 
 # Query rows per block of block-causal prefill attention.
@@ -127,20 +126,12 @@ def _metered(kernel, meter):
 
 
 class _Phase(NamedTuple):
-    """What a phase runs: its 2-D and per-head products (see `_metered`),
-    whether its softmax sums rows in blocks, and the query rows per
-    attention block (None: one pass over all rows)."""
+    """What a phase runs: its 2-D and per-head products (see `_metered`) and
+    whether its softmax sums rows in blocks."""
 
     mm: Callable
     head_mm: Callable
     blocked_sum: bool
-    chunk: int | None
-
-
-def prefill_chunk(d_head: int, s: int) -> int | None:
-    """The query rows per attention block of an s-token prefill: CHUNK where
-    the kernels hold block-causal bits up to s keys, else None (one square)."""
-    return CHUNK if causal_blocks_hold(d_head, s) else None
 
 
 def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -163,23 +154,22 @@ def _attend(phase: _Phase, q: np.ndarray, kt: np.ndarray, values: np.ndarray):
 
 
 def _attention(phase: _Phase, q, keys, values, full_attn: bool):
-    """Attention for q's rows: one pass, or block-causally in blocks of
-    `phase.chunk` rows, each against the keys up to its last row, so the
-    masked columns past a block are never computed. Returns the weighted
-    sum and, when `full_attn`, the (n_heads, rows, L) attention (masked
-    entries 0, as a pass over all keys gives them)."""
+    """Attention for q's rows in blocks of CHUNK rows, each against the keys
+    up to its last row, so the masked columns past a block are never
+    computed; at most CHUNK rows are one block. Returns the weighted sum
+    and, when `full_attn`, the (n_heads, rows, L) attention (masked entries
+    0, as a pass over all keys gives them)."""
     n_heads, rows, d_head = q.shape
-    chunk = phase.chunk
     kt = keys.transpose(0, 2, 1)
-    if chunk is None or rows <= chunk:
+    if rows <= CHUNK:
         return _attend(phase, q, kt, values)
     # One C-order copy of K^T serves every block (see `kernels`).
     kt = np.ascontiguousarray(kt)
     n_keys = keys.shape[1]
     out = np.empty((n_heads, rows, d_head), dtype=np.float32)
     attn = np.zeros((n_heads, rows, n_keys), dtype=np.float32) if full_attn else None
-    for start in range(0, rows, chunk):
-        stop = min(start + chunk, rows)
+    for start in range(0, rows, CHUNK):
+        stop = min(start + CHUNK, rows)
         n = n_keys - rows + stop
         out[:, start:stop], block = _attend(phase, q[:, start:stop], kt[..., :n], values[:, :n])
         if full_attn:
@@ -266,12 +256,7 @@ def prefill(
     _validate_tokens(tokens.token_ids, weights.config.vocab_size)
     store = CacheStore(weights.config, plan, tokens)
     # Looked up now, so wrappers take effect.
-    phase = _Phase(
-        _metered(matmul, meter),
-        _metered(head_matmul, meter),
-        True,
-        prefill_chunk(weights.config.d_head, len(tokens)),
-    )
+    phase = _Phase(_metered(matmul, meter), _metered(head_matmul, meter), True)
     logits = _forward(weights, store, tokens.token_ids, store.split, phase, capture)
     # Prefill-era shared queries are never reread by decode; release them so
     # the Q cache occupancy bound stays honest (peak remains recorded).
@@ -287,7 +272,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     _validate_tokens([next_token], weights.config.vocab_size)
     gemv = _metered(matvec, meter)
-    phase = _Phase(gemv, gemv, False, None)
+    phase = _Phase(gemv, gemv, False)
     logits = _forward(weights, store, [next_token], store.decode_split, phase, None)
     store.seq_len += 1
     return logits[0]
@@ -322,8 +307,8 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
     A store is pruned at most once: the prune record, and the oracle that
     replays it, describe one pass.
     """
-    if not 0.0 < keep_ratio <= 1.0:
-        raise ValidationError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
+    if not (is_number(keep_ratio) and 0.0 < keep_ratio <= 1.0):
+        raise ValidationError(f"keep_ratio must be a number in (0, 1], got {keep_ratio!r}")
     if not is_int(layer) or not 0 <= layer < store.config.n_layers:
         raise ValidationError(f"layer {layer!r} is not an integer in [0, {store.config.n_layers})")
     if store.seq_len == 0:

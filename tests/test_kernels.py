@@ -9,12 +9,14 @@ from lazyattn import (
     head_matmul,
     masked_softmax_rows,
     matmul,
+    oracle_prefill,
+    prefill,
     rms_norm,
 )
 from lazyattn import kernels
 from lazyattn.kernels import apply_rope, matvec, silu
 
-from helpers import gemm_nudged_at
+from helpers import gemm_nudged_at, make_model, random_prompt
 
 
 def f32(x):
@@ -181,32 +183,12 @@ def test_tile_probe_catches_a_row_that_moves(monkeypatch):
     assert kernels._TILES_HOLD == {(kernels.WIDE, 64, 96): False, (kernels.TILE, 64, 96): False}
 
 
-@pytest.mark.parametrize("grown", [-1, -2], ids=["wider-b", "deeper-k"])
-def test_tile_probe_catches_bits_that_move_with_length(monkeypatch, grown):
-    """The probe also fails when a column's bits change as b gains columns,
-    or a row's as k gains zero terms; attention then runs as one square.
-    Weight tiles are not asked for length invariance."""
-    real = kernels._tiles
-
-    def nudged(a, b, tile):
-        out = real(a, b, tile)
-        if b.shape[grown] > 64:
-            out = np.nextafter(out, np.float32(np.inf))
-        return out
-
-    monkeypatch.setattr(kernels, "_tiles", nudged)
-    assert not kernels._probe(kernels.TILE, 64, 64)
-    assert kernels._probe(kernels.WIDE, 64, 64)
-    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
-    assert not kernels.causal_blocks_hold(64, 40)
-    assert False in kernels._TILES_HOLD.values()
-
-
 def test_tile_probes_are_kept_per_padded_shape(monkeypatch):
     """Products whose k and n round up to the same multiples of 16 share one
-    probe per tile width, so prompt lengths add at most one attention entry
-    per 16 positions, and a weight's products one entry per row count padded
-    to a multiple of WIDE."""
+    probe per tile width, and a weight's products one entry per row count
+    padded to a multiple of WIDE. A prefill of s tokens adds attention
+    entries only for the widths its blocks run, 64, 128, ... and s rounded
+    up to 16, and the oracle's prompt rows add none."""
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(10)
     tile, wide = kernels.TILE, kernels.WIDE
@@ -220,10 +202,19 @@ def test_tile_probes_are_kept_per_padded_shape(monkeypatch):
         matmul(f32(rng.standard_normal((m, 256))), w)
     for rows in (wide, 2 * wide, 5 * wide):
         assert kernels._TILES_HOLD.pop((rows, 256, 512))
-    assert kernels.causal_blocks_hold(64, 200)
-    assert set(kernels._TILES_HOLD) == {
-        (tile, *shape) for w in range(16, 209, 16) for shape in ((64, w), (w, 64))
+    assert set(kernels._TILES_HOLD) == {(tile, 64, 112), (tile, 112, 64)}
+
+    model = make_model()
+    d_head = model.config.d_head
+    tokens = random_prompt(rng, model.config.vocab_size, length=200, visual_fraction=0.5)
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    prefill(model, tokens)
+    heads = {key for key in kernels._TILES_HOLD if key[0] == tile}
+    assert heads == {
+        (tile, *shape) for w in (64, 128, 192, 208) for shape in ((d_head, w), (w, d_head))
     }
+    oracle_prefill(model, tokens)
+    assert {key for key in kernels._TILES_HOLD if key[0] == tile} == heads
 
 
 # The benchmark model's weight products: Q|K|V, Q|K and the LM head, V and

@@ -31,7 +31,7 @@ from lazyattn import (
     synthetic_prompt,
     write_sequences_jsonl,
 )
-from lazyattn.kernels import causal_blocks_hold, matmul, rms_norm, silu
+from lazyattn.kernels import matmul, rms_norm, silu
 from lazyattn.oracle import oracle_full_generate, oracle_prefill
 from lazyattn.planner import plan_random
 from lazyattn.model import atomic_write
@@ -176,6 +176,20 @@ def test_checkpoint_roundtrip_bytes(tmp_path):
     loaded = load_checkpoint(first)
     save_checkpoint(loaded, second)
     assert _checkpoint_bytes(first) == _checkpoint_bytes(second)
+
+
+def test_a_config_of_numpy_scalars_round_trips_as_python_numbers(tmp_path):
+    """A config stores the ints `require_int` returns and its floats as
+    floats, so a model built from numpy scalars saves and loads."""
+    i = np.int64
+    config = ModelConfig(
+        n_layers=i(1), n_heads=i(2), d_model=i(16), d_head=i(8), d_ff=i(32),
+        vocab_size=i(20), rope_theta=np.float32(500.0), norm_eps=np.float32(1e-5),
+    )
+    assert all(type(v) in (int, float) for v in dataclasses.asdict(config).values())
+    path = str(tmp_path / "ckpt")
+    save_checkpoint(init_synthetic_model(config, 0), path)
+    assert load_checkpoint(path).config == config
 
 
 def test_benchmark_checkpoint_bytes_are_unchanged(tmp_path):
@@ -506,11 +520,9 @@ def test_causality_prefix_oracle(small_model):
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
 def test_prefill_is_prefix_invariant(small_model, mode):
     """prefill(tokens[:L]) is prefill(tokens)[:L] bit for bit, for prefixes
-    inside, at and across the attention blocks. The probe must hold here:
-    where it fails attention runs as one square, which is not
-    prefix-invariant, so a silent fallback fails this test too."""
+    inside, at and across the attention blocks: the kernels' length
+    invariance, which this test pins and no run-time probe checks."""
     s = 200
-    assert causal_blocks_hold(small_model.config.d_head, s)
     rng = np.random.default_rng(4)
     tokens = random_prompt(rng, small_model.config.vocab_size, s, 0.5, layout="mid")
     plan = None if mode is None else LazyPlan(

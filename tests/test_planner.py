@@ -168,6 +168,19 @@ def test_plan_roundtrip(tmp_path):
     assert blocks_of(back) == blocks_of(plan)
 
 
+def test_a_plan_of_numpy_scalars_round_trips_as_python_numbers(tmp_path):
+    """A plan and its blocks store the ints (and epsilon the float) their
+    checks return, so a plan built from numpy scalars saves as JSON."""
+    i = np.int64
+    block = LazyBlock(i(1), (i(2), i(3)))
+    plan = LazyPlan("gla", i(6), [block], epsilon=np.float32(0.5), seed=i(7))
+    fields = [plan.n_layers, plan.seed, plan.epsilon, block.anchor, *block.lazy_layers]
+    assert [type(v) for v in fields] == [int, int, float, int, int, int]
+    path = str(tmp_path / "plan.json")
+    save_plan(plan, path)
+    assert load_plan(path) == plan
+
+
 def test_plan_validation_errors(tmp_path):
     import json
 

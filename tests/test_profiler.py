@@ -255,6 +255,14 @@ def test_adjacent_and_similarity_view():
     assert two.adjacent().shape == (1,)
 
 
+def test_a_profile_of_numpy_counts_round_trips(tmp_path):
+    profile = SimilarityProfile(np.int64(2), np.int64(3), np.zeros((2, 2)))
+    assert type(profile.n_layers) is type(profile.n_samples) is int
+    path = str(tmp_path / "profile.json")
+    save_profile(profile, path)
+    assert load_profile(path).to_dict() == profile.to_dict()
+
+
 def test_profile_json_roundtrip(tmp_path):
     w = make_model(n_layers=3, seed=10)
     profile = profile_model(w, [TokenSequence([1, 2, 3, 4], [1, 0, 0, 0])])

@@ -304,6 +304,18 @@ def test_prune_refuses_a_non_integer_layer(model, prompt, layer):
     assert store.prune_record is None
 
 
+@pytest.mark.parametrize("keep_ratio", ["0.5", True, np.True_, None, float("nan"), 0.0])
+def test_prune_refuses_a_keep_ratio_that_is_no_number_in_range(model, prompt, keep_ratio):
+    """keep_ratio is a number in (0, 1]: a string is refused, not compared,
+    and True is not read as 1.0; the store is left as it was."""
+    capture = AttentionCapture()
+    _, store = prefill(model, prompt, two_block_plan(VLA), capture=capture)
+    kv_bytes = store.kv_bytes()
+    with pytest.raises(ValidationError, match="keep_ratio must be a number"):
+        prune_visual_tokens(store, capture.snapshot, 1, keep_ratio)
+    assert store.prune_record is None and store.kv_bytes() == kv_bytes
+
+
 @pytest.mark.parametrize("steps", [2.5, True, np.float32(2.0), -1])
 def test_generate_refuses_steps_that_are_not_a_count(model, prompt, steps):
     logits, store = prefill(model, prompt)
@@ -741,8 +753,8 @@ def long_prompt(layout: str, seed: int) -> TokenSequence:
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
 def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypatch):
     """When the run-time probes find tiles of either width that do not hold
-    their invariants, matmul and head_matmul run the GEMV, prefill attention
-    runs as one square, and prefill still equals the oracle bit for bit."""
+    their invariant, matmul and head_matmul run the GEMV, and prefill still
+    equals the oracle bit for bit."""
     from lazyattn import kernels
 
     monkeypatch.setattr(kernels, "_probe", lambda tile, k, n: False)
@@ -753,7 +765,6 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
     assert np.array_equal(kernels.matmul(a, b), kernels.matvec(a, np.ascontiguousarray(b)))
     a1, b1 = a[None], b[None]
     assert np.array_equal(kernels.head_matmul(a1, b1), kernels.matvec(a1, b1.copy()))
-    assert runtime.prefill_chunk(model.config.d_head, LONG) is None
     plan = None if mode is None else two_block_plan(mode)
     for tokens in (prompt, ONE_OWN_ROW, long_prompt("mid", 4)):
         logits, _ = prefill(model, tokens, plan)
@@ -881,7 +892,6 @@ def test_long_prompt_meets_the_oracle_contracts(model, layout, mode):
     """Over several blocks prefill equals the oracle bit for bit, and greedy
     decode emits the oracle's ids."""
     assert LONG > 2 * runtime.CHUNK
-    assert runtime.prefill_chunk(model.config.d_head, LONG) == runtime.CHUNK
     tokens = long_prompt(layout, 5)
     plan = None if mode is None else two_block_plan(mode)
     logits, store = prefill(model, tokens, plan)
@@ -922,3 +932,59 @@ def test_block_causal_attention_equals_the_full_square(model, chunk, mode, monke
     # Each block of rows computes against the keys up to its last row.
     pairs = sum(min((i // chunk + 1) * chunk, LONG) for i in range(LONG))
     assert meter.macs["attn_scores"] == 6 * model.config.d_model * pairs
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_no_contract_rests_on_length_invariance(mode, monkeypatch):
+    """Attention tiles whose bits move with the key count break nothing:
+    with the first 16 columns of every 4-row product wider than 80 one ulp
+    up, in production and oracle alike, prefill and the generated ids still
+    equal the oracle's, since the oracle attends the prompt rows in
+    prefill's blocks."""
+    from lazyattn import kernels
+
+    model = make_model()
+    tokens = long_prompt("mid", 8)
+    plan = None if mode is None else two_block_plan(mode)
+    clean, _ = prefill(model, tokens, plan)
+    oracle_prefill(model, tokens, plan)  # every shape probed before the nudge
+    real = kernels._tiles
+
+    def nudged(a, b, tile):
+        out = real(a, b, tile)
+        if tile == kernels.TILE and b.shape[-1] > 80:
+            out[..., :16] = np.nextafter(out[..., :16], np.float32(np.inf))
+        return out
+
+    monkeypatch.setattr(kernels, "_tiles", nudged)
+    logits, store = prefill(model, tokens, plan)
+    assert not np.array_equal(logits, clean)
+    assert np.array_equal(logits, oracle_prefill(model, tokens, plan))
+    ids = generate(model, store, logits[-1], 3)
+    assert ids == oracle_full_generate(model, tokens, 3, plan)
+
+
+@pytest.mark.parametrize("prune", [False, True], ids=["whole", "pruned"])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+@pytest.mark.parametrize("s", [3200, 4096])
+def test_a_long_prompt_runs_in_blocks_and_meets_the_oracle(s, mode, prune):
+    """At 3,200 and 4,096 tokens, widths where attention tiles were found to
+    lose length invariance on OpenBLAS 0.3.31, prefill still runs CHUNK-row
+    blocks, and its rows and two decode steps equal one oracle pass bit for
+    bit, with or without a prune."""
+    chunk = runtime.CHUNK
+    model = make_model(n_layers=2, n_heads=1, d_model=64)
+    rng = np.random.default_rng(11)
+    tokens = random_prompt(rng, 96, length=s, visual_fraction=0.5, layout="mid")
+    plan = None if mode is None else LazyPlan(mode=mode, n_layers=2, blocks=[LazyBlock(0, (1,))])
+    meter, capture = FlopMeter(), AttentionCapture()
+    logits, store = prefill(model, tokens, plan, capture=capture, meter=meter)
+    pairs = sum(min((i // chunk + 1) * chunk, s) for i in range(s))
+    assert meter.macs["attn_scores"] == 2 * 64 * pairs
+    if prune:
+        prune_visual_tokens(store, capture.snapshot, 0, 0.5)
+    ids = generate(model, store.clone(), logits[-1], 2)
+    rows = np.vstack([logits] + [decode(model, store, t) for t in ids])
+    ref = oracle_prefill(model, tokens, plan, prune=store.prune_record, decoded=ids)
+    assert np.array_equal(rows, ref)
+    assert ids == np.argmax(ref[s - 1 : -1], axis=1).tolist()
