@@ -89,14 +89,15 @@ fused columns give a block the bits of the product on its view.
 Transcendentals (cos/sin for the rotary tables) are computed per position,
 so the same position always yields the same bits regardless of batch shape;
 +,-,*,/ and sqrt are correctly rounded by IEEE-754 and need no such care.
-The table of one (theta, half) keeps its rows contiguous over a range of
-positions, each row computed alone with one call shape, so a lookup is one
-gather rather than a Python loop. Its cost is bounded by the rows asked
-for, never by a position: a request reaching past either end by more rows
-than the table or the request holds gets its rows computed alone and leaves
-the table as it is. The elementwise kernels (`rms_norm`, the
-softmax, `silu`) compute in place in their own buffers, in the operation
-order of their formulas, so they keep those formulas' bits.
+The table of one (theta, half) holds the positions [0, n) contiguously,
+each row computed alone with one call shape, so a lookup is one gather
+rather than a Python loop; it grows upwards, at least doubling. Its cost is
+bounded by the rows asked for, never by a position: a request with a
+negative position, or reaching past the end by more rows than the table or
+the request holds, is computed alone and leaves the table as it is. The
+elementwise kernels (`rms_norm`, the softmax, `silu`) compute in place in
+their own buffers, in the operation order of their formulas, so they keep
+those formulas' bits.
 """
 
 from __future__ import annotations
@@ -314,15 +315,14 @@ def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:
 
 
 class _RopeTable:
-    """cos and sin rows of one (theta_base, half) for the positions lo,
-    lo + 1, ..., as contiguous (positions, half) arrays. Every row is computed
-    alone with one call shape (`_alone`), so a position's bits never depend on
-    which other positions were requested; a lookup is one gather."""
+    """cos and sin rows of one (theta_base, half) for the positions 0, 1, ...,
+    as contiguous (positions, half) arrays. Every row is computed alone with
+    one call shape (`_alone`), so a position's bits never depend on which
+    other positions were requested; a lookup is one gather."""
 
     def __init__(self, theta_base: float, half: int):
         exponents = np.arange(half, dtype=np.float64) * (2.0 / (2 * half))
         self.freqs = theta_base ** (-exponents)
-        self.lo = 0
         self.cos = self.sin = np.empty((0, half), dtype=np.float32)
 
     def _alone(self, positions) -> tuple[np.ndarray, np.ndarray]:
@@ -334,23 +334,18 @@ class _RopeTable:
 
     def rows(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (len(positions), half) cos and sin rows: gathered from the table
-        grown to hold them, at least doubling upwards so that decode's next
+        grown upwards to hold them, at least doubling so that decode's next
         position refills nothing, or computed alone out of its reach."""
-        idx = positions - self.lo
-        if len(idx) and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= len(self.cos)):
-            lo, hi = self.lo, self.lo + len(self.cos)
-            first, last = int(np.minimum.reduce(positions)), int(np.maximum.reduce(positions))
-            reach = max(hi - lo, len(positions))
-            if first < lo - reach or last >= hi + reach:
-                return self._alone(positions.tolist())
-            new_lo = min(lo, first)
-            new_hi = hi if last < hi else max(last + 1, 2 * hi - lo)
-            below, above = self._alone(range(new_lo, lo)), self._alone(range(hi, new_hi))
-            self.cos = np.concatenate([below[0], self.cos, above[0]])
-            self.sin = np.concatenate([below[1], self.sin, above[1]])
-            self.lo = new_lo
-            idx = positions - self.lo
-        return self.cos.take(idx, axis=0), self.sin.take(idx, axis=0)
+        n = len(self.cos)
+        first = int(np.minimum.reduce(positions, initial=0))
+        last = int(np.maximum.reduce(positions, initial=-1))
+        if first < 0 or last >= n + max(n, len(positions)):
+            return self._alone(positions.tolist())
+        if last >= n:
+            above = self._alone(range(n, max(last + 1, 2 * n)))
+            self.cos = np.concatenate([self.cos, above[0]])
+            self.sin = np.concatenate([self.sin, above[1]])
+        return self.cos.take(positions, axis=0), self.sin.take(positions, axis=0)
 
 
 # Memoized rotary tables, one per (theta_base, half_dim).

@@ -101,7 +101,8 @@ class AttentionSnapshot:
 
 
 class AttentionCapture:
-    """Capture hook handed to prefill; collects each layer's head mean."""
+    """Capture hook handed to prefill; collects each layer's head mean.
+    Without full_matrix prefill hands it only the last block of rows."""
 
     def __init__(self, full_matrix: bool = False):
         self.full_matrix = full_matrix

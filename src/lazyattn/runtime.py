@@ -25,14 +25,20 @@ no contract asks that a fused product give a block the bits of the
 product on its view, and a row's bits never depend on which other rows
 share its call. The meter records each label's share of the columns.
 
-Prefill attention is block-causal: the query rows run in blocks of CHUNK,
-each against the keys up to its last row only, so the masked triangle past
-a block's last row is never computed. The oracle attends the prompt rows
-in the same blocks, so prefill equals it bit for bit whether or not the
+Attention is block-causal: the query rows run in blocks of CHUNK, each
+against the keys up to its last row only, so the masked triangle past a
+block's last row is never computed. The oracle attends the prompt rows in
+the same blocks, so prefill equals it bit for bit whether or not the
 kernels are length-invariant: tests pin that property, which makes every
 block size give the bits of one square, but no run-time probe checks it
-and no oracle contract needs it (see `kernels`). A prompt of at most CHUNK
-rows, like decode's one row, is one block against every key.
+and no oracle contract needs it (see `kernels`). One loop runs every row
+count: a prompt of at most CHUNK rows, like decode's one row, is one block
+against every key on the transposed view of the key cache, and more rows
+share one C-order copy of K^T.
+
+A capture is any object with `record(layer, head_attn)` and `full_matrix`:
+`record` gets each layer's (n_heads, rows, L) attention with it, the last
+block's (n_heads, <=CHUNK, L) without it; no block outlives the layer.
 
 The phase picks its kernels, never the row count (see `kernels`): prefill
 runs the batch-invariant tiles, the bits of a 64-row tile in one GEMM per
@@ -141,40 +147,34 @@ def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return apply_rope(qk, positions, config.rope_theta).transpose(1, 0, 2)
 
 
-def _attend(phase: _Phase, q: np.ndarray, kt: np.ndarray, values: np.ndarray):
-    """softmax(q K^T / sqrt(d_head)) V for q's rows, which sit at the last
-    of the n keys' positions, with K^T as (n_heads, d_head, n); returns the
-    weighted sum and the attention."""
-    scores = phase.head_mm(q, kt, "attn_scores")
-    # Row i sits at key index n - rows + i.
-    attn = masked_softmax_rows(
-        scores, kt.shape[2] - q.shape[1], attention_scale(q.shape[2]), phase.blocked_sum
-    )
-    return phase.head_mm(attn, values, "attn_wv"), attn
-
-
-def _attention(phase: _Phase, q, keys, values, full_attn: bool):
-    """Attention for q's rows in blocks of CHUNK rows, each against the keys
-    up to its last row, so the masked columns past a block are never
-    computed; at most CHUNK rows are one block. Returns the weighted sum
-    and, when `full_attn`, the (n_heads, rows, L) attention (masked entries
-    0, as a pass over all keys gives them)."""
+def _attention(phase: _Phase, q, keys, values, capture, layer: int) -> np.ndarray:
+    """softmax(q K^T / sqrt(d_head)) V for q's rows, which sit at the last of
+    the keys' positions, in blocks of CHUNK rows, each against the keys up to
+    its last row, so the masked columns past a block are never computed.
+    Returns the weighted sum; a `capture` records the attention (see the
+    module doc), masked entries 0 as a pass over all keys gives them."""
     n_heads, rows, d_head = q.shape
-    kt = keys.transpose(0, 2, 1)
-    if rows <= CHUNK:
-        return _attend(phase, q, kt, values)
-    # One C-order copy of K^T serves every block (see `kernels`).
-    kt = np.ascontiguousarray(kt)
     n_keys = keys.shape[1]
+    scale = attention_scale(d_head)
+    kt = keys.transpose(0, 2, 1)
+    if rows > CHUNK:
+        # One C-order copy of K^T serves every block (see `kernels`).
+        kt = np.ascontiguousarray(kt)
+    full = capture is not None and capture.full_matrix
     out = np.empty((n_heads, rows, d_head), dtype=np.float32)
-    attn = np.zeros((n_heads, rows, n_keys), dtype=np.float32) if full_attn else None
+    attn = np.zeros((n_heads, rows, n_keys), dtype=np.float32) if full else None
     for start in range(0, rows, CHUNK):
         stop = min(start + CHUNK, rows)
         n = n_keys - rows + stop
-        out[:, start:stop], block = _attend(phase, q[:, start:stop], kt[..., :n], values[:, :n])
-        if full_attn:
+        scores = phase.head_mm(q[:, start:stop], kt[..., :n], "attn_scores")
+        # Row i of the block sits at key index n - (stop - start) + i.
+        block = masked_softmax_rows(scores, n - stop + start, scale, phase.blocked_sum)
+        out[:, start:stop] = phase.head_mm(block, values[:, :n], "attn_wv")
+        if full:
             attn[:, start:stop, :n] = block
-    return out, attn
+    if capture is not None:
+        capture.record(layer, attn if full else block)
+    return out
 
 
 def _layer(
@@ -218,9 +218,7 @@ def _layer(
             shared_q = store.qcache.read(anchor)
             q = split.merge(shared_q, q) if n_own else shared_q
 
-    o, attn = _attention(phase, q, keys, cache.values.data, capture is not None)
-    if capture is not None:
-        capture.record(l, attn)
+    o = _attention(phase, q, keys, cache.values.data, capture, l)
     x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo, "attn_out")
 
     hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
@@ -251,8 +249,7 @@ def prefill(
 ) -> tuple[np.ndarray, CacheStore]:
     """Run the prompt through the model, returning logits for every position
     and the populated cache store. `plan=None` is the standard runtime.
-    `capture` is any object with `record(layer, head_attn)`, which gets each
-    layer's (n_heads, rows, cols) attention."""
+    A `capture` records each layer's attention (see the module doc)."""
     _validate_tokens(tokens.token_ids, weights.config.vocab_size)
     store = CacheStore(weights.config, plan, tokens)
     # Looked up now, so wrappers take effect.
@@ -270,6 +267,8 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
     returns the next-token logits vector. Mutates the store in place."""
     if store.seq_len == 0:
         raise ValidationError("decode requires caches populated by a prefill")
+    if store.config != weights.config:
+        raise ValidationError("decode needs the weights of the config that built the store")
     _validate_tokens([next_token], weights.config.vocab_size)
     gemv = _metered(matvec, meter)
     phase = _Phase(gemv, gemv, False)

@@ -28,6 +28,8 @@ class HeadRecorder:
     """A prefill capture hook that keeps every layer's per-head attention,
     (n_heads, rows, cols), in layer order."""
 
+    full_matrix = True
+
     def __init__(self):
         self.layers = []
 

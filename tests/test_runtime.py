@@ -183,6 +183,33 @@ def test_plan_layer_count_mismatch_rejected(model, prompt):
         prefill(model, prompt, two_block_plan(GLA, n_layers=8))
 
 
+@pytest.mark.parametrize(
+    "other",
+    [dict(n_layers=2, n_heads=2), dict(n_layers=4, n_heads=4)],
+    ids=["fewer-layers", "more-heads"],
+)
+def test_decode_refuses_weights_of_another_config_before_touching_the_store(other):
+    """A store prefilled on a 4-layer, 2-head model is refused by weights of
+    another config, fewer layers or more heads of the same d_model, before
+    any cache grows; generate refuses too."""
+    built = make_model(n_layers=4, n_heads=2, seed=3)
+    weights = make_model(**other, seed=3)
+    prompt = TokenSequence(list(range(20)), [1] * 10 + [0] * 10)
+    logits, store = prefill(built, prompt)
+    decode(built, store, 7)
+
+    def state():
+        lengths = [(len(c.keys), len(c.values)) for c in store.layers]
+        return store.seq_len, lengths
+
+    before = state()
+    with pytest.raises(ValidationError, match="config"):
+        decode(weights, store, 7)
+    with pytest.raises(ValidationError, match="config"):
+        generate(weights, store, logits[-1], 2)
+    assert state() == before == (21, [(21, 21)] * 4)
+
+
 def test_vla_zero_visual_equals_standard_bitwise(model):
     text_only = TokenSequence([3, 9, 2, 7, 5], [0] * 5)
     plan = two_block_plan(VLA)
@@ -988,3 +1015,57 @@ def test_a_long_prompt_runs_in_blocks_and_meets_the_oracle(s, mode, prune):
     ref = oracle_prefill(model, tokens, plan, prune=store.prune_record, decoded=ids)
     assert np.array_equal(rows, ref)
     assert ids == np.argmax(ref[s - 1 : -1], axis=1).tolist()
+
+
+class LastBlockSpy:
+    """A capture that asks for no full matrix and keeps the shape and last
+    row of each attention it is handed."""
+
+    full_matrix = False
+
+    def __init__(self):
+        self.shapes, self.last_rows = [], []
+
+    def record(self, layer, head_attn):
+        self.shapes.append(head_attn.shape)
+        self.last_rows.append(head_attn[:, -1].copy())
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_a_capture_without_the_full_matrix_gets_the_last_block(model, mode):
+    """Over a prompt of three blocks, a capture that does not ask for the
+    full matrix gets at most CHUNK rows per layer, whose last row is, bit for
+    bit, the last row of the full matrix."""
+    tokens = long_prompt("alternating", 12)
+    plan = None if mode is None else two_block_plan(mode)
+    spy, full = LastBlockSpy(), HeadRecorder()
+    logits, _ = prefill(model, tokens, plan, capture=spy)
+    assert np.array_equal(logits, prefill(model, tokens, plan, capture=full)[0])
+    n_heads = model.config.n_heads
+    assert spy.shapes == [(n_heads, LONG - 2 * runtime.CHUNK, LONG)] * model.config.n_layers
+    for row, mat in zip(spy.last_rows, full.layers, strict=True):
+        assert np.array_equal(row, mat[:, -1])
+
+
+def test_a_last_row_capture_holds_at_most_one_attention_block():
+    """At 1,024 tokens a prefill with `AttentionCapture()` peaks at most one
+    (n_heads, CHUNK, s) float32 block above a prefill without a capture."""
+    import tracemalloc
+
+    model = make_model(n_layers=2, n_heads=2, d_model=32)
+    s = 1024
+    tokens = random_prompt(np.random.default_rng(13), 96, length=s, visual_fraction=0.5)
+    prefill(model, tokens)  # every tile shape probed and the rotary table built
+
+    def peak(capture):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        prefill(model, tokens, capture=capture)
+        return tracemalloc.get_traced_memory()[1] - base
+
+    tracemalloc.start()
+    try:
+        bare, captured = peak(None), peak(AttentionCapture())
+    finally:
+        tracemalloc.stop()
+    assert captured - bare <= 2 * runtime.CHUNK * s * 4
