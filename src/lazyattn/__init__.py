@@ -72,6 +72,7 @@ from .profiler import (
 )
 from .runtime import (
     decode,
+    extend,
     generate,
     prefill,
     prune_visual_tokens,

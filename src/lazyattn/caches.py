@@ -3,22 +3,25 @@
 Each layer's anchor comes from the plan (`planner.layer_anchors`): a layer
 whose anchor is itself owns a full post-rotation K cache; a lazy layer, whose
 anchor is an earlier layer, owns K rows only for its own positions and reads
-the shared ones from its anchor. Which prompt rows are shared is decided
-once, by the store: every row under GLA, the visual rows under VLA. Every
+the shared ones from its anchor. Which rows are shared is decided by the
+store as they arrive: every row under GLA, the visual rows under VLA. Every
 layer owns its full V cache.
 Each cache is one (n_heads, L, d_head) array (`GrowableHeads`), so a layer
 step appends, reads and prunes all heads at once.
 
-Positions live in the store alone: the prompt's modality, its shared/own
-split, the sequence length and at most one prune record (a store is pruned
-at most once). A layer's rows are all positions, or all but the removed
-ones, ascending; a lazy layer prunes with its anchor, so its row i is its
-anchor's row i.
+Positions live in the store alone: one modality mask and one shared/own
+split over all its rows, which each extension and decode step grows (a
+slice, as for a leading visual span, grows in place), the sequence length,
+how many rows are prompt rows, and at most one prune record (a store is
+pruned at most once). A layer's rows are all positions, or all but the
+removed ones, ascending; a layer the prune cut keeps its own split, which
+grows the same way. A lazy layer prunes with its anchor, so its row i is
+its anchor's row i.
 
 The Q cache is block-scoped: it holds at most one anchor's queries at
-any moment (the shared prompt rows during prefill, a single row during GLA
-decode) and is released once prefill ends. Byte accounting everywhere is
-logical: stored elements times 4, independent of buffer capacity.
+any moment (the shared rows of one extension or decode step) and is
+released when that call ends. Byte accounting everywhere is logical:
+stored elements times 4, independent of buffer capacity.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .model import VISUAL, ModelConfig, TokenSequence
+from .model import ModelConfig
 from .planner import GLA, LazyPlan, layer_anchors
 
 
@@ -85,13 +88,16 @@ class GrowableHeads:
         self._reallocate(self._buf[:, keep], len(keep) + HEADROOM)
 
 
-def _block(idx: np.ndarray) -> np.ndarray | slice:
-    """`idx` as a slice when it is one ascending run, so numpy copies a block
+def _joined(head: np.ndarray | slice, tail: np.ndarray, start: int) -> np.ndarray | slice:
+    """The positions `head`, then the ascending positions `tail` shifted by
+    `start`: a slice while they form one run, so numpy copies a block
     instead of gathering row by row."""
-    start = int(idx[0]) if len(idx) else 0
-    if np.array_equal(idx, np.arange(start, start + len(idx))):
-        return slice(start, start + len(idx))
-    return idx
+    if not len(tail):
+        return head
+    first, stop = start + int(tail[0]), start + int(tail[-1]) + 1
+    if stop - first == len(tail) and isinstance(head, slice) and head.stop in (head.start, first):
+        return slice(first if head.start == head.stop else head.start, stop)
+    return np.r_[head, tail + start]
 
 
 class RowSplit:
@@ -102,27 +108,33 @@ class RowSplit:
     __slots__ = ("shared", "own", "n_shared", "n_own")
 
     def __init__(self, is_shared: np.ndarray):
-        self.shared = _block(np.flatnonzero(is_shared))
-        self.own = _block(np.flatnonzero(~is_shared))
-        self.n_shared = int(np.count_nonzero(is_shared))
-        self.n_own = len(is_shared) - self.n_shared
+        self.shared = self.own = slice(0, 0)
+        self.n_shared = self.n_own = 0
+        self.grow(is_shared)
+
+    def grow(self, is_shared: np.ndarray) -> None:
+        """Append rows after those the split covers, shared where
+        `is_shared` is True; a slice that they continue stays a slice."""
+        start = self.n_shared + self.n_own
+        shared, own = np.flatnonzero(is_shared), np.flatnonzero(~is_shared)
+        self.shared = _joined(self.shared, shared, start)
+        self.own = _joined(self.own, own, start)
+        self.n_shared += len(shared)
+        self.n_own += len(own)
 
     def merge(self, shared: np.ndarray, own: np.ndarray) -> np.ndarray:
         """(n_heads, rows, d_head) rows in position order: `shared` at the
-        shared rows, own's first n_own rows at the own rows, and own's later
-        rows (decoded ones) after all the rows the split covers."""
-        n_heads, n_own, d_head = own.shape
-        head = self.n_shared + self.n_own
-        out = np.empty((n_heads, head + n_own - self.n_own, d_head), dtype=np.float32)
+        shared rows and `own` at the own rows."""
+        n_heads, _, d_head = own.shape
+        out = np.empty((n_heads, self.n_shared + self.n_own, d_head), dtype=np.float32)
         out[:, self.shared] = shared
-        out[:, self.own] = own[:, : self.n_own]
-        out[:, head:] = own[:, self.n_own :]
+        out[:, self.own] = own
         return out
 
 
 class LayerCache:
     """One layer's K/V store: one (n_heads, L, d_head) array each for keys
-    and values, plus the shared/own split of its prompt rows (the store's,
+    and values, plus the shared/own split of its rows (the store's,
     replaced by the pruned split when the layer prunes). A lazy layer's
     keys are its own rows only."""
 
@@ -140,8 +152,8 @@ class LayerCache:
     def merged_keys(self, anchor: "LayerCache") -> np.ndarray:
         """Own keys merged with the anchor's shared keys, (n_heads, L,
         d_head) in position order: the anchor's keys themselves when the
-        layer owns none. The split places the prompt rows (row i of the
-        anchor is row i here); decoded rows follow as one block."""
+        layer owns none. The split places every row (row i of the anchor is
+        row i here)."""
         if not len(self.keys):
             return anchor.keys.data
         return self.split.merge(anchor.keys.data[:, self.split.shared], self.keys.data)
@@ -213,24 +225,32 @@ class PruneRecord(NamedTuple):
 
 
 class CacheStore:
-    """All request state for one in-flight sequence. `modality` is True at
-    the prompt's VISUAL positions; decoded tokens are TEXT. `shared` is
-    True at the prompt rows a lazy layer takes from its anchor; `split`
-    divides the prompt by it and `decode_split` a decoded row. `anchors[l]`
-    is layer l's anchor (see `planner.layer_anchors`)."""
+    """All request state for one in-flight sequence, empty when built.
+    `modality` is True at the VISUAL rows among all its rows; the first
+    `n_prompt` are prompt rows, the rest decoded (TEXT). `split` divides the
+    rows into those a lazy layer takes from its anchor and those it owns.
+    `anchors[l]` is layer l's anchor (see `planner.layer_anchors`)."""
 
-    def __init__(self, config: ModelConfig, plan: LazyPlan | None, tokens: TokenSequence):
+    def __init__(self, config: ModelConfig, plan: LazyPlan | None):
         self.config = config
         self.anchors = layer_anchors(plan, config.n_layers)
-        self.modality = np.asarray(tokens.modality) == VISUAL
-        gla = plan is not None and plan.mode == GLA
-        self.shared = np.ones_like(self.modality) if gla else self.modality
-        self.split = RowSplit(self.shared)
-        self.decode_split = RowSplit(np.full(1, gla))
+        self.all_shared = plan is not None and plan.mode == GLA
+        self.modality = np.zeros(0, dtype=bool)
+        self.split = RowSplit(self.modality)
         self.layers = [LayerCache(config.n_heads, config.d_head, self.split) for _ in self.anchors]
         self.qcache = QCache()
         self.seq_len = 0
+        self.n_prompt = 0
         self.prune_record: PruneRecord | None = None
+
+    def grow(self, visual: np.ndarray) -> RowSplit:
+        """Add rows of the modality `visual` to the mask and every layer's
+        split; returns theirs. The caller appends K/V, then moves `seq_len`."""
+        self.modality = np.concatenate([self.modality, visual])
+        shared = np.ones_like(visual) if self.all_shared else visual
+        for split in {layer.split for layer in self.layers}:
+            split.grow(shared)
+        return RowSplit(shared)
 
     @property
     def n_visual(self) -> int:
@@ -240,7 +260,7 @@ class CacheStore:
 
     @property
     def n_text(self) -> int:
-        """Text positions after prefill: the prompt's plus every decoded one."""
+        """Text positions: the prompt's plus every decoded one."""
         return self.seq_len - int(np.count_nonzero(self.modality))
 
     def kv_bytes(self) -> int:

@@ -107,6 +107,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
+from .model import require_int, require_positive
 
 # A Matrix is a 2-D float32 ndarray, the operand of `matmul`; `head_matmul`
 # takes stacked (H, m, k) arrays, and `matvec` either.
@@ -260,12 +261,10 @@ def masked_softmax_rows(
     not depend on how many masked columns follow it (see module doc).
     Otherwise the row is one `np.sum`.
     """
-    if scale <= 0:
-        raise ValidationError(f"softmax scale must be positive, got {scale}")
+    scale = require_positive("softmax scale", scale)
     if logits.ndim < 2:
         raise ValidationError(f"logits must be at least 2-D, got shape {logits.shape}")
-    if row_offset < 0:
-        raise ValidationError("row_offset must be non-negative (every row needs a visible column)")
+    row_offset = require_int("row_offset", row_offset, 0)
     rows, cols = logits.shape[-2:]
     # One buffer, computed in place, with the operations in the order of
     # exp(scale*logits - max) / sum.
@@ -296,8 +295,7 @@ def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:
     Computed in two buffers, in the order of x * (1 / sqrt(sum(x*x) / d +
     eps)) * gain; the mean is the row sum divided by d, as `np.mean` takes
     it."""
-    if eps <= 0:
-        raise ValidationError(f"rms_norm eps must be positive, got {eps}")
+    eps = require_positive("rms_norm eps", eps)
     gain = np.asarray(gain, dtype=np.float32)
     if gain.ndim != 1 or gain.shape[0] != x.shape[1]:
         raise ValidationError(
@@ -361,8 +359,7 @@ def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
     backwards). Position 0 is the identity; every rotation preserves the
     row norm. The output is a fresh contiguous array.
     """
-    if theta_base <= 0:
-        raise ValidationError("theta_base must be positive")
+    theta_base = require_positive("theta_base", theta_base)
     positions = np.asarray(positions)
     integral = positions.dtype.kind in "iu" and np.can_cast(positions.dtype, np.intp)
     if positions.size and not integral:
@@ -374,7 +371,7 @@ def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
             f"positions length {len(positions)} != row count {qk.shape[0]}"
         )
     half = qk.shape[-1] // 2
-    key = (float(theta_base), half)
+    key = (theta_base, half)
     table = _ROPE_TABLES.get(key)
     if table is None:
         table = _ROPE_TABLES[key] = _RopeTable(theta_base, half)

@@ -74,11 +74,8 @@ class ModelConfig:
             )
         if self.d_head % 2 != 0:
             raise ValidationError("d_head must be even (rotary pairs)")
-        # NaN fails every comparison, so this rejects it along with infinity.
-        if not all(is_number(v) and 0 < v < np.inf for v in (self.rope_theta, self.norm_eps)):
-            raise ValidationError("rope_theta and norm_eps must be finite and positive numbers")
-        object.__setattr__(self, "rope_theta", float(self.rope_theta))
-        object.__setattr__(self, "norm_eps", float(self.norm_eps))
+        for name in ("rope_theta", "norm_eps"):
+            object.__setattr__(self, name, require_positive(name, getattr(self, name)))
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
@@ -367,11 +364,19 @@ def require_int(name: str, value, low: int | None = None) -> int:
     return int(value)
 
 
+def require_positive(name: str, value) -> float:
+    """`value` as a float if it is a number (see `is_number`) that is finite
+    and above 0, else ValidationError; NaN fails the comparison too."""
+    if not (is_number(value) and 0 < value < math.inf):
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
 def is_number(value) -> bool:
     """Whether `value` is a float, or an integer (see `is_int`) in float range."""
-    if is_int(value):
-        return abs(value) <= sys.float_info.max
-    return isinstance(value, (float, np.floating))
+    if isinstance(value, (float, np.floating)):
+        return True
+    return is_int(value) and abs(value) <= sys.float_info.max
 
 
 def atomic_write(path: str, data: bytes | memoryview | str | Iterable) -> None:

@@ -1,20 +1,24 @@
-"""Prefill and decode for the standard runtime and both lazy modes.
+"""Prefill, extend and decode for the standard runtime and both lazy modes.
 
-`prefill(weights, tokens, plan)` builds the cache store from the plan
-(None is the standard runtime); `decode(weights, store, token)` continues
-that store, whose layer map came from the plan. No entry point is per mode,
-so a plan and a store cannot disagree about it. `generate(weights, store,
-last_logits, steps)` is the one greedy loop: it continues a store that a
-prefill filled, and a prune possibly cut, from the prefill's last logits.
+`prefill(weights, tokens, plan)` builds an empty cache store from the plan
+(None is the standard runtime) and extends it by the prompt;
+`extend(weights, store, tokens)` appends prompt rows to a store, as chunked
+prefill and prefix reuse do; `decode(weights, store, token)` appends one
+decoded row. No entry point is per mode, so a plan and a store cannot
+disagree about it. `generate(weights, store, last_logits, steps)` is the
+one greedy loop: it continues a store that a prefill filled, and a prune
+possibly cut, from the prefill's last logits.
 
-Prefill and decode run the same head-batched layer step, `_layer`, over
-some rows and their shared/own split: prefill passes the s prompt rows
-with the store's prompt split, decode one new row with the store's
-`decode_split`. Positions live in the store (see `caches`); no layer keeps
-its own. Each layer's K/V cache is one (n_heads, L, d_head) array, so
-rotary runs once per layer, on Q and K together, and attention for all
-heads runs as one scores product, one masked softmax and one weighted sum
-per block of rows.
+Both append rows through `_forward`, which grows the store's mask and
+split (see `caches`) and runs the rows through one head-batched layer step,
+`_layer`, with their shared/own split; they differ only in their checks and
+kernels. `extend` refuses, before touching it, a store of another config, a
+pruned store, one that holds decoded rows and one whose `seq_len` is not a
+multiple of CHUNK, so an extension runs the blocks and shapes one-shot
+prefill runs. The Q cache is published and released per call. Each layer's
+K/V cache is one (n_heads, L, d_head) array, so rotary runs once per layer,
+on Q and K together, and attention for all heads runs as one scores
+product, one masked softmax and one weighted sum per block of rows.
 
 A layer's role alone picks the columns of its products on the fused
 weights (see `model.LayerWeights`): a layer that is its own anchor runs one
@@ -32,13 +36,13 @@ the same blocks, so prefill equals it bit for bit whether or not the
 kernels are length-invariant: tests pin that property, which makes every
 block size give the bits of one square, but no run-time probe checks it
 and no oracle contract needs it (see `kernels`). One loop runs every row
-count: a prompt of at most CHUNK rows, like decode's one row, is one block
+count: a call of at most CHUNK rows, like decode's one row, is one block
 against every key on the transposed view of the key cache, and more rows
 share one C-order copy of K^T.
 
 A capture is any object with `record(layer, head_attn)` and `full_matrix`:
-`record` gets each layer's (n_heads, rows, L) attention with it, the last
-block's (n_heads, <=CHUNK, L) without it; no block outlives the layer.
+`record` gets each layer's (n_heads, rows, L) attention for the call's rows
+with it, the last block's (n_heads, <=CHUNK, L) without it.
 
 The phase picks its kernels, never the row count (see `kernels`): prefill
 runs the batch-invariant tiles, the bits of a 64-row tile in one GEMM per
@@ -48,7 +52,7 @@ matches it bit for bit even where a lazy layer projects a single own row. Decode
 attention alike, on the one stacked GEMV (`matvec`) and a plain row sum,
 which are cheaper for its one row; the oracle runs its decoded rows on
 them too, so each step matches it bit for bit as well.
-`prefill` and `decode` look the kernels up in this module when called, so
+`extend` and `decode` look the kernels up in this module when called, so
 a wrapper set on `runtime.matmul` sees every prefill weight product. Each
 product states its operands once and records its own MACs on the meter it
 is given (`_metered`), so the meter counts what ran: a block's scores and
@@ -96,7 +100,7 @@ from .kernels import (
     rms_norm,
     silu,
 )
-from .model import ModelWeights, TokenSequence, is_int, is_number, require_int
+from .model import TEXT, VISUAL, ModelWeights, TokenSequence, is_int, is_number, require_int
 from .planner import LazyPlan
 
 # Query rows per block of block-causal prefill attention.
@@ -227,17 +231,40 @@ def _layer(
     return x + mm(silu(gate) * up, lw.w_down, "mlp_down")
 
 
-def _forward(
-    weights: ModelWeights, store: CacheStore, token_ids, split: RowSplit, phase: _Phase, capture
-):
-    """Run the rows through every layer with the `phase`'s kernels; returns
-    their logits."""
+def _forward(weights: ModelWeights, store: CacheStore, token_ids, modality, phase: _Phase, capture):
+    """Append rows (ids and modality flags) to the store and run them
+    through every layer on the `phase`'s kernels; returns their logits."""
     config = weights.config
+    rows = store.grow(np.asarray(modality) == VISUAL)
     x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
     for l in range(config.n_layers):
-        x = _layer(weights, store, l, x, split, phase, capture)
+        x = _layer(weights, store, l, x, rows, phase, capture)
+    store.seq_len += len(modality)
+    store.qcache.release()
     xn = rms_norm(x, weights.final_gain, config.norm_eps)
     return phase.mm(xn, weights.lm_head, "lm_head")
+
+
+def extend(
+    weights: ModelWeights, store: CacheStore, tokens: TokenSequence, capture=None, meter=None
+) -> np.ndarray:
+    """Append the prompt rows `tokens` to `store` on prefill's kernels and
+    return their logits; a `capture` records their attention. See the
+    module doc for the stores it refuses."""
+    if store.config != weights.config:
+        raise ValidationError("extend needs the weights of the config that built the store")
+    if store.prune_record is not None:
+        raise ValidationError("extend refuses a pruned store")
+    if store.seq_len != store.n_prompt:
+        raise ValidationError("extend refuses a store that holds decoded rows")
+    if store.seq_len % CHUNK:
+        raise ValidationError(f"extend needs a multiple of {CHUNK} rows, not {store.seq_len}")
+    _validate_tokens(tokens.token_ids, weights.config.vocab_size)
+    # Looked up now, so wrappers take effect.
+    phase = _Phase(_metered(matmul, meter), _metered(head_matmul, meter), True)
+    logits = _forward(weights, store, tokens.token_ids, tokens.modality, phase, capture)
+    store.n_prompt = store.seq_len
+    return logits
 
 
 def prefill(
@@ -250,16 +277,8 @@ def prefill(
     """Run the prompt through the model, returning logits for every position
     and the populated cache store. `plan=None` is the standard runtime.
     A `capture` records each layer's attention (see the module doc)."""
-    _validate_tokens(tokens.token_ids, weights.config.vocab_size)
-    store = CacheStore(weights.config, plan, tokens)
-    # Looked up now, so wrappers take effect.
-    phase = _Phase(_metered(matmul, meter), _metered(head_matmul, meter), True)
-    logits = _forward(weights, store, tokens.token_ids, store.split, phase, capture)
-    # Prefill-era shared queries are never reread by decode; release them so
-    # the Q cache occupancy bound stays honest (peak remains recorded).
-    store.qcache.release()
-    store.seq_len = len(tokens)
-    return logits, store
+    store = CacheStore(weights.config, plan)
+    return extend(weights, store, tokens, capture, meter), store
 
 
 def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None) -> np.ndarray:
@@ -271,10 +290,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode needs the weights of the config that built the store")
     _validate_tokens([next_token], weights.config.vocab_size)
     gemv = _metered(matvec, meter)
-    phase = _Phase(gemv, gemv, False)
-    logits = _forward(weights, store, [next_token], store.decode_split, phase, None)
-    store.seq_len += 1
-    return logits[0]
+    return _forward(weights, store, [next_token], [TEXT], _Phase(gemv, gemv, False), None)[0]
 
 
 def generate(
@@ -317,8 +333,8 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
     if len(snapshot.rows) != store.config.n_layers:
         raise ValidationError(f"snapshot has {len(snapshot.rows)} layers, not {store.config.n_layers}")
     scores = snapshot.last_rows[layer]
-    if len(scores) != len(store.modality):
-        raise ValidationError(f"snapshot has {len(scores)} columns, the prompt {len(store.modality)}")
+    if len(scores) != store.n_prompt:
+        raise ValidationError(f"snapshot has {len(scores)} columns, the prompt {store.n_prompt}")
     visual = np.flatnonzero(store.modality).tolist()
     keep_count = math.ceil(keep_ratio * len(visual))
     if keep_count >= len(visual):
@@ -327,7 +343,7 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
     removed = sorted(ranked[keep_count:])
 
     keep = np.delete(np.arange(store.seq_len), removed)
-    split = RowSplit(np.delete(store.shared, removed))
+    split = RowSplit(np.delete(store.modality | store.all_shared, removed))
     for l, anchor in enumerate(store.anchors):
         if anchor > layer:
             store.layers[l].prune(keep, split)

@@ -545,6 +545,9 @@ def test_rope_refuses_non_integer_positions(positions):
         apply_rope(f32(np.ones((2, 4))), positions, 10000.0)
 
 
+NAN, INF, ONES = float("nan"), float("inf"), np.ones((2, 4), np.float32)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -552,12 +555,32 @@ def test_rope_refuses_non_integer_positions(positions):
         (lambda: masked_softmax_rows(f32([[1.0, 2.0]]), -1, 1.0), "row_offset"),
         (lambda: rms_norm(f32([[1.0, 2.0]]), np.ones(2, np.float32), 0.0), "eps must be positive"),
         (lambda: apply_rope(f32(np.ones((2, 4))), [0, 1], 0.0), "theta_base"),
+        (lambda: rms_norm(ONES, np.ones(4, np.float32), NAN), "eps must be positive"),
+        (lambda: rms_norm(ONES, np.ones(4, np.float32), INF), "eps must be positive"),
+        (lambda: rms_norm(ONES, np.ones(4, np.float32), "1e-5"), "eps must be positive"),
+        (lambda: masked_softmax_rows(ONES, 3, NAN), "scale must be positive"),
+        (lambda: masked_softmax_rows(ONES, 3, INF), "scale must be positive"),
+        (lambda: masked_softmax_rows(ONES, 3, True), "scale must be positive"),
+        (lambda: masked_softmax_rows(ONES, 1.5, 1.0), "row_offset must be an integer"),
+        (lambda: masked_softmax_rows(ONES, np.float64(1.0), 1.0), "row_offset must be an integer"),
+        (lambda: apply_rope(ONES, [0, 1], NAN), "theta_base"),
+        (lambda: apply_rope(ONES, [0, 1], INF), "theta_base"),
     ],
-    ids=["softmax-1d", "softmax-offset", "rms-eps", "rope-theta"],
+    ids=[
+        "softmax-1d", "softmax-offset", "rms-eps", "rope-theta", "rms-nan", "rms-inf", "rms-str",
+        "softmax-nan", "softmax-inf", "softmax-bool", "offset-float", "offset-np-float",
+        "rope-nan", "rope-inf",
+    ],
 )
-def test_kernels_refuse_bad_arguments(call, message):
-    with pytest.raises(ValidationError, match=message):
-        call()
+def test_kernels_refuse_bad_arguments(monkeypatch, call, message):
+    """eps, scale and theta are finite numbers above 0 and a row offset is
+    an integer: NaN, which passes a `<= 0` check, is refused rather than
+    turned into NaN rows or columns, and leaves no rotary table behind."""
+    monkeypatch.setattr(kernels, "_ROPE_TABLES", {})
+    for _ in range(3):
+        with pytest.raises(ValidationError, match=message):
+            call()
+    assert kernels._ROPE_TABLES == {}
 
 
 def test_kernels_keep_values_finite():

@@ -560,7 +560,7 @@ def test_decode_bookkeeping_and_determinism(small_model):
 def test_decode_requires_prefill(small_model):
     from lazyattn.caches import CacheStore
 
-    empty = CacheStore(small_model.config, None, TokenSequence([1], [0]))
+    empty = CacheStore(small_model.config, None)
     with pytest.raises(ValidationError):
         decode(small_model, empty, 3)
 

@@ -17,6 +17,7 @@ from lazyattn import (
     ValidationError,
     decode,
     empty_plan,
+    extend,
     generate,
     oracle,
     oracle_full_generate,
@@ -315,7 +316,7 @@ def test_prune_validation(model, prompt):
         prune_visual_tokens(store, capture.snapshot, 2, 1.5)
     with pytest.raises(ValidationError):
         prune_visual_tokens(store, capture.snapshot, 99, 0.5)
-    empty = CacheStore(model.config, None, prompt)
+    empty = CacheStore(model.config, None)
     with pytest.raises(ValidationError, match="prefilled store"):
         prune_visual_tokens(empty, capture.snapshot, 2, 0.5)
 
@@ -1069,3 +1070,136 @@ def test_a_last_row_capture_holds_at_most_one_attention_block():
     finally:
         tracemalloc.stop()
     assert captured - bare <= 2 * runtime.CHUNK * s * 4
+
+
+# ---------------------------------------------------------------------------
+# One store that grows: extend continues a prefilled store at a CHUNK boundary
+# ---------------------------------------------------------------------------
+
+
+def extended(model, tokens, plan, cuts, capture=None):
+    """The prompt run as one prefill of its first rows and one extension
+    per later cut; returns the concatenated logits, the store and the
+    meter that saw every extension."""
+    meter, store = FlopMeter(), CacheStore(model.config, plan)
+    bounds = [0, *cuts, len(tokens)]
+    parts = [
+        extend(model, store, TokenSequence(tokens.token_ids[a:b], tokens.modality[a:b]),
+               capture=capture, meter=meter)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return np.vstack(parts), store, meter
+
+
+EXTENSION_CUTS = {1: [], 2: [128], 3: [64, 192], 4: [64, 128, 192]}
+
+
+@pytest.mark.parametrize("n_extensions", list(EXTENSION_CUTS))
+@pytest.mark.parametrize("layout", ["leading", "mid", "alternating"])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_extensions_give_one_shot_prefill_bit_for_bit(model, mode, layout, n_extensions):
+    """A 230-token prompt (half visual, so a cut at 64 splits its visual
+    span in every layout) prefilled in one to four CHUNK-aligned extensions:
+    the logits, concatenated, equal one-shot prefill's, as do the meter's
+    FLOPs and the KV bytes; the Q cache peaks no higher; and four decode
+    steps after the last extension equal one oracle pass with their ids
+    decoded."""
+    plan = None if mode is None else two_block_plan(mode)
+    tokens = random_prompt(np.random.default_rng(42), 96, length=230, visual_fraction=0.5,
+                           layout=layout)
+    assert 0 < sum(tokens.modality[:64]) and 0 < sum(tokens.modality[64:128])
+    meter = FlopMeter()
+    one_shot, whole = prefill(model, tokens, plan, meter=meter)
+    logits, store, parts_meter = extended(model, tokens, plan, EXTENSION_CUTS[n_extensions])
+    assert np.array_equal(logits, one_shot)
+    assert parts_meter.flops_by_label() == meter.flops_by_label()
+    assert store.kv_bytes() == whole.kv_bytes()
+    assert store.qcache.peak_bytes <= whole.qcache.peak_bytes
+    assert store.seq_len == store.n_prompt == len(tokens)
+    ids = generate(model, store.clone(), logits[-1], 4)
+    rows = np.vstack([logits] + [decode(model, store, t) for t in ids])
+    assert np.array_equal(rows, oracle_prefill(model, tokens, plan, decoded=ids))
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_a_long_prompt_extended_at_3840_equals_one_shot_prefill(mode):
+    """At 4,096 tokens, where attention tiles were found to lose length
+    invariance, a prefill of 3,840 rows extended by 256 gives one-shot
+    prefill's logits, FLOPs and KV bytes, and the decode steps after it."""
+    model = make_model(n_layers=2, n_heads=1, d_model=64)
+    tokens = random_prompt(np.random.default_rng(11), 96, length=4096, visual_fraction=0.5,
+                           layout="mid")
+    plan = None if mode is None else LazyPlan(mode=mode, n_layers=2, blocks=[LazyBlock(0, (1,))])
+    meter = FlopMeter()
+    one_shot, whole = prefill(model, tokens, plan, meter=meter)
+    logits, store, parts_meter = extended(model, tokens, plan, [3840])
+    assert np.array_equal(logits, one_shot)
+    assert parts_meter.flops_by_label() == meter.flops_by_label()
+    assert store.kv_bytes() == whole.kv_bytes()
+    for t in (5, 17):
+        assert np.array_equal(decode(model, store, t), decode(model, whole, t))
+
+
+def test_extend_refuses_a_store_it_cannot_continue_and_leaves_it_as_it_was(model):
+    """extend refuses a store that another config built, a pruned store, a
+    store that holds decoded rows (even at a CHUNK multiple) and a store of
+    another length than a CHUNK multiple, before touching it."""
+    rng = np.random.default_rng(43)
+    tokens = random_prompt(rng, 96, length=128, visual_fraction=0.5)
+    more = random_prompt(rng, 96, length=10, visual_fraction=0.5)
+    capture = AttentionCapture()
+    _, pruned = prefill(model, tokens, capture=capture)
+    prune_visual_tokens(pruned, capture.snapshot, 1, 0.5)
+    _, decoded = prefill(model, TokenSequence(tokens.token_ids[:63], tokens.modality[:63]))
+    decode(model, decoded, 7)
+    cases = [
+        (make_model(n_layers=6, n_heads=4, seed=21), prefill(model, tokens)[1], "config"),
+        (model, pruned, "pruned"),
+        (model, decoded, "decoded rows"),
+        (model, prefill(model, TokenSequence(tokens.token_ids[:100], tokens.modality[:100]))[1],
+         "multiple of 64 rows, not 100"),
+    ]
+    for weights, store, message in cases:
+        before = store.seq_len, [(len(c.keys), len(c.values)) for c in store.layers]
+        with pytest.raises(ValidationError, match=message):
+            extend(weights, store, more)
+        assert (store.seq_len, [(len(c.keys), len(c.values)) for c in store.layers]) == before
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_a_leading_visual_split_stays_slices_as_the_store_grows(model, mode):
+    """With one leading visual span, the store's split stays two slices
+    after a prefill and three decode steps, and after a prefill in two
+    extensions, so merged_keys copies blocks rather than gathering rows."""
+    plan = None if mode is None else two_block_plan(mode)
+    tokens = random_prompt(np.random.default_rng(44), 96, length=150, visual_fraction=0.5)
+    logits, store = prefill(model, tokens, plan)
+    generate(model, store, logits[-1], 3)
+    _, grown, _ = extended(model, tokens, plan, [64])
+    for s in (store, grown):
+        assert isinstance(s.split.shared, slice) and isinstance(s.split.own, slice)
+        assert all(c.split is s.split for c in s.layers)
+    assert store.split.n_shared + store.split.n_own == len(tokens) + 3
+
+
+def test_a_capture_on_an_extension_records_its_rows_and_drives_a_prune(model):
+    """A full-matrix capture on an extension gets that extension's rows
+    against every key; a last-row capture on the last extension ranks a
+    prune as one on a one-shot prefill does."""
+    tokens = random_prompt(np.random.default_rng(45), 96, length=150, visual_fraction=0.5)
+    plan = two_block_plan(VLA)
+    head, tail = (TokenSequence(tokens.token_ids[a:b], tokens.modality[a:b])
+                  for a, b in ((0, 128), (128, 150)))
+    full, store = HeadRecorder(), CacheStore(model.config, plan)
+    extend(model, store, head)
+    extend(model, store, tail, capture=full)
+    assert [m.shape for m in full.layers] == [(model.config.n_heads, 22, 150)] * 6
+    one_shot, last = AttentionCapture(), AttentionCapture()
+    logits, whole = prefill(model, tokens, plan, capture=one_shot)
+    store = CacheStore(model.config, plan)
+    extend(model, store, head)
+    extend(model, store, tail, capture=last)
+    kept = prune_visual_tokens(store, last.snapshot, 1, 0.5)
+    assert kept == prune_visual_tokens(whole, one_shot.snapshot, 1, 0.5)
+    ids = generate(model, store, logits[-1], 4)
+    assert ids == generate(model, whole, logits[-1], 4)
