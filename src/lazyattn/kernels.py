@@ -26,9 +26,10 @@ which depend on (k, n) alone. It runs one GEMM over all its rows, padded
 to a multiple of WIDE, so BLAS packs the weight once per product rather
 than once per tile. `head_matmul` is the attention product (scores and
 weighted sum) and keeps TILE = 4-row tiles, because they keep length
-invariance (below) where the wide tiles lose it: on OpenBLAS 0.3.31
-(Haswell kernels, 2 threads), 64-row tiles change a weighted-sum row's
-bits when k grows by zero terms at every width from 448 up, and at
+invariance (below) where the wide tiles lose it: on OpenBLAS 0.3.31 with
+its SkylakeX kernels (as `scipy_openblas_get_corename64_()` names them on
+the 2-thread host measured), 64-row tiles change a weighted-sum row's bits
+when k grows by zero terms at every width from 448 up, and at
 (k, n) = (512, 256). The widths agree in bits at k = 256 but not at
 k = 512, so production and oracle must give each product the same width:
 weight products go through `matmul`, attention products through

@@ -1,10 +1,27 @@
 """Inter-layer attention similarity profiling.
 
 For every input sample the engine captures each layer's head-averaged
-attention distribution for the final token (the full matrix behind a flag
-for small sequences). Similarity between two layers is the Jensen-Shannon
-divergence of those distributions, averaged over the corpus, giving the
-symmetric matrix S with values in [0, ln 2] (natural log throughout).
+attention distribution for the final token (every row behind a flag).
+Similarity between two layers is the Jensen-Shannon divergence of those
+distributions over each row's visible columns (row i's columns 0..i),
+averaged over the rows and then over the corpus, giving the symmetric
+matrix S with values in [0, ln 2] (natural log throughout).
+
+A profile pass computes only what S reads. Its prefills and extensions run
+with `logits=False` (see `runtime`), so the last layer stops after its
+attention. A full-matrix profile runs a sample as one prefill of its first
+EXTENSION_ROWS rows and one `extend` per further EXTENSION_ROWS, and folds
+each call's rows into per-row divergences before the next call runs, so at
+most EXTENSION_ROWS attention rows per layer are held at once, not the
+(s, s) square. The divergence is taken in blocks of CHUNK rows over the
+columns up to the block's last row, as
+
+    JS(p, q) = 1/2 (sum p ln p + sum q ln q) - sum m ln m,  m = (p + q) / 2,
+
+with each layer's sum p ln p taken once per block and one log of the
+mixture per layer pair; an entry equal to 0 adds exactly 0. Calls start
+at multiples of CHUNK, so the blocks sit at the same rows and columns
+however a sample is split into calls, and S does not depend on the split.
 
 A profile is checked once, when it is built, and cannot change afterwards:
 its fields are frozen and it holds S as a read-only float64 copy.
@@ -18,10 +35,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import runtime
 from .errors import ValidationError
-from .model import atomic_write, is_number, parse_json, require_int
+from .model import TokenSequence, atomic_write, is_number, parse_json, require_int
+from .runtime import CHUNK
 
 LN2 = math.log(2.0)
+
+# Rows of a sample that one call of a full-matrix profile runs: samples of
+# up to this many tokens run as one prefill. CHUNK-row calls would hold
+# less, but made a pass over 128-token samples 11-13% slower on a 2-vCPU
+# host.
+EXTENSION_ROWS = 8 * CHUNK
+
+# The least positive float64: x ln max(x, _TINY) is exactly 0 where x = 0
+# and x ln x elsewhere, without a log of 0.
+_TINY = float(np.nextafter(0.0, 1.0))
 
 _SUM_TOL = 1e-6
 
@@ -58,14 +87,10 @@ def kl_divergence(p, q) -> float:
 
 def js_divergence(p, q) -> float:
     """0.5*[KL(p||m) + KL(q||m)] with m = (p+q)/2; symmetric, in [0, ln 2]."""
-    return float(_js_rows(*_check_pair(p, q)))
-
-
-def _js_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """JS divergence of each row pair along the last axis, unvalidated."""
+    p, q = _check_pair(p, q)
     m = (p + q) / 2.0
     # m_i = 0 implies p_i = q_i = 0, so both KL terms are finite.
-    return 0.5 * (_kl_against(p, m) + _kl_against(q, m))
+    return float(0.5 * (_kl_against(p, m) + _kl_against(q, m)))
 
 
 def _kl_against(p: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -79,9 +104,9 @@ def _kl_against(p: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AttentionSnapshot:
-    """Per-layer head-averaged attention captured during one prefill: each
-    layer's (rows, cols) float64 mean, every row with full_matrix and the
-    last row alone otherwise."""
+    """Per-layer head-averaged attention captured during one prefill or
+    extension: each layer's (rows, cols) float64 mean, every row of the call
+    with full_matrix and the last row alone otherwise."""
 
     rows: list[np.ndarray] = field(default_factory=list)
 
@@ -101,8 +126,8 @@ class AttentionSnapshot:
 
 
 class AttentionCapture:
-    """Capture hook handed to prefill; collects each layer's head mean.
-    Without full_matrix prefill hands it only the last block of rows."""
+    """Capture hook handed to prefill or extend; collects each layer's head
+    mean. Without full_matrix they hand it only the last block of rows."""
 
     def __init__(self, full_matrix: bool = False):
         self.full_matrix = full_matrix
@@ -113,7 +138,9 @@ class AttentionCapture:
         adds heads in order in float64 (an outer-axis sum), which fixes its
         bits; without full_matrix it averages the last row alone."""
         rows = head_attn if self.full_matrix else head_attn[:, -1:]
-        self.snapshot.rows.append(rows.sum(axis=0, dtype=np.float64) / len(head_attn))
+        mean = rows.sum(axis=0, dtype=np.float64)
+        mean /= len(head_attn)
+        self.snapshot.rows.append(mean)
 
 
 @dataclass(frozen=True)
@@ -166,15 +193,11 @@ class SimilarityProfile:
 def profile_model(weights, corpus, full_matrix: bool = False) -> SimilarityProfile:
     """Mean pairwise JS divergence of per-layer attention over the corpus.
 
-    Each sample is prefilled once with a capture hook, validated and added
-    to the sums before the next one runs, in corpus order, so the result is
-    deterministic for a given (weights, corpus). With full_matrix the
-    divergence is averaged over every query row instead of only the last.
+    Samples run one after another in corpus order, each call's attention
+    validated before its rows are folded in, so the result is deterministic
+    for a given (weights, corpus). With full_matrix the divergence is
+    averaged over every query row instead of only the last.
     """
-    # Looked up at call time, so a wrapper installed on runtime.prefill sees
-    # the profiling prefills too.
-    from .runtime import prefill
-
     if not corpus:
         raise ValidationError("corpus must be non-empty")
     for i, seq in enumerate(corpus):
@@ -183,19 +206,61 @@ def profile_model(weights, corpus, full_matrix: bool = False) -> SimilarityProfi
 
     n_layers = weights.config.n_layers
     S = np.zeros((n_layers, n_layers), dtype=np.float64)
+    pairs = [(a, b) for a in range(n_layers) for b in range(a + 1, n_layers)]
     for seq in corpus:
-        capture = AttentionCapture(full_matrix=full_matrix)
-        prefill(weights, seq, capture=capture)
-        snap = capture.snapshot
-        snap.validate()
-        # Causally masked entries are exactly 0 in both rows, so they add
-        # nothing; the last-row profile is the one-row case.
-        for a in range(n_layers):
-            for b in range(a + 1, n_layers):
-                S[a, b] += float(np.mean(_js_rows(snap.rows[a], snap.rows[b])))
+        per_row = _sample_js(weights, seq, full_matrix, pairs)
+        for (a, b), js in zip(pairs, per_row):
+            S[a, b] += float(np.mean(js))
     S /= len(corpus)
     S = S + S.T
     return SimilarityProfile(n_layers=n_layers, n_samples=len(corpus), S=S)
+
+
+def _sample_js(weights, seq: TokenSequence, full_matrix: bool, pairs) -> np.ndarray:
+    """Per-row JS divergence of each layer pair on one sample, (pairs, rows):
+    every row with full_matrix, the last alone otherwise. The first call is
+    `runtime.prefill`, looked up now, so a wrapper set on it sees every
+    profiled sample; later calls extend its store (see the module doc)."""
+    step = EXTENSION_ROWS if full_matrix else len(seq)
+    per_row = []
+    for start in range(0, len(seq), step):
+        part = TokenSequence(seq.token_ids[start : start + step], seq.modality[start : start + step])
+        capture = AttentionCapture(full_matrix=full_matrix)
+        if start == 0:
+            store = runtime.prefill(weights, part, capture=capture, logits=False)[1]
+        else:
+            runtime.extend(weights, store, part, capture=capture, logits=False)
+        capture.snapshot.validate()
+        per_row.append(_visible_js(capture.snapshot.rows, pairs))
+    return np.concatenate(per_row, axis=1)
+
+
+def _visible_js(rows: list[np.ndarray], pairs) -> np.ndarray:
+    """JS divergence of each layer pair, (pairs, rows), for one call's
+    head-mean rows: each layer's (rows, keys), with row i at key index
+    keys - rows + i and compared over the keys up to it. Blocks of CHUNK
+    rows run over the columns up to the block's last row; the entries past
+    a row are masked, 0 in both layers, and add exactly 0."""
+    n_rows, n_keys = rows[0].shape
+    first = n_keys - n_rows
+    out = np.empty((len(pairs), n_rows))
+    for start in range(0, n_rows, CHUNK):
+        stop = min(start + CHUNK, n_rows)
+        block = [r[start:stop, : first + stop] for r in rows]
+        self_terms = [_sum_xlogx(p) for p in block]
+        for k, (a, b) in enumerate(pairs):
+            mixture = block[a] + block[b]
+            mixture *= 0.5
+            out[k, start:stop] = 0.5 * (self_terms[a] + self_terms[b]) - _sum_xlogx(mixture)
+    return out
+
+
+def _sum_xlogx(x: np.ndarray) -> np.ndarray:
+    """Row sums of x ln x along the last axis, entries equal to 0 adding 0."""
+    t = np.maximum(x, _TINY)
+    np.log(t, out=t)
+    t *= x
+    return t.sum(axis=-1)
 
 
 def save_profile(profile: SimilarityProfile, path: str) -> None:

@@ -44,6 +44,14 @@ A capture is any object with `record(layer, head_attn)` and `full_matrix`:
 `record` gets each layer's (n_heads, rows, L) attention for the call's rows
 with it, the last block's (n_heads, <=CHUNK, L) without it.
 
+`prefill` and `extend` with `logits=False` are for callers that read only
+the attention, as a profile pass does (see `profiler`): the last layer
+stops right after its attention, with its K/V appended and its capture
+recorded, and its output projection, its MLP, the final norm and the LM
+head are skipped. Nothing that the store holds depends on them, so the
+store is the one a `logits=True` call leaves, bit for bit, and can be
+extended or decoded from.
+
 The phase picks its kernels, never the row count (see `kernels`): prefill
 runs the batch-invariant tiles, the bits of a 64-row tile in one GEMM per
 weight product (`matmul`) and 4 rows for attention (`head_matmul`), and
@@ -182,11 +190,13 @@ def _attention(phase: _Phase, q, keys, values, capture, layer: int) -> np.ndarra
 
 
 def _layer(
-    weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, phase: _Phase, capture
+    weights, store: CacheStore, l: int, x: np.ndarray, split: RowSplit, phase: _Phase, capture,
+    output: bool = True,
 ):
     """One decoder layer over the rows after the store's `seq_len`, whose
     shared/own split is `split`, with the `phase`'s kernels; appends their
-    K/V to the layer's caches and returns the layer output."""
+    K/V to the layer's caches and returns the layer output. Without
+    `output` it stops after attention and returns None."""
     mm = phase.mm
     config = weights.config
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
@@ -223,6 +233,8 @@ def _layer(
             q = split.merge(shared_q, q) if n_own else shared_q
 
     o = _attention(phase, q, keys, cache.values.data, capture, l)
+    if not output:
+        return None
     x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo, "attn_out")
 
     hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
@@ -231,26 +243,35 @@ def _layer(
     return x + mm(silu(gate) * up, lw.w_down, "mlp_down")
 
 
-def _forward(weights: ModelWeights, store: CacheStore, token_ids, modality, phase: _Phase, capture):
+def _forward(
+    weights: ModelWeights, store: CacheStore, token_ids, modality, phase: _Phase, capture,
+    logits: bool = True,
+):
     """Append rows (ids and modality flags) to the store and run them
-    through every layer on the `phase`'s kernels; returns their logits."""
+    through every layer on the `phase`'s kernels; returns their logits,
+    or None without `logits` (see the module doc)."""
     config = weights.config
     rows = store.grow(np.asarray(modality) == VISUAL)
     x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
+    last = config.n_layers - 1
     for l in range(config.n_layers):
-        x = _layer(weights, store, l, x, rows, phase, capture)
+        x = _layer(weights, store, l, x, rows, phase, capture, logits or l < last)
     store.seq_len += len(modality)
     store.qcache.release()
+    if not logits:
+        return None
     xn = rms_norm(x, weights.final_gain, config.norm_eps)
     return phase.mm(xn, weights.lm_head, "lm_head")
 
 
 def extend(
-    weights: ModelWeights, store: CacheStore, tokens: TokenSequence, capture=None, meter=None
-) -> np.ndarray:
+    weights: ModelWeights, store: CacheStore, tokens: TokenSequence, capture=None, meter=None,
+    logits: bool = True,
+) -> np.ndarray | None:
     """Append the prompt rows `tokens` to `store` on prefill's kernels and
-    return their logits; a `capture` records their attention. See the
-    module doc for the stores it refuses."""
+    return their logits, or None with `logits=False`; a `capture` records
+    their attention. See the module doc for what `logits=False` skips and
+    for the stores `extend` refuses."""
     if store.config != weights.config:
         raise ValidationError("extend needs the weights of the config that built the store")
     if store.prune_record is not None:
@@ -262,9 +283,9 @@ def extend(
     _validate_tokens(tokens.token_ids, weights.config.vocab_size)
     # Looked up now, so wrappers take effect.
     phase = _Phase(_metered(matmul, meter), _metered(head_matmul, meter), True)
-    logits = _forward(weights, store, tokens.token_ids, tokens.modality, phase, capture)
+    out = _forward(weights, store, tokens.token_ids, tokens.modality, phase, capture, logits)
     store.n_prompt = store.seq_len
-    return logits
+    return out
 
 
 def prefill(
@@ -273,12 +294,14 @@ def prefill(
     plan: LazyPlan | None = None,
     capture=None,
     meter=None,
-) -> tuple[np.ndarray, CacheStore]:
+    logits: bool = True,
+) -> tuple[np.ndarray | None, CacheStore]:
     """Run the prompt through the model, returning logits for every position
-    and the populated cache store. `plan=None` is the standard runtime.
-    A `capture` records each layer's attention (see the module doc)."""
+    (None with `logits=False`, see `extend`) and the populated cache store.
+    `plan=None` is the standard runtime. A `capture` records each layer's
+    attention (see the module doc)."""
     store = CacheStore(weights.config, plan)
-    return extend(weights, store, tokens, capture, meter), store
+    return extend(weights, store, tokens, capture, meter, logits), store
 
 
 def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -15,12 +16,14 @@ from lazyattn import (
     load_profile,
     prefill,
     profile_model,
+    profiler,
+    runtime,
     save_profile,
 )
 from lazyattn.profiler import LN2, adjacent_profile_csv
 from lazyattn.viz import render_heatmap_svg
 
-from helpers import make_model
+from helpers import make_model, random_prompt
 
 LN = math.log
 
@@ -185,6 +188,81 @@ def test_profile_matches_per_row_reference(full_matrix, layout):
     got = profile_model(w, corpus, full_matrix=full_matrix).S
     ref = per_row_reference_profile(w, corpus, full_matrix)
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def causal_rows(rng, n_rows, n_keys, zero_share):
+    """Head-mean rows as a call's capture holds them: row i sits at key
+    index n_keys - n_rows + i and is a distribution over the keys up to it,
+    with about `zero_share` exact zeros among them (as softmax underflow
+    gives) and exact zeros past it (masked)."""
+    rows = np.zeros((n_rows, n_keys))
+    for i in range(n_rows):
+        visible = n_keys - n_rows + i + 1
+        p = rng.random(visible)
+        p[rng.random(visible) < zero_share] = 0.0
+        p[rng.integers(visible)] = 1.0
+        rows[i, :visible] = p / p.sum()
+    return rows
+
+
+@pytest.mark.parametrize("n_rows, n_keys", [(150, 150), (22, 150), (1, 70)])
+def test_visible_column_divergence_matches_js_on_each_rows_prefix(n_rows, n_keys):
+    """A call's per-row divergences, taken in CHUNK-row blocks with one log
+    of each pair's mixture, equal js_divergence on each row's visible
+    prefix within 1e-12, where zeros fall in one layer, in both, or past
+    the row."""
+    rng = np.random.default_rng(n_rows + n_keys)
+    layers = [causal_rows(rng, n_rows, n_keys, share) for share in (0.0, 0.3, 0.6)]
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    got = profiler._visible_js(layers, pairs)
+    assert got.shape == (len(pairs), n_rows)
+    for k, (a, b) in enumerate(pairs):
+        for r in range(n_rows):
+            visible = n_keys - n_rows + r + 1
+            ref = js_divergence(layers[a][r, :visible], layers[b][r, :visible])
+            assert abs(got[k, r] - ref) <= 1e-12
+
+
+def test_a_full_matrix_profile_does_not_depend_on_how_samples_are_split(monkeypatch):
+    """With 64-row, 512-row and whole-sample calls a full-matrix profile
+    gives one S bit for bit, within 1e-12 of the per-row reference, and
+    each sample meets `runtime.prefill` once, for its first rows."""
+    w = make_model(n_layers=4, seed=14)
+    corpus = seeded_corpus(15, "leading", lengths=(600, 130))
+    real, prefilled = runtime.prefill, []
+
+    def counted(weights, tokens, *args, **kwargs):
+        prefilled.append(len(tokens))
+        return real(weights, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(runtime, "prefill", counted)
+    profiles = []
+    for rows in (64, 512, 600):
+        monkeypatch.setattr(profiler, "EXTENSION_ROWS", rows)
+        prefilled.clear()
+        profiles.append(profile_model(w, corpus, full_matrix=True).S)
+        assert prefilled == [min(rows, len(seq)) for seq in corpus]
+    assert all(np.array_equal(S, profiles[0]) for S in profiles[1:])
+    monkeypatch.setattr(runtime, "prefill", real)
+    ref = per_row_reference_profile(w, corpus, full_matrix=True)
+    assert np.max(np.abs(profiles[0] - ref)) <= 1e-12
+
+
+def test_a_full_matrix_profile_holds_one_calls_attention_rows():
+    """A 1,100-token full-matrix profile peaks under twice n_layers x 512 x s
+    float64, the head means of one 512-row call. Every layer's (s, s) head
+    mean, held until the sample ends, would be 2.15 times that alone."""
+    n_layers = 4
+    w = make_model(n_layers=n_layers, seed=16)
+    seq = random_prompt(np.random.default_rng(17), 96, length=1100, visual_fraction=0.5)
+    profile_model(w, [seq], full_matrix=True)  # the rotary table and tile probes
+    tracemalloc.start()
+    try:
+        profile_model(w, [seq], full_matrix=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_layers * 512 * len(seq) * 8
 
 
 def test_snapshot_validate_checks_every_full_matrix_row():

@@ -1203,3 +1203,39 @@ def test_a_capture_on_an_extension_records_its_rows_and_drives_a_prune(model):
     assert kept == prune_visual_tokens(whole, one_shot.snapshot, 1, 0.5)
     ids = generate(model, store, logits[-1], 4)
     assert ids == generate(model, whole, logits[-1], 4)
+
+
+def split_rows(split):
+    """A RowSplit's shared and own rows as lists."""
+    rows = np.arange(split.n_shared + split.n_own)
+    return rows[split.shared].tolist(), rows[split.own].tolist()
+
+
+@pytest.mark.parametrize("layout", ["leading", "mid"])
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_calls_without_logits_leave_the_store_a_full_call_leaves(model, mode, layout):
+    """A prefill and an extension with logits=False return no logits and
+    leave K, V, the splits, seq_len, n_prompt and kv_bytes as logits=True
+    does, bit for bit; three decode steps, or one more CHUNK-aligned
+    extension, then give the logits=True store's logits."""
+    plan = None if mode is None else two_block_plan(mode)
+    rng = np.random.default_rng(47)
+    tokens = random_prompt(rng, 96, length=192, visual_fraction=0.5, layout=layout)
+    more = random_prompt(rng, 96, length=40, visual_fraction=0.5, layout=layout)
+    head, tail = (TokenSequence(tokens.token_ids[a:b], tokens.modality[a:b])
+                  for a, b in ((0, 128), (128, 192)))
+    _, full = prefill(model, head, plan)
+    extend(model, full, tail)
+    nothing, bare = prefill(model, head, plan, logits=False)
+    assert nothing is None and extend(model, bare, tail, logits=False) is None
+    assert (bare.seq_len, bare.n_prompt, bare.kv_bytes()) == (full.seq_len, full.n_prompt,
+                                                             full.kv_bytes())
+    assert np.array_equal(bare.modality, full.modality)
+    assert split_rows(bare.split) == split_rows(full.split)
+    for got, want in zip(bare.layers, full.layers):
+        assert np.array_equal(got.keys.data, want.keys.data)
+        assert np.array_equal(got.values.data, want.values.data)
+        assert split_rows(got.split) == split_rows(want.split)
+    assert np.array_equal(extend(model, bare.clone(), more), extend(model, full.clone(), more))
+    for t in FEED[:3]:
+        assert np.array_equal(decode(model, bare, t), decode(model, full, t))
