@@ -212,8 +212,8 @@ def cmd_verify(args) -> int:
         # reads outputs 3i..3i+2 whatever the case count.
         draws = rng.splitmix64(args.seed, 3 * case, 3)
         # 4 to 200 tokens, so a case can run a weight product as one GEMM of
-        # 128 to 256 padded rows and cross into a second attention block and
-        # 128-column softmax sum block.
+        # 128 to 256 padded rows, cross into a second, third or fourth
+        # attention block and pad a partial last block.
         length = 4 + int(draws[0]) % 197
         prompt = synthetic_prompt(
             vocab,

@@ -160,10 +160,10 @@ def standard_prefill_flops(config: ModelConfig, s: int) -> int:
     the Q/K/V/output projections, the MLP and the LM head over s rows, and
     the scores and weighted sum over the query-key pairs block-causal
     attention computes: each block of `runtime.CHUNK` query rows against
-    the keys up to its last row, at any s."""
+    the keys up to its end, CHUNK rows past its first, including the zero
+    keys that pad a partial last block."""
     d, ff, v = config.d_model, config.d_ff, config.vocab_size
-    blocks = [(start, min(start + CHUNK, s)) for start in range(0, s, CHUNK)]
-    pairs = sum((stop - start) * stop for start, stop in blocks)
+    pairs = sum((min(start + CHUNK, s) - start) * (start + CHUNK) for start in range(0, s, CHUNK))
     per_layer = 4 * s * d * d + 2 * pairs * d + 3 * s * d * ff
     return 2 * (config.n_layers * per_layer + s * d * v)
 

@@ -9,59 +9,45 @@ and compare bitwise.
 
 Products come in two families, with different bits:
 
-- `matmul`/`head_matmul` run GEMM tiles: the rows are padded with zeros to
-  a multiple of the tile width (only the tail tile holds padding), and
-  `np.matmul` runs one fixed-shape GEMM per (width, k) tile. A row's bits
-  are the same in any slot of any tile, whatever its neighbours, so they
-  do not depend on m. A plain 2-D `np.matmul` would not do: its blocking
-  depends on m (at k=512 a row's bits at m=8 differ from its tile bits).
+- `matmul`/`head_matmul` run GEMM tiles of WIDE = 64 rows: the rows are
+  padded with zeros to a multiple of WIDE (only the tail tile holds
+  padding), and `np.matmul` runs fixed-shape GEMMs. A row's bits are the
+  same in any slot of any tile, whatever its neighbours, so they depend on
+  (k, n) alone, never on m. A plain 2-D `np.matmul` would not do: its
+  blocking depends on m (at k=512 a row's bits at m=8 differ from its tile
+  bits).
 - `matvec` runs the stacked GEMV on 2-D weights and stacked heads alike:
   (..., m, 1, k) row vectors, one GEMV per row, all in C; row i has the
   bits of `a[..., i, :] @ b` alone. A 1-row product (every decode product)
   is that GEMV as a direct `np.matmul`.
 
-The tiles come in two widths. `matmul` is the weight product (Q/K/V/O,
-the MLP, the LM head) and gives a row the bits of a WIDE = 64-row tile,
-which depend on (k, n) alone. It runs one GEMM over all its rows, padded
-to a multiple of WIDE, so BLAS packs the weight once per product rather
+`matmul` is the weight product (Q/K/V/O, the MLP, the LM head). It runs one
+GEMM over all its rows, so BLAS packs the weight once per product rather
 than once per tile. `head_matmul` is the attention product (scores and
-weighted sum) and keeps TILE = 4-row tiles, because they keep length
-invariance (below) where the wide tiles lose it: on OpenBLAS 0.3.31 with
-its SkylakeX kernels (as `scipy_openblas_get_corename64_()` names them on
-the 2-thread host measured), 64-row tiles change a weighted-sum row's bits
-when k grows by zero terms at every width from 448 up, and at
-(k, n) = (512, 256). The widths agree in bits at k = 256 but not at
-k = 512, so production and oracle must give each product the same width:
-weight products go through `matmul`, attention products through
-`head_matmul`.
+weighted sum) and runs one GEMM per head and block of at most WIDE rows,
+so a head's rows carry the bits they get alone and the oracle's one-head
+products match.
 
-The tiles are also length-invariant: k and n are zero-padded to multiples
-of LANE (16) and the logical result sliced back out. Then a column of the
-product keeps its bits as b gains columns, and a row keeps its bits as k
-grows by terms that are zero in a. Attention rests on both: a scores
-column does not depend on how many keys follow it, nor a weighted sum on
-how many masked (zero) weights. The model's weight shapes are multiples of
-16 already, so only the attention products pay for the padding. The
-softmax does its part in `masked_softmax_rows`, whose blocked row sum does
-not depend on how many masked columns follow a row. So a block of query
-rows attended against a prefix of the keys gets the bits the full square
-gives those rows: `prefill(tokens[:L])` equals `prefill(tokens)[:L]`, and
-any block size gives the bits of one square. Tests pin this property; no
-run-time probe checks it, and no oracle contract needs it, since the oracle
-attends the prompt rows in prefill's own blocks (see `oracle`). It holds
-only as far as the BLAS allows: on OpenBLAS 0.3.31 the 4-row weighted-sum
-tiles were found to change a row's bits as k grows by zero terms from
-3,904 keys, and prefill still equals the oracle there.
+No kernel needs to be length-invariant, because attention's shapes are
+fixed by where a block sits (see `runtime`): prefill attends each block of
+CHUNK query rows against the keys up to the block's end, zero-padded past
+the call's last key, and the oracle does the same. So a prompt row's
+scores, softmax and weighted sum run on the same shapes in every prompt
+that holds the row, and `prefill(tokens[:L])` equals `prefill(tokens)[:L]`
+whatever the BLAS does as k grows. The BLAS alone would not give that: on
+OpenBLAS 0.3.31 with its SkylakeX kernels (as
+`scipy_openblas_get_corename64_()` names them on the 2-thread host
+measured), 64-row tiles change a weighted-sum row's bits when k grows by
+zero terms at every width from 448 up.
 
-A phase picks its kernels, never the row count: prefill runs the tiles and
-the blocked row sum, decode the GEMV and one plain `np.sum` per row, since
-a padded 1-row tile costs about twice a GEMV on weights that are cold in
-cache and decode never needs length invariance. The oracle follows the
-same rule row by row: a prompt row's weight products run on `matmul`, its
-attention products on `head_matmul` (one head at a time) and its softmax
-with the blocked sum; a decoded row's run on `matvec` and the plain sum.
-So in production and oracle alike a 2-D `matmul` is a weight product, and
-both phases match the oracle bit for bit.
+A phase picks its products, never the row count: prefill runs the tiles,
+decode the GEMV, since a padded 1-row tile costs about twice a GEMV on
+weights that are cold in cache. Both phases share one softmax, whose row
+sum is one `np.add.reduce`. The oracle follows the same rule row by row: a
+prompt row's weight products run on `matmul` and its attention products on
+`head_matmul` (one head at a time); a decoded row's run on `matvec`. So in
+production and oracle alike a 2-D `matmul` is a weight product, and both
+phases match the oracle bit for bit.
 
 The tiles see one canonical layout: a right-hand operand whose last axis
 is not unit-stride (K^T as a transposed view of the key cache) is copied to
@@ -71,15 +57,14 @@ product the copy is also several times faster than the view.
 
 Batch invariance is a property of the BLAS, and every contract rests on
 it, so it is checked where the engine runs, by one probe (`_probe`) per
-tile width and padded (k, n): a random row's bits must agree in slot 0, in
-the last slot of the next tile between random neighbours, and alone in a
-padded tail tile. Where the probe fails, that shape runs the GEMV on the
-canonical layout, in production and oracle alike. `matmul`'s GEMM of
-r > WIDE padded rows has its own probe per (r, k, n): a random row must get
-the bits it gets alone in a WIDE-row tile in the GEMM's first and last
-slot. Where that fails, r rows run one BLAS call per WIDE-row tile, so a
-row's bits do not depend on m even where the GEMM holds at one row count
-and not at another.
+(k, n): a random row's bits must agree in slot 0, in the last slot of the
+next tile between random neighbours, and alone in a padded tail tile.
+Where the probe fails, that shape runs the GEMV on the canonical layout, in
+production and oracle alike. `matmul`'s GEMM of r > WIDE padded rows has
+its own probe per (r, k, n): a random row must get the bits it gets alone
+in a WIDE-row tile in the GEMM's first and last slot. Where that fails, r
+rows run one BLAS call per WIDE-row tile, so a row's bits do not depend on
+m even where the GEMM holds at one row count and not at another.
 
 A layer's Q, K and V weights (and its gate and up weights) are column
 blocks of one fused weight (see `model.LayerWeights`). The layer's role,
@@ -116,14 +101,8 @@ Matrix = np.ndarray
 
 F32 = np.float32
 
-# Rows per tile: TILE for the attention products (`head_matmul`), WIDE for
-# the weight products (`matmul`); see module doc.
-TILE = 4
+# Rows per tile of every GEMM product (see module doc).
 WIDE = 64
-# The tiles pad k and n to multiples of LANE (see module doc).
-LANE = 16
-# Columns per partial sum of a blocked softmax row sum.
-SUM_BLOCK = 128
 
 
 def _check(name: str, a: np.ndarray, b: np.ndarray, ndim: int) -> None:
@@ -144,7 +123,7 @@ def _up(x: int, step: int) -> int:
     return x + (-x % step)
 
 
-def _padded(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def zero_padded(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """`x` zero-padded on its last two axes to (rows, cols), in C order."""
     out = np.zeros((*x.shape[:-2], rows, cols), dtype=x.dtype)
     out[..., : x.shape[-2], : x.shape[-1]] = x
@@ -153,29 +132,28 @@ def _padded(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 def _tiles(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
     """out[..., i, :] = a[..., i, :] @ b over `tile`-row tiles, with m
-    zero-padded to a multiple of `tile` and k and n to multiples of LANE."""
+    zero-padded to a multiple of `tile`."""
     *lead, m, k = a.shape
-    n = b.shape[-1]
-    m_pad, k_pad, n_pad = _up(m, tile), _up(k, LANE), _up(n, LANE)
-    if (m_pad, k_pad) != (m, k):
-        a = _padded(a, m_pad, k_pad)
-    if (k_pad, n_pad) != (k, n) or b.strides[-1] != b.itemsize:
-        b = _padded(b, k_pad, n_pad)  # also the one canonical layout (see module doc)
-    out = np.matmul(a.reshape(*lead, m_pad // tile, tile, k_pad), b[..., None, :, :])
-    return out.reshape(*lead, m_pad, n_pad)[..., :m, :n]
+    m_pad = _up(m, tile)
+    if m_pad != m:
+        a = zero_padded(a, m_pad, k)
+    if b.strides[-1] != b.itemsize:  # the one canonical layout (see module doc)
+        b = np.ascontiguousarray(b)
+    out = np.matmul(a.reshape(*lead, m_pad // tile, tile, k), b[..., None, :, :])
+    return out.reshape(*lead, m_pad, b.shape[-1])[..., :m, :]
 
 
-# (rows per BLAS call, padded k, padded n) -> whether tiles of that shape
-# are batch invariant here; one entry per tile height and padded shape used.
+# (rows per BLAS call, k, n) -> whether tiles of that shape are batch
+# invariant here; one entry per tile height and shape used.
 _TILES_HOLD: dict[tuple[int, int, int], bool] = {}
 
 
 def _probe(tile: int, k: int, n: int) -> bool:
-    """Whether `tile`-row tiles of the padded shape (k, n) are batch
-    invariant here (see module doc): a random row's bits agree in slot 0, in
-    the last slot of the second tile and alone in the padded tail tile. Past
-    WIDE, one GEMM of `tile` rows gives a random row in its first and last
-    slot the bits of the row alone in a padded WIDE-row tile."""
+    """Whether `tile`-row tiles of (k, n) products are batch invariant here
+    (see module doc): a random row's bits agree in slot 0, in the last slot
+    of the second tile and alone in the padded tail tile. Past WIDE, one
+    GEMM of `tile` rows gives a random row in its first and last slot the
+    bits of the row alone in a padded WIDE-row tile."""
     rng = np.random.default_rng([k, n])
     gemm = tile > WIDE
     a = rng.random((tile if gemm else 2 * tile + 1, k), dtype=np.float32) - F32(0.5)
@@ -189,8 +167,8 @@ def _probe(tile: int, k: int, n: int) -> bool:
 
 def _tiles_hold(tile: int, k: int, n: int) -> bool:
     """Whether `tile`-row tiles of (k, n) products are batch invariant on
-    this host; probed once per tile width and padded shape."""
-    key = (tile, _up(k, LANE), _up(n, LANE))
+    this host; probed once per tile height and shape."""
+    key = (tile, k, n)
     hold = _TILES_HOLD.get(key)
     if hold is None:
         hold = _TILES_HOLD[key] = _probe(*key)
@@ -222,14 +200,14 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-head attention product of (H, m, k) by (H, k, n) over TILE-row
+    """Per-head attention product of (H, m, k) by (H, k, n) over WIDE-row
     tiles: out[h, i] = a[h, i] @ b[h].
 
     Each head runs the tiles it would run alone, so a head's rows carry the
     same bits for any H, and the oracle's one-head products match.
     """
     _check("head_matmul", a, b, 3)
-    return _product(a, b, TILE)
+    return _product(a, b, WIDE)
 
 
 def matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,9 +221,7 @@ def matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
 
 
-def masked_softmax_rows(
-    logits: np.ndarray, row_offset: int, scale: float, blocked: bool = True
-) -> np.ndarray:
+def masked_softmax_rows(logits: np.ndarray, row_offset: int, scale: float) -> np.ndarray:
     """Softmax of scale*logits along the last axis with causal masking: row
     i sees columns j <= i + row_offset, so 0 is the square prefill mask.
 
@@ -256,11 +232,6 @@ def masked_softmax_rows(
     are stabilized by subtracting the row max over visible positions before
     exponentiation; column 0 is always visible, so that max is finite and
     masked positions come out exactly 0.
-
-    `blocked` sums each row in SUM_BLOCK-column blocks, the tail block
-    zero-padded, and adds the block sums left to right, so a row's bits do
-    not depend on how many masked columns follow it (see module doc).
-    Otherwise the row is one `np.sum`.
     """
     scale = require_positive("softmax scale", scale)
     if logits.ndim < 2:
@@ -277,16 +248,7 @@ def masked_softmax_rows(
         np.copyto(e[..., start:], F32(-np.inf), where=hidden)
     e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    if not blocked:
-        e /= np.add.reduce(e, axis=-1, keepdims=True)
-        return e
-    full = cols - cols % SUM_BLOCK
-    parts = e[..., :full].reshape(*e.shape[:-1], full // SUM_BLOCK, SUM_BLOCK).sum(axis=-1)
-    if full < cols:
-        tail = np.zeros((*e.shape[:-1], SUM_BLOCK), dtype=np.float32)
-        tail[..., : cols - full] = e[..., full:]
-        parts = np.concatenate([parts, tail.sum(axis=-1, keepdims=True)], axis=-1)
-    e /= np.cumsum(parts, axis=-1)[..., -1:]
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -297,6 +259,8 @@ def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:
     eps)) * gain; the mean is the row sum divided by d, as `np.mean` takes
     it."""
     eps = require_positive("rms_norm eps", eps)
+    if x.ndim != 2:
+        raise ValidationError(f"rms_norm expects 2-D (rows, d) input, got shape {x.shape}")
     gain = np.asarray(gain, dtype=np.float32)
     if gain.ndim != 1 or gain.shape[0] != x.shape[1]:
         raise ValidationError(

@@ -20,13 +20,14 @@ anchor's Q and K; `wv` for a lazy layer's V and, under VLA, the Q|K columns
 of w_qkv for its own rows; the whole w_gate_up for every MLP. Attention has
 one path, `_attention`, per head, with the shapes production runs per head:
 the prompt rows in blocks of `runtime.CHUNK`, each against the keys and
-values up to its last row, on `head_matmul`'s 4-row tiles with the blocked
-softmax row sum, as prefill computes them; then each decoded row alone over
-its visible columns, on `matvec` with the plain row sum, as a decode step
-computes it. So no oracle contract rests on the kernels' length invariance
-(see `kernels`), which tests pin but nothing probes at run time. A record
-that is no prune of the prompt is refused (a prune cuts a prefilled store);
-in a layer the prune cut, the rows after it see the kept columns.
+values up to the block's end, on `head_matmul`, as prefill computes them.
+Past the prompt's last key those are zeros, never the keys of decoded rows,
+as prefill sees none. Then each decoded row runs alone over its visible
+columns on `matvec`, as a decode step computes it. So a prompt row's bits
+depend on its block's place alone, and no contract asks the kernels for
+length invariance (see `kernels`). A record that is no prune of the prompt
+is refused (a prune cuts a prefilled store); in a layer the prune cut, the
+rows after it see the kept columns.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .kernels import (
     matvec,
     rms_norm,
     silu,
+    zero_padded,
 )
 from .model import TokenSequence, is_int, require_int
 from .planner import GLA, LazyPlan, layer_anchors
@@ -84,25 +86,27 @@ def _qkv(weights, layer: int, x_layer: np.ndarray, n_prompt: int) -> np.ndarray:
 def _attention(q, k, v, n_prompt: int, prune: PruneRecord | None) -> np.ndarray:
     """One head's causal attention over (s, d_head) q, k and v, whose first
     `n_prompt` rows are the prompt's: the prompt rows in blocks of CHUNK,
-    each against the keys up to its last row, on the attention tiles with
-    the blocked row sum, then each decoded row alone over its visible
-    columns on the GEMV with the plain row sum. Under `prune` the rows from
-    its `prompt_len` on see only the columns it kept."""
+    each against the prompt's keys up to the block's end, zero-padded past
+    the last, on the attention tiles; then each decoded row alone over its
+    visible columns on the GEMV. Under `prune` the rows from its
+    `prompt_len` on see only the columns it kept."""
     s, d_head = q.shape
     scale = attention_scale(d_head)
     out = np.empty((s, d_head), dtype=np.float32)
-    kt = np.ascontiguousarray(k[None, :n_prompt].transpose(0, 2, 1))
+    end = n_prompt + (-n_prompt % CHUNK)
+    kt = zero_padded(k[None, :n_prompt].transpose(0, 2, 1), d_head, end)
+    vp = zero_padded(v[None, :n_prompt], end, d_head)
     for start in range(0, n_prompt, CHUNK):
         stop = min(start + CHUNK, n_prompt)
-        scores = head_matmul(q[None, start:stop], kt[..., :stop])
+        scores = head_matmul(q[None, start:stop], kt[..., : start + CHUNK])
         attn = masked_softmax_rows(scores, start, scale)
-        out[start:stop] = head_matmul(attn, v[None, :stop])[0]
+        out[start:stop] = head_matmul(attn, vp[:, : start + CHUNK])[0]
     for i in range(n_prompt, s):
         cols = np.arange(i + 1)
         if prune is not None and i >= prune.prompt_len:
             cols = np.delete(cols, prune.removed)
         scores = matvec(q[None, i : i + 1], k[None, cols].transpose(0, 2, 1))
-        attn = masked_softmax_rows(scores, len(cols) - 1, scale, blocked=False)
+        attn = masked_softmax_rows(scores, len(cols) - 1, scale)
         out[i] = matvec(attn, v[None, cols])[0, 0]
     return out
 

@@ -29,20 +29,23 @@ no contract asks that a fused product give a block the bits of the
 product on its view, and a row's bits never depend on which other rows
 share its call. The meter records each label's share of the columns.
 
-Attention is block-causal: the query rows run in blocks of CHUNK, each
-against the keys up to its last row only, so the masked triangle past a
-block's last row is never computed. The oracle attends the prompt rows in
-the same blocks, so prefill equals it bit for bit whether or not the
-kernels are length-invariant: tests pin that property, which makes every
-block size give the bits of one square, but no run-time probe checks it
-and no oracle contract needs it (see `kernels`). One loop runs every row
-count: a call of at most CHUNK rows, like decode's one row, is one block
-against every key on the transposed view of the key cache, and more rows
-share one C-order copy of K^T.
+Attention is block-causal: the query rows run in blocks of CHUNK, and a
+prompt block attends the keys up to its end, CHUNK rows past its first
+row, so the masked triangle past a block is never computed. Where the
+call's last block is partial, the keys and values past the call's last key
+are zeros, which the causal mask hides as it hides the upper triangle of
+the block on the diagonal. A prompt row's products and softmax then have
+shapes fixed by where its block sits, whatever the prompt's length, so
+`prefill(tokens[:L])` equals `prefill(tokens)[:L]` and no kernel needs to
+be length-invariant (see `kernels`). The oracle attends the prompt rows in
+the same padded blocks. One loop runs every row count: a call of at most
+CHUNK rows is one block, on the transposed view of the key cache where it
+pads nothing, and more rows share one C-order copy of K^T.
 
 A capture is any object with `record(layer, head_attn)` and `full_matrix`:
 `record` gets each layer's (n_heads, rows, L) attention for the call's rows
-with it, the last block's (n_heads, <=CHUNK, L) without it.
+with it, the last block's (n_heads, <=CHUNK, L) without it; the padded
+columns, exact zeros, are sliced off.
 
 `prefill` and `extend` with `logits=False` are for callers that read only
 the attention, as a profile pass does (see `profiler`): the last layer
@@ -52,20 +55,21 @@ head are skipped. Nothing that the store holds depends on them, so the
 store is the one a `logits=True` call leaves, bit for bit, and can be
 extended or decoded from.
 
-The phase picks its kernels, never the row count (see `kernels`): prefill
-runs the batch-invariant tiles, the bits of a 64-row tile in one GEMM per
-weight product (`matmul`) and 4 rows for attention (`head_matmul`), and
-the blocked softmax row sum. The oracle computes with the same, so prefill
-matches it bit for bit even where a lazy layer projects a single own row. Decode runs every product, weights and
-attention alike, on the one stacked GEMV (`matvec`) and a plain row sum,
-which are cheaper for its one row; the oracle runs its decoded rows on
-them too, so each step matches it bit for bit as well.
+The phase picks its products, never the row count (see `kernels`), and
+whether its last block is padded: prefill runs the batch-invariant 64-row
+tiles, one GEMM per weight product (`matmul`) and one per head and block
+for attention (`head_matmul`), and pads; decode runs every product,
+weights and attention alike, on the one stacked GEMV (`matvec`), which is
+cheaper for its one row, against exactly the cached keys. Both run the
+one softmax. The oracle computes each row as its phase does, so prefill
+and every decode step match it bit for bit, even where a lazy layer
+projects a single own row.
 `extend` and `decode` look the kernels up in this module when called, so
 a wrapper set on `runtime.matmul` sees every prefill weight product. Each
 product states its operands once and records its own MACs on the meter it
 is given (`_metered`), so the meter counts what ran: a block's scores and
-weighted sum count its rows against its keys, and a padded tile its
-logical rows.
+weighted sum count its rows against the keys up to its end, padding
+included, and a padded tile its logical rows.
 
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
@@ -107,6 +111,7 @@ from .kernels import (
     matvec,
     rms_norm,
     silu,
+    zero_padded,
 )
 from .model import TEXT, VISUAL, ModelWeights, TokenSequence, is_int, is_number, require_int
 from .planner import LazyPlan
@@ -145,11 +150,11 @@ def _metered(kernel, meter):
 
 class _Phase(NamedTuple):
     """What a phase runs: its 2-D and per-head products (see `_metered`) and
-    whether its softmax sums rows in blocks."""
+    whether it pads its last block of attention to CHUNK rows' keys."""
 
     mm: Callable
     head_mm: Callable
-    blocked_sum: bool
+    pads: bool
 
 
 def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -162,14 +167,19 @@ def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
 def _attention(phase: _Phase, q, keys, values, capture, layer: int) -> np.ndarray:
     """softmax(q K^T / sqrt(d_head)) V for q's rows, which sit at the last of
     the keys' positions, in blocks of CHUNK rows, each against the keys up to
-    its last row, so the masked columns past a block are never computed.
-    Returns the weighted sum; a `capture` records the attention (see the
-    module doc), masked entries 0 as a pass over all keys gives them."""
+    its end (see the module doc), so the masked columns past a block are
+    never computed. Returns the weighted sum; a `capture` records the
+    attention (see the module doc), masked entries 0 as a pass over all keys
+    gives them."""
     n_heads, rows, d_head = q.shape
     n_keys = keys.shape[1]
+    first = n_keys - rows  # the key index of q's first row
+    end = n_keys + (-rows % CHUNK if phase.pads else 0)  # keys the last block attends
     scale = attention_scale(d_head)
     kt = keys.transpose(0, 2, 1)
-    if rows > CHUNK:
+    if end > n_keys:
+        kt, values = zero_padded(kt, d_head, end), zero_padded(values, end, d_head)
+    elif rows > CHUNK:
         # One C-order copy of K^T serves every block (see `kernels`).
         kt = np.ascontiguousarray(kt)
     full = capture is not None and capture.full_matrix
@@ -177,15 +187,14 @@ def _attention(phase: _Phase, q, keys, values, capture, layer: int) -> np.ndarra
     attn = np.zeros((n_heads, rows, n_keys), dtype=np.float32) if full else None
     for start in range(0, rows, CHUNK):
         stop = min(start + CHUNK, rows)
-        n = n_keys - rows + stop
+        n = min(first + start + CHUNK, end)
         scores = phase.head_mm(q[:, start:stop], kt[..., :n], "attn_scores")
-        # Row i of the block sits at key index n - (stop - start) + i.
-        block = masked_softmax_rows(scores, n - stop + start, scale, phase.blocked_sum)
+        block = masked_softmax_rows(scores, first + start, scale)
         out[:, start:stop] = phase.head_mm(block, values[:, :n], "attn_wv")
         if full:
-            attn[:, start:stop, :n] = block
+            attn[:, start:stop, :n] = block[..., :n_keys]
     if capture is not None:
-        capture.record(layer, attn if full else block)
+        capture.record(layer, attn if full else block[..., :n_keys])
     return out
 
 
@@ -282,7 +291,7 @@ def extend(
         raise ValidationError(f"extend needs a multiple of {CHUNK} rows, not {store.seq_len}")
     _validate_tokens(tokens.token_ids, weights.config.vocab_size)
     # Looked up now, so wrappers take effect.
-    phase = _Phase(_metered(matmul, meter), _metered(head_matmul, meter), True)
+    phase = _Phase(_metered(matmul, meter), _metered(head_matmul, meter), pads=True)
     out = _forward(weights, store, tokens.token_ids, tokens.modality, phase, capture, logits)
     store.n_prompt = store.seq_len
     return out
@@ -313,7 +322,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode needs the weights of the config that built the store")
     _validate_tokens([next_token], weights.config.vocab_size)
     gemv = _metered(matvec, meter)
-    return _forward(weights, store, [next_token], [TEXT], _Phase(gemv, gemv, False), None)[0]
+    return _forward(weights, store, [next_token], [TEXT], _Phase(gemv, gemv, pads=False), None)[0]
 
 
 def generate(

@@ -11,8 +11,10 @@ from lazyattn import (
     FlopMeter,
     LazyBlock,
     LazyPlan,
+    TokenSequence,
     ValidationError,
     decode,
+    extend,
     kv_savings,
     meter_run,
     prefill,
@@ -35,7 +37,8 @@ def model():
 
 # Leading visual spans keep their ids; the interleaved layouts put own rows
 # on both sides of (mid) or between (alternating) the shared ones. Short
-# prompts are one attention block; 200 tokens are four blocks of CHUNK rows.
+# prompts are one attention block; 200 tokens are four blocks of CHUNK rows;
+# 1, 63 and 65 tokens sit at a block's edges.
 LAYOUTS = (
     [pytest.param(t, "leading", None, id=str(t)) for t in range(6)]
     + [
@@ -47,13 +50,14 @@ LAYOUTS = (
         pytest.param(0, layout, 200, id=f"long-{layout}")
         for layout in ("leading", "mid", "alternating")
     ]
+    + [pytest.param(0, "mid", s, id=f"edge-{s}") for s in (1, 63, 65)]
 )
 
 
 def attended_pairs(s):
     """Query-key pairs of block-causal attention, row by row: each row runs
-    against the keys up to the last row of its block."""
-    return sum(min((i // CHUNK + 1) * CHUNK, s) for i in range(s))
+    against the keys up to the end of its block, padding included."""
+    return sum((i // CHUNK + 1) * CHUNK for i in range(s))
 
 
 @pytest.mark.parametrize("trial,layout,length", LAYOUTS)
@@ -114,9 +118,9 @@ def test_meter_run_lands_on_the_closed_forms(model, trial, layout, length):
 
 
 def test_block_causal_counts_on_a_200_token_prompt(model):
-    """Pinned figures for four blocks of CHUNK = 64 rows: 64*64 + 64*128 +
-    64*192 + 8*200 = 26176 query-key pairs against 200*200 = 40000 for the
-    full square."""
+    """Pinned figures for four blocks of CHUNK = 64 rows, the last padded:
+    64*64 + 64*128 + 64*192 + 8*256 = 26624 query-key pairs against
+    200*200 = 40000 for the full square."""
     assert CHUNK == 64
     config = model.config
     rng = np.random.default_rng(9)
@@ -124,12 +128,30 @@ def test_block_causal_counts_on_a_200_token_prompt(model):
     plan = LazyPlan(mode=GLA, n_layers=N_LAYERS, blocks=[LazyBlock(1, (2, 3)), LazyBlock(4, (5,))])
     std, _ = meter_run(model, tokens, None)
     gla, _ = meter_run(model, tokens, plan)
-    # 6 layers, d 32, d_ff 64, vocab 96: 2 * 6 * 26176 * 32
-    assert std.flops_by_op["attn_scores"] == std.flops_by_op["attn_wv"] == 10_051_584
-    assert std.prefill_flops == standard_prefill_flops(config, 200) == 45_907_968
+    # 6 layers, d 32, d_ff 64, vocab 96: 2 * 6 * 26624 * 32
+    assert std.flops_by_op["attn_scores"] == std.flops_by_op["attn_wv"] == 10_223_616
+    assert std.prefill_flops == standard_prefill_flops(config, 200) == 46_252_032
     # 2n * beta: three lazy layers skip Q and K, 2 * 3 * (2 * 200 * 32 * 32)
     assert std.prefill_flops - gla.prefill_flops == 2_457_600
     assert gla.flops_by_op["attn_scores"] == std.flops_by_op["attn_scores"]
+
+
+def test_a_prefill_extended_at_a_block_edge_lands_on_the_closed_form(model):
+    """A 200-token prefill run as 128 rows and an extension of 72 meters the
+    closed form, and GLA saves exactly 2n * projector of it."""
+    config = model.config
+    tokens = random_prompt(np.random.default_rng(10), config.vocab_size, length=200)
+    plan = LazyPlan(mode=GLA, n_layers=N_LAYERS, blocks=[LazyBlock(1, (2, 3)), LazyBlock(4, (5,))])
+    totals = []
+    for p in (None, plan):
+        meter = FlopMeter()
+        _, store = prefill(model, TokenSequence(tokens.token_ids[:128], tokens.modality[:128]),
+                           p, meter=meter)
+        extend(model, store, TokenSequence(tokens.token_ids[128:], tokens.modality[128:]),
+               meter=meter)
+        totals.append(meter.total_flops)
+    assert totals[0] == standard_prefill_flops(config, 200)
+    assert totals[0] - totals[1] == 2 * plan.n_lazy * (2 * 200 * config.d_model**2)
 
 
 def test_kv_savings_hold_after_decode_steps(model):

@@ -5,6 +5,7 @@ import pytest
 
 from lazyattn import (
     GrowableHeads,
+    TokenSequence,
     ValidationError,
     head_matmul,
     masked_softmax_rows,
@@ -49,23 +50,17 @@ def per_row(a, b):
     return np.stack([a[i] @ b for i in range(a.shape[0])])
 
 
-def up16(x):
-    return -(-x // 16) * 16
-
-
-def alone_in_tile(a, b, slot, tile=kernels.TILE):
+def alone_in_tile(a, b, slot, tile=kernels.WIDE):
     """Every row of a run alone in a zero-padded `tile`-row tile, at `slot`,
-    against the canonical (C-contiguous) layout of b, with k and n
-    zero-padded to multiples of 16."""
-    (m, k), n = a.shape, b.shape[1]
-    padded = np.zeros((up16(k), up16(n)), dtype=np.float32)
-    padded[:k, :n] = b
-    out = np.empty((m, n), dtype=np.float32)
+    against the canonical (C-contiguous) layout of b."""
+    m, k = a.shape
+    b = np.ascontiguousarray(b)
+    out = np.empty((m, b.shape[1]), dtype=np.float32)
     for start in range(0, m, 16):  # 16 rows at a time bounds the memory
         rows = a[start : start + 16]
-        tiles = np.zeros((len(rows), tile, up16(k)), dtype=np.float32)
-        tiles[:, slot, :k] = rows
-        out[start : start + 16] = np.matmul(tiles, padded)[:, slot, :n]
+        tiles = np.zeros((len(rows), tile, k), dtype=np.float32)
+        tiles[:, slot] = rows
+        out[start : start + 16] = np.matmul(tiles, b)[:, slot]
     return out
 
 
@@ -115,32 +110,31 @@ def test_matmul_deterministic_and_row_independent():
     for h in range(2):
         assert np.array_equal(out[h], per_row(a[h], b[h]))
 
-    # matmul gives row i bitwise the product of row i alone in a zero-padded
-    # 64-row tile, in any slot, at any batch size; head_matmul gives it the
-    # product alone in a 4-row tile. At k = 512 the two widths differ in bits
-    # on some hosts, so each is held to its own reference.
+    # matmul and head_matmul give row i bitwise the product of row i alone
+    # in a zero-padded 64-row tile, in any slot, at any batch size.
     wide = kernels.WIDE
+    slots = (0, wide // 2 - 1, wide - 1)
     cases = [(f32(rng.standard_normal((m, k))), f32(rng.standard_normal((k, 512))))
              for m in (1, 63, 64, 65, 200) for k in (256, 512)]
     cases.append((f32(rng.standard_normal((37, 64))), keys[1].T))
     for a, b in cases:
         out = matmul(a, b)
-        for slot in (0, wide // 2 - 1, wide - 1):
-            assert np.array_equal(out, alone_in_tile(a, b, slot, wide))
-    for rows in (1, 3, 4, 5, 37):
+        for slot in slots:
+            assert np.array_equal(out, alone_in_tile(a, b, slot))
+    for rows in (1, 3, 4, 5, 37, 65, 130):
         q = f32(rng.standard_normal((2, rows, 64)))
         out = head_matmul(q, keys.transpose(0, 2, 1))
         attn = f32(rng.random((2, rows, 300)))
         weighted = head_matmul(attn, keys)
         for h in range(2):
-            for slot in range(4):
+            for slot in slots:
                 assert np.array_equal(out[h], alone_in_tile(q[h], keys[h].T, slot))
                 assert np.array_equal(weighted[h], alone_in_tile(attn[h], keys[h], slot))
     a = f32(rng.standard_normal((2, 512, 256)))
     b = f32(rng.standard_normal((2, 256, 512)))
     out = head_matmul(a, b)
     for h in range(2):
-        for slot in range(4):
+        for slot in slots:
             assert np.array_equal(out[h], alone_in_tile(a[h], b[h], slot))
 
 
@@ -159,11 +153,11 @@ def test_tile_kernels_see_one_layout_of_b():
 
 
 def test_tile_probe_catches_a_row_that_moves(monkeypatch):
-    """The probe fails at both widths when a row's bits differ in the last
-    slot of the second tile (slot 3 of a 4-row tile, 63 of a 64-row one) or
-    alone in a padded tail tile, and the products then run the GEMV."""
+    """The probe fails when a row's bits differ in the last slot of the
+    second 64-row tile or alone in a padded tail tile, and the products then
+    run the GEMV."""
     real = kernels._tiles
-    assert kernels._probe(kernels.TILE, 64, 96) and kernels._probe(kernels.WIDE, 64, 96)
+    assert kernels._probe(kernels.WIDE, 64, 96)
     for moved in (-2, -1):  # the probe's last two rows (see `_probe`)
 
         def nudged(a, b, tile, moved=moved):
@@ -172,7 +166,6 @@ def test_tile_probe_catches_a_row_that_moves(monkeypatch):
             return out
 
         monkeypatch.setattr(kernels, "_tiles", nudged)
-        assert not kernels._probe(kernels.TILE, 64, 96)
         assert not kernels._probe(kernels.WIDE, 64, 96)
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(9)
@@ -180,41 +173,54 @@ def test_tile_probe_catches_a_row_that_moves(monkeypatch):
     b = f32(rng.standard_normal((64, 96)))
     assert np.array_equal(matmul(a, b), matvec(a, b))
     assert np.array_equal(head_matmul(a[None], b[None]), matvec(a[None], b[None]))
-    assert kernels._TILES_HOLD == {(kernels.WIDE, 64, 96): False, (kernels.TILE, 64, 96): False}
+    assert kernels._TILES_HOLD == {(kernels.WIDE, 64, 96): False}
 
 
 def test_tile_probes_are_kept_per_padded_shape(monkeypatch):
-    """Products whose k and n round up to the same multiples of 16 share one
-    probe per tile width, and a weight's products one entry per row count
-    padded to a multiple of WIDE. A prefill of s tokens adds attention
-    entries only for the widths its blocks run, 64, 128, ... and s rounded
-    up to 16, and the oracle's prompt rows add none."""
+    """Products of one (k, n) share one probe, and a weight's products one
+    entry per row count padded to a multiple of WIDE. A prefill of s tokens
+    adds attention entries only for the key counts its blocks attend, 64,
+    128, ... up to s rounded up to 64, and the oracle's prompt rows add
+    none."""
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(10)
-    tile, wide = kernels.TILE, kernels.WIDE
-    for n in range(97, 113):
+    wide = kernels.WIDE
+    for _ in range(3):
         q = f32(rng.standard_normal((1, 3, 64)))
-        keys = f32(rng.standard_normal((1, n, 64)))
+        keys = f32(rng.standard_normal((1, 112, 64)))
         head_matmul(head_matmul(q, keys.transpose(0, 2, 1)), keys)
-    assert kernels._TILES_HOLD == {(tile, 64, 112): True, (tile, 112, 64): True}
+    assert kernels._TILES_HOLD == {(wide, 64, 112): True, (wide, 112, 64): True}
     w = f32(rng.standard_normal((256, 512)))
     for m in (1, 64, 65, 300, 320):
         matmul(f32(rng.standard_normal((m, 256))), w)
     for rows in (wide, 2 * wide, 5 * wide):
         assert kernels._TILES_HOLD.pop((rows, 256, 512))
-    assert set(kernels._TILES_HOLD) == {(tile, 64, 112), (tile, 112, 64)}
+    assert set(kernels._TILES_HOLD) == {(wide, 64, 112), (wide, 112, 64)}
 
     model = make_model()
     d_head = model.config.d_head
     tokens = random_prompt(rng, model.config.vocab_size, length=200, visual_fraction=0.5)
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     prefill(model, tokens)
-    heads = {key for key in kernels._TILES_HOLD if key[0] == tile}
+    heads = {key for key in kernels._TILES_HOLD if d_head in key[1:]}
     assert heads == {
-        (tile, *shape) for w in (64, 128, 192, 208) for shape in ((d_head, w), (w, d_head))
+        (wide, *shape) for w in (64, 128, 192, 256) for shape in ((d_head, w), (w, d_head))
     }
     oracle_prefill(model, tokens)
-    assert {key for key in kernels._TILES_HOLD if key[0] == tile} == heads
+    assert {key for key in kernels._TILES_HOLD if d_head in key[1:]} == heads
+
+
+def test_attention_probes_are_kept_per_block(monkeypatch):
+    """A 120-token prefill and then a 100-token one both attend 64, then 128
+    keys, so the second adds no probe."""
+    model = make_model()
+    rng = np.random.default_rng(20)
+    tokens = random_prompt(rng, model.config.vocab_size, length=120, visual_fraction=0.5)
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    prefill(model, tokens)
+    probed = dict(kernels._TILES_HOLD)
+    prefill(model, TokenSequence(tokens.token_ids[:100], tokens.modality[:100]))
+    assert kernels._TILES_HOLD == probed
 
 
 # The benchmark model's weight products: Q|K|V, Q|K and the LM head, V and
@@ -281,24 +287,6 @@ def test_a_failed_gemm_probe_keeps_its_row_count_on_wide_tiles(monkeypatch):
         assert np.array_equal(matmul(x, b), out)
         assert np.array_equal(out[[0, -1]], alone_in_tile(x[[0, -1]], b, 0, wide))
     assert heights == [wide, 4 * wide, 5 * wide]
-
-
-def test_padded_products_keep_a_columns_bits_as_the_keys_grow():
-    """Scores columns keep their bits as n grows, and weighted sums keep
-    theirs as k grows with zero weights: the two properties block-causal
-    attention rests on."""
-    rng = np.random.default_rng(12)
-    keys = f32(rng.standard_normal((2, 600, 64)))
-    q = f32(rng.standard_normal((2, 37, 64)))
-    attn = f32(rng.random((2, 37, 600)))
-    scores = head_matmul(q, keys.transpose(0, 2, 1))
-    for n in (1, 15, 16, 17, 64, 100, 128, 257, 511):
-        assert np.array_equal(head_matmul(q, keys[:, :n].transpose(0, 2, 1)), scores[..., :n])
-        zero_tail = attn.copy()
-        zero_tail[..., n:] = 0
-        assert np.array_equal(
-            head_matmul(attn[..., :n], keys[:, :n]), head_matmul(zero_tail, keys)
-        )
 
 
 def rope_reference(x, positions, theta):
@@ -382,7 +370,7 @@ def test_in_place_kernels_keep_the_written_out_bits():
     scores = f32(rng.standard_normal((4, 1, 300)))
     scaled = scores * np.float32(0.125)
     e = np.exp(scaled - np.max(scaled, axis=-1, keepdims=True))
-    out = masked_softmax_rows(scores, 299, 0.125, blocked=False)
+    out = masked_softmax_rows(scores, 299, 0.125)
     assert np.array_equal(out, e / np.sum(e, axis=-1, keepdims=True))
     assert np.array_equal(x, keep)
 
@@ -434,48 +422,6 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
     assert np.all(out[~tri] == 0.0)
     shifted = masked_softmax_rows(logits + f32(7.5), 0, 0.25)
     assert np.allclose(out, shifted, atol=1e-6)
-
-
-def blocked_reference(logits, row_offset, scale):
-    """The blocked softmax one row at a time: 128-column blocks, the tail
-    zero-padded, each summed alone and added left to right."""
-    out = np.empty_like(logits)
-    for i, row in enumerate(logits * np.float32(scale)):
-        row = row.copy()
-        row[i + row_offset + 1 :] = -np.inf
-        e = np.exp(row - row.max())
-        padded = np.zeros(up16(len(e)) + 128, dtype=np.float32)
-        padded[: len(e)] = e
-        total = np.float32(0)
-        for start in range(0, len(e), 128):
-            total = total + np.sum(padded[start : start + 128])
-        out[i] = e / total
-    return out
-
-
-def test_blocked_softmax_sums_rows_in_fixed_blocks():
-    rng = np.random.default_rng(13)
-    logits = f32(rng.standard_normal((40, 300)) * 3)
-    for offset in (0, 100, 260, 299):
-        out = masked_softmax_rows(logits, offset, 0.125)
-        assert np.array_equal(out, blocked_reference(logits, offset, 0.125))
-        plain = masked_softmax_rows(logits, offset, 0.125, blocked=False)
-        assert np.allclose(out, plain, rtol=1e-6, atol=0)
-    one = masked_softmax_rows(logits[:1], 299, 0.125, blocked=False)
-    e = np.exp(logits[:1] * np.float32(0.125) - np.max(logits[:1] * np.float32(0.125)))
-    assert np.array_equal(one, e / np.sum(e, axis=-1, keepdims=True))
-
-
-def test_blocked_softmax_rows_ignore_masked_columns_after_them():
-    """A row's bits do not depend on how many masked columns follow it: the
-    first n columns of a row that sees fewer than n equal the row cut at n."""
-    rng = np.random.default_rng(14)
-    logits = f32(rng.standard_normal((4, 64, 600)) * 3)
-    offset = 200
-    full = masked_softmax_rows(logits, offset, 0.125)
-    for n in (264, 265, 300, 384, 385, 511):
-        cut = masked_softmax_rows(logits[..., :n], offset, 0.125)
-        assert np.array_equal(cut, full[..., :n])
 
 
 def test_softmax_rejects_bad_scale():
@@ -565,17 +511,20 @@ NAN, INF, ONES = float("nan"), float("inf"), np.ones((2, 4), np.float32)
         (lambda: masked_softmax_rows(ONES, np.float64(1.0), 1.0), "row_offset must be an integer"),
         (lambda: apply_rope(ONES, [0, 1], NAN), "theta_base"),
         (lambda: apply_rope(ONES, [0, 1], INF), "theta_base"),
+        (lambda: rms_norm(np.ones(4, np.float32), np.ones(4, np.float32), 1e-5), "2-D"),
     ],
     ids=[
         "softmax-1d", "softmax-offset", "rms-eps", "rope-theta", "rms-nan", "rms-inf", "rms-str",
         "softmax-nan", "softmax-inf", "softmax-bool", "offset-float", "offset-np-float",
-        "rope-nan", "rope-inf",
+        "rope-nan", "rope-inf", "rms-1d",
     ],
 )
 def test_kernels_refuse_bad_arguments(monkeypatch, call, message):
-    """eps, scale and theta are finite numbers above 0 and a row offset is
-    an integer: NaN, which passes a `<= 0` check, is refused rather than
-    turned into NaN rows or columns, and leaves no rotary table behind."""
+    """eps, scale and theta are finite numbers above 0, a row offset is an
+    integer, and logits and rms_norm's rows have the axes they need: NaN,
+    which passes a `<= 0` check, is refused rather than turned into NaN rows
+    or columns, a 1-D rms_norm input raises no IndexError, and nothing
+    leaves a rotary table behind."""
     monkeypatch.setattr(kernels, "_ROPE_TABLES", {})
     for _ in range(3):
         with pytest.raises(ValidationError, match=message):

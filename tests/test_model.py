@@ -520,8 +520,9 @@ def test_causality_prefix_oracle(small_model):
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
 def test_prefill_is_prefix_invariant(small_model, mode):
     """prefill(tokens[:L]) is prefill(tokens)[:L] bit for bit, for prefixes
-    inside, at and across the attention blocks: the kernels' length
-    invariance, which this test pins and no run-time probe checks."""
+    inside, at and across the attention blocks: a prompt row's attention
+    shapes are fixed by its block's place, the last block padded, whatever
+    the prompt's length."""
     s = 200
     rng = np.random.default_rng(4)
     tokens = random_prompt(rng, small_model.config.vocab_size, s, 0.5, layout="mid")
