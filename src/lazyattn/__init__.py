@@ -28,9 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .kernels import (
-    Matrix,
     apply_rope,
-    head_matmul,
     masked_softmax_rows,
     matmul,
     rms_norm,

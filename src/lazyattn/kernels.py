@@ -7,26 +7,28 @@ Caching a projection and recomputing it later from the same inputs
 therefore gives bit-identical values; the equivalence oracles rely on this
 and compare bitwise.
 
-Products come in two families, with different bits:
+Two product kernels run every product, one per phase, each on (..., m, k)
+by (..., k, n) operands, 2-D weights or stacked heads alike:
 
-- `matmul`/`head_matmul` run GEMM tiles of WIDE = 64 rows: the rows are
-  padded with zeros to a multiple of WIDE (only the tail tile holds
-  padding), and `np.matmul` runs fixed-shape GEMMs. A row's bits are the
-  same in any slot of any tile, whatever its neighbours, so they depend on
-  (k, n) alone, never on m. A plain 2-D `np.matmul` would not do: its
-  blocking depends on m (at k=512 a row's bits at m=8 differ from its tile
-  bits).
-- `matvec` runs the stacked GEMV on 2-D weights and stacked heads alike:
-  (..., m, 1, k) row vectors, one GEMV per row, all in C; row i has the
-  bits of `a[..., i, :] @ b` alone. A 1-row product (every decode product)
-  is that GEMV as a direct `np.matmul`.
+- `matmul`, prefill's, runs GEMM tiles: each leading index's rows are
+  padded with zeros to whole tiles (only the tail tile holds padding),
+  and `np.matmul` runs fixed-shape GEMMs. A row gets the bits it gets
+  alone in a zero-padded WIDE-row tile, in any slot of any tile, whatever
+  its neighbours, so they depend on (k, n) alone, never on m. A plain
+  `np.matmul` would not do: its blocking depends on m (at k=512 a row's
+  bits at m=8 differ from its tile bits).
+- `matvec`, decode's, runs the stacked GEMV: (..., m, 1, k) row vectors,
+  one GEMV per row, all in C; row i has the bits of `a[..., i, :] @ b`
+  alone. A 1-row product (every decode product) is that GEMV as a direct
+  `np.matmul`.
 
-`matmul` is the weight product (Q/K/V/O, the MLP, the LM head). It runs one
-GEMM over all its rows, so BLAS packs the weight once per product rather
-than once per tile. `head_matmul` is the attention product (scores and
-weighted sum) and runs one GEMM per head and block of at most WIDE rows,
-so a head's rows carry the bits they get alone and the oracle's one-head
-products match.
+`matmul` picks one of three tiers from (k, n) and r, its row count padded
+to a multiple of WIDE = 64, never from the values. Where the (WIDE, k, n)
+probe fails, it runs the GEMV. Otherwise each leading index runs one
+GEMM of r rows where the (r, k, n) probe holds, so BLAS packs a weight once
+per product rather than once per tile, and else one GEMM per WIDE-row
+tile. An attention block is at most CHUNK = WIDE rows per head, so each
+head and block runs one WIDE-row GEMM.
 
 No kernel needs to be length-invariant, because attention's shapes are
 fixed by where a block sits (see `runtime`): prefill attends each block of
@@ -40,31 +42,30 @@ OpenBLAS 0.3.31 with its SkylakeX kernels (as
 measured), 64-row tiles change a weighted-sum row's bits when k grows by
 zero terms at every width from 448 up.
 
-A phase picks its products, never the row count: prefill runs the tiles,
-decode the GEMV, since a padded 1-row tile costs about twice a GEMV on
+A phase picks its products, never the row count: prefill runs `matmul`,
+decode `matvec`, since a padded 1-row tile costs about twice a GEMV on
 weights that are cold in cache. Both phases share one softmax, whose row
 sum is one `np.add.reduce`. The oracle follows the same rule row by row: a
-prompt row's weight products run on `matmul` and its attention products on
-`head_matmul` (one head at a time); a decoded row's run on `matvec`. So in
-production and oracle alike a 2-D `matmul` is a weight product, and both
+prompt row's products, weight and attention alike, run on `matmul`
+(attention one head at a time); a decoded row's run on `matvec`. So both
 phases match the oracle bit for bit.
 
-The tiles see one canonical layout: a right-hand operand whose last axis
-is not unit-stride (K^T as a transposed view of the key cache) is copied to
-C order first. BLAS runs a transposed operand through another code path, so
-a view and a copy of the same values give different bits; on the scores
-product the copy is also several times faster than the view.
+The tiles see one canonical layout: `matmul` copies a right-hand operand
+whose last axis is not unit-stride (K^T as a transposed view of the key
+cache) to C order once, whichever tier runs. BLAS runs a transposed
+operand through another code path, so a view and a copy of the same values
+give different bits; on the scores product the copy is also several times
+faster than the view.
 
 Batch invariance is a property of the BLAS, and every contract rests on
 it, so it is checked where the engine runs, by one probe (`_probe`) per
-(k, n): a random row's bits must agree in slot 0, in the last slot of the
-next tile between random neighbours, and alone in a padded tail tile.
-Where the probe fails, that shape runs the GEMV on the canonical layout, in
-production and oracle alike. `matmul`'s GEMM of r > WIDE padded rows has
-its own probe per (r, k, n): a random row must get the bits it gets alone
-in a WIDE-row tile in the GEMM's first and last slot. Where that fails, r
-rows run one BLAS call per WIDE-row tile, so a row's bits do not depend on
-m even where the GEMM holds at one row count and not at another.
+tile height and (k, n), with one rule for every height: a random row must
+get the bits it gets alone in a zero-padded WIDE-row tile in slot 0, in the
+last slot of the second tile between random neighbours, and alone in the
+zero-padded tail tile. So a row's bits do not depend on m even where the
+GEMM holds at one row count and not at another. Where the WIDE-row probe
+fails, that (k, n) runs the GEMV on the canonical layout, in production and
+oracle alike.
 
 A layer's Q, K and V weights (and its gate and up weights) are column
 blocks of one fused weight (see `model.LayerWeights`). The layer's role,
@@ -95,28 +96,22 @@ import numpy as np
 from .errors import ValidationError
 from .model import require_int, require_positive
 
-# A Matrix is a 2-D float32 ndarray, the operand of `matmul`; `head_matmul`
-# takes stacked (H, m, k) arrays, and `matvec` either.
-Matrix = np.ndarray
-
 F32 = np.float32
 
 # Rows per tile of every GEMM product (see module doc).
 WIDE = 64
 
 
-def _check(name: str, a: np.ndarray, b: np.ndarray, ndim: int) -> None:
-    """(..., m, k) by (..., k, n) operands of `ndim` axes with equal leading
-    axes; anything else raises."""
+def _check(name: str, a: np.ndarray, b: np.ndarray) -> None:
+    """(..., m, k) by (..., k, n) operands of equal rank, at least 2, with
+    equal leading axes; anything else raises."""
     if (
-        a.ndim != ndim
-        or b.ndim != ndim
+        a.ndim < 2
+        or a.ndim != b.ndim
         or a.shape[:-2] != b.shape[:-2]
         or a.shape[-1] != b.shape[-2]
     ):
-        raise ValidationError(
-            f"{name} expects {ndim}-D (..., m, k) x (..., k, n), got {a.shape} x {b.shape}"
-        )
+        raise ValidationError(f"{name} expects (..., m, k) x (..., k, n), got {a.shape} x {b.shape}")
 
 
 def _up(x: int, step: int) -> int:
@@ -137,8 +132,6 @@ def _tiles(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
     m_pad = _up(m, tile)
     if m_pad != m:
         a = zero_padded(a, m_pad, k)
-    if b.strides[-1] != b.itemsize:  # the one canonical layout (see module doc)
-        b = np.ascontiguousarray(b)
     out = np.matmul(a.reshape(*lead, m_pad // tile, tile, k), b[..., None, :, :])
     return out.reshape(*lead, m_pad, b.shape[-1])[..., :m, :]
 
@@ -150,19 +143,17 @@ _TILES_HOLD: dict[tuple[int, int, int], bool] = {}
 
 def _probe(tile: int, k: int, n: int) -> bool:
     """Whether `tile`-row tiles of (k, n) products are batch invariant here
-    (see module doc): a random row's bits agree in slot 0, in the last slot
-    of the second tile and alone in the padded tail tile. Past WIDE, one
-    GEMM of `tile` rows gives a random row in its first and last slot the
-    bits of the row alone in a padded WIDE-row tile."""
+    (see module doc): a random row gets the bits it gets alone in a
+    zero-padded WIDE-row tile in slot 0, in the last slot of the second tile
+    between random neighbours and alone in the zero-padded tail tile."""
     rng = np.random.default_rng([k, n])
-    gemm = tile > WIDE
-    a = rng.random((tile if gemm else 2 * tile + 1, k), dtype=np.float32) - F32(0.5)
+    a = rng.random((2 * tile + 1, k), dtype=np.float32) - F32(0.5)
     b = rng.random((k, n), dtype=np.float32) - F32(0.5)
-    twins = [-1] if gemm else [2 * tile - 1, 2 * tile]
+    twins = [2 * tile - 1, 2 * tile]
     a[twins] = a[0]
     out = _tiles(a, b, tile)
-    ref = _tiles(a[:1], b, WIDE)[0] if gemm else out[0]
-    return all(np.array_equal(out[i], ref) for i in [0, *twins])
+    alone = _tiles(a[:1], b, WIDE)[0]
+    return all(np.array_equal(out[i], alone) for i in [0, *twins])
 
 
 def _tiles_hold(tile: int, k: int, n: int) -> bool:
@@ -175,47 +166,35 @@ def _tiles_hold(tile: int, k: int, n: int) -> bool:
     return hold
 
 
-def _product(a: np.ndarray, b: np.ndarray, tile: int) -> np.ndarray:
-    if _tiles_hold(tile, *b.shape[-2:]):
-        return _tiles(a, b, tile)
-    if b.strides[-1] != b.itemsize:  # one canonical layout (see module doc)
-        b = np.ascontiguousarray(b)
-    return matvec(a, b)
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Prefill's product of (..., m, k) by (..., k, n), 2-D weights or
+    stacked heads: out[..., i, :] = a[..., i, :] @ b with the bits of row i
+    alone in a zero-padded WIDE-row tile, for any m (see module doc). Each
+    leading index runs one GEMM over its rows padded to a multiple of WIDE
+    where the probe of that row count holds, else one per WIDE-row tile, and
+    the GEMV where the WIDE-row probe fails.
 
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Fixed-order 2-D product for weight products: out[i] = a[i] @ b with
-    the bits of row i alone in a WIDE-row tile, for any m (see module doc).
-    One GEMM runs over the rows padded to a multiple of WIDE where the probe
-    of that row count holds, else one per WIDE-row tile.
-
-    Do not "optimize" this into a 2-D np.matmul, or drop the copy of a
+    Do not "optimize" this into a plain np.matmul, or drop the copy of a
     strided `b`: either would break the bitwise contracts between
     production and the oracle.
     """
-    _check("matmul", a, b, 2)
-    rows = _up(a.shape[0], WIDE)
-    one_gemm = rows > WIDE and _tiles_hold(WIDE, *b.shape) and _tiles_hold(rows, *b.shape)
-    return _product(a, b, rows if one_gemm else WIDE)
-
-
-def head_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per-head attention product of (H, m, k) by (H, k, n) over WIDE-row
-    tiles: out[h, i] = a[h, i] @ b[h].
-
-    Each head runs the tiles it would run alone, so a head's rows carry the
-    same bits for any H, and the oracle's one-head products match.
-    """
-    _check("head_matmul", a, b, 3)
-    return _product(a, b, WIDE)
+    _check("matmul", a, b)
+    if b.strides[-1] != b.itemsize:  # the one canonical layout (see module doc)
+        b = np.ascontiguousarray(b)
+    k, n = b.shape[-2:]
+    if not _tiles_hold(WIDE, k, n):
+        return matvec(a, b)
+    rows = _up(a.shape[-2], WIDE)
+    return _tiles(a, b, rows if rows > WIDE and _tiles_hold(rows, k, n) else WIDE)
 
 
 def matvec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Decode's product of (..., m, k) by (..., k, n), 2-D weights or stacked
     heads: out[..., i, :] = a[..., i, :] @ b, one GEMV per row, on `b` as
     given (a strided view is not copied). A 1-row product is that GEMV
-    already, so it runs as a direct np.matmul."""
-    _check("matvec", a, b, max(a.ndim, 2))
+    already, so it runs as a direct np.matmul. It is also `matmul`'s tier
+    for a (k, n) whose tiles fail their probe."""
+    _check("matvec", a, b)
     if a.shape[-2] == 1:
         return np.matmul(a, b)
     return np.matmul(a[..., None, :], b[..., None, :, :])[..., 0, :]
@@ -252,7 +231,7 @@ def masked_softmax_rows(logits: np.ndarray, row_offset: int, scale: float) -> np
     return e
 
 
-def rms_norm(x: Matrix, gain: np.ndarray, eps: float) -> Matrix:
+def rms_norm(x: np.ndarray, gain: np.ndarray, eps: float) -> np.ndarray:
     """Divide each row by sqrt(mean of squares + eps), then scale by gain.
 
     Computed in two buffers, in the order of x * (1 / sqrt(sum(x*x) / d +
@@ -351,7 +330,7 @@ def apply_rope(qk: np.ndarray, positions, theta_base: float) -> np.ndarray:
     return out
 
 
-def silu(x: Matrix) -> Matrix:
+def silu(x: np.ndarray) -> np.ndarray:
     """x * (1 / (1 + exp(-x))), in one buffer."""
     out = np.negative(x)
     np.exp(out, out=out)

@@ -418,6 +418,12 @@ class TokenSequence:
     modality: list[int]
 
     def __post_init__(self):
+        for name in ("token_ids", "modality"):
+            value = getattr(self, name)
+            try:
+                len(value)
+            except TypeError:
+                raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
         if len(self.token_ids) != len(self.modality):
             raise ValidationError(
                 f"token_ids ({len(self.token_ids)}) and modality ({len(self.modality)}) "
@@ -455,7 +461,7 @@ def read_sequences_jsonl(path: str) -> list[TokenSequence]:
                 raise ValidationError(f"{path}:{lineno}: token ids must be a list of integers")
             try:
                 out.append(TokenSequence(tokens, rec.get("modality", [TEXT] * len(tokens))))
-            except (TypeError, ValueError) as exc:
+            except ValidationError as exc:
                 raise ValidationError(f"{path}:{lineno}: {exc}") from exc
     return out
 

@@ -12,22 +12,25 @@ for bit. Any divergence is a bug, never tolerance noise.
 
 A sequence is the prompt's rows, then the rows of the ids decoded after it
 (`decoded`, text), and each row runs on the kernels production gives it in
-its phase (see `kernels`): a prompt row's products on the tiles (`matmul`,
-`head_matmul`), a decoded row's on the GEMV (`matvec`). Each product runs
+its phase (see `kernels`): a prompt row's products on the tile kernel
+(`matmul`), a decoded row's on the GEMV (`matvec`). Each product runs
 on the columns a layer's role gives it in production (see `runtime`): the
 whole w_qkv for a layer that is its own anchor, and again to recompute an
 anchor's Q and K; `wv` for a lazy layer's V and, under VLA, the Q|K columns
 of w_qkv for its own rows; the whole w_gate_up for every MLP. Attention has
 one path, `_attention`, per head, with the shapes production runs per head:
 the prompt rows in blocks of `runtime.CHUNK`, each against the keys and
-values up to the block's end, on `head_matmul`, as prefill computes them.
+values up to the block's end, on `matmul`, as prefill computes them.
 Past the prompt's last key those are zeros, never the keys of decoded rows,
 as prefill sees none. Then each decoded row runs alone over its visible
 columns on `matvec`, as a decode step computes it. So a prompt row's bits
 depend on its block's place alone, and no contract asks the kernels for
 length invariance (see `kernels`). A record that is no prune of the prompt
-is refused (a prune cuts a prefilled store); in a layer the prune cut, the
-rows after it see the kept columns.
+is refused (a prune cuts a prefilled store at a whole prompt length, and
+removes a sequence of positions); in a layer the prune cut, the rows after
+it see the kept columns. Weight products look `matmul` up in this module,
+so a wrapper set on `oracle.matmul` sees them and nothing else; attention
+products call `kernels.matmul`.
 """
 
 from __future__ import annotations
@@ -36,12 +39,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from . import kernels
 from .caches import PruneRecord
 from .errors import OracleMismatchError, ValidationError
 from .kernels import (
     apply_rope,
     attention_scale,
-    head_matmul,
     masked_softmax_rows,
     matmul,
     matvec,
@@ -54,7 +57,7 @@ from .planner import GLA, LazyPlan, layer_anchors
 from .runtime import CHUNK, _validate_tokens, decode, generate, prefill
 
 
-def _product(a: np.ndarray, b: np.ndarray, n_prompt: int) -> np.ndarray:
+def _phased(a: np.ndarray, b: np.ndarray, n_prompt: int) -> np.ndarray:
     """a @ b: the first `n_prompt` rows (the prompt's) on `matmul`, the
     decoded rows after them on `matvec`."""
     if n_prompt == len(a):
@@ -80,7 +83,7 @@ def _qkv(weights, layer: int, x_layer: np.ndarray, n_prompt: int) -> np.ndarray:
     """A layer's Q|K|V product from its retained input, on its whole w_qkv,
     as a layer that is its own anchor computes it."""
     lw = weights.layers[layer]
-    return _product(rms_norm(x_layer, lw.attn_gain, weights.config.norm_eps), lw.w_qkv, n_prompt)
+    return _phased(rms_norm(x_layer, lw.attn_gain, weights.config.norm_eps), lw.w_qkv, n_prompt)
 
 
 def _attention(q, k, v, n_prompt: int, prune: PruneRecord | None) -> np.ndarray:
@@ -98,9 +101,9 @@ def _attention(q, k, v, n_prompt: int, prune: PruneRecord | None) -> np.ndarray:
     vp = zero_padded(v[None, :n_prompt], end, d_head)
     for start in range(0, n_prompt, CHUNK):
         stop = min(start + CHUNK, n_prompt)
-        scores = head_matmul(q[None, start:stop], kt[..., : start + CHUNK])
+        scores = kernels.matmul(q[None, start:stop], kt[..., : start + CHUNK])
         attn = masked_softmax_rows(scores, start, scale)
-        out[start:stop] = head_matmul(attn, vp[:, : start + CHUNK])[0]
+        out[start:stop] = kernels.matmul(attn, vp[:, : start + CHUNK])[0]
     for i in range(n_prompt, s):
         cols = np.arange(i + 1)
         if prune is not None and i >= prune.prompt_len:
@@ -127,11 +130,13 @@ def oracle_prefill(
     if prune is not None:
         removed = prune.removed
         visual = set(np.flatnonzero(tokens.modality).tolist())
-        if prune.prompt_len < n_prompt:
+        if require_int("prune prompt_len", prune.prompt_len) < n_prompt:
             raise ValidationError(f"prune at {prune.prompt_len} tokens cuts a {n_prompt}-token prompt")
         if not is_int(prune.layer) or not 0 <= prune.layer < config.n_layers:
             raise ValidationError(f"prune layer {prune.layer!r} is not a layer of the model")
-        if not all(map(is_int, removed)) or len(set(removed)) < len(removed) or set(removed) - visual:
+        if not isinstance(removed, Sequence) or not all(map(is_int, removed)):
+            raise ValidationError(f"prune removes {removed!r}, not a sequence of integers")
+        if len(set(removed)) < len(removed) or set(removed) - visual:
             raise ValidationError(f"prune removes {removed!r}, not distinct visual prompt positions")
     tokens = TokenSequence(
         list(tokens.token_ids) + list(decoded), list(tokens.modality) + [0] * len(decoded)
@@ -154,11 +159,11 @@ def oracle_prefill(
             v = qkv[:, 2 * d :]
         else:
             xn = rms_norm(x, lw.attn_gain, config.norm_eps)
-            v = _product(xn, lw.wv, n_prompt)
+            v = _phased(xn, lw.wv, n_prompt)
             anchor_qkv = _qkv(weights, anchor, layer_inputs[anchor], n_prompt)
             q_heads, k_heads = _rotated_heads(config, anchor_qkv[:, : 2 * d])
             if plan.mode != GLA:  # VLA: own text rows, anchor visual rows
-                own_q, own_k = _rotated_heads(config, _product(xn, lw.w_qkv[:, : 2 * d], n_prompt))
+                own_q, own_k = _rotated_heads(config, _phased(xn, lw.w_qkv[:, : 2 * d], n_prompt))
                 q_heads = [np.where(text, own, shared) for own, shared in zip(own_q, q_heads)]
                 k_heads = [np.where(text, own, shared) for own, shared in zip(own_k, k_heads)]
         v_heads = _split_heads(v, n_heads, d_head)
@@ -167,15 +172,15 @@ def oracle_prefill(
         o = np.concatenate(
             [_attention(*qkv, n_prompt, cut) for qkv in zip(q_heads, k_heads, v_heads)], axis=1
         )
-        x = x + _product(o, lw.wo, n_prompt)
+        x = x + _phased(o, lw.wo, n_prompt)
 
         hn = rms_norm(x, lw.mlp_gain, config.norm_eps)
-        gate_up = _product(hn, lw.w_gate_up, n_prompt)
+        gate_up = _phased(hn, lw.w_gate_up, n_prompt)
         act = silu(gate_up[:, : config.d_ff]) * gate_up[:, config.d_ff :]
-        x = x + _product(act, lw.w_down, n_prompt)
+        x = x + _phased(act, lw.w_down, n_prompt)
 
     xn = rms_norm(x, weights.final_gain, config.norm_eps)
-    return _product(xn, weights.lm_head, n_prompt)
+    return _phased(xn, weights.lm_head, n_prompt)
 
 
 def oracle_full_generate(

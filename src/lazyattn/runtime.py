@@ -12,13 +12,14 @@ possibly cut, from the prefill's last logits.
 Both append rows through `_forward`, which grows the store's mask and
 split (see `caches`) and runs the rows through one head-batched layer step,
 `_layer`, with their shared/own split; they differ only in their checks and
-kernels. `extend` refuses, before touching it, a store of another config, a
-pruned store, one that holds decoded rows and one whose `seq_len` is not a
-multiple of CHUNK, so an extension runs the blocks and shapes one-shot
-prefill runs. The Q cache is published and released per call. Each layer's
-K/V cache is one (n_heads, L, d_head) array, so rotary runs once per layer,
-on Q and K together, and attention for all heads runs as one scores
-product, one masked softmax and one weighted sum per block of rows.
+kernels. `_forward` refuses weights of another config than the store's,
+and `extend` a pruned store, one that holds decoded rows and one whose
+`seq_len` is not a multiple of CHUNK, before touching it, so an extension
+runs the blocks and shapes one-shot prefill runs. The Q cache is published
+and released per call. Each layer's K/V cache is one (n_heads, L, d_head)
+array, so rotary runs once per layer, on Q and K together, and attention
+for all heads runs as one scores product, one masked softmax and one
+weighted sum per block of rows.
 
 A layer's role alone picks the columns of its products on the fused
 weights (see `model.LayerWeights`): a layer that is its own anchor runs one
@@ -56,20 +57,19 @@ store is the one a `logits=True` call leaves, bit for bit, and can be
 extended or decoded from.
 
 The phase picks its products, never the row count (see `kernels`), and
-whether its last block is padded: prefill runs the batch-invariant 64-row
-tiles, one GEMM per weight product (`matmul`) and one per head and block
-for attention (`head_matmul`), and pads; decode runs every product,
-weights and attention alike, on the one stacked GEMV (`matvec`), which is
-cheaper for its one row, against exactly the cached keys. Both run the
-one softmax. The oracle computes each row as its phase does, so prefill
-and every decode step match it bit for bit, even where a lazy layer
-projects a single own row.
-`extend` and `decode` look the kernels up in this module when called, so
-a wrapper set on `runtime.matmul` sees every prefill weight product. Each
-product states its operands once and records its own MACs on the meter it
-is given (`_metered`), so the meter counts what ran: a block's scores and
-weighted sum count its rows against the keys up to its end, padding
-included, and a padded tile its logical rows.
+whether its last block is padded: prefill runs every product on the tile
+kernel (`matmul`), and pads; decode runs every product on the one stacked
+GEMV (`matvec`), which is cheaper for its one row, against exactly the
+cached keys. Both run the one softmax. The oracle computes each row as its
+phase does, so prefill and every decode step match it bit for bit, even
+where a lazy layer projects a single own row.
+`extend` and `decode` look the kernels up when called: prefill's weight
+products on this module, so a wrapper set on `runtime.matmul` sees every
+prefill weight product and nothing else, and its attention products on
+`kernels`. Each product states its operands once and records its own MACs
+on the meter it is given (`_metered`), so the meter counts what ran: a
+block's scores and weighted sum count its rows against the keys up to its
+end, padding included, and a padded tile its logical rows.
 
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
@@ -100,12 +100,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import kernels
 from .caches import CacheStore, PruneRecord, RowSplit
 from .errors import ValidationError
 from .kernels import (
     apply_rope,
     attention_scale,
-    head_matmul,
     masked_softmax_rows,
     matmul,
     matvec,
@@ -149,8 +149,8 @@ def _metered(kernel, meter):
 
 
 class _Phase(NamedTuple):
-    """What a phase runs: its 2-D and per-head products (see `_metered`) and
-    whether it pads its last block of attention to CHUNK rows' keys."""
+    """What a phase runs: its weight and attention products (see `_metered`)
+    and whether it pads its last block of attention to CHUNK rows' keys."""
 
     mm: Callable
     head_mm: Callable
@@ -258,8 +258,11 @@ def _forward(
 ):
     """Append rows (ids and modality flags) to the store and run them
     through every layer on the `phase`'s kernels; returns their logits,
-    or None without `logits` (see the module doc)."""
+    or None without `logits` (see the module doc). Refuses, before touching
+    the store, weights of another config than the one that built it."""
     config = weights.config
+    if store.config != config:
+        raise ValidationError("the store needs the weights of the config that built it")
     rows = store.grow(np.asarray(modality) == VISUAL)
     x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
     last = config.n_layers - 1
@@ -281,8 +284,6 @@ def extend(
     return their logits, or None with `logits=False`; a `capture` records
     their attention. See the module doc for what `logits=False` skips and
     for the stores `extend` refuses."""
-    if store.config != weights.config:
-        raise ValidationError("extend needs the weights of the config that built the store")
     if store.prune_record is not None:
         raise ValidationError("extend refuses a pruned store")
     if store.seq_len != store.n_prompt:
@@ -291,7 +292,7 @@ def extend(
         raise ValidationError(f"extend needs a multiple of {CHUNK} rows, not {store.seq_len}")
     _validate_tokens(tokens.token_ids, weights.config.vocab_size)
     # Looked up now, so wrappers take effect.
-    phase = _Phase(_metered(matmul, meter), _metered(head_matmul, meter), pads=True)
+    phase = _Phase(_metered(matmul, meter), _metered(kernels.matmul, meter), pads=True)
     out = _forward(weights, store, tokens.token_ids, tokens.modality, phase, capture, logits)
     store.n_prompt = store.seq_len
     return out
@@ -318,8 +319,6 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
     returns the next-token logits vector. Mutates the store in place."""
     if store.seq_len == 0:
         raise ValidationError("decode requires caches populated by a prefill")
-    if store.config != weights.config:
-        raise ValidationError("decode needs the weights of the config that built the store")
     _validate_tokens([next_token], weights.config.vocab_size)
     gemv = _metered(matvec, meter)
     return _forward(weights, store, [next_token], [TEXT], _Phase(gemv, gemv, pads=False), None)[0]

@@ -424,6 +424,8 @@ HOSTILE = [
     pytest.param("jsonl", _line({"tokens": [True, 1]}), ValidationError, id="jsonl-token-bool"),
     pytest.param("jsonl", _line({"tokens": [1, 2], "modality": [0, False]}), ValidationError,
                  id="jsonl-modality-bool"),
+    pytest.param("jsonl", _line({"tokens": [1, 2], "modality": None}), ValidationError,
+                 id="jsonl-modality-null"),
     pytest.param("jsonl", DEEP, ValidationError, id="jsonl-deep"),
     pytest.param("plan", _set("n_layers", "x"), PlanError, id="plan-n_layers-str"),
     pytest.param("plan", UNDECODABLE, PlanError, id="plan-undecodable"),

@@ -7,7 +7,6 @@ from lazyattn import (
     GrowableHeads,
     TokenSequence,
     ValidationError,
-    head_matmul,
     masked_softmax_rows,
     matmul,
     oracle_prefill,
@@ -110,8 +109,8 @@ def test_matmul_deterministic_and_row_independent():
     for h in range(2):
         assert np.array_equal(out[h], per_row(a[h], b[h]))
 
-    # matmul and head_matmul give row i bitwise the product of row i alone
-    # in a zero-padded 64-row tile, in any slot, at any batch size.
+    # matmul gives row i bitwise the product of row i alone in a
+    # zero-padded 64-row tile, in any slot, at any batch size.
     wide = kernels.WIDE
     slots = (0, wide // 2 - 1, wide - 1)
     cases = [(f32(rng.standard_normal((m, k))), f32(rng.standard_normal((k, 512))))
@@ -123,16 +122,16 @@ def test_matmul_deterministic_and_row_independent():
             assert np.array_equal(out, alone_in_tile(a, b, slot))
     for rows in (1, 3, 4, 5, 37, 65, 130):
         q = f32(rng.standard_normal((2, rows, 64)))
-        out = head_matmul(q, keys.transpose(0, 2, 1))
+        out = matmul(q, keys.transpose(0, 2, 1))
         attn = f32(rng.random((2, rows, 300)))
-        weighted = head_matmul(attn, keys)
+        weighted = matmul(attn, keys)
         for h in range(2):
             for slot in slots:
                 assert np.array_equal(out[h], alone_in_tile(q[h], keys[h].T, slot))
                 assert np.array_equal(weighted[h], alone_in_tile(attn[h], keys[h], slot))
     a = f32(rng.standard_normal((2, 512, 256)))
     b = f32(rng.standard_normal((2, 256, 512)))
-    out = head_matmul(a, b)
+    out = matmul(a, b)
     for h in range(2):
         for slot in slots:
             assert np.array_equal(out[h], alone_in_tile(a[h], b[h], slot))
@@ -149,30 +148,36 @@ def test_tile_kernels_see_one_layout_of_b():
     assert np.array_equal(matmul(a, view), matmul(a, b))
     q = f32(rng.standard_normal((2, 37, 64)))
     kt = keys.transpose(0, 2, 1)
-    assert np.array_equal(head_matmul(q, kt), head_matmul(q, np.ascontiguousarray(kt)))
+    assert np.array_equal(matmul(q, kt), matmul(q, np.ascontiguousarray(kt)))
 
 
 def test_tile_probe_catches_a_row_that_moves(monkeypatch):
-    """The probe fails when a row's bits differ in the last slot of the
-    second 64-row tile or alone in a padded tail tile, and the products then
-    run the GEMV."""
+    """At every tile height the probe fails when a row's bits move in any
+    slot it checks against the row alone in a WIDE-row tile: slot 0, the
+    last slot of the second tile, alone in the padded tail tile. The
+    products then run the GEMV."""
     real = kernels._tiles
-    assert kernels._probe(kernels.WIDE, 64, 96)
-    for moved in (-2, -1):  # the probe's last two rows (see `_probe`)
+    for tile in (kernels.WIDE, 3 * kernels.WIDE):
+        monkeypatch.setattr(kernels, "_tiles", real)
+        assert kernels._probe(tile, 64, 96)
+        # The probe's checked rows among the 2 * tile + 1 (see `_probe`).
+        for moved in (0, -2, -1):
 
-        def nudged(a, b, tile, moved=moved):
-            out = real(a, b, tile).copy()
-            out[moved] = np.nextafter(out[moved], np.float32(np.inf))
-            return out
+            def nudged(a, b, height, moved=moved):
+                out = real(a, b, height)
+                if len(a) > 1:  # the multi-row call, not the row alone
+                    out = out.copy()
+                    out[moved] = np.nextafter(out[moved], np.float32(np.inf))
+                return out
 
-        monkeypatch.setattr(kernels, "_tiles", nudged)
-        assert not kernels._probe(kernels.WIDE, 64, 96)
+            monkeypatch.setattr(kernels, "_tiles", nudged)
+            assert not kernels._probe(tile, 64, 96)
     monkeypatch.setattr(kernels, "_TILES_HOLD", {})
     rng = np.random.default_rng(9)
     a = f32(rng.standard_normal((9, 64)))
     b = f32(rng.standard_normal((64, 96)))
     assert np.array_equal(matmul(a, b), matvec(a, b))
-    assert np.array_equal(head_matmul(a[None], b[None]), matvec(a[None], b[None]))
+    assert np.array_equal(matmul(a[None], b[None]), matvec(a[None], b[None]))
     assert kernels._TILES_HOLD == {(kernels.WIDE, 64, 96): False}
 
 
@@ -188,7 +193,7 @@ def test_tile_probes_are_kept_per_padded_shape(monkeypatch):
     for _ in range(3):
         q = f32(rng.standard_normal((1, 3, 64)))
         keys = f32(rng.standard_normal((1, 112, 64)))
-        head_matmul(head_matmul(q, keys.transpose(0, 2, 1)), keys)
+        matmul(matmul(q, keys.transpose(0, 2, 1)), keys)
     assert kernels._TILES_HOLD == {(wide, 64, 112): True, (wide, 112, 64): True}
     w = f32(rng.standard_normal((256, 512)))
     for m in (1, 64, 65, 300, 320):
@@ -265,6 +270,24 @@ def test_a_weight_product_packs_its_weight_once(monkeypatch):
     matmul(f32(np.ones((512, 256))), w)
     matmul(f32(np.ones((513, 256))), w)
     assert shapes == [(1, 512, 256), (1, 576, 256)]
+
+
+def test_a_stacked_product_runs_one_gemm_per_head(monkeypatch):
+    """Where the probes hold, a product of 130 rows per head is one BLAS
+    call: one GEMM of 192 padded rows per head."""
+    monkeypatch.setattr(kernels, "_TILES_HOLD", {})
+    for rows in (kernels.WIDE, 192):
+        kernels._TILES_HOLD[(rows, 64, 96)] = True
+    shapes = []
+    real = np.matmul
+
+    def spy(a, b):
+        shapes.append(a.shape)
+        return real(a, b)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    matmul(f32(np.ones((2, 130, 64))), f32(np.ones((2, 64, 96))))
+    assert shapes == [(2, 1, 192, 64)]
 
 
 def test_a_failed_gemm_probe_keeps_its_row_count_on_wide_tiles(monkeypatch):
@@ -375,14 +398,20 @@ def test_in_place_kernels_keep_the_written_out_bits():
     assert np.array_equal(x, keep)
 
 
-def test_head_matmul_rejects_bad_shapes():
-    with pytest.raises(ValidationError):
-        head_matmul(f32(np.ones((2, 3))), f32(np.ones((3, 2))))
-    for product in (head_matmul, matvec):
-        with pytest.raises(ValidationError):
-            product(f32(np.ones((2, 1, 3))), f32(np.ones((3, 3, 2))))
-        with pytest.raises(ValidationError):
-            product(f32(np.ones((2, 1, 3))), f32(np.ones((2, 4, 2))))
+def test_products_reject_bad_shapes():
+    """Both product kernels refuse operands of unequal rank, unequal leading
+    axes or k, and a 1-D a."""
+    bad = [
+        ((2, 1, 3), (3, 2)),  # unequal ranks
+        ((1, 3), (2, 3, 2)),
+        ((2, 1, 3), (3, 3, 2)),  # unequal leading axes
+        ((2, 1, 3), (2, 4, 2)),  # unequal k
+        ((3,), (3,)),  # a 1-D a
+    ]
+    for product in (matmul, matvec):
+        for a, b in bad:
+            with pytest.raises(ValidationError):
+                product(f32(np.ones(a)), f32(np.ones(b)))
 
 
 def test_stacked_softmax_and_rope_match_per_head_bitwise():

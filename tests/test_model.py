@@ -378,6 +378,10 @@ def test_token_sequence_validation():
         TokenSequence([1, 2, 3], [0, 1])
     with pytest.raises(ValidationError):
         TokenSequence([1], [2])
+    with pytest.raises(ValidationError, match="modality"):
+        TokenSequence([1, 2], None)
+    with pytest.raises(ValidationError, match="token_ids"):
+        TokenSequence(None, [0])
 
 
 @pytest.mark.parametrize(

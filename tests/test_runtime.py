@@ -390,9 +390,13 @@ def test_oracle_refuses_a_prune_inside_the_prompt(model, prompt):
         dict(removed=(1, 1)),
         dict(layer=7),
         dict(layer=-1),
+        dict(prompt_len=10.5),
+        dict(prompt_len="10"),
+        dict(removed=None),
     ],
     ids=[
-        "past-the-prompt", "float", "text-position", "repeated", "layer-past-model", "layer-negative"
+        "past-the-prompt", "float", "text-position", "repeated", "layer-past-model",
+        "layer-negative", "fractional-prompt-len", "str-prompt-len", "removed-none",
     ],
 )
 def test_oracle_refuses_a_record_that_is_no_prune_of_the_prompt(edit):
@@ -675,8 +679,8 @@ def test_runtime_matmul_sees_only_2d_operands(model, prompt, monkeypatch):
 
 
 def test_matmul_multiplies_only_by_weights(model, monkeypatch):
-    """A 2-D matmul is a weight product, in production and in the oracle
-    alike: attention goes through head_matmul, on the attention tiles. A
+    """The matmul that runtime and oracle look up is a weight product, in
+    production and in the oracle alike: attention calls kernels.matmul. A
     fused weight counts, and so does the column block a lazy layer runs on
     (wv, the Q|K columns of w_qkv)."""
     names = ("w_qkv", "wo", "w_gate_up", "w_down")
@@ -781,7 +785,7 @@ def long_prompt(layout: str, seed: int) -> TokenSequence:
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
 def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypatch):
     """When the run-time probes find tiles that do not hold their
-    invariant, matmul and head_matmul run the GEMV, and prefill still equals
+    invariant, matmul runs the GEMV, and prefill still equals
     the oracle bit for bit."""
     from lazyattn import kernels
 
@@ -792,7 +796,7 @@ def test_failed_tile_probe_falls_back_to_the_gemv(model, prompt, mode, monkeypat
     b = rng.standard_normal((48, 32), dtype=np.float32).T
     assert np.array_equal(kernels.matmul(a, b), kernels.matvec(a, np.ascontiguousarray(b)))
     a1, b1 = a[None], b[None]
-    assert np.array_equal(kernels.head_matmul(a1, b1), kernels.matvec(a1, b1.copy()))
+    assert np.array_equal(kernels.matmul(a1, b1), kernels.matvec(a1, b1.copy()))
     plan = None if mode is None else two_block_plan(mode)
     for tokens in (prompt, ONE_OWN_ROW, long_prompt("mid", 4)):
         logits, _ = prefill(model, tokens, plan)
