@@ -9,18 +9,19 @@ matrix S with values in [0, ln 2] (natural log throughout).
 
 A profile pass computes only what S reads. Its prefills and extensions run
 with `logits=False` (see `runtime`), so the last layer stops after its
-attention. A full-matrix profile runs a sample as one prefill of its first
-EXTENSION_ROWS rows and one `extend` per further EXTENSION_ROWS, and folds
-each call's rows into per-row divergences before the next call runs, so at
-most EXTENSION_ROWS attention rows per layer are held at once, not the
-(s, s) square. The divergence is taken in blocks of CHUNK rows over the
-columns up to the block's last row, as
+attention, and hand `AttentionCapture` each CHUNK-row block of attention
+over the keys up to its last row. A full-matrix profile runs a sample as
+one prefill of its first EXTENSION_ROWS rows and one `extend` per further
+EXTENSION_ROWS, and folds each call's blocks into per-row divergences
+before the next call runs, so at most EXTENSION_ROWS attention rows per
+layer are held at once, not the (s, s) square. The divergence is taken
+block by block, as
 
     JS(p, q) = 1/2 (sum p ln p + sum q ln q) - sum m ln m,  m = (p + q) / 2,
 
 with each layer's sum p ln p taken once per block and one log of the
 mixture per layer pair; an entry equal to 0 adds exactly 0. Calls start
-at multiples of CHUNK, so the blocks sit at the same rows and columns
+at multiples of CHUNK, so the blocks have the same rows and columns
 however a sample is split into calls, and S does not depend on the split.
 
 A profile is checked once, when it is built, and cannot change afterwards:
@@ -104,43 +105,48 @@ def _kl_against(p: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class AttentionSnapshot:
-    """Per-layer head-averaged attention captured during one prefill or
-    extension: each layer's (rows, cols) float64 mean, every row of the call
-    with full_matrix and the last row alone otherwise."""
+    """Per-layer head-averaged attention captured during a prefill or an
+    extension: layer l's (rows, keys) float64 `blocks[l]` in row order, every
+    block with full_matrix and the latest block's last row alone otherwise."""
 
-    rows: list[np.ndarray] = field(default_factory=list)
+    blocks: list[list[np.ndarray]] = field(default_factory=list)
 
     @property
     def last_rows(self) -> list[np.ndarray]:
-        return [r[-1] for r in self.rows]
+        return [b[-1][-1] for b in self.blocks]
 
     def validate(self) -> None:
         """Check every row the profile reads."""
-        if not self.rows:
+        if not self.blocks:
             raise ValidationError("snapshot is empty")
-        shape = self.rows[0].shape
-        for l, r in enumerate(self.rows):
-            if r.shape != shape:
-                raise ValidationError(f"layer {l} attention has shape {r.shape} != {shape}")
-            _check_distribution(r, f"layer {l} attention")
+        shapes = [b.shape for b in self.blocks[0]]
+        for l, blocks in enumerate(self.blocks):
+            if [b.shape for b in blocks] != shapes:
+                raise ValidationError(f"layer {l} attention has shapes other than layer 0's")
+            for b in blocks:
+                _check_distribution(b, f"layer {l} attention")
 
 
 class AttentionCapture:
     """Capture hook handed to prefill or extend; collects each layer's head
-    mean. Without full_matrix they hand it only the last block of rows."""
+    means into its snapshot."""
 
     def __init__(self, full_matrix: bool = False):
         self.full_matrix = full_matrix
         self.snapshot = AttentionSnapshot()
 
-    def record(self, layer: int, head_attn: np.ndarray) -> None:
-        """Record one layer's attention, (n_heads, rows, cols). The head mean
-        adds heads in order in float64 (an outer-axis sum), which fixes its
-        bits; without full_matrix it averages the last row alone."""
-        rows = head_attn if self.full_matrix else head_attn[:, -1:]
+    def record(self, layer: int, block: np.ndarray) -> None:
+        """Record a block of attention, (n_heads, rows, keys), that follows
+        the layer's last. The head mean adds heads in order in float64 (an
+        outer-axis sum), which fixes its bits; without full_matrix it
+        averages the last row alone and replaces the layer's earlier one."""
+        rows = block if self.full_matrix else block[:, -1:]
         mean = rows.sum(axis=0, dtype=np.float64)
-        mean /= len(head_attn)
-        self.snapshot.rows.append(mean)
+        mean /= len(block)
+        blocks = self.snapshot.blocks
+        if layer == len(blocks):
+            blocks.append([])
+        blocks[layer] = [*blocks[layer], mean] if self.full_matrix else [mean]
 
 
 @dataclass(frozen=True)
@@ -231,28 +237,24 @@ def _sample_js(weights, seq: TokenSequence, full_matrix: bool, pairs) -> np.ndar
         else:
             runtime.extend(weights, store, part, capture=capture, logits=False)
         capture.snapshot.validate()
-        per_row.append(_visible_js(capture.snapshot.rows, pairs))
+        per_row.append(_visible_js(capture.snapshot.blocks, pairs))
     return np.concatenate(per_row, axis=1)
 
 
-def _visible_js(rows: list[np.ndarray], pairs) -> np.ndarray:
+def _visible_js(blocks: list[list[np.ndarray]], pairs) -> np.ndarray:
     """JS divergence of each layer pair, (pairs, rows), for one call's
-    head-mean rows: each layer's (rows, keys), with row i at key index
-    keys - rows + i and compared over the keys up to it. Blocks of CHUNK
-    rows run over the columns up to the block's last row; the entries past
-    a row are masked, 0 in both layers, and add exactly 0."""
-    n_rows, n_keys = rows[0].shape
-    first = n_keys - n_rows
-    out = np.empty((len(pairs), n_rows))
-    for start in range(0, n_rows, CHUNK):
-        stop = min(start + CHUNK, n_rows)
-        block = [r[start:stop, : first + stop] for r in rows]
+    head-mean blocks (see `AttentionSnapshot`), taken block by block; the
+    entries past a row are masked, 0 in both layers, and add exactly 0."""
+    out = []
+    for block in zip(*blocks):
         self_terms = [_sum_xlogx(p) for p in block]
+        js = np.empty((len(pairs), len(block[0])))
         for k, (a, b) in enumerate(pairs):
             mixture = block[a] + block[b]
             mixture *= 0.5
-            out[k, start:stop] = 0.5 * (self_terms[a] + self_terms[b]) - _sum_xlogx(mixture)
-    return out
+            js[k] = 0.5 * (self_terms[a] + self_terms[b]) - _sum_xlogx(mixture)
+        out.append(js)
+    return np.concatenate(out, axis=1)
 
 
 def _sum_xlogx(x: np.ndarray) -> np.ndarray:

@@ -43,10 +43,9 @@ the same padded blocks. One loop runs every row count: a call of at most
 CHUNK rows is one block, on the transposed view of the key cache where it
 pads nothing, and more rows share one C-order copy of K^T.
 
-A capture is any object with `record(layer, head_attn)` and `full_matrix`:
-`record` gets each layer's (n_heads, rows, L) attention for the call's rows
-with it, the last block's (n_heads, <=CHUNK, L) without it; the padded
-columns, exact zeros, are sliced off.
+A capture is any object with `record(layer, block)`, handed each block's
+(n_heads, rows, keys up to its last row) attention right after its softmax,
+in row order; the capture alone decides what to keep (see `profiler`).
 
 `prefill` and `extend` with `logits=False` are for callers that read only
 the attention, as a profile pass does (see `profiler`): the last layer
@@ -168,9 +167,8 @@ def _attention(phase: _Phase, q, keys, values, capture, layer: int) -> np.ndarra
     """softmax(q K^T / sqrt(d_head)) V for q's rows, which sit at the last of
     the keys' positions, in blocks of CHUNK rows, each against the keys up to
     its end (see the module doc), so the masked columns past a block are
-    never computed. Returns the weighted sum; a `capture` records the
-    attention (see the module doc), masked entries 0 as a pass over all keys
-    gives them."""
+    never computed. Returns the weighted sum and hands a `capture` each
+    block, masked entries 0 (see the module doc)."""
     n_heads, rows, d_head = q.shape
     n_keys = keys.shape[1]
     first = n_keys - rows  # the key index of q's first row
@@ -182,19 +180,15 @@ def _attention(phase: _Phase, q, keys, values, capture, layer: int) -> np.ndarra
     elif rows > CHUNK:
         # One C-order copy of K^T serves every block (see `kernels`).
         kt = np.ascontiguousarray(kt)
-    full = capture is not None and capture.full_matrix
     out = np.empty((n_heads, rows, d_head), dtype=np.float32)
-    attn = np.zeros((n_heads, rows, n_keys), dtype=np.float32) if full else None
     for start in range(0, rows, CHUNK):
         stop = min(start + CHUNK, rows)
         n = min(first + start + CHUNK, end)
         scores = phase.head_mm(q[:, start:stop], kt[..., :n], "attn_scores")
         block = masked_softmax_rows(scores, first + start, scale)
+        if capture is not None:
+            capture.record(layer, block[..., : first + stop])
         out[:, start:stop] = phase.head_mm(block, values[:, :n], "attn_wv")
-        if full:
-            attn[:, start:stop, :n] = block[..., :n_keys]
-    if capture is not None:
-        capture.record(layer, attn if full else block[..., :n_keys])
     return out
 
 
@@ -281,9 +275,9 @@ def extend(
     logits: bool = True,
 ) -> np.ndarray | None:
     """Append the prompt rows `tokens` to `store` on prefill's kernels and
-    return their logits, or None with `logits=False`; a `capture` records
-    their attention. See the module doc for what `logits=False` skips and
-    for the stores `extend` refuses."""
+    return their logits, or None with `logits=False`; a `capture` is handed
+    their attention blocks. See the module doc for what `logits=False` skips
+    and for the stores `extend` refuses."""
     if store.prune_record is not None:
         raise ValidationError("extend refuses a pruned store")
     if store.seq_len != store.n_prompt:
@@ -308,8 +302,8 @@ def prefill(
 ) -> tuple[np.ndarray | None, CacheStore]:
     """Run the prompt through the model, returning logits for every position
     (None with `logits=False`, see `extend`) and the populated cache store.
-    `plan=None` is the standard runtime. A `capture` records each layer's
-    attention (see the module doc)."""
+    `plan=None` is the standard runtime. A `capture` is handed each layer's
+    attention blocks (see the module doc)."""
     store = CacheStore(weights.config, plan)
     return extend(weights, store, tokens, capture, meter, logits), store
 
@@ -330,8 +324,12 @@ def generate(
     """Greedy decode continuing `store`, which a prefill filled (and possibly
     a prune cut), from its last logits: argmax feedback, ties broken by
     lowest index. Returns the `steps` ids; the store is mutated in place.
-    """
+    Checks first that `last_logits` is one row of finite logits."""
     require_int("steps", steps, 0)
+    vocab = weights.config.vocab_size
+    if not (isinstance(last_logits, np.ndarray) and last_logits.shape == (vocab,)
+            and last_logits.dtype.kind in "iuf" and np.isfinite(last_logits).all()):
+        raise ValidationError(f"last_logits must be a 1-D array of {vocab} finite numbers")
     ids: list[int] = []
     for _ in range(steps):
         t = int(np.argmax(last_logits))
@@ -361,8 +359,8 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
         raise ValidationError("prune requires a prefilled store")
     if store.prune_record is not None:
         raise ValidationError("store is already pruned")
-    if len(snapshot.rows) != store.config.n_layers:
-        raise ValidationError(f"snapshot has {len(snapshot.rows)} layers, not {store.config.n_layers}")
+    if len(snapshot.blocks) != store.config.n_layers:
+        raise ValidationError(f"snapshot has {len(snapshot.blocks)} layers, not {store.config.n_layers}")
     scores = snapshot.last_rows[layer]
     if len(scores) != store.n_prompt:
         raise ValidationError(f"snapshot has {len(scores)} columns, the prompt {store.n_prompt}")

@@ -24,17 +24,34 @@ def make_model(n_layers=6, n_heads=2, d_model=32, d_ff=64, vocab_size=96, seed=0
     return init_synthetic_model(config, seed)
 
 
-class HeadRecorder:
-    """A prefill capture hook that keeps every layer's per-head attention,
-    (n_heads, rows, cols), in layer order."""
+def padded(blocks):
+    """Row-ordered attention blocks, (..., rows, keys up to the block's last
+    row), as one (..., rows, keys) matrix with zeros past each row's keys."""
+    rows = sum(b.shape[-2] for b in blocks)
+    out = np.zeros((*blocks[-1].shape[:-2], rows, blocks[-1].shape[-1]), blocks[-1].dtype)
+    start = 0
+    for b in blocks:
+        out[..., start : start + b.shape[-2], : b.shape[-1]] = b
+        start += b.shape[-2]
+    return out
 
-    full_matrix = True
+
+class HeadRecorder:
+    """A capture hook that keeps every block of every layer's per-head
+    attention, (n_heads, rows, keys), in row order (`blocks[layer]`)."""
 
     def __init__(self):
-        self.layers = []
+        self.blocks = []
 
-    def record(self, layer, head_attn):
-        self.layers.append(head_attn.copy())
+    def record(self, layer, block):
+        if layer == len(self.blocks):
+            self.blocks.append([])
+        self.blocks[layer].append(block.copy())
+
+    @property
+    def layers(self):
+        """Each layer's (n_heads, rows, keys) attention, zeros past each row's keys."""
+        return [padded(blocks) for blocks in self.blocks]
 
 
 def random_prompt(

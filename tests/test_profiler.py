@@ -23,7 +23,7 @@ from lazyattn import (
 from lazyattn.profiler import LN2, adjacent_profile_csv
 from lazyattn.viz import render_heatmap_svg
 
-from helpers import make_model, random_prompt
+from helpers import make_model, padded, random_prompt
 
 LN = math.log
 
@@ -156,7 +156,7 @@ def per_row_reference_profile(weights, corpus, full_matrix):
     for seq in corpus:
         capture = AttentionCapture(full_matrix=True)
         prefill(weights, seq, capture=capture)
-        mats = capture.snapshot.rows
+        mats = [padded(blocks) for blocks in capture.snapshot.blocks]
         s = len(seq)
         rows = range(s) if full_matrix else [s - 1]
         for a in range(n):
@@ -191,7 +191,7 @@ def test_profile_matches_per_row_reference(full_matrix, layout):
 
 
 def causal_rows(rng, n_rows, n_keys, zero_share):
-    """Head-mean rows as a call's capture holds them: row i sits at key
+    """A call's head-mean rows as `padded` lays them out: row i sits at key
     index n_keys - n_rows + i and is a distribution over the keys up to it,
     with about `zero_share` exact zeros among them (as softmax underflow
     gives) and exact zeros past it (masked)."""
@@ -205,6 +205,14 @@ def causal_rows(rng, n_rows, n_keys, zero_share):
     return rows
 
 
+def call_blocks(rows):
+    """A call's head-mean rows as its capture holds them: blocks of CHUNK
+    rows over the keys up to each block's last row."""
+    n_rows, n_keys = rows.shape
+    first, chunk = n_keys - n_rows, runtime.CHUNK
+    return [rows[i : i + chunk, : first + min(i + chunk, n_rows)] for i in range(0, n_rows, chunk)]
+
+
 @pytest.mark.parametrize("n_rows, n_keys", [(150, 150), (22, 150), (1, 70)])
 def test_visible_column_divergence_matches_js_on_each_rows_prefix(n_rows, n_keys):
     """A call's per-row divergences, taken in CHUNK-row blocks with one log
@@ -214,7 +222,7 @@ def test_visible_column_divergence_matches_js_on_each_rows_prefix(n_rows, n_keys
     rng = np.random.default_rng(n_rows + n_keys)
     layers = [causal_rows(rng, n_rows, n_keys, share) for share in (0.0, 0.3, 0.6)]
     pairs = [(0, 1), (0, 2), (1, 2)]
-    got = profiler._visible_js(layers, pairs)
+    got = profiler._visible_js([call_blocks(rows) for rows in layers], pairs)
     assert got.shape == (len(pairs), n_rows)
     for k, (a, b) in enumerate(pairs):
         for r in range(n_rows):
@@ -271,7 +279,7 @@ def test_snapshot_validate_checks_every_full_matrix_row():
     prefill(w, TokenSequence([1, 2, 3, 4, 5], [1, 1, 0, 0, 0]), capture=capture)
     snap = capture.snapshot
     snap.validate()
-    snap.rows[1][2] *= 1.5  # a middle row; the last rows stay intact
+    snap.blocks[1][0][2] *= 1.5  # a middle row; the last rows stay intact
     with pytest.raises(ValidationError, match="layer 1"):
         snap.validate()
 
@@ -279,7 +287,7 @@ def test_snapshot_validate_checks_every_full_matrix_row():
 def test_snapshot_validate_refuses_empty_and_ragged_snapshots():
     with pytest.raises(ValidationError, match="snapshot is empty"):
         AttentionSnapshot().validate()
-    ragged = AttentionSnapshot([np.full((1, 2), 0.5), np.full((1, 3), 1 / 3)])
+    ragged = AttentionSnapshot([[np.full((1, 2), 0.5)], [np.full((1, 3), 1 / 3)]])
     with pytest.raises(ValidationError, match="layer 1 attention has shape"):
         ragged.validate()
 
@@ -309,7 +317,7 @@ def test_head_mean_equals_sequential_float64_sum(shape):
     expected = expected / shape[0]
     capture = AttentionCapture(full_matrix=True)
     capture.record(0, head_attn)
-    assert np.array_equal(capture.snapshot.rows[0], expected)
+    assert np.array_equal(capture.snapshot.blocks[0][0], expected)
     assert np.array_equal(capture.snapshot.last_rows[0], expected[-1])
     last_row_only = AttentionCapture()
     last_row_only.record(0, head_attn)

@@ -352,6 +352,23 @@ def test_generate_refuses_steps_that_are_not_a_count(model, prompt, steps):
     assert store.seq_len == len(prompt)
 
 
+@pytest.mark.parametrize("bad", ["first-row", "short", "matrix", "list", "none", "nan", "inf",
+                                 "bool"])
+def test_generate_refuses_last_logits_that_are_not_one_logits_row(bad):
+    """generate refuses, before touching the store, last logits that are not
+    a 1-D array of vocab_size finite numbers."""
+    model = make_model(n_layers=2)
+    prompt = random_prompt(np.random.default_rng(46), 96, length=10)
+    logits, store = prefill(model, prompt)
+    row = logits[-1]
+    last = {"first-row": logits[:1], "short": row[:-1], "matrix": logits, "list": row.tolist(),
+            "none": None, "nan": np.full_like(row, np.nan), "inf": np.where(row > 0, np.inf, row),
+            "bool": row > 0}[bad]
+    with pytest.raises(ValidationError, match="last_logits"):
+        generate(model, store, last, 3)
+    assert store.seq_len == len(prompt)
+
+
 @pytest.mark.parametrize("other", ["empty", "longer-prompt"])
 def test_prune_rejects_a_snapshot_of_another_prefill(model, prompt, other):
     """A snapshot must cover every layer of this store's prompt: an empty
@@ -1036,34 +1053,32 @@ def test_a_long_prompt_runs_in_blocks_and_meets_the_oracle(s, mode, prune):
     assert ids == np.argmax(ref[s - 1 : -1], axis=1).tolist()
 
 
-class LastBlockSpy:
-    """A capture that asks for no full matrix and keeps the shape and last
-    row of each attention it is handed."""
-
-    full_matrix = False
-
-    def __init__(self):
-        self.shapes, self.last_rows = [], []
-
-    def record(self, layer, head_attn):
-        self.shapes.append(head_attn.shape)
-        self.last_rows.append(head_attn[:, -1].copy())
-
-
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
-def test_a_capture_without_the_full_matrix_gets_the_last_block(model, mode):
-    """Over a prompt of three blocks, a capture that does not ask for the
-    full matrix gets at most CHUNK rows per layer, whose last row is, bit for
-    bit, the last row of the full matrix."""
+def test_a_capture_gets_blocks_that_tile_the_calls_rows_in_order(model, mode):
+    """A capture gets each layer's blocks in row order, CHUNK rows each but
+    the padded last, each over the keys up to its last row: on a 150-token
+    prefill, and on an extension of its first 128 rows whose one block
+    equals the prefill's last bit for bit. `AttentionCapture()` keeps the
+    head mean of the last block's last row."""
     tokens = long_prompt("alternating", 12)
     plan = None if mode is None else two_block_plan(mode)
-    spy, full = LastBlockSpy(), HeadRecorder()
-    logits, _ = prefill(model, tokens, plan, capture=spy)
-    assert np.array_equal(logits, prefill(model, tokens, plan, capture=full)[0])
-    n_heads = model.config.n_heads
-    assert spy.shapes == [(n_heads, LONG - 2 * runtime.CHUNK, LONG)] * model.config.n_layers
-    for row, mat in zip(spy.last_rows, full.layers, strict=True):
-        assert np.array_equal(row, mat[:, -1])
+    chunk, n_heads = runtime.CHUNK, model.config.n_heads
+    whole, last = HeadRecorder(), AttentionCapture()
+    prefill(model, tokens, plan, capture=whole)
+    prefill(model, tokens, plan, capture=last)
+    head, tail = (TokenSequence(tokens.token_ids[a:b], tokens.modality[a:b])
+                  for a, b in ((0, 128), (128, LONG)))
+    part, store = HeadRecorder(), CacheStore(model.config, plan)
+    extend(model, store, head)
+    extend(model, store, tail, capture=part)
+    for recorder, first in ((whole, 0), (part, 128)):
+        shapes = [(n_heads, min(chunk, LONG - i), min(i + chunk, LONG))
+                  for i in range(first, LONG, chunk)]
+        assert [[b.shape for b in blocks] for blocks in recorder.blocks] == [shapes] * 6
+    for blocks, (extended_block,), row in zip(whole.blocks, part.blocks, last.snapshot.last_rows,
+                                              strict=True):
+        assert np.array_equal(blocks[-1], extended_block)
+        assert np.array_equal(row, blocks[-1][:, -1].sum(axis=0, dtype=np.float64) / n_heads)
 
 
 def test_a_last_row_capture_holds_at_most_one_attention_block():
@@ -1088,6 +1103,34 @@ def test_a_last_row_capture_holds_at_most_one_attention_block():
     finally:
         tracemalloc.stop()
     assert captured - bare <= 2 * runtime.CHUNK * s * 4
+
+
+def test_a_full_matrix_capture_holds_no_whole_attention_array():
+    """At 1,024 tokens a prefill with `AttentionCapture(full_matrix=True)`
+    peaks at most one (n_heads, CHUNK, s) float32 block above a prefill
+    without a capture and the float64 head means it keeps, CHUNK rows per
+    block over the keys up to their last, so no layer's (n_heads, s, s)
+    float32 attention is ever held."""
+    import tracemalloc
+
+    model = make_model(n_layers=2, n_heads=2, d_model=32)
+    s = 1024
+    tokens = random_prompt(np.random.default_rng(13), 96, length=s, visual_fraction=0.5)
+    prefill(model, tokens)  # every tile shape probed and the rotary table built
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prefill(model, tokens)
+        bare = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        prefill(model, tokens, capture=AttentionCapture(full_matrix=True))
+        captured = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    chunk, config = runtime.CHUNK, model.config
+    kept = config.n_layers * sum(chunk * min(i + chunk, s) * 8 for i in range(0, s, chunk))
+    assert captured - bare <= kept + config.n_heads * chunk * s * 4
 
 
 # ---------------------------------------------------------------------------
