@@ -52,7 +52,6 @@ from .planner import (
     VLA,
     LazyBlock,
     LazyPlan,
-    empty_plan,
     load_plan,
     plan_from_profile,
     plan_random,
@@ -63,7 +62,6 @@ from .profiler import (
     AttentionSnapshot,
     SimilarityProfile,
     js_divergence,
-    kl_divergence,
     load_profile,
     profile_model,
     save_profile,

@@ -16,9 +16,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PlanError, ValidationError
 from .model import atomic_write, is_int, is_number, parse_json, require_int
-from .rng import Splitmix
+from .rng import splitmix64
 
 GLA = "gla"
 VLA = "vla"
@@ -150,10 +152,6 @@ def layer_anchors(plan: LazyPlan | None, n_layers: int) -> list[int]:
     return anchors
 
 
-def empty_plan(mode: str, n_layers: int) -> LazyPlan:
-    return LazyPlan(mode=mode, n_layers=n_layers, epsilon=1.0)
-
-
 def plan_from_profile(
     profile, epsilon: float, mode: str = GLA, max_block_span: int | None = None
 ) -> LazyPlan:
@@ -200,40 +198,32 @@ def plan_random(
 ) -> LazyPlan:
     """Uniform random disjoint placement of contiguous blocks with given spans.
 
-    Block spans are placed left to right in the given order; the free layers
-    are distributed uniformly over the len(layers_per_block)+1 gaps (stars
-    and bars), so every feasible placement of the ordered spans is equally
-    likely.
+    Block spans are placed left to right in the given order. In layer order
+    the k blocks and the free layers fill free + k places; the places of the
+    k smallest keys among splitmix64 outputs [0, free + k) of `seed` go to
+    the blocks. That is a uniform k-subset, so every feasible placement of
+    the ordered spans is equally likely. Block i at place p_i has p_i - i
+    free layers and blocks 0..i-1 before it, which gives its anchor.
     """
     n_layers = require_int("n_layers", n_layers, 1)
     seed = require_int("seed", seed)
-    n_blocks = len(layers_per_block)
     for span in layers_per_block:
         require_int("each block's span", span, 2)
-    used = sum(layers_per_block)
-    free = n_layers - used
+    k = len(layers_per_block)
+    free = n_layers - sum(layers_per_block)
     if free < 0:
         raise ValidationError(
             f"blocks with spans {layers_per_block} do not fit in {n_layers} layers"
         )
-    sm = Splitmix(seed)
-    # Choose gap sizes g_0..g_k >= 0 summing to `free` uniformly: pick k
-    # divider positions among free+k slots.
-    dividers = sm.sample_without_replacement(free + n_blocks, n_blocks)
-    gaps = []
-    prev = -1
-    for d in dividers:
-        gaps.append(d - prev - 1)
-        prev = d
-    gaps.append(free + n_blocks - 1 - prev)
+    places = sorted(np.argsort(splitmix64(seed, 0, free + k), kind="stable")[:k])
     blocks: list[LazyBlock] = []
-    cursor = 0
-    for gap, span in zip(gaps, layers_per_block):
-        cursor += gap
+    before = 0  # layers the earlier blocks span
+    for i, (place, span) in enumerate(zip(places, layers_per_block)):
+        anchor = int(place) - i + before
         blocks.append(
-            LazyBlock(anchor=cursor, lazy_layers=tuple(range(cursor + 1, cursor + span)))
+            LazyBlock(anchor=anchor, lazy_layers=tuple(range(anchor + 1, anchor + span)))
         )
-        cursor += span
+        before += span
     return LazyPlan(
         mode=mode,
         n_layers=n_layers,

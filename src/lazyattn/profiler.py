@@ -75,19 +75,15 @@ def _check_pair(p, q) -> tuple[np.ndarray, np.ndarray]:
     return _check_distribution(p, "p"), _check_distribution(q, "q")
 
 
-def kl_divergence(p, q) -> float:
-    """Sum of p_i * ln(p_i / q_i) with the 0*ln(0/x) := 0 convention.
-
-    Returns +inf when some p_i > 0 has q_i = 0.
-    """
-    p, q = _check_pair(p, q)
-    if np.any(q[p > 0] == 0):
-        return math.inf
-    return float(_kl_against(p, q))
-
-
 def js_divergence(p, q) -> float:
-    """0.5*[KL(p||m) + KL(q||m)] with m = (p+q)/2; symmetric, in [0, ln 2]."""
+    """0.5*[KL(p||m) + KL(q||m)] with m = (p+q)/2; symmetric, in [0, ln 2].
+
+    A profile pass takes its divergences block by block (`_visible_js`) and
+    never calls this one-pair form. It stays public as the independent
+    reference that `_visible_js` is tested against, and because
+    `bench/tracer.py` wraps `profiler.js_divergence` by name for its
+    per-layer rows.
+    """
     p, q = _check_pair(p, q)
     m = (p + q) / 2.0
     # m_i = 0 implies p_i = q_i = 0, so both KL terms are finite.
@@ -204,6 +200,7 @@ def profile_model(weights, corpus, full_matrix: bool = False) -> SimilarityProfi
     for a given (weights, corpus). With full_matrix the divergence is
     averaged over every query row instead of only the last.
     """
+    corpus = list(corpus)  # read once, so an iterator is profiled too
     if not corpus:
         raise ValidationError("corpus must be non-empty")
     for i, seq in enumerate(corpus):

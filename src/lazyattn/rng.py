@@ -4,7 +4,9 @@ All randomness in the package (synthetic weights, random plans, synthetic
 prompts) flows through this module so that identical seeds reproduce
 bit-identical artifacts on any platform. The generator is the counter-based
 form of splitmix64: output i of stream `seed` is mix(seed + (i+1)*GAMMA)
-with 64-bit wrapping arithmetic.
+with 64-bit wrapping arithmetic. `splitmix64` is the one interface: every
+draw, a random plan's included, takes a range of stream positions in one
+call, and `uniform` maps such a range to floats.
 """
 
 from __future__ import annotations
@@ -49,34 +51,3 @@ def uniform(seed: int, start: int, count: int, low: float, high: float) -> np.nd
     u += low
     return u
 
-
-class Splitmix:
-    """Stateful convenience wrapper over the counter-based stream."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._pos = 0
-
-    def next_u64(self) -> int:
-        out = int(splitmix64(self.seed, self._pos, 1)[0])
-        self._pos += 1
-        return out
-
-    def randint(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection sampling (unbiased)."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            u = self.next_u64()
-            if u < limit:
-                return u % bound
-
-    def sample_without_replacement(self, population: int, k: int) -> list[int]:
-        """k distinct integers from [0, population), sorted ascending."""
-        if k > population:
-            raise ValueError("sample larger than population")
-        chosen: set[int] = set()
-        while len(chosen) < k:
-            chosen.add(self.randint(population))
-        return sorted(chosen)

@@ -35,7 +35,7 @@ from lazyattn.kernels import matmul, rms_norm, silu
 from lazyattn.oracle import oracle_full_generate, oracle_prefill
 from lazyattn.planner import plan_random
 from lazyattn.model import atomic_write
-from lazyattn.rng import Splitmix, splitmix64
+from lazyattn.rng import splitmix64
 
 from helpers import HeadRecorder, make_model, random_prompt
 
@@ -146,12 +146,8 @@ def test_configs_plans_and_profiles_cannot_change_after_they_are_built():
 
 @pytest.mark.parametrize(
     "draw, message",
-    [
-        (lambda: splitmix64(0, 0, -1), "count must be non-negative"),
-        (lambda: Splitmix(0).randint(0), "bound must be positive"),
-        (lambda: Splitmix(0).sample_without_replacement(2, 3), "sample larger than population"),
-    ],
-    ids=["negative-count", "empty-bound", "oversample"],
+    [(lambda: splitmix64(0, 0, -1), "count must be non-negative")],
+    ids=["negative-count"],
 )
 def test_rng_refuses_impossible_draws(draw, message):
     with pytest.raises(ValueError, match=message):

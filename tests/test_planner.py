@@ -131,6 +131,33 @@ def test_plan_random_valid_over_many_seeds():
         assert plan.n_lazy == 4
 
 
+def feasible_placements(n_layers, spans):
+    """Every tuple of block anchors that places the spans in order,
+    disjoint, inside the layers."""
+    if not spans:
+        return {()}
+    return {
+        (anchor,) + tuple(anchor + spans[0] + a for a in rest)
+        for anchor in range(n_layers - sum(spans) + 1)
+        for rest in feasible_placements(n_layers - anchor - spans[0], spans[1:])
+    }
+
+
+@pytest.mark.parametrize(
+    "n_layers, spans, seed_zero",
+    [(8, [3, 3], (1, 4)), (10, [2, 3, 2], (2, 5, 8)), (12, [3, 2], (2, 6))],
+)
+def test_plan_random_reaches_every_feasible_placement(n_layers, spans, seed_zero):
+    drawn = [
+        tuple(b.anchor for b in plan_random(n_layers, spans, seed=s).blocks) for s in range(500)
+    ]
+    want = feasible_placements(n_layers, spans)
+    assert set(drawn) == want
+    assert len(want) == math.comb(n_layers - sum(spans) + len(spans), len(spans))
+    # Pinned, so that a change of draw, which changes every seed's plan, is deliberate.
+    assert drawn[0] == seed_zero
+
+
 def test_lazy_fraction_values():
     empty = LazyPlan(mode="gla", n_layers=8, blocks=[], epsilon=0.5)
     assert empty.lazy_fraction() == 0.0

@@ -12,7 +12,6 @@ from lazyattn import (
     TokenSequence,
     ValidationError,
     js_divergence,
-    kl_divergence,
     load_profile,
     prefill,
     profile_model,
@@ -47,28 +46,17 @@ def brute_force_js(p, q):
     return 0.5 * (kl(p, m) + kl(q, m))
 
 
-def test_kl_unit_values():
-    assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert abs(kl_divergence([1.0, 0.0], [0.5, 0.5]) - LN(2)) < 1e-12
-    expected = 0.5 * LN(2) + 0.5 * LN(2.0 / 3.0)
-    assert abs(kl_divergence([0.5, 0.5], [0.25, 0.75]) - expected) < 1e-12
-
-
-def test_kl_unmatched_support_is_infinite():
-    assert kl_divergence([0.5, 0.5], [1.0, 0.0]) == math.inf
-
-
-def test_kl_rejects_bad_inputs():
+def test_js_rejects_bad_inputs():
     with pytest.raises(ValidationError):
-        kl_divergence([0.5, 0.5], [0.5, 0.25, 0.25])
+        js_divergence([0.5, 0.5], [0.5, 0.25, 0.25])
     with pytest.raises(ValidationError):
-        kl_divergence([0.9, 0.3], [0.5, 0.5])
+        js_divergence([0.9, 0.3], [0.5, 0.5])
     with pytest.raises(ValidationError):
-        kl_divergence([1.5, -0.5], [0.5, 0.5])
+        js_divergence([1.5, -0.5], [0.5, 0.5])
     with pytest.raises(ValidationError):
-        kl_divergence([math.nan, 1.0], [0.5, 0.5])
+        js_divergence([math.nan, 1.0], [0.5, 0.5])
     with pytest.raises(ValidationError):
-        kl_divergence(1.0, 1.0)
+        js_divergence(1.0, 1.0)
 
 
 def test_js_unit_values():
@@ -188,6 +176,16 @@ def test_profile_matches_per_row_reference(full_matrix, layout):
     got = profile_model(w, corpus, full_matrix=full_matrix).S
     ref = per_row_reference_profile(w, corpus, full_matrix)
     assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("full_matrix", [False, True])
+def test_a_generator_corpus_profiles_like_its_list(full_matrix):
+    w = make_model(n_layers=4, seed=11)
+    corpus = seeded_corpus(12, "alternating")
+    want = profile_model(w, corpus, full_matrix=full_matrix)
+    got = profile_model(w, (seq for seq in corpus), full_matrix=full_matrix)
+    assert got.n_samples == want.n_samples
+    assert np.array_equal(got.S, want.S)
 
 
 def causal_rows(rng, n_rows, n_keys, zero_share):

@@ -16,7 +16,6 @@ from lazyattn import (
     TokenSequence,
     ValidationError,
     decode,
-    empty_plan,
     extend,
     generate,
     oracle,
@@ -74,16 +73,16 @@ def prompt():
 
 def test_empty_plan_is_bitwise_standard(model, prompt):
     l_std, _ = prefill(model, prompt)
-    l_gla, _ = prefill(model, prompt, empty_plan(GLA, 6))
-    l_vla, _ = prefill(model, prompt, empty_plan(VLA, 6))
+    l_gla, _ = prefill(model, prompt, LazyPlan(mode=GLA, n_layers=6))
+    l_vla, _ = prefill(model, prompt, LazyPlan(mode=VLA, n_layers=6))
     assert np.array_equal(l_std, l_gla)
     assert np.array_equal(l_std, l_vla)
 
 
 def test_empty_plan_decode_is_bitwise_standard(model, prompt):
     _, s_std = prefill(model, prompt)
-    _, s_gla = prefill(model, prompt, empty_plan(GLA, 6))
-    _, s_vla = prefill(model, prompt, empty_plan(VLA, 6))
+    _, s_gla = prefill(model, prompt, LazyPlan(mode=GLA, n_layers=6))
+    _, s_vla = prefill(model, prompt, LazyPlan(mode=VLA, n_layers=6))
     d_std = decode(model, s_std, 4)
     assert np.array_equal(d_std, decode(model, s_gla, 4))
     assert np.array_equal(d_std, decode(model, s_vla, 4))
