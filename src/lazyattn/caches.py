@@ -159,16 +159,8 @@ class LayerCache:
         return self.split.merge(anchor.keys.data[:, self.split.shared], self.keys.data)
 
     @property
-    def key_bytes(self) -> int:
-        return self.keys.nbytes
-
-    @property
-    def value_bytes(self) -> int:
-        return self.values.nbytes
-
-    @property
     def nbytes(self) -> int:
-        return self.key_bytes + self.value_bytes
+        return self.keys.nbytes + self.values.nbytes
 
     def prune(self, keep: np.ndarray, split: RowSplit) -> None:
         """Keep the given rows (ascending). A prune removes a shared row, so

@@ -194,11 +194,12 @@ def cmd_run(args) -> int:
     if args.prune_layer is not None:
         runtime.prune_visual_tokens(store, capture.snapshot, args.prune_layer, args.prune_keep)
     ids = runtime.generate(weights, store, logits[-1], args.steps)
-    report = efficiency.cost_report(weights, tokens, plan, meter, store)
+    report = efficiency.cost_report(weights, plan, meter, store)
     os.makedirs(args.out, exist_ok=True)
-    atomic_write(os.path.join(args.out, "cost_report.json"), report.to_json())
+    path = os.path.join(args.out, "cost_report.json")
+    atomic_write(path, json.dumps(asdict(report), indent=2) + "\n")
     print("generated:", " ".join(str(t) for t in ids))
-    print(f"cost report -> {os.path.join(args.out, 'cost_report.json')}")
+    print(f"cost report -> {path}")
     return EXIT_OK
 
 

@@ -6,9 +6,10 @@ Elementwise work (rotation, softmax, norms, activations) and the embedding
 lookup are excluded, which is what makes the lazy-mode savings land exactly
 on the closed forms: a GLA run skips the query and key projections of every
 lazy layer, so its prefill FLOPs drop by 2n*beta of the standard total,
-where beta is one attention projector's share. KV and Q-cache bytes are
-read off the cache structures after the run (4 bytes per stored element),
-never predicted from formulas.
+where beta is one attention projector's share. A `CostReport` reads every
+count off the run's meter and store alone, bytes as 4 per stored element,
+and predicts none from formulas; the weights and plan give only the
+config, the mode and the parameter count.
 
 `bench_decode` times greedy decode; `lazyattn bench` writes its
 `BenchResult` as JSON: every repeat's tokens/s, then median, p10 and p90.
@@ -16,10 +17,9 @@ never predicted from formulas.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,12 +42,8 @@ class FlopMeter:
         self.macs[label] = self.macs.get(label, 0) + m * k * n
 
     @property
-    def total_macs(self) -> int:
-        return sum(self.macs.values())
-
-    @property
     def total_flops(self) -> int:
-        return 2 * self.total_macs
+        return 2 * sum(self.macs.values())
 
     def flops_by_label(self) -> dict[str, int]:
         return {k: 2 * v for k, v in sorted(self.macs.items())}
@@ -67,12 +63,6 @@ class CostReport:
     qcache_peak_bytes: int
     beta: float
     flops_by_op: dict[str, int] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
 def count_used_params(weights: ModelWeights, plan: LazyPlan | None) -> int:
@@ -101,22 +91,19 @@ def meter_run(
     meter = FlopMeter()
     logits, store = prefill(weights, tokens, plan, meter=meter)
     generate(weights, store, logits[-1], decode_steps)
-    return cost_report(weights, tokens, plan, meter, store), store
+    return cost_report(weights, plan, meter, store), store
 
 
 def cost_report(
-    weights: ModelWeights,
-    tokens: TokenSequence,
-    plan: LazyPlan | None,
-    meter: FlopMeter,
-    store: CacheStore,
+    weights: ModelWeights, plan: LazyPlan | None, meter: FlopMeter, store: CacheStore
 ) -> CostReport:
-    """The report of a run: FLOPs from the meter that saw its prefill, bytes
-    and modality counts from the store as it is now."""
+    """The report of a run, read off its meter and its store alone: FLOPs
+    from the meter that saw its prefill, the prompt length, bytes and
+    modality counts from the store as it is now."""
     # beta: one full-width attention projector over total prefill FLOPs.
     # Layer 0 is standard or an anchor, so it always runs that projector.
     d = weights.config.d_model
-    projector_flops = 2 * len(tokens) * d * d
+    projector_flops = 2 * store.n_prompt * d * d
     total = meter.total_flops
     beta = projector_flops / total if total else 0.0
 

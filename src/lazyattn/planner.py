@@ -157,10 +157,10 @@ def plan_from_profile(
 ) -> LazyPlan:
     """Greedy scan of the adjacent similarities S(l, l+1).
 
-    A block opens at the first layer whose adjacent similarity is below
-    epsilon and extends while the next adjacent similarity is also below
-    epsilon (and the span stays under max_block_span, when given). The
-    block's first layer is the anchor.
+    From each candidate anchor, a block extends while the next adjacent
+    similarity is below epsilon, and spans at most max_block_span layers
+    when that is given. The block's first layer is the anchor; the next
+    candidate anchor is the layer after its last.
     """
     if not is_number(epsilon) or not 0.0 < epsilon <= 1.0:
         raise ValidationError(f"epsilon must be in (0, 1], got {epsilon!r}")
@@ -169,25 +169,18 @@ def plan_from_profile(
     adj = profile.adjacent()
     n_layers = profile.n_layers
     blocks: list[LazyBlock] = []
-    i = 0
-    while i < n_layers - 1:
-        if adj[i] >= epsilon:
-            i += 1
-            continue
-        anchor = i
-        lazy = [i + 1]
-        i += 1
+    anchor = 0
+    while anchor < n_layers - 1:
+        end = anchor
         while (
-            i < n_layers - 1
-            and adj[i] < epsilon
-            and (max_block_span is None or 1 + len(lazy) < max_block_span)
+            end < n_layers - 1
+            and adj[end] < epsilon
+            and (max_block_span is None or end - anchor + 1 < max_block_span)
         ):
-            lazy.append(i + 1)
-            i += 1
-        blocks.append(LazyBlock(anchor=anchor, lazy_layers=tuple(lazy)))
-        # adj[i] connects the block's last lazy layer to the next layer and
-        # cannot be consumed (that layer is taken); resume one past it.
-        i += 1
+            end += 1
+        if end > anchor:
+            blocks.append(LazyBlock(anchor, tuple(range(anchor + 1, end + 1))))
+        anchor = end + 1
     return LazyPlan(
         mode=mode, n_layers=n_layers, blocks=blocks, source=SOURCE_THRESHOLD, epsilon=epsilon
     )

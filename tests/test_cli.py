@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -76,7 +77,7 @@ def test_run_report_equals_meter_run(pipeline, tmp_path, mode):
     plan = load_plan(pipeline["plan"]) if plan_args else None
     prompt = read_sequences_jsonl(pipeline["inputs"])[0]
     report, _ = meter_run(load_checkpoint(pipeline["model"]), prompt, plan, decode_steps=3)
-    assert written == report.to_dict()
+    assert written == asdict(report)
 
 
 def test_plan_of_another_mode_is_rejected(pipeline, tmp_path, capsys):

@@ -1,5 +1,8 @@
 """meter_run against the paper's closed forms, on random plans and prompts."""
 
+import hashlib
+import json
+from dataclasses import asdict, replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +18,7 @@ from lazyattn import (
     ValidationError,
     decode,
     extend,
+    generate,
     kv_savings,
     meter_run,
     prefill,
@@ -22,7 +26,7 @@ from lazyattn import (
     standard_prefill_flops,
     verify_flops_savings,
 )
-from lazyattn.efficiency import count_used_params
+from lazyattn.efficiency import cost_report, count_used_params
 from lazyattn.runtime import CHUNK
 
 from helpers import make_model, random_plan, random_prompt, weight_block
@@ -152,6 +156,47 @@ def test_a_prefill_extended_at_a_block_edge_lands_on_the_closed_form(model):
         totals.append(meter.total_flops)
     assert totals[0] == standard_prefill_flops(config, 200)
     assert totals[0] - totals[1] == 2 * plan.n_lazy * (2 * 200 * config.d_model**2)
+
+
+# sha256 of `json.dumps(asdict(report), indent=2) + "\n"`, the bytes `lazyattn
+# run` writes, for a 200-token mid-visual prompt and two decode steps: every
+# field is a count or a ratio of counts, so any drift of order or format moves it.
+REPORT_SHA256 = {
+    None: "cea10f86215851b97bc9ba9d1d70bca64b896650cecafc811aac4c4126f7daf1",
+    GLA: "b1abfdebf358ce47b618131d7ef96dbfb00d2f97435cf2e4d35ce9bb31c28010",
+    VLA: "0afac173299c282d3a59ff0f5fce2125c416790a827605d4591b35115bf4574c",
+}
+BLOCKS = [LazyBlock(1, (2, 3)), LazyBlock(4, (5,))]
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_cost_report_json_is_pinned(model, mode):
+    rng = np.random.default_rng(14)
+    tokens = random_prompt(rng, model.config.vocab_size, length=200, visual_fraction=0.5,
+                           layout="mid")
+    plan = None if mode is None else LazyPlan(mode=mode, n_layers=N_LAYERS, blocks=BLOCKS)
+    report, _ = meter_run(model, tokens, plan, decode_steps=2)
+    text = json.dumps(asdict(report), indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[mode]
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_an_extended_prompt_reports_as_one_prefill(model, mode):
+    """128 prompt rows, an extension of 72 and two decode steps under one
+    meter report what one 200-token `meter_run` does. Only the Q-cache peak,
+    which is per call, may differ."""
+    tokens = random_prompt(np.random.default_rng(15), model.config.vocab_size, length=200,
+                           visual_fraction=0.5)
+    plan = None if mode is None else LazyPlan(mode=mode, n_layers=N_LAYERS, blocks=BLOCKS)
+    meter = FlopMeter()
+    _, store = prefill(model, TokenSequence(tokens.token_ids[:128], tokens.modality[:128]),
+                       plan, meter=meter)
+    logits = extend(model, store, TokenSequence(tokens.token_ids[128:], tokens.modality[128:]),
+                    meter=meter)
+    generate(model, store, logits[-1], 2)
+    chunked = cost_report(model, plan, meter, store)
+    whole, _ = meter_run(model, tokens, plan, decode_steps=2)
+    assert replace(chunked, qcache_peak_bytes=whole.qcache_peak_bytes) == whole
 
 
 def test_kv_savings_hold_after_decode_steps(model):

@@ -571,4 +571,4 @@ def test_standard_layer_kv_byte_accounting(small_model):
     _, store = prefill(small_model, tokens)
     d = small_model.config.d_model
     for layer in store.layers:
-        assert layer.key_bytes + layer.value_bytes == 2 * 5 * d * 4
+        assert layer.keys.nbytes + layer.values.nbytes == 2 * 5 * d * 4

@@ -81,6 +81,30 @@ def test_threshold_monotonicity_random_profiles():
         assert lazies == sorted(lazies), (adj, eps, span, lazies)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_threshold_blocks_follow_the_block_rule(seed):
+    """Each block's adjacent pairs are below epsilon within the span cap; a
+    block stops only at a pair of at least epsilon, at the cap or at the
+    last layer; and every layer l with S(l, l+1) < epsilon is in a block.
+    Some pairs equal epsilon exactly, which does not count as below it."""
+    rng = np.random.default_rng(200 + seed)
+    for _ in range(50):
+        n = int(rng.integers(2, 13))
+        eps = float(rng.choice([0.005, 0.01, 0.03, 0.3]))
+        adj = np.where(rng.random(n - 1) < 0.2, eps, rng.random(n - 1) * 2 * eps)
+        prof = profile_from_adjacent(adj.tolist())
+        for cap in [None, *range(2, n + 1)]:
+            plan = plan_from_profile(prof, eps, max_block_span=cap)
+            covered = set()
+            for b in plan.blocks:
+                last = b.lazy_layers[-1]
+                assert all(adj[l] < eps for l in range(b.anchor, last)), (adj, eps, cap)
+                assert cap is None or len(b.layers()) <= cap
+                assert last == n - 1 or adj[last] >= eps or len(b.layers()) == cap
+                covered.update(b.layers())
+            assert {l for l in range(n - 1) if adj[l] < eps} <= covered, (adj, eps, cap)
+
+
 def test_anchor_precedes_lazy_layers_everywhere():
     rng = np.random.default_rng(13)
     for _ in range(20):

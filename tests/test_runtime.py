@@ -130,8 +130,8 @@ def test_gla_lazy_layers_store_no_keys(model, prompt):
         decode(model, store, 3)
     for block in plan.blocks:
         for lazy in block.lazy_layers:
-            assert store.layers[lazy].key_bytes == 0
-        assert store.layers[block.anchor].key_bytes > 0
+            assert store.layers[lazy].keys.nbytes == 0
+        assert store.layers[block.anchor].keys.nbytes > 0
 
 
 def test_vla_lazy_layers_store_text_keys_only(model, prompt):
@@ -140,11 +140,11 @@ def test_vla_lazy_layers_store_text_keys_only(model, prompt):
     d = model.config.d_model
     for block in plan.blocks:
         for lazy in block.lazy_layers:
-            assert store.layers[lazy].key_bytes == prompt.n_text * d * 4
+            assert store.layers[lazy].keys.nbytes == prompt.n_text * d * 4
     decode(model, store, 3)
     for block in plan.blocks:
         for lazy in block.lazy_layers:
-            assert store.layers[lazy].key_bytes == (prompt.n_text + 1) * d * 4
+            assert store.layers[lazy].keys.nbytes == (prompt.n_text + 1) * d * 4
 
 
 def test_qcache_refuses_another_anchors_queries():
