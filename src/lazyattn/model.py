@@ -18,7 +18,7 @@ alone, as before fused storage: the writer writes each tensor from its
 own buffer and the loader reads each tensor's bytes straight into its
 columns, so neither holds a second copy of the model. Token input is JSON
 Lines, one record per sequence: {"tokens": [...], "modality": [0|1, ...]}
-with 1 = VISUAL.
+with 1 = VISUAL, kept in a frozen `TokenSequence` as tuples of Python ints.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class ModelConfig:
     norm_eps: float = 1e-5
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         """Check the config, storing each count as the int `require_int`
         returns and each float as a float, so that it saves as JSON."""
         for name in ("n_layers", "n_heads", "d_model", "d_head", "d_ff", "vocab_size"):
@@ -410,39 +407,48 @@ def atomic_write(path: str, data: bytes | memoryview | str | Iterable) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TokenSequence:
-    """Token ids plus a per-token modality flag (TEXT=0, VISUAL=1)."""
+    """Token ids plus a per-token modality flag (TEXT=0, VISUAL=1) as tuples
+    of Python ints, checked once when built: at least one id, each an integer
+    (see `is_int`), and one flag of 0 or 1 per id. `runtime` checks the vocabulary."""
 
-    token_ids: list[int]
-    modality: list[int]
+    token_ids: tuple[int, ...]
+    modality: tuple[int, ...]
 
     def __post_init__(self):
         for name in ("token_ids", "modality"):
             value = getattr(self, name)
             try:
-                len(value)
+                object.__setattr__(self, name, tuple(value))
             except TypeError:
                 raise ValidationError(f"{name} must be a sequence, got {value!r}") from None
+        if not self.token_ids:
+            raise ValidationError("token sequence must be non-empty")
         if len(self.token_ids) != len(self.modality):
             raise ValidationError(
                 f"token_ids ({len(self.token_ids)}) and modality ({len(self.modality)}) "
                 "must have equal length"
             )
+        for t in self.token_ids:
+            if not is_int(t):
+                raise ValidationError(f"token id {t!r} is not an integer")
         for m in self.modality:
             if not is_int(m) or m not in (TEXT, VISUAL):
                 raise ValidationError(f"modality flags must be 0 or 1, got {m!r}")
+        object.__setattr__(self, "token_ids", tuple(map(int, self.token_ids)))
+        object.__setattr__(self, "modality", tuple(map(int, self.modality)))
 
     def __len__(self) -> int:
         return len(self.token_ids)
 
     @property
     def n_text(self) -> int:
-        return sum(1 for m in self.modality if m == TEXT)
+        return self.modality.count(TEXT)
 
     @property
     def n_visual(self) -> int:
-        return sum(1 for m in self.modality if m == VISUAL)
+        return self.modality.count(VISUAL)
 
 
 def read_sequences_jsonl(path: str) -> list[TokenSequence]:
@@ -457,8 +463,8 @@ def read_sequences_jsonl(path: str) -> list[TokenSequence]:
             if not isinstance(rec, dict) or "tokens" not in rec:
                 raise ValidationError(f"{path}:{lineno}: missing 'tokens' field")
             tokens = rec["tokens"]
-            if not isinstance(tokens, list) or not all(map(is_int, tokens)):
-                raise ValidationError(f"{path}:{lineno}: token ids must be a list of integers")
+            if not isinstance(tokens, list):
+                raise ValidationError(f"{path}:{lineno}: 'tokens' must be a list")
             try:
                 out.append(TokenSequence(tokens, rec.get("modality", [TEXT] * len(tokens))))
             except ValidationError as exc:

@@ -52,7 +52,7 @@ from .kernels import (
     silu,
     zero_padded,
 )
-from .model import TokenSequence, is_int, require_int
+from .model import TEXT, TokenSequence, is_int, require_int
 from .planner import GLA, LazyPlan, layer_anchors
 from .runtime import CHUNK, _validate_tokens, decode, generate, prefill
 
@@ -125,8 +125,11 @@ def oracle_prefill(
     ids (text rows), computed without any cache structures: the prompt rows
     as prefill computes them, each decoded row as a decode step does."""
     config = weights.config
-    _validate_tokens(tokens.token_ids, config.vocab_size)
     n_prompt = len(tokens)
+    tokens = TokenSequence(
+        tokens.token_ids + tuple(decoded), tokens.modality + (TEXT,) * len(decoded)
+    )
+    _validate_tokens(tokens.token_ids, config.vocab_size)
     if prune is not None:
         removed = prune.removed
         visual = set(np.flatnonzero(tokens.modality).tolist())
@@ -138,10 +141,6 @@ def oracle_prefill(
             raise ValidationError(f"prune removes {removed!r}, not a sequence of integers")
         if len(set(removed)) < len(removed) or set(removed) - visual:
             raise ValidationError(f"prune removes {removed!r}, not distinct visual prompt positions")
-    tokens = TokenSequence(
-        list(tokens.token_ids) + list(decoded), list(tokens.modality) + [0] * len(decoded)
-    )
-    _validate_tokens(tokens.token_ids, config.vocab_size)
     n_heads, d_head, d = config.n_heads, config.d_head, config.d_model
     anchors = layer_anchors(plan, config.n_layers)
     text = (np.asarray(tokens.modality) == 0)[:, None]

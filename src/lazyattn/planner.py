@@ -14,7 +14,7 @@ afterwards, so every pass that reads a plan reads a valid one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,16 +58,13 @@ class LazyPlan:
     seed: int | None = None
 
     def __post_init__(self):
+        """Check the plan, storing its counts as the ints `require_int`
+        returns and epsilon as a float, so that it saves as JSON."""
         if not isinstance(self.blocks, (list, tuple)) or not all(
             isinstance(b, LazyBlock) for b in self.blocks
         ):
             raise PlanError(f"blocks must be a list of LazyBlocks, got {self.blocks!r}")
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        self.validate()
-
-    def validate(self) -> None:
-        """Check the plan, storing its counts as the ints `require_int`
-        returns and epsilon as a float, so that it saves as JSON."""
         if self.mode not in (GLA, VLA):
             raise PlanError(f"mode must be '{GLA}' or '{VLA}', got {self.mode!r}")
         if self.source not in (SOURCE_THRESHOLD, SOURCE_RANDOM):
@@ -160,14 +157,16 @@ def plan_from_profile(
     From each candidate anchor, a block extends while the next adjacent
     similarity is below epsilon, and spans at most max_block_span layers
     when that is given. The block's first layer is the anchor; the next
-    candidate anchor is the layer after its last.
+    candidate anchor is the layer after its last. The plan's header is
+    built before the scan, so `LazyPlan` alone checks epsilon and mode.
     """
-    if not is_number(epsilon) or not 0.0 < epsilon <= 1.0:
-        raise ValidationError(f"epsilon must be in (0, 1], got {epsilon!r}")
+    if epsilon is None:
+        raise ValidationError("threshold planning needs an epsilon")
+    plan = LazyPlan(mode=mode, n_layers=profile.n_layers, source=SOURCE_THRESHOLD, epsilon=epsilon)
     if max_block_span is not None:
         require_int("max_block_span", max_block_span, 2)
     adj = profile.adjacent()
-    n_layers = profile.n_layers
+    n_layers, epsilon = plan.n_layers, plan.epsilon
     blocks: list[LazyBlock] = []
     anchor = 0
     while anchor < n_layers - 1:
@@ -181,9 +180,7 @@ def plan_from_profile(
         if end > anchor:
             blocks.append(LazyBlock(anchor, tuple(range(anchor + 1, end + 1))))
         anchor = end + 1
-    return LazyPlan(
-        mode=mode, n_layers=n_layers, blocks=blocks, source=SOURCE_THRESHOLD, epsilon=epsilon
-    )
+    return replace(plan, blocks=blocks)
 
 
 def plan_random(

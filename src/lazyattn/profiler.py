@@ -159,9 +159,6 @@ class SimilarityProfile:
         S = cells.astype(np.float64)
         S.flags.writeable = False
         object.__setattr__(self, "S", S)
-        self.validate()
-
-    def validate(self) -> None:
         object.__setattr__(self, "n_layers", require_int("n_layers", self.n_layers, 1))
         object.__setattr__(self, "n_samples", require_int("n_samples", self.n_samples, 1))
         if self.S.shape != (self.n_layers, self.n_layers):

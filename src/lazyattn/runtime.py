@@ -12,7 +12,8 @@ possibly cut, from the prefill's last logits.
 Both append rows through `_forward`, which grows the store's mask and
 split (see `caches`) and runs the rows through one head-batched layer step,
 `_layer`, with their shared/own split; they differ only in their checks and
-kernels. `_forward` refuses weights of another config than the store's,
+kernels. `_forward` refuses weights of another config than the store's and
+ids outside the vocabulary (a `TokenSequence` checked the rest when built),
 and `extend` a pruned store, one that holds decoded rows and one whose
 `seq_len` is not a multiple of CHUNK, before touching it, so an extension
 runs the blocks and shapes one-shot prefill runs. The Q cache is published
@@ -120,12 +121,8 @@ CHUNK = 64
 
 
 def _validate_tokens(token_ids, vocab_size: int) -> None:
-    """ValidationError unless the ids are non-empty integers (not bools) in the vocabulary."""
-    if len(token_ids) == 0:
-        raise ValidationError("token sequence must be non-empty")
-    for t in token_ids:
-        if not is_int(t):
-            raise ValidationError(f"token id {t!r} is not an integer")
+    """ValidationError unless the ids, integers already, lie in the vocabulary."""
+    for t in (min(token_ids), max(token_ids)):
         if not 0 <= t < vocab_size:
             raise ValidationError(f"token id {t} outside vocabulary of size {vocab_size}")
 
@@ -247,22 +244,24 @@ def _layer(
 
 
 def _forward(
-    weights: ModelWeights, store: CacheStore, token_ids, modality, phase: _Phase, capture,
+    weights: ModelWeights, store: CacheStore, tokens: TokenSequence, phase: _Phase, capture,
     logits: bool = True,
 ):
-    """Append rows (ids and modality flags) to the store and run them
-    through every layer on the `phase`'s kernels; returns their logits,
-    or None without `logits` (see the module doc). Refuses, before touching
-    the store, weights of another config than the one that built it."""
+    """Append the rows of `tokens` to the store and run them through every
+    layer on the `phase`'s kernels; returns their logits, or None without
+    `logits` (see the module doc). Refuses, before touching the store,
+    weights of another config than the one that built it and ids outside
+    its vocabulary."""
     config = weights.config
     if store.config != config:
         raise ValidationError("the store needs the weights of the config that built it")
-    rows = store.grow(np.asarray(modality) == VISUAL)
-    x = np.ascontiguousarray(weights.embedding[np.asarray(token_ids, dtype=np.intp)])
+    _validate_tokens(tokens.token_ids, config.vocab_size)
+    rows = store.grow(np.asarray(tokens.modality) == VISUAL)
+    x = np.ascontiguousarray(weights.embedding[np.asarray(tokens.token_ids, dtype=np.intp)])
     last = config.n_layers - 1
     for l in range(config.n_layers):
         x = _layer(weights, store, l, x, rows, phase, capture, logits or l < last)
-    store.seq_len += len(modality)
+    store.seq_len += len(tokens)
     store.qcache.release()
     if not logits:
         return None
@@ -284,10 +283,9 @@ def extend(
         raise ValidationError("extend refuses a store that holds decoded rows")
     if store.seq_len % CHUNK:
         raise ValidationError(f"extend needs a multiple of {CHUNK} rows, not {store.seq_len}")
-    _validate_tokens(tokens.token_ids, weights.config.vocab_size)
     # Looked up now, so wrappers take effect.
     phase = _Phase(_metered(matmul, meter), _metered(kernels.matmul, meter), pads=True)
-    out = _forward(weights, store, tokens.token_ids, tokens.modality, phase, capture, logits)
+    out = _forward(weights, store, tokens, phase, capture, logits)
     store.n_prompt = store.seq_len
     return out
 
@@ -313,9 +311,9 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
     returns the next-token logits vector. Mutates the store in place."""
     if store.seq_len == 0:
         raise ValidationError("decode requires caches populated by a prefill")
-    _validate_tokens([next_token], weights.config.vocab_size)
+    tokens = TokenSequence([next_token], [TEXT])
     gemv = _metered(matvec, meter)
-    return _forward(weights, store, [next_token], [TEXT], _Phase(gemv, gemv, pads=False), None)[0]
+    return _forward(weights, store, tokens, _Phase(gemv, gemv, pads=False), None)[0]
 
 
 def generate(

@@ -90,9 +90,7 @@ def random_plan(rng: np.random.Generator, n_layers: int, mode: str) -> LazyPlan:
         layer += span + int(rng.integers(0, 3))
     if not blocks:
         blocks = [LazyBlock(anchor=0, lazy_layers=(1,))]
-    plan = LazyPlan(mode=mode, n_layers=n_layers, blocks=blocks, epsilon=0.5)
-    plan.validate()
-    return plan
+    return LazyPlan(mode=mode, n_layers=n_layers, blocks=blocks, epsilon=0.5)
 
 
 def weight_block(model, b):

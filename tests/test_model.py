@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import stat
 import tracemalloc
 
@@ -17,6 +18,7 @@ from lazyattn import (
     LazyPlan,
     ManifestError,
     ModelConfig,
+    OracleMismatchError,
     SimilarityProfile,
     TokenSequence,
     TruncatedWeightsError,
@@ -25,6 +27,7 @@ from lazyattn import (
     decode,
     init_synthetic_model,
     load_checkpoint,
+    oracle,
     prefill,
     read_sequences_jsonl,
     save_checkpoint,
@@ -73,14 +76,14 @@ def test_invalid_config_rejected():
     with pytest.raises(ValidationError):
         ModelConfig(
             n_layers=2, n_heads=3, d_model=100, d_head=33, d_ff=32, vocab_size=10
-        ).validate()
+        )
     with pytest.raises(ValidationError):
         init_synthetic_model(
             ModelConfig(n_layers=0, n_heads=2, d_model=16, d_head=8, d_ff=32, vocab_size=10),
             seed=0,
         )
     with pytest.raises(ValidationError, match="d_head must be even"):
-        ModelConfig(n_layers=1, n_heads=2, d_model=6, d_head=3, d_ff=8, vocab_size=10).validate()
+        ModelConfig(n_layers=1, n_heads=2, d_model=6, d_head=3, d_ff=8, vocab_size=10)
 
 
 def test_weights_validate_refuses_a_misshapen_tensor():
@@ -400,14 +403,14 @@ def test_jsonl_roundtrip(tmp_path):
     seqs = [TokenSequence([1, 2, 3], [1, 0, 0]), TokenSequence([5], [0])]
     write_sequences_jsonl(path, seqs)
     back = read_sequences_jsonl(path)
-    assert [s.token_ids for s in back] == [[1, 2, 3], [5]]
-    assert [s.modality for s in back] == [[1, 0, 0], [0]]
+    assert [s.token_ids for s in back] == [(1, 2, 3), (5,)]
+    assert [s.modality for s in back] == [(1, 0, 0), (0,)]
 
 
 def test_jsonl_blank_lines_are_skipped(tmp_path):
     path = tmp_path / "seqs.jsonl"
     path.write_text('\n{"tokens": [1, 2]}\n  \n\n{"tokens": [5]}\n\n', encoding="utf-8")
-    assert [s.token_ids for s in read_sequences_jsonl(str(path))] == [[1, 2], [5]]
+    assert [s.token_ids for s in read_sequences_jsonl(str(path))] == [(1, 2), (5,)]
 
 
 def test_jsonl_bad_line_reports_position(tmp_path):
@@ -417,6 +420,81 @@ def test_jsonl_bad_line_reports_position(tmp_path):
         fh.write('{"tokens": [1, 2], "modality": [0]}\n')
     with pytest.raises(ValidationError, match=":2:"):
         read_sequences_jsonl(path)
+
+
+def test_jsonl_empty_record_is_refused_with_its_position(tmp_path):
+    """A record of no ids is refused as the file is read, naming its line,
+    not later by prefill without the file's name."""
+    path = str(tmp_path / "empty.jsonl")
+    with open(path, "w") as fh:
+        fh.write('{"tokens": [1, 2]}\n{"tokens": []}\n')
+    message = re.escape(f"{path}:2: token sequence must be non-empty")
+    with pytest.raises(ValidationError, match=message):
+        read_sequences_jsonl(path)
+
+
+def test_a_built_sequence_cannot_change(small_model):
+    """A sequence is checked once, when built, so nothing can later set a
+    flag of 2 or make its two fields of unequal length under prefill."""
+    tokens = TokenSequence([5, 9, 1, 40], [1, 1, 0, 0])
+    edits = [
+        lambda: tokens.modality.__setitem__(0, 2),
+        lambda: tokens.token_ids.__setitem__(0, 7),
+        lambda: tokens.modality.append(0),
+        lambda: tokens.token_ids.pop(),
+        lambda: setattr(tokens, "modality", [2, 1, 0, 0]),
+        lambda: setattr(tokens, "token_ids", [5, 9, 1]),
+    ]
+    for edit in edits:
+        with pytest.raises((TypeError, AttributeError)):
+            edit()
+    assert tokens == TokenSequence([5, 9, 1, 40], [1, 1, 0, 0])
+    _, store = prefill(small_model, tokens)
+    assert store.modality.tolist() == [True, True, False, False] and store.seq_len == 4
+
+
+def test_a_sequence_of_numpy_ids_holds_python_ints(small_model, tmp_path, monkeypatch):
+    """Ids and flags given as numpy integers are stored as Python ints, so
+    the sequence writes as JSON Lines and reads back equal, and a mismatch
+    report's case (the CLI's repro line) dumps as JSON."""
+    built = [
+        TokenSequence(np.arange(3, 9), np.array([1, 1, 0, 0, 0, 0])),
+        TokenSequence([np.int64(4), np.int32(7)], [np.int64(1), np.int8(0)]),
+    ]
+    for tokens in built:
+        assert isinstance(tokens.token_ids, tuple) and isinstance(tokens.modality, tuple)
+        assert {type(v) for v in (*tokens.token_ids, *tokens.modality)} == {int}
+    path = str(tmp_path / "numpy.jsonl")
+    write_sequences_jsonl(path, built)
+    assert read_sequences_jsonl(path) == built
+
+    real = oracle.oracle_prefill
+
+    def perturbed(*args, **kwargs):
+        logits = real(*args, **kwargs).copy()
+        logits[0, 0] += np.float32(1.0)
+        return logits
+
+    monkeypatch.setattr(oracle, "oracle_prefill", perturbed)
+    with pytest.raises(OracleMismatchError) as info:
+        oracle.verify_case(small_model, built[0], None, steps=2)
+    case = json.loads(json.dumps(info.value.case))
+    assert case["tokens"] == list(range(3, 9)) and case["modality"] == [1, 1, 0, 0, 0, 0]
+
+
+def test_equal_sequences_compare_and_hash_equal():
+    """A sequence is a value: built from lists, tuples or numpy arrays of
+    the same ids and flags, it is equal and hashes equal, so it can key a
+    cache; another id or flag makes it differ."""
+    same = [
+        TokenSequence([3, 1, 4], [1, 0, 0]),
+        TokenSequence((3, 1, 4), (1, 0, 0)),
+        TokenSequence(np.array([3, 1, 4]), [np.int64(1), 0, 0]),
+    ]
+    assert all(t == same[0] and hash(t) == hash(same[0]) for t in same)
+    assert len(set(same)) == 1
+    assert TokenSequence([3, 1, 4], [0, 0, 0]) != same[0]
+    assert TokenSequence([3, 1, 5], [1, 0, 0]) != same[0]
 
 
 def test_prefill_rejects_out_of_vocab(small_model):
@@ -538,7 +616,7 @@ def test_prefill_is_prefix_invariant(small_model, mode):
 
 def test_prefill_decode_consistency(small_model):
     base = TokenSequence([3, 1, 4, 1, 5], [1, 1, 0, 0, 0])
-    ext = TokenSequence(base.token_ids + [9], base.modality + [0])
+    ext = TokenSequence([*base.token_ids, 9], [*base.modality, 0])
     lf, _ = prefill(small_model, ext)
     _, store = prefill(small_model, base)
     dl = decode(small_model, store, 9)

@@ -301,7 +301,7 @@ def test_snapshot_validate_refuses_empty_and_ragged_snapshots():
 )
 def test_similarity_profile_validate_refuses_bad_matrices(S, message):
     with pytest.raises(ValidationError, match=message):
-        SimilarityProfile(n_layers=2, n_samples=1, S=np.array(S)).validate()
+        SimilarityProfile(n_layers=2, n_samples=1, S=np.array(S))
 
 
 @pytest.mark.parametrize("shape", [(4, 128, 128), (4, 1, 513), (2, 7, 7), (8, 300, 300)])

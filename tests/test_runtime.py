@@ -107,7 +107,7 @@ def test_prefill_matches_recompute_oracle_bitwise(model, prompt):
 
 def test_gla_decode_consistency(model, prompt):
     plan = two_block_plan(GLA)
-    ext = TokenSequence(prompt.token_ids + [17], prompt.modality + [0])
+    ext = TokenSequence([*prompt.token_ids, 17], [*prompt.modality, 0])
     lf, _ = prefill(model, ext, plan)
     _, store = prefill(model, prompt, plan)
     dl = decode(model, store, 17)
@@ -116,7 +116,7 @@ def test_gla_decode_consistency(model, prompt):
 
 def test_vla_decode_consistency(model, prompt):
     plan = two_block_plan(VLA)
-    ext = TokenSequence(prompt.token_ids + [17], prompt.modality + [0])
+    ext = TokenSequence([*prompt.token_ids, 17], [*prompt.modality, 0])
     lf, _ = prefill(model, ext, plan)
     _, store = prefill(model, prompt, plan)
     dl = decode(model, store, 17)
@@ -565,7 +565,8 @@ def test_every_decode_step_equals_the_oracle_bit_for_bit(model, plan_name, layou
         spec = store.prune_record
         ref = oracle_prefill(model, tokens, plan, prune=spec, decoded=fed)
         assert np.array_equal(logits, ref[-1]), step
-        prompt_rows = TokenSequence(tokens.token_ids + fed, tokens.modality + [0] * len(fed))
+        prompt_rows = TokenSequence(tokens.token_ids + tuple(fed),
+                                    tokens.modality + (0,) * len(fed))
         if spec is None:
             as_prompt.append(np.array_equal(logits, oracle_prefill(model, prompt_rows, plan)[-1]))
         else:
@@ -1224,6 +1225,34 @@ def test_extend_refuses_a_store_it_cannot_continue_and_leaves_it_as_it_was(model
         with pytest.raises(ValidationError, match=message):
             extend(weights, store, more)
         assert (store.seq_len, [(len(c.keys), len(c.values)) for c in store.layers]) == before
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_extend_and_decode_refuse_bad_ids_before_touching_the_store(model, mode):
+    """One check in `_forward` serves both phases: extend and decode refuse
+    an id outside the vocabulary, and decode an id that is no integer,
+    before the store's rows, mask, K/V or Q-cache peak change."""
+    plan = None if mode is None else two_block_plan(mode)
+    tokens = random_prompt(np.random.default_rng(45), 96, length=64, visual_fraction=0.5)
+    _, store = prefill(model, tokens, plan)
+
+    def state():
+        return (store.seq_len, store.n_prompt, store.modality.tolist(), store.qcache.peak_bytes,
+                [(len(c.keys), len(c.values)) for c in store.layers])
+
+    before = state()
+    refusals = [
+        (lambda: extend(model, store, TokenSequence([3, 96], [1, 0])), "outside vocabulary"),
+        (lambda: extend(model, store, TokenSequence([-1, 3], [0, 0])), "outside vocabulary"),
+        (lambda: decode(model, store, 96), "outside vocabulary"),
+        (lambda: decode(model, store, -1), "outside vocabulary"),
+        (lambda: decode(model, store, 2.5), "not an integer"),
+        (lambda: decode(model, store, True), "not an integer"),
+    ]
+    for refused, message in refusals:
+        with pytest.raises(ValidationError, match=message):
+            refused()
+        assert state() == before
 
 
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
