@@ -19,7 +19,8 @@ grows the same way. A lazy layer prunes with its anchor, so its row i is
 its anchor's row i.
 
 The Q cache is block-scoped: it holds at most one anchor's queries at
-any moment (the shared rows of one extension or decode step) and is
+any moment (the shared rows of one extension or decode step), or, in a
+GLA decode step, that anchor's attention block in their place, and is
 released when that call ends. Byte accounting everywhere is logical:
 stored elements times 4, independent of buffer capacity.
 """
@@ -174,32 +175,44 @@ class LayerCache:
 class QCache:
     """The block-shared query cache.
 
-    Holds at most one anchor layer's queries at a time, as one
-    (n_heads, n, d_head) array, tagged by that anchor's index; publish() by
-    the next anchor overwrites them. Peak logical bytes are tracked so the
-    1/(2N) overhead bound can be checked against real occupancy.
+    Holds at most one anchor layer's shared rows at a time, tagged by that
+    anchor's index: their queries, as one (n_heads, n, d_head) array, or,
+    where the anchor's lazy layers inherit its attention (a GLA decode step,
+    see `runtime`), its (n_heads, 1, L) attention block in their place. The
+    next anchor's publish() or keep() overwrites them. Peak logical bytes
+    count queries only, so the 1/(2N) overhead bound can be checked against
+    real occupancy.
     """
 
     def __init__(self):
         self.anchor: int | None = None
         self.q_heads: np.ndarray | None = None
+        self.attention: np.ndarray | None = None
         self.peak_bytes = 0
 
     def publish(self, anchor: int, q_heads: np.ndarray) -> None:
-        self.anchor = anchor
-        self.q_heads = q_heads
+        self.anchor, self.q_heads, self.attention = anchor, q_heads, None
         self.peak_bytes = max(self.peak_bytes, self.nbytes)
 
+    def keep(self, anchor: int, attention: np.ndarray) -> None:
+        self.anchor, self.q_heads, self.attention = anchor, None, attention
+
     def read(self, anchor: int) -> np.ndarray:
-        if self.q_heads is None or self.anchor != anchor:
+        return self._held(anchor, self.q_heads, "queries")
+
+    def inherit(self, anchor: int) -> np.ndarray:
+        return self._held(anchor, self.attention, "attention")
+
+    def _held(self, anchor: int, rows: np.ndarray | None, what: str) -> np.ndarray:
+        if rows is None or self.anchor != anchor:
+            held = "queries" if self.attention is None else "attention"
             raise ValidationError(
-                f"Q cache holds layer {self.anchor}'s queries, layer asked for layer {anchor}'s"
+                f"Q cache holds layer {self.anchor}'s {held}, layer asked for layer {anchor}'s {what}"
             )
-        return self.q_heads
+        return rows
 
     def release(self) -> None:
-        self.anchor = None
-        self.q_heads = None
+        self.anchor = self.q_heads = self.attention = None
 
     @property
     def nbytes(self) -> int:

@@ -16,7 +16,7 @@ kernels. `_forward` refuses weights of another config than the store's and
 ids outside the vocabulary (a `TokenSequence` checked the rest when built),
 and `extend` a pruned store, one that holds decoded rows and one whose
 `seq_len` is not a multiple of CHUNK, before touching it, so an extension
-runs the blocks and shapes one-shot prefill runs. The Q cache is published
+runs the blocks and shapes one-shot prefill runs. The Q cache is filled
 and released per call. Each layer's K/V cache is one (n_heads, L, d_head)
 array, so rotary runs once per layer, on Q and K together, and attention
 for all heads runs as one scores product, one masked softmax and one
@@ -56,36 +56,46 @@ head are skipped. Nothing that the store holds depends on them, so the
 store is the one a `logits=True` call leaves, bit for bit, and can be
 extended or decoded from.
 
-The phase picks its products, never the row count (see `kernels`), and
-whether its last block is padded: prefill runs every product on the tile
-kernel (`matmul`), and pads; decode runs every product on the one stacked
-GEMV (`matvec`), which is cheaper for its one row, against exactly the
-cached keys. Both run the one softmax. The oracle computes each row as its
-phase does, so prefill and every decode step match it bit for bit, even
-where a lazy layer projects a single own row.
+The phase picks its products, never the row count (see `kernels`),
+whether its last block is padded, and whether lazy layers inherit their
+anchor's attention: prefill runs every product on the tile kernel
+(`matmul`), pads, and recomputes a lazy layer's attention, so its FLOPs
+stay on the 2n*beta closed form (see `efficiency`); decode runs every
+product on the one stacked GEMV (`matvec`), which is cheaper for its one
+row, against exactly the cached keys, and inherits. Both run the one
+softmax. The oracle computes each row as its phase does, and recomputes
+every lazy layer's attention from its anchor's Q and K, so prefill and
+every decode step match it bit for bit, even where a lazy layer projects a
+single own row or inherits its anchor's attention.
 `extend` and `decode` look the kernels up when called: prefill's weight
 products on this module, so a wrapper set on `runtime.matmul` sees every
 prefill weight product and nothing else, and its attention products on
 `kernels`. Each product states its operands once and records its own MACs
 on the meter it is given (`_metered`), so the meter counts what ran: a
 block's scores and weighted sum count its rows against the keys up to its
-end, padding included, and a padded tile its logical rows.
+end, padding included, an inherited block no scores, and a padded tile its
+logical rows.
 
 A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
 
   itself   project Q and K for every row (keys cached post-rotation); a
            layer that the next layer names as its anchor also publishes
-           the shared rows' Q to the Q cache under its own index
+           the shared rows' Q to the Q cache under its own index, or, where
+           its lazy layers inherit, keeps its attention block there instead
   earlier  (a lazy layer) project Q and K for its own rows only (at their
            original sequence positions), and none when it owns no row;
            shared rows take the anchor's Q from the Q cache, and K is the
            layer's own keys merged with the anchor's shared keys in
-           position order (see `LayerCache.merged_keys`)
+           position order (see `LayerCache.merged_keys`). In a phase that
+           inherits (decode), a layer whose rows are all shared and which
+           owns no keys (every GLA step) has the anchor's Q and K, so its
+           scores and softmax would give the anchor's block to the bit: it
+           takes that block and runs only the weighted sum on its own V
 
 The store alone decides which rows are shared (see `caches`), so nothing
-here tests the mode. Values, the output projection, and the MLP are always
-computed per layer.
+here tests the mode. Values, the weighted sum, the output projection, and
+the MLP are always computed per layer.
 
 A FastV-style pruning hook drops the lowest-attention visual positions from
 every cache that lives past a chosen layer. A lazy block prunes with its
@@ -145,12 +155,15 @@ def _metered(kernel, meter):
 
 
 class _Phase(NamedTuple):
-    """What a phase runs: its weight and attention products (see `_metered`)
-    and whether it pads its last block of attention to CHUNK rows' keys."""
+    """What a phase runs: its weight and attention products (see `_metered`),
+    whether it pads its last block of attention to CHUNK rows' keys, and
+    whether a lazy layer that takes every query row and key from its anchor
+    inherits the anchor's attention (see the module doc)."""
 
     mm: Callable
     head_mm: Callable
     pads: bool
+    inherits: bool = False
 
 
 def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -160,14 +173,25 @@ def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
     return apply_rope(qk, positions, config.rope_theta).transpose(1, 0, 2)
 
 
-def _attention(phase: _Phase, q, keys, values, capture, layer: int) -> np.ndarray:
+def _inherits(phase: _Phase, cache, split: RowSplit) -> bool:
+    """Whether a lazy layer with `cache` inherits its anchor's attention for
+    the rows of `split`: in a phase that inherits, when every row takes its
+    query from the anchor and the layer owns no keys, so that its scores
+    and softmax would be the anchor's to the bit."""
+    return phase.inherits and not split.n_own and not len(cache.keys)
+
+
+def _attention(phase: _Phase, q, keys, values, capture, layer: int, inherited=None):
     """softmax(q K^T / sqrt(d_head)) V for q's rows, which sit at the last of
     the keys' positions, in blocks of CHUNK rows, each against the keys up to
     its end (see the module doc), so the masked columns past a block are
-    never computed. Returns the weighted sum and hands a `capture` each
-    block, masked entries 0 (see the module doc)."""
-    n_heads, rows, d_head = q.shape
-    n_keys = keys.shape[1]
+    never computed. A block is `inherited` where one is given, the one
+    block of an anchor whose queries and keys these are (q is then None),
+    and scores plus softmax otherwise. Returns the weighted sum and the last
+    block, and hands a `capture` each block, masked entries 0 (see the
+    module doc)."""
+    n_heads, n_keys, d_head = keys.shape
+    rows = (q if inherited is None else inherited).shape[1]
     first = n_keys - rows  # the key index of q's first row
     end = n_keys + (-rows % CHUNK if phase.pads else 0)  # keys the last block attends
     scale = attention_scale(d_head)
@@ -181,12 +205,15 @@ def _attention(phase: _Phase, q, keys, values, capture, layer: int) -> np.ndarra
     for start in range(0, rows, CHUNK):
         stop = min(start + CHUNK, rows)
         n = min(first + start + CHUNK, end)
-        scores = phase.head_mm(q[:, start:stop], kt[..., :n], "attn_scores")
-        block = masked_softmax_rows(scores, first + start, scale)
+        if inherited is None:
+            scores = phase.head_mm(q[:, start:stop], kt[..., :n], "attn_scores")
+            block = masked_softmax_rows(scores, first + start, scale)
+        else:
+            block = inherited
         if capture is not None:
             capture.record(layer, block[..., : first + stop])
         out[:, start:stop] = phase.head_mm(block, values[:, :n], "attn_wv")
-    return out
+    return out, block
 
 
 def _layer(
@@ -222,17 +249,24 @@ def _layer(
         qk = _rotated(config, qk, positions[own])
         q = qk[:n_heads]
         cache.append_keys(qk[n_heads:])
+    keeps, inherited = False, None
     if not lazy:
         keys = cache.keys.data
         if l + 1 < config.n_layers and store.anchors[l + 1] == l and split.n_shared:
-            store.qcache.publish(l, q[:, split.shared])
+            keeps = _inherits(phase, store.layers[l + 1], split)
+            if not keeps:
+                store.qcache.publish(l, q[:, split.shared])
     else:
         keys = cache.merged_keys(store.layers[anchor])
-        if split.n_shared:
+        if _inherits(phase, cache, split):
+            q, inherited = None, store.qcache.inherit(anchor)
+        elif split.n_shared:
             shared_q = store.qcache.read(anchor)
             q = split.merge(shared_q, q) if n_own else shared_q
 
-    o = _attention(phase, q, keys, cache.values.data, capture, l)
+    o, block = _attention(phase, q, keys, cache.values.data, capture, l, inherited)
+    if keeps:
+        store.qcache.keep(l, block)
     if not output:
         return None
     x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo, "attn_out")
@@ -313,7 +347,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     tokens = TokenSequence([next_token], [TEXT])
     gemv = _metered(matvec, meter)
-    return _forward(weights, store, tokens, _Phase(gemv, gemv, pads=False), None)[0]
+    return _forward(weights, store, tokens, _Phase(gemv, gemv, pads=False, inherits=True), None)[0]
 
 
 def generate(

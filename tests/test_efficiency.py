@@ -225,7 +225,8 @@ def test_savings_refuse_reports_of_different_lengths(model, savings):
 def test_decode_step_meters_one_row_per_product(model, mode):
     """One decode step after an s-token prefill: each product runs one row,
     scores and weighted sum over s + 1 keys. A GLA lazy layer projects no
-    Q or K; the decoded row is text, so a VLA lazy layer projects both."""
+    Q or K and inherits its anchor's attention, so it runs no scores; the
+    decoded row is text, so a VLA lazy layer projects both and runs them."""
     rng = np.random.default_rng(11)
     config = model.config
     tokens = random_prompt(rng, config.vocab_size, length=9, visual_fraction=0.5)
@@ -240,7 +241,7 @@ def test_decode_step_meters_one_row_per_product(model, mode):
         "attn_k": projecting * d * d,
         "attn_v": L * d * d,
         "attn_out": L * d * d,
-        "attn_scores": L * d * (s + 1),
+        "attn_scores": projecting * d * (s + 1),
         "attn_wv": L * d * (s + 1),
         "mlp_gate": L * d * config.d_ff,
         "mlp_up": L * d * config.d_ff,

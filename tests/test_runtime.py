@@ -178,6 +178,123 @@ def test_vla_qcache_holds_visual_rows_only(model, prompt):
     assert store.qcache.peak_bytes == prompt.n_visual * d * 4
 
 
+def test_qcache_hands_kept_attention_to_its_anchor_only():
+    qcache = QCache()
+    qcache.keep(1, np.ones((2, 1, 5), dtype=np.float32))
+    assert qcache.inherit(1).shape == (2, 1, 5)
+    assert qcache.nbytes == qcache.peak_bytes == 0
+    with pytest.raises(ValidationError, match="holds layer 1's attention"):
+        qcache.inherit(4)
+    with pytest.raises(ValidationError, match="asked for layer 1's queries"):
+        qcache.read(1)
+
+
+@pytest.mark.parametrize("mode", [None, GLA, VLA])
+def test_a_gla_decode_step_runs_no_scores_or_softmax_in_lazy_layers(model, prompt, mode, monkeypatch):
+    """One decode step runs the scores GEMV and the softmax once per layer
+    that computes its attention: under GLA every layer but the lazy ones,
+    whose row and keys are their anchor's, and every layer otherwise."""
+    plan = None if mode is None else two_block_plan(mode)
+    logits, store = prefill(model, prompt, plan)
+    d_head, n_keys = model.config.d_head, len(prompt) + 1
+    assert n_keys != d_head  # so a scores GEMV's keys differ in shape from the values
+    calls = {"scores": 0, "softmax": 0}
+    real_matvec, real_softmax = runtime.matvec, runtime.masked_softmax_rows
+
+    def matvec(a, b):
+        calls["scores"] += b.shape[-2:] == (d_head, n_keys)
+        return real_matvec(a, b)
+
+    def softmax(*args):
+        calls["softmax"] += 1
+        return real_softmax(*args)
+
+    monkeypatch.setattr(runtime, "matvec", matvec)
+    monkeypatch.setattr(runtime, "masked_softmax_rows", softmax)
+    decode(model, store, int(np.argmax(logits[-1])))
+    L = model.config.n_layers
+    computing = L - plan.n_lazy if mode == GLA else L
+    assert calls == {"scores": computing, "softmax": computing}
+
+
+def test_the_kept_attention_block_lives_within_one_decode_step(model, monkeypatch):
+    """Under GLA a decode step's anchors keep their attention block for
+    their lazy layers instead of publishing their query row; a prefill and
+    an extension publish queries and keep no block; every call releases
+    the Q cache."""
+    held = []
+    for name in ("publish", "keep"):
+
+        def spy(self, anchor, rows, name=name, real=getattr(QCache, name)):
+            held.append((name, anchor, rows.shape))
+            real(self, anchor, rows)
+
+        monkeypatch.setattr(QCache, name, spy)
+    plan = two_block_plan(GLA)
+    tokens = random_prompt(np.random.default_rng(4), model.config.vocab_size, 70, 0.5)
+    head = TokenSequence(tokens.token_ids[:64], tokens.modality[:64])
+    tail = TokenSequence(tokens.token_ids[64:], tokens.modality[64:])
+    n_heads, d_head = model.config.n_heads, model.config.d_head
+
+    def released(store):
+        q = store.qcache
+        return q.anchor is None and q.q_heads is None and q.attention is None
+
+    _, store = prefill(model, head, plan, logits=False)
+    assert released(store)
+    assert held == [("publish", 1, (n_heads, 64, d_head)), ("publish", 4, (n_heads, 64, d_head))]
+    held.clear()
+    extend(model, store, tail)
+    assert released(store)
+    assert [name for name, *_ in held] == ["publish", "publish"]
+    held.clear()
+    for step in range(2):
+        decode(model, store, 5)
+        assert released(store)
+        n_keys = len(tokens) + step + 1
+        assert held == [("keep", 1, (n_heads, 1, n_keys)), ("keep", 4, (n_heads, 1, n_keys))]
+        held.clear()
+
+
+def test_a_clone_taken_mid_generation_holds_no_kept_block(model, prompt):
+    plan = two_block_plan(GLA)
+    logits, store = prefill(model, prompt, plan)
+    ids = generate(model, store, logits[-1], 3)
+    clone = store.clone()
+    assert clone.qcache.attention is None and clone.qcache.q_heads is None
+    for t in FEED:
+        assert np.array_equal(decode(model, clone, t), decode(model, store, t))
+    assert_decode_matches_oracle(model, prompt, plan, clone, None, decoded=ids + FEED)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [(LazyBlock(0, (1,)), LazyBlock(2, (3,))), (LazyBlock(1, (2,)), LazyBlock(3, (4, 5)))],
+    ids=["adjacent-blocks", "block-ends-at-the-last-layer"],
+)
+@pytest.mark.parametrize("prune", [False, True], ids=["unpruned", "pruned"])
+def test_gla_decode_inherits_exactly_past_the_buffer_reallocation(model, blocks, prune):
+    """70 GLA decode steps, past step 65, where every buffer reallocates,
+    equal the oracle bit for bit, on adjacent blocks, on a block that ends
+    at the last layer, and after a prune."""
+    plan = LazyPlan(mode=GLA, n_layers=6, blocks=list(blocks), epsilon=0.5)
+    tokens = random_prompt(np.random.default_rng(6), model.config.vocab_size, 12, 0.5)
+    capture = AttentionCapture()
+    logits, store = prefill(model, tokens, plan, capture=capture)
+    if prune:
+        prune_visual_tokens(store, capture.snapshot, 1, 0.5)
+        assert store.prune_record.removed
+    capacity = store.layers[-1].values._buf.shape[1]
+    ids, rows, last = [], [], logits[-1]
+    for _ in range(70):
+        ids.append(int(np.argmax(last)))
+        last = decode(model, store, ids[-1])
+        rows.append(last)
+    assert store.layers[-1].values._buf.shape[1] > capacity
+    ref = oracle_prefill(model, tokens, plan, prune=store.prune_record, decoded=ids)
+    assert np.array_equal(np.vstack(rows), ref[len(tokens) :])
+
+
 def test_plan_layer_count_mismatch_rejected(model, prompt):
     with pytest.raises(ValidationError):
         prefill(model, prompt, two_block_plan(GLA, n_layers=8))
