@@ -18,9 +18,9 @@ removed ones, ascending; a layer the prune cut keeps its own split, which
 grows the same way. A lazy layer prunes with its anchor, so its row i is
 its anchor's row i.
 
-The Q cache is block-scoped: it holds at most one anchor's queries at
-any moment (the shared rows of one extension or decode step), or, in a
-GLA decode step, that anchor's attention block in their place, and is
+The Q cache is block-scoped: one slot holds at most one anchor's rows at
+any moment, the queries of the shared rows of one call or, in a GLA
+decode step, that anchor's attention block, tagged with which, and is
 released when that call ends. Byte accounting everywhere is logical:
 stored elements times 4, independent of buffer capacity.
 """
@@ -173,50 +173,42 @@ class LayerCache:
 
 
 class QCache:
-    """The block-shared query cache.
-
-    Holds at most one anchor layer's shared rows at a time, tagged by that
-    anchor's index: their queries, as one (n_heads, n, d_head) array, or,
-    where the anchor's lazy layers inherit its attention (a GLA decode step,
-    see `runtime`), its (n_heads, 1, L) attention block in their place. The
-    next anchor's publish() or keep() overwrites them. Peak logical bytes
-    count queries only, so the 1/(2N) overhead bound can be checked against
+    """The block-shared query cache: one slot for one anchor layer's rows
+    at a time, tagged by that anchor's index and by what they are. An
+    anchor publishes its shared rows' queries, one (n_heads, n, d_head)
+    array, or, where its lazy layers inherit its attention (a GLA decode
+    step, see `runtime`), its (n_heads, 1, L) attention block with
+    `attention=True`; its lazy layers read the slot, and the next anchor's
+    publish() overwrites it. Peak logical bytes count whatever the slot
+    held. A block's n_heads * L entries are at most d_model * L, the
+    queries of L rows, so the 1/(2N) overhead bound is checked against
     real occupancy.
     """
 
     def __init__(self):
         self.anchor: int | None = None
-        self.q_heads: np.ndarray | None = None
-        self.attention: np.ndarray | None = None
+        self.rows: np.ndarray | None = None
+        self.attention = False
         self.peak_bytes = 0
 
-    def publish(self, anchor: int, q_heads: np.ndarray) -> None:
-        self.anchor, self.q_heads, self.attention = anchor, q_heads, None
+    def publish(self, anchor: int, rows: np.ndarray, attention: bool = False) -> None:
+        self.anchor, self.rows, self.attention = anchor, rows, attention
         self.peak_bytes = max(self.peak_bytes, self.nbytes)
 
-    def keep(self, anchor: int, attention: np.ndarray) -> None:
-        self.anchor, self.q_heads, self.attention = anchor, None, attention
-
     def read(self, anchor: int) -> np.ndarray:
-        return self._held(anchor, self.q_heads, "queries")
-
-    def inherit(self, anchor: int) -> np.ndarray:
-        return self._held(anchor, self.attention, "attention")
-
-    def _held(self, anchor: int, rows: np.ndarray | None, what: str) -> np.ndarray:
-        if rows is None or self.anchor != anchor:
-            held = "queries" if self.attention is None else "attention"
+        if self.rows is None or self.anchor != anchor:
+            held = "attention" if self.attention else "queries"
             raise ValidationError(
-                f"Q cache holds layer {self.anchor}'s {held}, layer asked for layer {anchor}'s {what}"
+                f"Q cache holds layer {self.anchor}'s {held}, layer asked for layer {anchor}'s"
             )
-        return rows
+        return self.rows
 
     def release(self) -> None:
-        self.anchor = self.q_heads = self.attention = None
+        self.anchor, self.rows, self.attention = None, None, False
 
     @property
     def nbytes(self) -> int:
-        return 0 if self.q_heads is None else self.q_heads.size * 4
+        return 0 if self.rows is None else self.rows.size * 4
 
 
 class PruneRecord(NamedTuple):

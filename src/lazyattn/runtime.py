@@ -56,13 +56,13 @@ head are skipped. Nothing that the store holds depends on them, so the
 store is the one a `logits=True` call leaves, bit for bit, and can be
 extended or decoded from.
 
-The phase picks its products, never the row count (see `kernels`),
-whether its last block is padded, and whether lazy layers inherit their
-anchor's attention: prefill runs every product on the tile kernel
-(`matmul`), pads, and recomputes a lazy layer's attention, so its FLOPs
-stay on the 2n*beta closed form (see `efficiency`); decode runs every
-product on the one stacked GEMV (`matvec`), which is cheaper for its one
-row, against exactly the cached keys, and inherits. Both run the one
+The phase picks its products, never the row count (see `kernels`), and
+one flag, `prompt`, picks the rest: a prompt phase (prefill and `extend`)
+runs every product on the tile kernel (`matmul`), pads its last block and
+recomputes a lazy layer's attention, so its FLOPs stay on the 2n*beta
+closed form (see `efficiency`); decode runs every product on the one
+stacked GEMV (`matvec`), which is cheaper for its one row, against
+exactly the cached keys, and lets lazy layers inherit. Both run the one
 softmax. The oracle computes each row as its phase does, and recomputes
 every lazy layer's attention from its anchor's Q and K, so prefill and
 every decode step match it bit for bit, even where a lazy layer projects a
@@ -80,18 +80,20 @@ A layer's anchor (`store.anchors`, from the plan) decides where its queries
 and keys come from:
 
   itself   project Q and K for every row (keys cached post-rotation); a
-           layer that the next layer names as its anchor also publishes
-           the shared rows' Q to the Q cache under its own index, or, where
-           its lazy layers inherit, keeps its attention block there instead
+           layer that the next layer names as its anchor then publishes,
+           after its attention, to the Q cache under its own index: its
+           attention block outside a prompt when every row of the call is
+           shared and its first lazy layer owns no keys (every GLA decode
+           step), for then that layer has the anchor's Q and K and its
+           scores and softmax would give the block to the bit; the shared
+           rows' Q otherwise
   earlier  (a lazy layer) project Q and K for its own rows only (at their
            original sequence positions), and none when it owns no row;
-           shared rows take the anchor's Q from the Q cache, and K is the
-           layer's own keys merged with the anchor's shared keys in
-           position order (see `LayerCache.merged_keys`). In a phase that
-           inherits (decode), a layer whose rows are all shared and which
-           owns no keys (every GLA step) has the anchor's Q and K, so its
-           scores and softmax would give the anchor's block to the bit: it
-           takes that block and runs only the weighted sum on its own V
+           K is the layer's own keys merged with the anchor's shared keys
+           in position order (see `LayerCache.merged_keys`). Shared rows
+           take what the Q cache holds: the anchor's Q, or, where it holds
+           the anchor's attention block, that block, and the layer runs
+           only the weighted sum on its own V
 
 The store alone decides which rows are shared (see `caches`), so nothing
 here tests the mode. Values, the weighted sum, the output projection, and
@@ -156,14 +158,14 @@ def _metered(kernel, meter):
 
 class _Phase(NamedTuple):
     """What a phase runs: its weight and attention products (see `_metered`),
-    whether it pads its last block of attention to CHUNK rows' keys, and
-    whether a lazy layer that takes every query row and key from its anchor
-    inherits the anchor's attention (see the module doc)."""
+    and whether it is a prompt phase (prefill and `extend`), which pads its
+    last block of attention to CHUNK rows' keys and recomputes a lazy
+    layer's attention, or decode, which attends exactly the cached keys and
+    lets lazy layers inherit their anchor's (see the module doc)."""
 
     mm: Callable
     head_mm: Callable
-    pads: bool
-    inherits: bool = False
+    prompt: bool
 
 
 def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -171,14 +173,6 @@ def _rotated(config, qk: np.ndarray, positions: np.ndarray) -> np.ndarray:
     (2 n_heads, rows, d_head): Q's heads, then K's."""
     qk = qk.reshape(qk.shape[0], 2 * config.n_heads, config.d_head)
     return apply_rope(qk, positions, config.rope_theta).transpose(1, 0, 2)
-
-
-def _inherits(phase: _Phase, cache, split: RowSplit) -> bool:
-    """Whether a lazy layer with `cache` inherits its anchor's attention for
-    the rows of `split`: in a phase that inherits, when every row takes its
-    query from the anchor and the layer owns no keys, so that its scores
-    and softmax would be the anchor's to the bit."""
-    return phase.inherits and not split.n_own and not len(cache.keys)
 
 
 def _attention(phase: _Phase, q, keys, values, capture, layer: int, inherited=None):
@@ -193,7 +187,7 @@ def _attention(phase: _Phase, q, keys, values, capture, layer: int, inherited=No
     n_heads, n_keys, d_head = keys.shape
     rows = (q if inherited is None else inherited).shape[1]
     first = n_keys - rows  # the key index of q's first row
-    end = n_keys + (-rows % CHUNK if phase.pads else 0)  # keys the last block attends
+    end = n_keys + (-rows % CHUNK if phase.prompt else 0)  # keys the last block attends
     scale = attention_scale(d_head)
     kt = keys.transpose(0, 2, 1)
     if end > n_keys:
@@ -249,24 +243,27 @@ def _layer(
         qk = _rotated(config, qk, positions[own])
         q = qk[:n_heads]
         cache.append_keys(qk[n_heads:])
-    keeps, inherited = False, None
+    inherited = None
     if not lazy:
         keys = cache.keys.data
-        if l + 1 < config.n_layers and store.anchors[l + 1] == l and split.n_shared:
-            keeps = _inherits(phase, store.layers[l + 1], split)
-            if not keeps:
-                store.qcache.publish(l, q[:, split.shared])
     else:
         keys = cache.merged_keys(store.layers[anchor])
-        if _inherits(phase, cache, split):
-            q, inherited = None, store.qcache.inherit(anchor)
-        elif split.n_shared:
-            shared_q = store.qcache.read(anchor)
-            q = split.merge(shared_q, q) if n_own else shared_q
+        if split.n_shared:
+            shared = store.qcache.read(anchor)
+            if store.qcache.attention:
+                q, inherited = None, shared
+            else:
+                q = split.merge(shared, q) if n_own else shared
 
     o, block = _attention(phase, q, keys, cache.values.data, capture, l, inherited)
-    if keeps:
-        store.qcache.keep(l, block)
+    if not lazy and l + 1 < config.n_layers and store.anchors[l + 1] == l and split.n_shared:
+        # Outside a prompt, a lazy layer whose rows are all shared and which
+        # owns no keys has this layer's Q and K, so its scores and softmax
+        # would give this block to the bit.
+        if not phase.prompt and not split.n_own and not len(store.layers[l + 1].keys):
+            store.qcache.publish(l, block, attention=True)
+        else:
+            store.qcache.publish(l, q[:, split.shared])
     if not output:
         return None
     x = x + mm(o.transpose(1, 0, 2).reshape(rows, d), lw.wo, "attn_out")
@@ -318,7 +315,7 @@ def extend(
     if store.seq_len % CHUNK:
         raise ValidationError(f"extend needs a multiple of {CHUNK} rows, not {store.seq_len}")
     # Looked up now, so wrappers take effect.
-    phase = _Phase(_metered(matmul, meter), _metered(kernels.matmul, meter), pads=True)
+    phase = _Phase(_metered(matmul, meter), _metered(kernels.matmul, meter), prompt=True)
     out = _forward(weights, store, tokens, phase, capture, logits)
     store.n_prompt = store.seq_len
     return out
@@ -347,7 +344,7 @@ def decode(weights: ModelWeights, store: CacheStore, next_token: int, meter=None
         raise ValidationError("decode requires caches populated by a prefill")
     tokens = TokenSequence([next_token], [TEXT])
     gemv = _metered(matvec, meter)
-    return _forward(weights, store, tokens, _Phase(gemv, gemv, pads=False, inherits=True), None)[0]
+    return _forward(weights, store, tokens, _Phase(gemv, gemv, prompt=False), None)[0]
 
 
 def generate(
@@ -379,7 +376,9 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
     anchor exceeds `layer`, so a lazy layer prunes exactly when its anchor
     does, which keeps its K source and its V cache covering the same
     positions. The snapshot must be of this store's prompt, on every layer.
-    keep_ratio=1 leaves the store untouched and records nothing.
+    keep_ratio=1, or a `layer` that no layer's anchor exceeds, cuts no layer:
+    the store is left untouched, nothing is recorded, and every visual
+    position is returned.
     A store is pruned at most once: the prune record, and the oracle that
     replays it, describe one pass.
     """
@@ -398,7 +397,7 @@ def prune_visual_tokens(store: CacheStore, snapshot, layer: int, keep_ratio: flo
         raise ValidationError(f"snapshot has {len(scores)} columns, the prompt {store.n_prompt}")
     visual = np.flatnonzero(store.modality).tolist()
     keep_count = math.ceil(keep_ratio * len(visual))
-    if keep_count >= len(visual):
+    if keep_count >= len(visual) or max(store.anchors) <= layer:
         return visual
     ranked = sorted(visual, key=lambda p: (-float(scores[p]), p))
     removed = sorted(ranked[keep_count:])

@@ -185,6 +185,19 @@ def test_run_with_a_prune_matches_the_prune_aware_oracle(pipeline, tmp_path, cap
     assert reports["pruned"]["n_visual"] == len(kept) < prompt.n_visual
 
 
+def test_run_pruned_at_the_last_layer_reports_as_unpruned(pipeline, tmp_path):
+    """A prune at the last layer cuts no cache, so `run` writes the report
+    bytes of the same run without a prune."""
+    run = ["run", "--model", pipeline["model"], "--input", pipeline["inputs"],
+           "--plan", pipeline["plan"], "--steps", "4"]
+    assert main([*run, "--out", str(tmp_path / "full")]) == EXIT_OK
+    assert main([*run, "--prune-layer", "3", "--prune-keep", "0.5",
+                 "--out", str(tmp_path / "pruned")]) == EXIT_OK
+    report = {name: (tmp_path / name / "cost_report.json").read_bytes()
+              for name in ("full", "pruned")}
+    assert report["pruned"] == report["full"]
+
+
 REFUSED = [
     pytest.param(["genmodel", "--heads", "3", "--dmodel", "16", "--out", "{out}"],
                  "--dmodel 16 is not divisible by --heads 3", id="genmodel-heads"),

@@ -147,11 +147,18 @@ def test_vla_lazy_layers_store_text_keys_only(model, prompt):
             assert store.layers[lazy].keys.nbytes == (prompt.n_text + 1) * d * 4
 
 
-def test_qcache_refuses_another_anchors_queries():
+@pytest.mark.parametrize(
+    "what, shape", [("queries", (2, 3, 4)), ("attention", (2, 1, 5))], ids=["queries", "attention"]
+)
+def test_qcache_hands_its_slot_to_its_anchor_only(what, shape):
+    """The one slot holds one anchor's queries or attention block, tagged
+    with which, refuses every other anchor, and counts its bytes either way."""
     qcache = QCache()
-    qcache.publish(1, np.zeros((2, 3, 4), dtype=np.float32))
-    assert qcache.read(1).shape == (2, 3, 4)
-    with pytest.raises(ValidationError, match="holds layer 1's queries"):
+    qcache.publish(1, np.ones(shape, dtype=np.float32), attention=what == "attention")
+    assert qcache.read(1).shape == shape
+    assert qcache.attention == (what == "attention")
+    assert qcache.nbytes == qcache.peak_bytes == np.prod(shape) * 4
+    with pytest.raises(ValidationError, match=f"holds layer 1's {what}"):
         qcache.read(4)
 
 
@@ -162,7 +169,7 @@ def test_qcache_lifecycle_and_bound(model, prompt):
     s = len(prompt)
     # released after prefill, but the peak saw the full anchor Q
     assert store.qcache.nbytes == 0
-    assert store.qcache.q_heads is None
+    assert store.qcache.rows is None
     assert store.qcache.peak_bytes == s * d * 4
     std_kv = 2 * s * d * 4 * model.config.n_layers
     assert store.qcache.peak_bytes <= std_kv / (2 * model.config.n_layers)
@@ -178,15 +185,24 @@ def test_vla_qcache_holds_visual_rows_only(model, prompt):
     assert store.qcache.peak_bytes == prompt.n_visual * d * 4
 
 
-def test_qcache_hands_kept_attention_to_its_anchor_only():
-    qcache = QCache()
-    qcache.keep(1, np.ones((2, 1, 5), dtype=np.float32))
-    assert qcache.inherit(1).shape == (2, 1, 5)
-    assert qcache.nbytes == qcache.peak_bytes == 0
-    with pytest.raises(ValidationError, match="holds layer 1's attention"):
-        qcache.inherit(4)
-    with pytest.raises(ValidationError, match="asked for layer 1's queries"):
-        qcache.read(1)
+def test_qcache_peak_counts_decode_blocks_within_the_bound(model):
+    """A one-token GLA prompt decoded for 24 steps: the last step's (2, 1,
+    25) block, 200 B, lifts the peak past the prefill's 128 B of queries,
+    and the peak stays within standard KV / (2N) after every step. VLA
+    decode rows are text and publish nothing, so its peak stays at its
+    prefill's."""
+    tokens = TokenSequence([7], [1])
+    _, std = prefill(model, tokens)
+    stores = {mode: prefill(model, tokens, two_block_plan(mode))[1] for mode in (GLA, VLA)}
+    prefill_peak = model.config.d_model * 4
+    assert stores[GLA].qcache.peak_bytes == stores[VLA].qcache.peak_bytes == prefill_peak == 128
+    N = model.config.n_layers
+    for _ in range(24):
+        for store in (std, *stores.values()):
+            decode(model, store, 5)
+        assert stores[GLA].qcache.peak_bytes <= std.kv_bytes() / (2 * N)
+        assert stores[VLA].qcache.peak_bytes == prefill_peak
+    assert stores[GLA].qcache.peak_bytes == 2 * 25 * 4 == 200
 
 
 @pytest.mark.parametrize("mode", [None, GLA, VLA])
@@ -218,18 +234,18 @@ def test_a_gla_decode_step_runs_no_scores_or_softmax_in_lazy_layers(model, promp
 
 
 def test_the_kept_attention_block_lives_within_one_decode_step(model, monkeypatch):
-    """Under GLA a decode step's anchors keep their attention block for
-    their lazy layers instead of publishing their query row; a prefill and
-    an extension publish queries and keep no block; every call releases
-    the Q cache."""
+    """Under GLA a decode step's anchors publish their attention block for
+    their lazy layers instead of their query row; a prefill and an
+    extension publish queries and no block; every call releases the Q
+    cache."""
     held = []
-    for name in ("publish", "keep"):
+    real = QCache.publish
 
-        def spy(self, anchor, rows, name=name, real=getattr(QCache, name)):
-            held.append((name, anchor, rows.shape))
-            real(self, anchor, rows)
+    def spy(self, anchor, rows, attention=False):
+        held.append(("attention" if attention else "queries", anchor, rows.shape))
+        real(self, anchor, rows, attention)
 
-        monkeypatch.setattr(QCache, name, spy)
+    monkeypatch.setattr(QCache, "publish", spy)
     plan = two_block_plan(GLA)
     tokens = random_prompt(np.random.default_rng(4), model.config.vocab_size, 70, 0.5)
     head = TokenSequence(tokens.token_ids[:64], tokens.modality[:64])
@@ -238,21 +254,22 @@ def test_the_kept_attention_block_lives_within_one_decode_step(model, monkeypatc
 
     def released(store):
         q = store.qcache
-        return q.anchor is None and q.q_heads is None and q.attention is None
+        return q.anchor is None and q.rows is None and not q.attention
 
     _, store = prefill(model, head, plan, logits=False)
     assert released(store)
-    assert held == [("publish", 1, (n_heads, 64, d_head)), ("publish", 4, (n_heads, 64, d_head))]
+    assert held == [("queries", 1, (n_heads, 64, d_head)), ("queries", 4, (n_heads, 64, d_head))]
     held.clear()
     extend(model, store, tail)
     assert released(store)
-    assert [name for name, *_ in held] == ["publish", "publish"]
+    assert [name for name, *_ in held] == ["queries", "queries"]
     held.clear()
     for step in range(2):
         decode(model, store, 5)
         assert released(store)
         n_keys = len(tokens) + step + 1
-        assert held == [("keep", 1, (n_heads, 1, n_keys)), ("keep", 4, (n_heads, 1, n_keys))]
+        block = (n_heads, 1, n_keys)
+        assert held == [("attention", 1, block), ("attention", 4, block)]
         held.clear()
 
 
@@ -261,7 +278,7 @@ def test_a_clone_taken_mid_generation_holds_no_kept_block(model, prompt):
     logits, store = prefill(model, prompt, plan)
     ids = generate(model, store, logits[-1], 3)
     clone = store.clone()
-    assert clone.qcache.attention is None and clone.qcache.q_heads is None
+    assert clone.qcache.rows is None and not clone.qcache.attention
     for t in FEED:
         assert np.array_equal(decode(model, clone, t), decode(model, store, t))
     assert_decode_matches_oracle(model, prompt, plan, clone, None, decoded=ids + FEED)
@@ -594,6 +611,27 @@ def test_keep_one_does_not_count_as_a_prune(model, prompt):
     assert len(prune_visual_tokens(store, capture.snapshot, 1, 0.5)) == 2
     spec = store.prune_record
     assert_decode_matches_oracle(model, prompt, plan, store, spec)
+
+
+@pytest.mark.parametrize("mode, layer", [(None, 5), (GLA, 4)], ids=["last-layer", "last-anchor"])
+def test_a_prune_that_cuts_no_layer_records_nothing(model, mode, layer):
+    """A prune at a layer that no layer's anchor exceeds, the last layer or
+    the last block's anchor, cuts nothing: like keep_ratio=1 it returns
+    every visual position and records nothing, so the store counts every
+    visual row and can still be extended."""
+    plan = None if mode is None else two_block_plan(mode)
+    tokens = random_prompt(np.random.default_rng(9), model.config.vocab_size, 64, 0.5)
+    capture = AttentionCapture()
+    _, store = prefill(model, tokens, plan, capture=capture)
+    before = store.kv_bytes()
+    kept = prune_visual_tokens(store, capture.snapshot, layer, 0.5)
+    assert kept == np.flatnonzero(tokens.modality).tolist()
+    assert store.prune_record is None
+    assert store.n_visual == tokens.n_visual
+    assert store.kv_bytes() == before
+    tail = TokenSequence([5, 17], [1, 0])
+    _, untouched = prefill(model, tokens, plan)
+    assert np.array_equal(extend(model, store, tail), extend(model, untouched, tail))
 
 
 # ---------------------------------------------------------------------------
